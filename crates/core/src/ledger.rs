@@ -17,6 +17,7 @@ use blockprov_ledger::chain::{
     ValidationError,
 };
 use blockprov_ledger::mempool::{Mempool, MempoolError};
+use blockprov_ledger::readview::Published;
 use blockprov_ledger::tx::{AccountId, Transaction, TxId};
 use blockprov_provenance::capture::{CaptureError, CapturePipeline, DataOperation};
 use blockprov_provenance::graph::{GraphError, ProvGraph};
@@ -25,6 +26,7 @@ use blockprov_provenance::query::{ProvQuery, QueryCache, QueryEngine, QueryResul
 use blockprov_wire::Codec;
 use std::collections::{BTreeMap, HashMap};
 use std::fmt;
+use std::sync::{Arc, RwLock};
 
 /// Framework-level errors.
 #[derive(Debug)]
@@ -121,16 +123,87 @@ impl RecordProof {
     }
 }
 
-/// A cloneable, `Send + Sync` query handle over a [`ProvenanceLedger`]'s
-/// chain, obtained from [`ProvenanceLedger::reader`].
+/// Decode a provenance record from the front of a transaction payload.
+///
+/// `OnChainFull` transactions append raw content after the record, so the
+/// record is a prefix of the payload (a payload that is exactly one record
+/// is the prefix case with no tail). Everything that reads records off the
+/// chain — absorption, rehydration, audits, the node's `/tx` — uses this
+/// one convention.
+pub fn decode_record_prefix(payload: &[u8]) -> Option<ProvenanceRecord> {
+    let mut r = blockprov_wire::Reader::new(payload);
+    ProvenanceRecord::decode(&mut r).ok()
+}
+
+/// Per subject, the `(block height, position)` of every provenance
+/// transaction this ledger has absorbed whose record names the subject —
+/// fork blocks included — kept sorted and unique.
+///
+/// A *hint*, never an answer: [`LedgerReader::provenance_of`] resolves each
+/// entry through a pinned [`ChainView`], which decides what is canonical.
+/// Heights and positions rather than 32-byte ids: 16 bytes per provenance
+/// transaction, and the id falls out of the resolved transaction.
+#[derive(Debug, Default)]
+struct SubjectPostings {
+    by_subject: HashMap<String, Vec<(u64, u32)>>,
+    entries: usize,
+}
+
+impl SubjectPostings {
+    fn insert(&mut self, subject: &str, at: (u64, u32)) {
+        // `entry` would allocate the key on every call; subjects repeat.
+        let list = match self.by_subject.get_mut(subject) {
+            Some(list) => list,
+            None => self.by_subject.entry(subject.to_string()).or_default(),
+        };
+        match list.last() {
+            // Canonical growth appends. A fork sibling, or a block absorbed
+            // a second time after a reorg, lands inside the list or is
+            // already there.
+            Some(last) if *last >= at => match list.binary_search(&at) {
+                Ok(_) => return,
+                Err(i) => list.insert(i, at),
+            },
+            _ => list.push(at),
+        }
+        self.entries += 1;
+    }
+}
+
+/// What [`LedgerReader::provenance_of`] answers.
+#[derive(Debug, Clone)]
+pub struct SubjectAudit {
+    /// The pinned view the answer describes: the chain as of the last batch
+    /// the ledger finished absorbing.
+    pub view: ChainView,
+    /// Every canonical provenance transaction of `view` whose record names
+    /// the subject, as `(carrying tx id, record)` in `(height, position)`
+    /// order.
+    pub records: Vec<(TxId, ProvenanceRecord)>,
+    /// Postings entries resolved against `view` to find them. Equal to
+    /// `records.len()` unless forks or reorgs left entries the view
+    /// rejects.
+    pub candidates: usize,
+}
+
+/// A cloneable, `Send + Sync` query handle over a [`ProvenanceLedger`],
+/// obtained from [`ProvenanceLedger::reader`].
 ///
 /// Backed by the chain's epoch-published snapshots and the durable tiers'
 /// published states: every method answers without blocking the writer, and
 /// multi-step queries that must agree with each other can pin one snapshot
 /// via [`LedgerReader::view`].
+///
+/// One piece of provenance state is covered too: the per-subject audit,
+/// [`LedgerReader::provenance_of`], served from subject postings the ledger
+/// shares with its readers. The provenance graph itself (DAG edges,
+/// invalidation) stays with the writer.
 #[derive(Debug, Clone)]
 pub struct LedgerReader {
     chain: ChainReader,
+    postings: Arc<RwLock<SubjectPostings>>,
+    /// The newest view whose every block the postings cover.
+    covered: Arc<Published<ChainView>>,
 }
 
 impl LedgerReader {
@@ -220,6 +293,68 @@ impl LedgerReader {
             inclusion,
         })
     }
+
+    /// "Who did what to this artifact": every canonical provenance record
+    /// whose subject is `subject`, oldest first — in time proportional to
+    /// the records naming the subject, not to the ledger's history.
+    ///
+    /// The answer is exactly what scanning the returned view would give
+    /// (`txs_by_kind(PROVENANCE)`, fetch, decode, filter on subject), ids
+    /// and order included. The subject's postings supply candidate
+    /// `(height, position)`s; a candidate counts iff the view's canonical
+    /// block at that height carries a provenance transaction at that
+    /// position whose record names the subject, so fork blocks, reorged-out
+    /// blocks and undecodable payloads drop out here. An unknown subject is
+    /// an empty answer, not an error.
+    ///
+    /// The view is the one the ledger pinned after it last finished
+    /// absorbing a batch, not [`LedgerReader::view`]: the chain publishes a
+    /// batch's snapshot before the ledger has absorbed it, and only blocks
+    /// absorbed before a view was pinned are certain to be in the postings.
+    pub fn provenance_of(&self, subject: &str) -> SubjectAudit {
+        let view = ChainView::clone(&self.covered.load());
+        let mut candidates = self
+            .postings
+            .read()
+            .expect("postings lock poisoned by a panicked writer")
+            .by_subject
+            .get(subject)
+            .cloned()
+            .unwrap_or_default();
+        // Entries above the view's tip belong to batches absorbed since.
+        candidates.truncate(candidates.partition_point(|&(h, _)| h <= view.height()));
+        let mut records = Vec::with_capacity(candidates.len());
+        let mut block: Option<Arc<Block>> = None;
+        for &(height, pos) in &candidates {
+            if block.as_ref().map(|b| b.header.height) != Some(height) {
+                block = view.block_at(height);
+            }
+            let Some(tx) = block.as_ref().and_then(|b| b.txs.get(pos as usize)) else {
+                continue;
+            };
+            if tx.kind != txkind::PROVENANCE {
+                continue;
+            }
+            match decode_record_prefix(&tx.payload) {
+                Some(record) if record.subject == subject => records.push((tx.id(), record)),
+                _ => {}
+            }
+        }
+        SubjectAudit {
+            view,
+            records,
+            candidates: candidates.len(),
+        }
+    }
+
+    /// Subject-postings entries held (one per absorbed provenance
+    /// transaction, fork blocks included).
+    pub fn postings_len(&self) -> usize {
+        self.postings
+            .read()
+            .expect("postings lock poisoned by a panicked writer")
+            .entries
+    }
 }
 
 /// The assembled provenance ledger.
@@ -243,8 +378,15 @@ pub struct ProvenanceLedger {
     epoch_seed: Hash256,
     agents: BTreeMap<AccountId, String>,
     nonces: HashMap<AccountId, u64>,
-    /// record → carrying tx (filled at seal time).
+    /// record → carrying tx (filled as blocks are absorbed).
     record_tx: HashMap<RecordId, TxId>,
+    /// Subject postings, shared with every [`LedgerReader`]. Written in the
+    /// three places a record becomes chain state — rehydration, sealing,
+    /// batched ingest — under one write lock per batch.
+    postings: Arc<RwLock<SubjectPostings>>,
+    /// Set by the first [`ProvenanceLedger::reader`]: the chain handle the
+    /// ledger pins covered views from, and the slot it publishes them to.
+    covered: Option<(ChainReader, Arc<Published<ChainView>>)>,
     /// Logical clock (ms); deterministic and strictly monotonic.
     now_ms: u64,
 }
@@ -345,12 +487,18 @@ impl ProvenanceLedger {
     /// logical clock resumes from the tip header and the visited
     /// records/blocks — for ledger-sealed histories the tip carries the
     /// maximum timestamp.
+    ///
+    /// Stored fork blocks above the checkpoint are not visited; should a
+    /// later reorg make one canonical, [`Self::absorb_winning_branch`]
+    /// folds it in then.
     fn rehydrate_provenance(&mut self) -> Result<(), CoreError> {
         self.now_ms = self.now_ms.max(self.chain.tip_header().timestamp_ms);
         let located = self
             .chain
             .try_txs_by_kind_located(txkind::PROVENANCE)
             .map_err(CoreError::IndexIo)?;
+        let shared = Arc::clone(&self.postings);
+        let mut postings = shared.write().expect("postings lock poisoned");
         for (id, hash, pos) in located {
             // A located entry whose block is unreadable means the index and
             // store disagree (e.g. the store was rolled back without its
@@ -364,30 +512,12 @@ impl ProvenanceLedger {
             })?;
             let tx = &block.txs[pos as usize];
             self.now_ms = self.now_ms.max(block.header.timestamp_ms);
-            // OnChainFull transactions append raw content after the
-            // record, so decode from the payload prefix (a payload that
-            // is exactly one record is the prefix case with no tail).
-            let Some(record) = Self::decode_record_prefix(&tx.payload) else {
+            let Some(record) = decode_record_prefix(&tx.payload) else {
                 continue;
             };
-            let record_id = record.id();
-            self.now_ms = self.now_ms.max(record.timestamp_ms);
-            let nonce = self.nonces.entry(tx.author).or_insert(0);
-            *nonce = (*nonce).max(tx.nonce + 1);
-            self.record_tx.insert(record_id, id);
-            if self.graph.get(&record_id).is_none() {
-                self.graph.insert(record.clone())?;
-                self.engine.index_record(record_id, &record);
-            }
+            self.absorb_record(record, tx, id, (block.header.height, pos), &mut postings)?;
         }
         Ok(())
-    }
-
-    /// Decode a provenance record from the front of an `OnChainFull`
-    /// payload (record bytes followed by raw content).
-    fn decode_record_prefix(payload: &[u8]) -> Option<ProvenanceRecord> {
-        let mut r = blockprov_wire::Reader::new(payload);
-        ProvenanceRecord::decode(&mut r).ok()
     }
 
     /// Assemble the framework around an existing chain.
@@ -426,6 +556,8 @@ impl ProvenanceLedger {
             agents: BTreeMap::new(),
             nonces: HashMap::new(),
             record_tx: HashMap::new(),
+            postings: Arc::default(),
+            covered: None,
             now_ms: 1,
             config,
         }
@@ -448,13 +580,47 @@ impl ProvenanceLedger {
     /// never block the sealing/ingest path and never observe torn commit
     /// state. While at least one handle is alive the chain re-publishes a
     /// snapshot at every commit point; queries then lag live state by at
-    /// most one commit. Provenance-graph state (records, DAG edges) is not
-    /// covered — this is the chain-level view: id/author/kind lookups,
-    /// height/hash resolution, block fetch and Merkle inclusion proofs.
+    /// most one commit. This is the chain-level view — id/author/kind
+    /// lookups, height/hash resolution, block fetch and Merkle inclusion
+    /// proofs — plus the per-subject audit
+    /// ([`LedgerReader::provenance_of`]), which answers as of the last
+    /// batch this ledger finished absorbing. The provenance graph (DAG
+    /// edges, invalidation) is not covered.
     pub fn reader(&mut self) -> LedgerReader {
+        let (chain, covered) = match &self.covered {
+            Some((chain, covered)) => (chain.clone(), Arc::clone(covered)),
+            None => {
+                // `&mut self`: no batch is in flight, so every block of the
+                // view pinned here has been absorbed.
+                let chain = self.chain.reader();
+                let covered = Arc::new(Published::new(chain.view()));
+                self.covered = Some((chain.clone(), Arc::clone(&covered)));
+                (chain, covered)
+            }
+        };
         LedgerReader {
-            chain: self.chain.reader(),
+            chain,
+            postings: Arc::clone(&self.postings),
+            covered,
         }
+    }
+
+    /// Pin the chain's current snapshot as the view audits answer from.
+    /// Called once the postings cover every block stored so far — after a
+    /// batch (or a sealed block) has been absorbed — so a block in a
+    /// covered view was absorbed before the view was pinned. Costs two
+    /// `Arc` clones, and nothing before the first [`Self::reader`] call.
+    fn publish_covered(&mut self) {
+        let Some((chain, covered)) = &self.covered else {
+            return;
+        };
+        if Arc::strong_count(covered) == 1 {
+            // Every `LedgerReader` is gone: give up the chain handle, so
+            // the chain stops building snapshots nobody will load.
+            self.covered = None;
+            return;
+        }
+        covered.store(Arc::new(chain.view()));
     }
 
     /// Force a clean-shutdown sync: flush staged commits across every
@@ -652,15 +818,6 @@ impl ProvenanceLedger {
             ),
         };
         let tx_ids: Vec<TxId> = txs.iter().map(Transaction::id).collect();
-        let record_ids: Vec<(RecordId, TxId)> = txs
-            .iter()
-            .filter(|t| t.kind == txkind::PROVENANCE)
-            .filter_map(|t| {
-                ProvenanceRecord::from_wire(&t.payload)
-                    .ok()
-                    .map(|r| (r.id(), t.id()))
-            })
-            .collect();
         let mut block = self.chain.assemble_next(ts, proposer, difficulty, txs);
         block.header.state_root = self.contracts.state_root();
         if difficulty > 0 {
@@ -671,10 +828,19 @@ impl ProvenanceLedger {
         }
         let outcome = self.chain.append(block)?;
         self.mempool.remove_committed(&tx_ids);
-        for (rid, txid) in record_ids {
-            self.record_tx.insert(rid, txid);
-        }
-        Ok(outcome.hash)
+        // The records entered the graph when they were submitted; absorbing
+        // the sealed block adds what sealing decides: record→tx anchoring
+        // and the subject postings.
+        let absorbed = match self.chain.block(&outcome.hash) {
+            Some(block) => {
+                let shared = Arc::clone(&self.postings);
+                let mut postings = shared.write().expect("postings lock poisoned");
+                self.absorb_block_provenance(&block, &mut postings)
+            }
+            None => Ok(()),
+        };
+        self.publish_covered();
+        absorbed.map(|()| outcome.hash)
     }
 
     /// Ingest a batch of externally produced blocks (e.g. replicated from
@@ -688,48 +854,140 @@ impl ProvenanceLedger {
     /// for provenance absorption before surfacing the error. Blocks before
     /// the first invalid one commit, and the error reports which block
     /// failed and why (a `StoreIo` error with `index == committed.len()`
-    /// means the group flush itself failed; reopen and replay).
+    /// means the group flush itself failed; reopen and replay). A record
+    /// the provenance graph refuses (an unknown parent) is reported as
+    /// [`CoreError::Graph`], ahead of any chain error, after every
+    /// committed block has been absorbed: its block is on the chain
+    /// regardless, and readers audit what the chain holds.
     pub fn ingest_blocks(&mut self, blocks: Vec<Block>) -> Result<Vec<AppendOutcome>, CoreError> {
+        let old_tip = self.chain.tip();
         let (outcomes, err) = match self.chain.append_batch(blocks) {
             Ok(outcomes) => (outcomes, None),
             Err(e) => (e.committed.clone(), Some(e)),
         };
+        // Every committed block is absorbed, whatever an earlier one hit:
+        // the chain holds them all, and audits rely on the postings
+        // covering every stored block. The first graph error is reported.
+        let shared = Arc::clone(&self.postings);
+        let mut postings = shared.write().expect("postings lock poisoned");
+        let mut graph_err = None;
         for outcome in &outcomes {
             let Some(block) = self.chain.block(&outcome.hash) else {
                 continue; // already pruned by finality — nothing to absorb
             };
-            self.absorb_block_provenance(&block)?;
+            if let Err(e) = self.absorb_block_provenance(&block, &mut postings) {
+                graph_err.get_or_insert(e);
+            }
         }
-        match err {
-            None => Ok(outcomes),
-            Some(e) => Err(CoreError::Batch(e)),
+        if outcomes.iter().any(|o| o.reorged) {
+            if let Err(e) = self.absorb_winning_branch(old_tip, &mut postings) {
+                graph_err.get_or_insert(e);
+            }
+        }
+        drop(postings);
+        self.publish_covered();
+        match (graph_err, err) {
+            (Some(e), _) => Err(e),
+            (None, Some(e)) => Err(CoreError::Batch(e)),
+            (None, None) => Ok(outcomes),
         }
     }
 
-    /// Fold one committed block into the provenance layer: logical clock,
-    /// author nonces, record→tx anchoring, graph and query indexes — the
-    /// same per-transaction work [`Self::rehydrate_provenance`] does on
-    /// replay.
-    fn absorb_block_provenance(&mut self, block: &Block) -> Result<(), CoreError> {
+    /// Fold one committed block into the provenance layer — the same
+    /// per-transaction work [`Self::rehydrate_provenance`] does on replay.
+    /// A record the graph refuses does not stop the block: the rest is
+    /// absorbed and the first refusal returned.
+    fn absorb_block_provenance(
+        &mut self,
+        block: &Block,
+        postings: &mut SubjectPostings,
+    ) -> Result<(), CoreError> {
         self.now_ms = self.now_ms.max(block.header.timestamp_ms);
-        for tx in &block.txs {
+        let mut first_err = None;
+        for (pos, tx) in block.txs.iter().enumerate() {
             if tx.kind != txkind::PROVENANCE {
                 continue;
             }
-            let Some(record) = Self::decode_record_prefix(&tx.payload) else {
+            let Some(record) = decode_record_prefix(&tx.payload) else {
                 continue;
             };
-            let record_id = record.id();
-            self.now_ms = self.now_ms.max(record.timestamp_ms);
-            let nonce = self.nonces.entry(tx.author).or_insert(0);
-            *nonce = (*nonce).max(tx.nonce + 1);
-            self.record_tx.insert(record_id, tx.id());
-            if self.graph.get(&record_id).is_none() {
-                self.graph.insert(record.clone())?;
-                self.engine.index_record(record_id, &record);
+            let at = (block.header.height, pos as u32);
+            if let Err(e) = self.absorb_record(record, tx, tx.id(), at, postings) {
+                first_err.get_or_insert(e);
             }
         }
-        Ok(())
+        first_err.map_or(Ok(()), Err)
+    }
+
+    /// Fold one decoded record, carried by `tx` at `at = (height,
+    /// position)`, into the provenance layer: logical clock, author nonces,
+    /// record→tx anchoring, subject postings, then graph and query indexes.
+    /// Idempotent. The postings take the entry whether or not the graph
+    /// takes the record (the same record in a second transaction is
+    /// another entry; a record whose parent is unknown is still on the
+    /// chain), and a record the graph refuses is never indexed.
+    fn absorb_record(
+        &mut self,
+        record: ProvenanceRecord,
+        tx: &Transaction,
+        tx_id: TxId,
+        at: (u64, u32),
+        postings: &mut SubjectPostings,
+    ) -> Result<(), CoreError> {
+        let record_id = record.id();
+        self.now_ms = self.now_ms.max(record.timestamp_ms);
+        let nonce = self.nonces.entry(tx.author).or_insert(0);
+        *nonce = (*nonce).max(tx.nonce + 1);
+        self.record_tx.insert(record_id, tx_id);
+        postings.insert(&record.subject, at);
+        match self.graph.insert_with_id(record_id, record) {
+            Ok(()) => {
+                let record = self.graph.get(&record_id).expect("inserted just above");
+                self.engine.index_record(record_id, record);
+                Ok(())
+            }
+            Err(GraphError::DuplicateRecord(_)) => Ok(()),
+            Err(e) => Err(CoreError::Graph(e)),
+        }
+    }
+
+    /// After a reorg, absorb the winning branch down to the fork point.
+    ///
+    /// Its blocks were absorbed when they were stored — unless that was
+    /// before a restart: replay restores stored fork blocks to the chain,
+    /// but rehydration walks canonical transactions only. Both branches are
+    /// walked down from their tips until they meet, or to the finality
+    /// checkpoint when the losing branch has been pruned; absorbing is
+    /// idempotent, so a block absorbed before costs its decode and no more.
+    fn absorb_winning_branch(
+        &mut self,
+        old_tip: BlockHash,
+        postings: &mut SubjectPostings,
+    ) -> Result<(), CoreError> {
+        let floor = self.chain.finalized_height();
+        let mut old = self.chain.block(&old_tip);
+        let mut new = self.chain.block(&self.chain.tip());
+        let mut first_err = None;
+        while let Some(block) = new {
+            let height = block.header.height;
+            if height <= floor {
+                break;
+            }
+            while let Some(o) = old.take_if(|o| o.header.height > height) {
+                old = self.chain.block(&o.header.prev);
+            }
+            if let Some(o) = old.take_if(|o| o.header.height == height) {
+                if o.hash() == block.hash() {
+                    break; // the fork point: canonical before the reorg too
+                }
+                old = self.chain.block(&o.header.prev);
+            }
+            if let Err(e) = self.absorb_block_provenance(&block, postings) {
+                first_err.get_or_insert(e);
+            }
+            new = self.chain.block(&block.header.prev);
+        }
+        first_err.map_or(Ok(()), Err)
     }
 
     /// Number of transactions waiting to be sealed.
@@ -1199,6 +1457,67 @@ mod tests {
         let some_id = reader.provenance_txs()[4];
         let proof = reader.prove_tx(&some_id).expect("proof through reader");
         assert!(proof.verify());
+    }
+
+    /// `n` chained single-record blocks about `subject` on the ledger's tip.
+    fn record_blocks(l: &ProvenanceLedger, subject: &str, n: u64) -> Vec<Block> {
+        let author = AccountId::from_name("peer");
+        let (mut prev, base) = (l.chain.tip(), l.chain.height());
+        (1..=n)
+            .map(|i| {
+                let ts = 10 * (base + i);
+                let record =
+                    ProvenanceRecord::new(subject, author, Action::Update, ts, Domain::Generic);
+                let tx =
+                    Transaction::new(author, base + i, ts, txkind::PROVENANCE, record.to_wire());
+                let block = Block::assemble(base + i, prev, ts, author, 0, vec![tx]);
+                prev = block.hash();
+                block
+            })
+            .collect()
+    }
+
+    #[test]
+    fn audits_answer_as_of_the_last_absorbed_batch() {
+        let mut l = ledger();
+        let reader = l.reader();
+        l.ingest_blocks(record_blocks(&l, "f", 3)).unwrap();
+        assert_eq!(reader.provenance_of("f").records.len(), 3);
+
+        // Stop a batch where `ingest_blocks` is between the chain's commit
+        // and the absorb: the snapshot is out, the postings are not. An
+        // audit must keep answering from the view the postings cover.
+        let batch = record_blocks(&l, "f", 2);
+        l.chain.append_batch(batch.clone()).unwrap();
+        assert_eq!(reader.view().height(), 5, "the chain published the batch");
+        let audit = reader.provenance_of("f");
+        assert_eq!(audit.view.height(), 3);
+        assert_eq!((audit.candidates, audit.records.len()), (3, 3));
+
+        // Finishing the batch — absorb, then pin — catches the audit up.
+        let shared = Arc::clone(&l.postings);
+        for block in &batch {
+            l.absorb_block_provenance(block, &mut shared.write().unwrap())
+                .unwrap();
+        }
+        l.publish_covered();
+        let audit = reader.provenance_of("f");
+        assert_eq!(audit.view.height(), 5);
+        assert_eq!((audit.candidates, audit.records.len()), (5, 5));
+    }
+
+    #[test]
+    fn dropping_every_reader_releases_the_chain_handle() {
+        let mut l = ledger();
+        let reader = l.reader();
+        l.ingest_blocks(record_blocks(&l, "f", 1)).unwrap();
+        assert!(l.covered.is_some());
+        drop(reader);
+        l.ingest_blocks(record_blocks(&l, "f", 1)).unwrap();
+        assert!(l.covered.is_none(), "no reader left to publish views for");
+        // A later reader starts from a view covering everything absorbed.
+        let reader = l.reader();
+        assert_eq!(reader.provenance_of("f").records.len(), 2);
     }
 
     #[test]

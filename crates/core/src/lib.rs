@@ -27,7 +27,9 @@ pub mod offchain;
 pub use cloud::{CloudAuditor, CloudOpKind, CloudReport};
 pub use config::{BlockchainKind, LedgerConfig, StorageMode};
 pub use design::{table2, DomainProfile};
-pub use ledger::{CoreError, LedgerReader, ProvenanceLedger, RecordProof};
+pub use ledger::{
+    decode_record_prefix, CoreError, LedgerReader, ProvenanceLedger, RecordProof, SubjectAudit,
+};
 pub use offchain::OffChainStore;
 
 /// Transaction kind tags used by the framework.

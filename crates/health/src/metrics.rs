@@ -211,6 +211,12 @@ pub struct NodeMetrics {
     pub query_provenance: Counter,
     /// `GET /prove/{tx}` requests served.
     pub query_prove: Counter,
+    /// Subject-postings entries `/provenance` audits resolved against
+    /// their view (attempts).
+    pub provenance_candidates: Counter,
+    /// Records those audits returned (useful outcomes). Equal to the
+    /// candidates on a fork-free ledger.
+    pub provenance_matches: Counter,
 
     /// Ingest batches currently queued between handlers and the writer.
     pub queue_depth: Gauge,
@@ -218,6 +224,8 @@ pub struct NodeMetrics {
     pub reader_cache_hits: Gauge,
     /// Hot-tier block-cache misses observed by reader handles (sampled).
     pub reader_cache_misses: Gauge,
+    /// Subject-postings entries the ledger holds for audits (sampled).
+    pub provenance_postings: Gauge,
 
     /// End-to-end `POST /blocks` latency (enqueue → committed reply).
     pub ingest_latency: Histogram,
@@ -310,6 +318,16 @@ impl NodeMetrics {
             "GET /prove served",
             self.query_prove.get(),
         );
+        counter(
+            "node_provenance_candidates_total",
+            "postings entries resolved by /provenance audits",
+            self.provenance_candidates.get(),
+        );
+        counter(
+            "node_provenance_matches_total",
+            "records returned by /provenance audits",
+            self.provenance_matches.get(),
+        );
 
         let mut gauge = |name: &str, help: &str, v: i64| {
             out.push_str(&format!(
@@ -330,6 +348,11 @@ impl NodeMetrics {
             "node_reader_cache_misses",
             "hot-tier block cache misses (all handles)",
             self.reader_cache_misses.get(),
+        );
+        gauge(
+            "node_provenance_postings",
+            "subject-postings entries held for audits",
+            self.provenance_postings.get(),
         );
 
         let mut histogram = |name: &str, help: &str, h: &Histogram| {

@@ -4,27 +4,74 @@
 
 use std::path::PathBuf;
 use std::process::ExitCode;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::time::Duration;
+use std::sync::atomic::{AtomicI32, Ordering};
 
 use blockprov_node::{Node, NodeConfig};
 
-/// Set from the signal handler; polled by the main loop.
-static SHUTDOWN: AtomicBool = AtomicBool::new(false);
+/// Write end of the self-pipe `main` blocks on, stored before the handler
+/// below is installed.
+static WAKE_FD: AtomicI32 = AtomicI32::new(-1);
 
+/// One byte down the pipe wakes `main` the moment the signal lands.
+/// `write` is async-signal-safe and an atomic load is lock-free; nothing
+/// else may happen here.
 extern "C" fn on_signal(_signum: i32) {
-    SHUTDOWN.store(true, Ordering::SeqCst);
+    // SAFETY: the fd is the open write end of a pipe this process owns for
+    // its lifetime, and the buffer is one readable byte. A full pipe or an
+    // error loses nothing: one byte already pending wakes `main`.
+    unsafe { write(WAKE_FD.load(Ordering::SeqCst), [1u8].as_ptr(), 1) };
 }
 
-// The process links libc through std already; declaring `signal` directly
-// avoids a registry dependency for one symbol. Handler installation is
+// The process links libc through std already; declaring these directly
+// avoids a registry dependency for four symbols. Handler installation is
 // best-effort — a failed install only costs graceful shutdown.
 extern "C" {
     fn signal(signum: i32, handler: usize) -> usize;
+    fn pipe(fds: *mut i32) -> i32;
+    fn read(fd: i32, buf: *mut u8, count: usize) -> isize;
+    fn write(fd: i32, buf: *const u8, count: usize) -> isize;
 }
 
 const SIGINT: i32 = 2;
 const SIGTERM: i32 = 15;
+
+/// Make the self-pipe and point SIGTERM/SIGINT at it; returns the read end.
+fn install_signal_pipe() -> std::io::Result<i32> {
+    let mut fds = [-1i32; 2];
+    // SAFETY: `fds` is the two-element array `pipe` fills.
+    if unsafe { pipe(fds.as_mut_ptr()) } != 0 {
+        return Err(std::io::Error::last_os_error());
+    }
+    WAKE_FD.store(fds[1], Ordering::SeqCst);
+    // SAFETY: `on_signal` is an `extern "C" fn(i32)` that calls only
+    // async-signal-safe functions, which is what `signal` requires of a
+    // handler; the numbers are this platform's SIGTERM and SIGINT.
+    unsafe {
+        signal(SIGTERM, on_signal as *const () as usize);
+        signal(SIGINT, on_signal as *const () as usize);
+    }
+    Ok(fds[0])
+}
+
+/// Block until SIGTERM or SIGINT arrives.
+///
+/// The handlers go in before the node starts, so a signal at any later
+/// point leaves a byte in the pipe and the `read` returns at once; `EINTR`
+/// (the handler interrupting the `read` itself) retries and finds that
+/// byte.
+fn wait_for_signal(read_fd: i32) {
+    let mut byte = 0u8;
+    loop {
+        // SAFETY: `read_fd` is the open read end of the pipe made in
+        // `install_signal_pipe`, and `byte` is one writable byte.
+        let n = unsafe { read(read_fd, &mut byte, 1) };
+        let interrupted =
+            n < 0 && std::io::Error::last_os_error().kind() == std::io::ErrorKind::Interrupted;
+        if !interrupted {
+            return; // the byte, or a pipe error nothing here can outwait
+        }
+    }
+}
 
 fn usage() -> ! {
     eprintln!(
@@ -63,10 +110,13 @@ fn main() -> ExitCode {
         }
     }
 
-    unsafe {
-        signal(SIGTERM, on_signal as *const () as usize);
-        signal(SIGINT, on_signal as *const () as usize);
-    }
+    let signal_pipe = match install_signal_pipe() {
+        Ok(read_fd) => read_fd,
+        Err(e) => {
+            eprintln!("blockprov-node: failed to start: signal pipe: {e}");
+            return ExitCode::FAILURE;
+        }
+    };
 
     let mut node = match Node::start(&addr, config) {
         Ok(node) => node,
@@ -78,9 +128,7 @@ fn main() -> ExitCode {
     // The readiness line scripts wait for (the port resolves 0 → actual).
     println!("blockprov-node listening on {}", node.addr());
 
-    while !SHUTDOWN.load(Ordering::SeqCst) {
-        std::thread::sleep(Duration::from_millis(100));
-    }
+    wait_for_signal(signal_pipe);
 
     eprintln!("blockprov-node: draining on signal");
     match node.shutdown() {

@@ -189,30 +189,33 @@ pub fn write_response(stream: &mut TcpStream, resp: &Response) -> io::Result<()>
 }
 
 /// Decode `%XX` percent-escapes (and `+` as space) in a path segment.
+///
+/// Works on bytes: a `%` counts as an escape only when exactly two ASCII
+/// hex digits follow it, and anything else — a lone or truncated `%`, a
+/// sign, a multi-byte character — stays literal. Decoded bytes that are
+/// not UTF-8 become U+FFFD.
 pub fn percent_decode(s: &str) -> String {
+    fn hex(b: u8) -> Option<u8> {
+        char::from(b).to_digit(16).map(|d| d as u8)
+    }
     let bytes = s.as_bytes();
     let mut out = Vec::with_capacity(bytes.len());
     let mut i = 0;
     while i < bytes.len() {
-        match bytes[i] {
-            b'%' if i + 3 <= bytes.len() => {
-                let hex = &s[i + 1..i + 3];
-                match u8::from_str_radix(hex, 16) {
-                    Ok(b) => {
-                        out.push(b);
-                        i += 3;
-                    }
-                    Err(_) => {
-                        out.push(b'%');
-                        i += 1;
-                    }
-                }
+        let escape = match bytes[i..] {
+            [b'%', hi, lo, ..] => hex(hi).zip(hex(lo)),
+            _ => None,
+        };
+        match (escape, bytes[i]) {
+            (Some((hi, lo)), _) => {
+                out.push(hi << 4 | lo);
+                i += 3;
             }
-            b'+' => {
+            (None, b'+') => {
                 out.push(b' ');
                 i += 1;
             }
-            b => {
+            (None, b) => {
                 out.push(b);
                 i += 1;
             }
@@ -237,5 +240,25 @@ mod tests {
         assert_eq!(percent_decode("batch%2F7"), "batch/7");
         assert_eq!(percent_decode("trailing%2"), "trailing%2");
         assert_eq!(percent_decode("bad%zz"), "bad%zz");
+        assert_eq!(percent_decode("caf%C3%A9"), "café");
+    }
+
+    #[test]
+    fn percent_decoding_never_splits_a_multibyte_char() {
+        // `%` + one ASCII char + a raw two-byte char: slicing the `&str` at
+        // byte offsets panicked here on a char boundary.
+        assert_eq!(percent_decode("%aé"), "%aé");
+        assert_eq!(percent_decode("%é"), "%é");
+        assert_eq!(percent_decode("é%41é"), "éAé");
+    }
+
+    #[test]
+    fn percent_decoding_takes_two_hex_digits_and_nothing_else() {
+        // `u8::from_str_radix` accepts a sign; an escape does not.
+        assert_eq!(percent_decode("%+f"), "% f");
+        assert_eq!(percent_decode("%-1"), "%-1");
+        assert_eq!(percent_decode("%4"), "%4");
+        assert_eq!(percent_decode("%"), "%");
+        assert_eq!(percent_decode("%fF%Ff"), "\u{fffd}\u{fffd}");
     }
 }

@@ -40,14 +40,16 @@ use std::sync::{Arc, Mutex};
 use std::thread::{self, JoinHandle};
 use std::time::Instant;
 
-use blockprov_core::{txkind, CoreError, LedgerConfig, LedgerReader, ProvenanceLedger};
+use blockprov_core::{
+    decode_record_prefix, txkind, CoreError, LedgerConfig, LedgerReader, ProvenanceLedger,
+};
 use blockprov_health::metrics::NodeMetrics;
 use blockprov_ledger::{
     Block, ChainView, MetaConfig, MetaStore, TieredConfig, TieredReader, TieredStore, TxId,
     TxIndex, TxIndexConfig,
 };
 use blockprov_provenance::ProvenanceRecord;
-use blockprov_wire::{decode_seq, Codec, Reader};
+use blockprov_wire::{decode_seq, Reader};
 
 use crate::http::{percent_decode, read_request, write_response, Request, Response};
 use crate::json::{arr, str_lit, Obj};
@@ -295,31 +297,33 @@ fn route(req: &Request, shared: &Shared) -> Response {
     let segments: Vec<&str> = req.path.split('/').filter(|s| !s.is_empty()).collect();
     match (req.method.as_str(), segments.as_slice()) {
         ("POST", ["blocks"]) => ingest(req, shared),
-        ("GET", ["tip"]) => timed_query(shared, &shared.metrics.query_tip, get_tip),
+        ("GET", ["tip"]) => timed_query(shared, &shared.metrics.query_tip, |reader| {
+            get_tip(&reader.view())
+        }),
         ("GET", ["healthz"]) => healthz(shared),
         ("GET", ["metrics"]) => metrics_page(shared),
         ("GET", ["block", height]) => {
             let height = height.to_string();
-            timed_query(shared, &shared.metrics.query_block, move |view| {
-                get_block(view, &height)
+            timed_query(shared, &shared.metrics.query_block, move |reader| {
+                get_block(&reader.view(), &height)
             })
         }
         ("GET", ["tx", id]) => {
             let id = id.to_string();
-            timed_query(shared, &shared.metrics.query_tx, move |view| {
-                get_tx(view, &id)
+            timed_query(shared, &shared.metrics.query_tx, move |reader| {
+                get_tx(&reader.view(), &id)
             })
         }
         ("GET", ["provenance", artifact]) => {
             let artifact = percent_decode(artifact);
-            timed_query(shared, &shared.metrics.query_provenance, move |view| {
-                get_provenance(view, &artifact)
+            timed_query(shared, &shared.metrics.query_provenance, move |reader| {
+                get_provenance(reader, &shared.metrics, &artifact)
             })
         }
         ("GET", ["prove", id]) => {
             let id = id.to_string();
-            timed_query(shared, &shared.metrics.query_prove, move |view| {
-                get_prove(view, &id)
+            timed_query(shared, &shared.metrics.query_prove, move |reader| {
+                get_prove(&reader.view(), &id)
             })
         }
         ("GET", _) => {
@@ -330,17 +334,16 @@ fn route(req: &Request, shared: &Shared) -> Response {
     }
 }
 
-/// Pin one snapshot, run the endpoint against it, record latency, and
-/// bump the endpoint counter (plus the 404 counter when the entity is
-/// absent).
+/// Run the endpoint against the reader (it pins the one snapshot it
+/// answers from), record latency, and bump the endpoint counter (plus the
+/// 404 counter when the entity is absent).
 fn timed_query(
     shared: &Shared,
     counter: &blockprov_health::metrics::Counter,
-    f: impl FnOnce(&ChainView) -> Response,
+    f: impl FnOnce(&LedgerReader) -> Response,
 ) -> Response {
     let start = Instant::now();
-    let view = shared.reader.view();
-    let resp = f(&view);
+    let resp = f(&shared.reader);
     shared.metrics.query_latency.record(start.elapsed());
     counter.inc();
     if resp.status == 404 {
@@ -468,24 +471,20 @@ fn get_tx(view: &ChainView, id: &str) -> Response {
 }
 
 /// `GET /provenance/{artifact}`: every canonical provenance record whose
-/// subject is the (percent-decoded) artifact name, oldest first.
-fn get_provenance(view: &ChainView, artifact: &str) -> Response {
-    let mut records = Vec::new();
-    for id in view.txs_by_kind(txkind::PROVENANCE) {
-        let Some(tx) = view.get_tx(&id) else { continue };
-        let Some(record) = decode_record_prefix(&tx.payload) else {
-            continue;
-        };
-        if record.subject == artifact {
-            records.push(record_json(&id, &record));
-        }
-    }
+/// subject is the (percent-decoded) artifact name, oldest first, as of the
+/// last batch the ledger absorbed. Work is proportional to the records
+/// naming the artifact ([`LedgerReader::provenance_of`]), not to history.
+fn get_provenance(reader: &LedgerReader, metrics: &NodeMetrics, artifact: &str) -> Response {
+    let audit = reader.provenance_of(artifact);
+    metrics.provenance_candidates.add(audit.candidates as u64);
+    metrics.provenance_matches.add(audit.records.len() as u64);
+    let records = arr(audit.records.iter().map(|(id, r)| record_json(id, r)));
     Response::json(
         200,
         Obj::new()
             .str("artifact", artifact)
-            .num("count", records.len())
-            .raw("records", &arr(records))
+            .num("count", audit.records.len())
+            .raw("records", &records)
             .build(),
     )
 }
@@ -527,7 +526,7 @@ fn get_prove(view: &ChainView, id: &str) -> Response {
 
 /// `GET /healthz`: liveness plus a one-glance ledger summary.
 fn healthz(shared: &Shared) -> Response {
-    sample_cache_gauges(shared);
+    sample_gauges(shared);
     let view = shared.reader.view();
     let draining = shared.draining.load(Ordering::SeqCst);
     Response::json(
@@ -546,13 +545,15 @@ fn healthz(shared: &Shared) -> Response {
 
 /// `GET /metrics`: Prometheus-style text exposition.
 fn metrics_page(shared: &Shared) -> Response {
-    sample_cache_gauges(shared);
+    sample_gauges(shared);
     Response::text(200, shared.metrics.render())
 }
 
-/// Refresh the reader-cache gauges from the shared hot tier (durable
-/// deployments only).
-fn sample_cache_gauges(shared: &Shared) {
+/// Refresh the sampled gauges: subject postings held, and the reader-cache
+/// counts from the shared hot tier (durable deployments only).
+fn sample_gauges(shared: &Shared) {
+    let postings = shared.reader.postings_len();
+    shared.metrics.provenance_postings.set(postings as i64);
     if let Some(tr) = &shared.tier_reader {
         let (hits, misses) = tr.tier_stats();
         shared.metrics.reader_cache_hits.set(hits as i64);
@@ -567,14 +568,6 @@ fn error_body(status: u16, msg: &str) -> Response {
 
 fn parse_tx_id(hex: &str) -> Option<TxId> {
     blockprov_crypto::sha256::Hash256::from_hex(hex).map(TxId)
-}
-
-/// Decode a provenance record from the front of a payload (OnChainFull
-/// payloads carry raw content after the record, so a prefix decode — the
-/// same convention [`ProvenanceLedger`] uses when absorbing blocks).
-fn decode_record_prefix(payload: &[u8]) -> Option<ProvenanceRecord> {
-    let mut r = Reader::new(payload);
-    ProvenanceRecord::decode(&mut r).ok()
 }
 
 fn record_json(tx_id: &TxId, record: &ProvenanceRecord) -> String {

@@ -4,12 +4,13 @@
 //!
 //! Covers the ISSUE 10 acceptance path: HTTP ingest through the bounded
 //! queue, every read endpoint agreeing with the oracle (tip, blocks, txs,
-//! per-artifact provenance, Merkle proofs), backpressure 429s with
+//! every artifact's provenance, Merkle proofs), backpressure 429s with
 //! `Retry-After`, metrics/healthz wiring, graceful shutdown (the SIGTERM
 //! handler in the binary calls the same [`Node::shutdown`]), and a reopen
 //! that fast-starts from the clean-shutdown snapshot instead of
 //! re-validating finalized history.
 
+use std::collections::BTreeMap;
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
 use std::path::PathBuf;
@@ -41,7 +42,11 @@ fn request(addr: &str, method: &str, path: &str, body: &[u8]) -> (u16, String, O
     );
     stream.write_all(head.as_bytes()).expect("write head");
     stream.write_all(body).expect("write body");
-    let mut reader = BufReader::new(stream);
+    read_response(&mut BufReader::new(stream))
+}
+
+/// Read one `Content-Length`-framed response off a connection.
+fn read_response(reader: &mut BufReader<TcpStream>) -> (u16, String, Option<u64>) {
     let mut status_line = String::new();
     reader.read_line(&mut status_line).expect("status line");
     let status: u16 = status_line
@@ -101,6 +106,23 @@ fn json_u64(body: &str, key: &str) -> Option<u64> {
         .take_while(|c| c.is_ascii_digit())
         .collect();
     digits.parse().ok()
+}
+
+/// Every `"tx":"<hex>"` value of a `/provenance` body, in body order.
+fn json_txs(body: &str) -> Vec<String> {
+    body.split("\"tx\":\"")
+        .skip(1)
+        .map(|rest| rest[..rest.find('"').expect("closing quote")].to_string())
+        .collect()
+}
+
+/// The value of one counter or gauge line on the `/metrics` page.
+fn metric(page: &str, name: &str) -> u64 {
+    page.lines()
+        .find_map(|l| l.strip_prefix(name)?.strip_prefix(' '))
+        .unwrap_or_else(|| panic!("no {name} on /metrics"))
+        .parse()
+        .expect("integer metric")
 }
 
 /// `(genesis hash, genesis timestamp)` as served by the node.
@@ -195,15 +217,42 @@ fn node_agrees_with_direct_ledger_oracle_and_fast_starts() {
         );
     }
 
-    // Per-artifact provenance agreement against a stream-derived count.
-    let artifact = artifact_name(1);
-    let expected = (0..BLOCKS * TXS_PER_BLOCK)
-        .filter(|i| artifact_name(*i) == artifact)
-        .count();
-    let (status, body) = get(&addr, &format!("/provenance/{artifact}"));
-    assert_eq!(status, 200);
-    assert_eq!(json_u64(&body, "count"), Some(expected as u64));
-    assert!(expected > 0, "artifact rotation must revisit names");
+    // Per-artifact provenance agreement, every artifact: the count and
+    // the carrying transactions in chain order, against the stream itself.
+    let mut by_artifact: BTreeMap<String, Vec<String>> = BTreeMap::new();
+    for (i, tx) in stream.iter().flat_map(|b| &b.txs).enumerate() {
+        by_artifact
+            .entry(artifact_name(i as u64))
+            .or_default()
+            .push(tx.id().0.to_hex());
+    }
+    assert!(
+        by_artifact.values().any(|txs| txs.len() > 1),
+        "artifact rotation must revisit names"
+    );
+    for (artifact, txs) in &by_artifact {
+        let (status, body) = get(&addr, &format!("/provenance/{artifact}"));
+        assert_eq!(status, 200);
+        let count = json_u64(&body, "count");
+        assert_eq!(count, Some(txs.len() as u64), "{artifact}");
+        assert_eq!(&json_txs(&body), txs, "{artifact}");
+    }
+
+    // A malformed escape in the artifact name is a literal, not a panic:
+    // `%` + one ASCII char + a raw multi-byte char used to kill the
+    // connection thread on a char boundary. The connection must survive.
+    let mut conn = BufReader::new(TcpStream::connect(&addr).expect("connect"));
+    conn.get_mut()
+        .write_all("GET /provenance/%a\u{e9} HTTP/1.1\r\nhost: test\r\n\r\n".as_bytes())
+        .expect("write");
+    let (status, body, _) = read_response(&mut conn);
+    assert_eq!(status, 200, "{body}");
+    assert_eq!(json_u64(&body, "count"), Some(0));
+    conn.get_mut()
+        .write_all(b"GET /tip HTTP/1.1\r\nhost: test\r\n\r\n")
+        .expect("write on the same connection");
+    assert_eq!(read_response(&mut conn).0, 200);
+    drop(conn);
 
     // Proof agreement: the node's proof verifies and matches the oracle's.
     let proved_tx = &stream[3].txs[2];
@@ -248,6 +297,17 @@ fn node_agrees_with_direct_ledger_oracle_and_fast_starts() {
     assert!(metrics.contains(&format!("node_ingest_blocks_total {BLOCKS}")));
     assert!(metrics.contains("node_query_tip_total"));
     assert!(metrics.contains("node_ingest_latency_ns_count"));
+    // Each artifact was audited once over a fork-free chain: the audits
+    // resolved one postings entry per record returned, one per transaction
+    // of the stream in all — a count of work done, whatever the history.
+    let total = BLOCKS * TXS_PER_BLOCK;
+    assert_eq!(metric(&metrics, "node_provenance_candidates_total"), total);
+    assert_eq!(metric(&metrics, "node_provenance_matches_total"), total);
+    assert_eq!(metric(&metrics, "node_provenance_postings"), total);
+    assert_eq!(
+        metric(&metrics, "node_query_provenance_total"),
+        by_artifact.len() as u64 + 1
+    );
 
     // SIGTERM-equivalent shutdown: drains, syncs the snapshot, stops.
     node.shutdown().expect("clean shutdown");
@@ -356,12 +416,10 @@ fn backpressure_surfaces_as_429_with_retry_after() {
 
     // The bounce is visible on /metrics.
     let (_, metrics) = get(&addr, "/metrics");
-    let line = metrics
-        .lines()
-        .find(|l| l.starts_with("node_ingest_backpressure_total"))
-        .expect("backpressure metric");
-    let count: u64 = line.split_whitespace().nth(1).unwrap().parse().unwrap();
-    assert!(count >= 1, "backpressure counter must record the bounce");
+    assert!(
+        metric(&metrics, "node_ingest_backpressure_total") >= 1,
+        "backpressure counter must record the bounce"
+    );
 
     // Validation failures are 409 (orphan parent), not transport errors.
     // A rendezvous queue accepts only while the writer is parked in recv,

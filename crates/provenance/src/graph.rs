@@ -63,6 +63,19 @@ impl ProvGraph {
     /// Insert a record; its parents must already be present (DAG invariant).
     pub fn insert(&mut self, record: ProvenanceRecord) -> Result<RecordId, GraphError> {
         let id = record.id();
+        self.insert_with_id(id, record)?;
+        Ok(id)
+    }
+
+    /// [`ProvGraph::insert`] for a caller that has already computed
+    /// `record.id()` (hashing the record's encoding is most of an insert's
+    /// cost). `id` must be that digest.
+    pub fn insert_with_id(
+        &mut self,
+        id: RecordId,
+        record: ProvenanceRecord,
+    ) -> Result<(), GraphError> {
+        debug_assert_eq!(id, record.id(), "precomputed id does not match the record");
         if self.records.contains_key(&id) {
             return Err(GraphError::DuplicateRecord(id));
         }
@@ -76,7 +89,7 @@ impl ProvGraph {
         }
         self.order.push(id);
         self.records.insert(id, record);
-        Ok(id)
+        Ok(())
     }
 
     /// Fetch a record.

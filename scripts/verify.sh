@@ -65,6 +65,22 @@ echo "== reader snapshot consistency: 1/2/8 reader threads vs a reorging writer 
 # never skip it.
 cargo test -q -p blockprov-ledger --test reader_snapshot_prop
 
+echo "== audit postings: provenance_of == the scan, under forks, restarts, 1/8 readers =="
+# The /provenance audit answers from subject postings resolved through a
+# pinned view; the property is that it equals the scan it replaced on that
+# same view, ids and order included. The suite lives in the umbrella crate
+# (tier-1 reaches it); run it explicitly so a filter typo in the tier-1
+# sweep can never skip it.
+cargo test -q --test audit_postings_prop
+
+echo "== node end-to-end: every endpoint vs the direct-ledger oracle =="
+# Tier-1's `cargo test -q` covers the umbrella crate only and never reaches
+# crates/node/tests, so this is the one place CI drives the HTTP handlers:
+# every artifact's /provenance body against the stream, the audit work
+# counters on /metrics, a malformed percent-escape on a kept-alive
+# connection, backpressure, drain and fast restart.
+cargo test -q -p blockprov-node --test node_e2e
+
 echo "== benches compile: cargo bench --no-run =="
 cargo bench --no-run
 
