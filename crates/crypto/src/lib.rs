@@ -23,6 +23,12 @@
 //! * [`commit`] — salted hash commitments.
 //! * [`rangeproof`] — hash-chain range proofs in the issuer-trust model
 //!   (HashWires-style), standing in for PrivChain's ZK range proofs.
+//!
+//! The crate is safe Rust except for one private module, the SHA-NI kernel
+//! in [`sha256`], which is the only place allowed to lift the lint below.
+
+#![deny(unsafe_code)]
+#![deny(unsafe_op_in_unsafe_fn)]
 
 pub mod commit;
 pub mod dmt;

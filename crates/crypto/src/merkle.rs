@@ -168,16 +168,41 @@ impl MerkleProof {
     }
 
     /// Verify with a precomputed leaf hash.
+    ///
+    /// The path is bound to the position it claims: each step's side and
+    /// the number of steps follow from `(leaf_index, leaf_count)` under the
+    /// tree's odd-promotion rule, and a proof whose steps disagree with
+    /// them is rejected whatever it hashes to. That pins `leaf_index`; it
+    /// pins `leaf_count` only as far as the count shapes this leaf's path,
+    /// because the root does not commit to the number of leaves.
     pub fn verify_leaf_hash(&self, root: &Hash256, leaf: &Hash256) -> bool {
-        let mut acc = *leaf;
-        for step in &self.siblings {
-            acc = if step.sibling_on_left {
-                node_hash(&step.hash, &acc)
-            } else {
-                node_hash(&acc, &step.hash)
-            };
+        if self.leaf_index >= self.leaf_count {
+            return false;
         }
-        acc == *root
+        let (mut index, mut width) = (self.leaf_index, self.leaf_count);
+        let mut steps = self.siblings.iter();
+        let mut acc = *leaf;
+        while width > 1 {
+            // The last node of an odd level has no sibling: it moves up
+            // unchanged and takes no step.
+            if index ^ 1 < width {
+                let Some(step) = steps.next() else {
+                    return false;
+                };
+                let sibling_on_left = index & 1 == 1;
+                if step.sibling_on_left != sibling_on_left {
+                    return false;
+                }
+                acc = if sibling_on_left {
+                    node_hash(&step.hash, &acc)
+                } else {
+                    node_hash(&acc, &step.hash)
+                };
+            }
+            index /= 2;
+            width = width.div_ceil(2);
+        }
+        steps.next().is_none() && acc == *root
     }
 
     /// Size of the proof in bytes when serialized (for storage benches).
@@ -251,6 +276,75 @@ mod tests {
         assert!(!p.verify_data(&t.root(), b"not-the-leaf"));
         let other = MerkleTree::from_data(&leaves(9));
         assert!(!p.verify_data(&other.root(), &data[3]));
+    }
+
+    #[test]
+    fn proof_is_bound_to_the_position_it_claims() {
+        let sides = |p: &MerkleProof| -> Vec<bool> {
+            p.siblings.iter().map(|s| s.sibling_on_left).collect()
+        };
+        let mut refused_counts = 0;
+        for n in 1..=33u64 {
+            let data = leaves(n as usize);
+            let t = MerkleTree::from_data(&data);
+            let root = t.root();
+            for i in 0..n {
+                let leaf = &data[i as usize];
+                let p = t.prove(i as usize).unwrap();
+                assert!(p.verify_data(&root, leaf), "n={n} i={i}");
+
+                // The same path under any other index of the same tree.
+                for other in (0..n + 2).filter(|&other| other != i) {
+                    let mut moved = p.clone();
+                    moved.leaf_index = other;
+                    assert!(!moved.verify_data(&root, leaf), "n={n} i={i} as {other}");
+                }
+                // A leaf count off by one either way passes only where the
+                // claimed position has this very path shape (the root does
+                // not commit to the count).
+                for count in [n - 1, n + 1] {
+                    let mut resized = p.clone();
+                    resized.leaf_count = count;
+                    let same_shape = MerkleTree::from_data(&leaves(count as usize))
+                        .prove(i as usize)
+                        .is_some_and(|claimed| sides(&claimed) == sides(&p));
+                    assert_eq!(
+                        resized.verify_data(&root, leaf),
+                        same_shape,
+                        "n={n} i={i} of {count}"
+                    );
+                    refused_counts += usize::from(!same_shape);
+                }
+                for step in 0..p.siblings.len() {
+                    let mut flipped = p.clone();
+                    flipped.siblings[step].sibling_on_left ^= true;
+                    assert!(!flipped.verify_data(&root, leaf), "n={n} i={i} flip {step}");
+
+                    let mut dropped = p.clone();
+                    dropped.siblings.remove(step);
+                    assert!(!dropped.verify_data(&root, leaf), "n={n} i={i} drop {step}");
+
+                    let mut doubled = p.clone();
+                    doubled.siblings.insert(step, p.siblings[step].clone());
+                    assert!(!doubled.verify_data(&root, leaf), "n={n} i={i} dup {step}");
+                }
+            }
+        }
+        // Most single-leaf changes of the count leave a given path alone,
+        // but the check must not be vacuous.
+        assert!(refused_counts > 0);
+    }
+
+    #[test]
+    fn a_path_that_hashes_to_the_root_from_another_position_is_refused() {
+        // Two leaves: the honest proof for leaf 1 is "leaf 0 on the left".
+        // Relabelled as leaf 0 with the flag kept, the hashes still reach
+        // the root; only the position check can tell.
+        let data = leaves(2);
+        let t = MerkleTree::from_data(&data);
+        let mut p = t.prove(1).unwrap();
+        p.leaf_index = 0;
+        assert!(!p.verify_data(&t.root(), &data[1]));
     }
 
     #[test]

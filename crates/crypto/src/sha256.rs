@@ -1,7 +1,12 @@
 //! SHA-256 (FIPS 180-4) and the workspace digest type [`Hash256`].
+//!
+//! The compression function has two kernels with bit-identical output: a
+//! portable scalar one, and one built on the x86-64 SHA extensions that is
+//! used whenever the CPU reports them ([`kernel`] names the one in use).
 
 use blockprov_wire::{Codec, Reader, WireError, Writer};
 use std::fmt;
+use std::sync::OnceLock;
 
 /// Round constants: first 32 bits of the fractional parts of the cube roots
 /// of the first 64 primes.
@@ -21,6 +26,28 @@ const K: [u32; 64] = [
 const H0: [u32; 8] = [
     0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a, 0x510e527f, 0x9b05688c, 0x1f83d9ab, 0x5be0cd19,
 ];
+
+/// A compression kernel: fold a whole number of 64-byte blocks into `state`.
+type CompressBlocks = fn(&mut [u32; 8], &[u8]);
+
+/// The kernel every hasher uses and its name, chosen on first use from what
+/// the CPU reports.
+fn dispatched() -> (CompressBlocks, &'static str) {
+    static CHOSEN: OnceLock<(CompressBlocks, &'static str)> = OnceLock::new();
+    *CHOSEN.get_or_init(|| {
+        #[cfg(target_arch = "x86_64")]
+        if let Some(compress_blocks) = sha_ni::detect() {
+            return (compress_blocks, "sha-ni");
+        }
+        (compress_blocks_portable, "portable")
+    })
+}
+
+/// Name of the compression kernel in use on this CPU: `"sha-ni"` (x86-64
+/// SHA extensions) or `"portable"`. Digests do not depend on it.
+pub fn kernel() -> &'static str {
+    dispatched().1
+}
 
 /// Incremental SHA-256 hasher.
 ///
@@ -42,6 +69,7 @@ pub struct Sha256 {
     /// Partial block buffer.
     buf: [u8; 64],
     buf_len: usize,
+    compress_blocks: CompressBlocks,
 }
 
 impl Default for Sha256 {
@@ -53,11 +81,16 @@ impl Default for Sha256 {
 impl Sha256 {
     /// Create a fresh hasher.
     pub fn new() -> Self {
+        Self::with_kernel(dispatched().0)
+    }
+
+    fn with_kernel(compress_blocks: CompressBlocks) -> Self {
         Self {
             state: H0,
             len: 0,
             buf: [0u8; 64],
             buf_len: 0,
+            compress_blocks,
         }
     }
 
@@ -67,30 +100,24 @@ impl Sha256 {
         let mut rest = data;
 
         if self.buf_len > 0 {
-            let need = 64 - self.buf_len;
-            let take = need.min(rest.len());
+            let take = (64 - self.buf_len).min(rest.len());
             self.buf[self.buf_len..self.buf_len + take].copy_from_slice(&rest[..take]);
             self.buf_len += take;
             rest = &rest[take..];
-            if self.buf_len == 64 {
-                let block = self.buf;
-                self.compress(&block);
-                self.buf_len = 0;
+            if self.buf_len < 64 {
+                return;
             }
+            (self.compress_blocks)(&mut self.state, &self.buf);
+            self.buf_len = 0;
         }
 
-        while rest.len() >= 64 {
-            let (block, tail) = rest.split_at(64);
-            let mut arr = [0u8; 64];
-            arr.copy_from_slice(block);
-            self.compress(&arr);
-            rest = tail;
+        // Whole blocks are compressed where they lie, in one kernel call.
+        let (blocks, tail) = rest.split_at(rest.len() - rest.len() % 64);
+        if !blocks.is_empty() {
+            (self.compress_blocks)(&mut self.state, blocks);
         }
-
-        if !rest.is_empty() {
-            self.buf[..rest.len()].copy_from_slice(rest);
-            self.buf_len = rest.len();
-        }
+        self.buf[..tail.len()].copy_from_slice(tail);
+        self.buf_len = tail.len();
     }
 
     /// Absorb `data` and return `self` (builder style).
@@ -101,16 +128,14 @@ impl Sha256 {
 
     /// Finish and return the digest.
     pub fn finalize(mut self) -> Hash256 {
-        let bit_len = self.len.wrapping_mul(8);
-        // Padding: 0x80, zeros, 8-byte big-endian bit length.
-        self.update(&[0x80]);
-        while self.buf_len != 56 {
-            self.update(&[0]);
-        }
-        // Manual write of the length: `update` would recount it.
-        self.buf[56..64].copy_from_slice(&bit_len.to_be_bytes());
-        let block = self.buf;
-        self.compress(&block);
+        // Padding: 0x80, zeros, 8-byte big-endian bit length — one block, or
+        // two when the length does not fit behind the buffered bytes.
+        let mut tail = [0u8; 128];
+        tail[..self.buf_len].copy_from_slice(&self.buf[..self.buf_len]);
+        tail[self.buf_len] = 0x80;
+        let end = if self.buf_len < 56 { 64 } else { 128 };
+        tail[end - 8..end].copy_from_slice(&self.len.wrapping_mul(8).to_be_bytes());
+        (self.compress_blocks)(&mut self.state, &tail[..end]);
 
         let mut out = [0u8; 32];
         for (i, word) in self.state.iter().enumerate() {
@@ -118,8 +143,12 @@ impl Sha256 {
         }
         Hash256(out)
     }
+}
 
-    fn compress(&mut self, block: &[u8; 64]) {
+/// The portable kernel, and the reference the hardware one is tested against.
+fn compress_blocks_portable(state: &mut [u32; 8], blocks: &[u8]) {
+    debug_assert_eq!(blocks.len() % 64, 0);
+    for block in blocks.chunks_exact(64) {
         let mut w = [0u32; 64];
         for (i, chunk) in block.chunks_exact(4).enumerate() {
             w[i] = u32::from_be_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]);
@@ -133,7 +162,7 @@ impl Sha256 {
                 .wrapping_add(s1);
         }
 
-        let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = self.state;
+        let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = *state;
 
         for i in 0..64 {
             let s1 = e.rotate_right(6) ^ e.rotate_right(11) ^ e.rotate_right(25);
@@ -157,20 +186,129 @@ impl Sha256 {
             a = t1.wrapping_add(t2);
         }
 
-        self.state[0] = self.state[0].wrapping_add(a);
-        self.state[1] = self.state[1].wrapping_add(b);
-        self.state[2] = self.state[2].wrapping_add(c);
-        self.state[3] = self.state[3].wrapping_add(d);
-        self.state[4] = self.state[4].wrapping_add(e);
-        self.state[5] = self.state[5].wrapping_add(f);
-        self.state[6] = self.state[6].wrapping_add(g);
-        self.state[7] = self.state[7].wrapping_add(h);
+        state[0] = state[0].wrapping_add(a);
+        state[1] = state[1].wrapping_add(b);
+        state[2] = state[2].wrapping_add(c);
+        state[3] = state[3].wrapping_add(d);
+        state[4] = state[4].wrapping_add(e);
+        state[5] = state[5].wrapping_add(f);
+        state[6] = state[6].wrapping_add(g);
+        state[7] = state[7].wrapping_add(h);
+    }
+}
+
+/// The compression kernel on the x86-64 SHA extensions. The only `unsafe`
+/// in the crate lives here.
+#[cfg(target_arch = "x86_64")]
+#[allow(unsafe_code)]
+mod sha_ni {
+    use super::{CompressBlocks, K};
+    use std::arch::x86_64::*;
+
+    /// The kernel, if this CPU has every instruction set it is compiled for.
+    pub(super) fn detect() -> Option<CompressBlocks> {
+        let has_all = is_x86_feature_detected!("sha")
+            && is_x86_feature_detected!("ssse3")
+            && is_x86_feature_detected!("sse4.1");
+        has_all.then_some(compress_blocks as CompressBlocks)
+    }
+
+    /// Reachable only as the value `detect` returns.
+    fn compress_blocks(state: &mut [u32; 8], blocks: &[u8]) {
+        debug_assert_eq!(blocks.len() % 64, 0);
+        // SAFETY: `detect` hands this function out only after
+        // `is_x86_feature_detected!` reported `sha`, `ssse3` and `sse4.1`,
+        // the features `compress_blocks_ni` is compiled with.
+        unsafe { compress_blocks_ni(state, blocks) }
+    }
+
+    /// Unaligned 16-byte load of `bytes[..16]`.
+    #[inline]
+    fn load(bytes: &[u8]) -> __m128i {
+        let bytes = &bytes[..16];
+        // SAFETY: `bytes` is 16 readable bytes and `loadu` has no alignment
+        // requirement.
+        unsafe { _mm_loadu_si128(bytes.as_ptr().cast()) }
+    }
+
+    /// Four rounds on schedule words `w` with round constants `k[..4]`.
+    #[inline]
+    #[target_feature(enable = "sha,ssse3,sse4.1")]
+    fn rounds4(abef: __m128i, cdgh: __m128i, w: __m128i, k: &[u32]) -> (__m128i, __m128i) {
+        let k = _mm_set_epi32(k[3] as i32, k[2] as i32, k[1] as i32, k[0] as i32);
+        let wk = _mm_add_epi32(w, k);
+        let cdgh = _mm_sha256rnds2_epu32(cdgh, abef, wk);
+        let abef = _mm_sha256rnds2_epu32(abef, cdgh, _mm_shuffle_epi32(wk, 0x0E));
+        (abef, cdgh)
+    }
+
+    /// Schedule words `t..t+4` from the sixteen before them, oldest first:
+    /// `W[t] = W[t-16] + s0(W[t-15]) + W[t-7] + s1(W[t-2])`.
+    #[inline]
+    #[target_feature(enable = "sha,ssse3,sse4.1")]
+    fn schedule4(w16: __m128i, w12: __m128i, w8: __m128i, w4: __m128i) -> __m128i {
+        let partial = _mm_add_epi32(_mm_sha256msg1_epu32(w16, w12), _mm_alignr_epi8(w4, w8, 4));
+        _mm_sha256msg2_epu32(partial, w4)
+    }
+
+    #[target_feature(enable = "sha,ssse3,sse4.1")]
+    fn compress_blocks_ni(state: &mut [u32; 8], blocks: &[u8]) {
+        // The instructions keep the state as two vectors, ABEF and CDGH.
+        let [a, b, c, d, e, f, g, h] = state.map(|word| word as i32);
+        let mut abef = _mm_set_epi32(a, b, e, f);
+        let mut cdgh = _mm_set_epi32(c, d, g, h);
+        // Message words are big-endian in the block.
+        let be = _mm_set_epi64x(0x0c0d0e0f_08090a0b, 0x04050607_00010203);
+
+        for block in blocks.chunks_exact(64) {
+            let (abef_in, cdgh_in) = (abef, cdgh);
+            let mut w0 = _mm_shuffle_epi8(load(&block[0..]), be);
+            let mut w1 = _mm_shuffle_epi8(load(&block[16..]), be);
+            let mut w2 = _mm_shuffle_epi8(load(&block[32..]), be);
+            let mut w3 = _mm_shuffle_epi8(load(&block[48..]), be);
+            // Sixteen rounds a turn: each vector feeds four rounds, then is
+            // replaced by the schedule words sixteen further on (unused, and
+            // dropped by the compiler, in the last turn).
+            for k in K.chunks_exact(16) {
+                (abef, cdgh) = rounds4(abef, cdgh, w0, &k[0..]);
+                w0 = schedule4(w0, w1, w2, w3);
+                (abef, cdgh) = rounds4(abef, cdgh, w1, &k[4..]);
+                w1 = schedule4(w1, w2, w3, w0);
+                (abef, cdgh) = rounds4(abef, cdgh, w2, &k[8..]);
+                w2 = schedule4(w2, w3, w0, w1);
+                (abef, cdgh) = rounds4(abef, cdgh, w3, &k[12..]);
+                w3 = schedule4(w3, w0, w1, w2);
+            }
+            abef = _mm_add_epi32(abef, abef_in);
+            cdgh = _mm_add_epi32(cdgh, cdgh_in);
+        }
+
+        *state = [
+            _mm_extract_epi32(abef, 3),
+            _mm_extract_epi32(abef, 2),
+            _mm_extract_epi32(cdgh, 3),
+            _mm_extract_epi32(cdgh, 2),
+            _mm_extract_epi32(abef, 1),
+            _mm_extract_epi32(abef, 0),
+            _mm_extract_epi32(cdgh, 1),
+            _mm_extract_epi32(cdgh, 0),
+        ]
+        .map(|word| word as u32);
     }
 }
 
 /// One-shot SHA-256.
 pub fn sha256(data: &[u8]) -> Hash256 {
     Sha256::new().chain(data).finalize()
+}
+
+/// One-shot SHA-256 on the portable kernel whatever the CPU reports: the
+/// reference that tests compare [`sha256`] against.
+#[doc(hidden)]
+pub fn portable(data: &[u8]) -> Hash256 {
+    Sha256::with_kernel(compress_blocks_portable)
+        .chain(data)
+        .finalize()
 }
 
 /// A 256-bit digest — the universal identifier type of the workspace.
@@ -337,6 +475,53 @@ mod tests {
         for (input, expect) in cases {
             assert_eq!(sha256(input.as_bytes()).to_hex(), expect, "input {input:?}");
         }
+    }
+
+    #[test]
+    fn hardware_kernel_matches_portable_block_by_block_and_multi_block() {
+        #[cfg(target_arch = "x86_64")]
+        let hardware = sha_ni::detect();
+        #[cfg(not(target_arch = "x86_64"))]
+        let hardware: Option<CompressBlocks> = None;
+        let Some(hardware) = hardware else {
+            // Written past the test harness's capture: a run that did not
+            // exercise the hardware kernel must say so.
+            use std::io::Write;
+            writeln!(
+                std::io::stderr(),
+                "sha256: this CPU has no SHA extensions; hardware kernel NOT tested (kernel = {})",
+                kernel()
+            )
+            .expect("stderr");
+            return;
+        };
+        assert_eq!(kernel(), "sha-ni");
+
+        let mut x = 0x9e3779b97f4a7c15u64;
+        let mut next = move || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x
+        };
+        for blocks in 1..=9usize {
+            let data: Vec<u8> = (0..blocks * 64).map(|_| next() as u8).collect();
+            let start: [u32; 8] = std::array::from_fn(|_| next() as u32);
+
+            let mut expect = start;
+            compress_blocks_portable(&mut expect, &data);
+            let mut multi = start;
+            hardware(&mut multi, &data);
+            assert_eq!(multi, expect, "{blocks} blocks in one call");
+            let mut single = start;
+            for block in data.chunks_exact(64) {
+                hardware(&mut single, block);
+            }
+            assert_eq!(single, expect, "{blocks} blocks, one call each");
+        }
+        let mut untouched = H0;
+        hardware(&mut untouched, &[]);
+        assert_eq!(untouched, H0, "no blocks, no change");
     }
 
     #[test]

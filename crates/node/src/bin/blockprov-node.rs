@@ -127,6 +127,10 @@ fn main() -> ExitCode {
     };
     // The readiness line scripts wait for (the port resolves 0 → actual).
     println!("blockprov-node listening on {}", node.addr());
+    eprintln!(
+        "blockprov-node: sha256 kernel {}",
+        blockprov_crypto::sha256::kernel()
+    );
 
     wait_for_signal(signal_pipe);
 

@@ -546,7 +546,16 @@ fn healthz(shared: &Shared) -> Response {
 /// `GET /metrics`: Prometheus-style text exposition.
 fn metrics_page(shared: &Shared) -> Response {
     sample_gauges(shared);
-    Response::text(200, shared.metrics.render())
+    let mut page = shared.metrics.render();
+    // Every timing on this page depends on which SHA-256 kernel the CPU
+    // gave the process, so the page names it.
+    page.push_str(&format!(
+        "# HELP node_sha256_kernel SHA-256 compression kernel in use\n\
+         # TYPE node_sha256_kernel gauge\n\
+         node_sha256_kernel{{kernel=\"{}\"}} 1\n",
+        blockprov_crypto::sha256::kernel()
+    ));
+    Response::text(200, page)
 }
 
 /// Refresh the sampled gauges: subject postings held, and the reader-cache

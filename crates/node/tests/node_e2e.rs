@@ -297,6 +297,10 @@ fn node_agrees_with_direct_ledger_oracle_and_fast_starts() {
     assert!(metrics.contains(&format!("node_ingest_blocks_total {BLOCKS}")));
     assert!(metrics.contains("node_query_tip_total"));
     assert!(metrics.contains("node_ingest_latency_ns_count"));
+    // The page names the hash kernel its timings were taken on, last.
+    let kernel = blockprov_crypto::sha256::kernel();
+    assert!(["sha-ni", "portable"].contains(&kernel));
+    assert!(metrics.ends_with(&format!("node_sha256_kernel{{kernel=\"{kernel}\"}} 1\n")));
     // Each artifact was audited once over a fork-free chain: the audits
     // resolved one postings entry per record returned, one per transaction
     // of the stream in all — a count of work done, whatever the history.

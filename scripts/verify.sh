@@ -73,12 +73,29 @@ echo "== audit postings: provenance_of == the scan, under forks, restarts, 1/8 r
 # sweep can never skip it.
 cargo test -q --test audit_postings_prop
 
+echo "== sha256 kernels: dispatched == portable, FIPS vectors, ids from before the second kernel =="
+# Every id and root in the workspace goes through crypto::sha256, which
+# picks a compression kernel from the CPU. The umbrella suite holds the
+# dispatched path to the portable reference and to golden ids captured
+# before the hardware kernel existed; run it explicitly so a filter typo in
+# the tier-1 sweep can never skip it.
+cargo test -q --test sha256_kernel_equiv
+
+echo "== blockprov-crypto unit tests, dev profile and --release =="
+# Tier-1 never reaches this crate's own tests, and the #[target_feature]
+# kernel inlines and schedules differently under optimisation, so the
+# kernel-vs-portable and Merkle position-binding tests run in both. On a
+# CPU without SHA extensions the kernel test says so on stderr.
+cargo test -q -p blockprov-crypto
+cargo test -q -p blockprov-crypto --release
+
 echo "== node end-to-end: every endpoint vs the direct-ledger oracle =="
 # Tier-1's `cargo test -q` covers the umbrella crate only and never reaches
 # crates/node/tests, so this is the one place CI drives the HTTP handlers:
 # every artifact's /provenance body against the stream, the audit work
-# counters on /metrics, a malformed percent-escape on a kept-alive
-# connection, backpressure, drain and fast restart.
+# counters and the sha256 kernel line on /metrics, a malformed
+# percent-escape on a kept-alive connection, backpressure, drain and fast
+# restart.
 cargo test -q -p blockprov-node --test node_e2e
 
 echo "== benches compile: cargo bench --no-run =="
@@ -125,6 +142,10 @@ echo "== node flood smoke: release blockprov-node + txflood over HTTP =="
 # request fails the driver), then SIGTERM the node and require the clean
 # drain + snapshot exit path. NODE_FLOOD_BLOCKS trims the flood to smoke
 # length; the node_flood/* metrics merge into the same tracked artifact.
+# The root `cargo build --release` builds the umbrella package only, not
+# other packages' binaries: build the node here, or this smoke floods
+# whatever stale binary an earlier session left in target/.
+cargo build --release -p blockprov-node --bin blockprov-node
 NODE_DATA_DIR="$(mktemp -d)"
 NODE_LOG="$(mktemp)"
 ./target/release/blockprov-node --addr 127.0.0.1:0 --data-dir "$NODE_DATA_DIR" \
