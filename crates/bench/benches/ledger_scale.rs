@@ -272,8 +272,8 @@ fn report_append_throughput() -> (
         ix.partition_count(),
         ix.stored_bytes(),
     );
-    // Fourth backend: + metadata tier (height map, nonce floor, snapshot
-    // per finality advance). Reports the bounded-residency numbers and the
+    // Fourth backend: + metadata tier (height map, snapshot per finality
+    // advance). Reports the bounded-residency numbers and the
     // cold-start comparison, then drops — the lookup loops below already
     // cover the shared two-tier query paths.
     let mdir = tiered_dir("meta");
@@ -439,8 +439,8 @@ fn report_ingest_scaling() {
 /// all-tiers backend at batch sizes 1, 16 and 256, single ingest thread.
 ///
 /// Size 1 degenerates to one durable flush per block — the pre-group-commit
-/// write path. Larger batches coalesce the segment write, TxIndex spill,
-/// nonce-floor append and snapshot cadence into one flush per batch, so the
+/// write path. Larger batches coalesce the segment write, TxIndex spill
+/// and snapshot cadence into one flush per batch, so the
 /// curve isolates exactly what group commit buys at the commit stage
 /// (stage-1 fan-out is pinned to one thread; `ingest_scaling` covers that
 /// axis). `BATCH_COMMIT_BLOCKS` overrides the stream length (CI smoke runs

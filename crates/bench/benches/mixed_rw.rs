@@ -2,7 +2,7 @@
 //!
 //! One writer thread floods `append_batch` into a fully-tiered chain while
 //! 1/2/4/8 detached [`ChainReader`] threads hammer point queries
-//! (`hash_at`, `tx_by_id`, `next_nonce_for`) and periodic sweep queries
+//! (`hash_at`, `tx_by_id`) and periodic sweep queries
 //! (`txs_by_author`, `txs_by_kind`) against pinned snapshots. Because
 //! readers never take the writer's locks — they load the published
 //! `ChainSnapshot` and read sealed tier pages through sharded caches — the
@@ -141,7 +141,7 @@ fn flood_stream(chain: &Chain, blocks: u64) -> Vec<Block> {
         .collect()
 }
 
-/// One reader iteration against a freshly-pinned view: three timed point
+/// One reader iteration against a freshly-pinned view: two timed point
 /// ops, plus one timed sweep every 16th call. Returns per-op latencies.
 fn reader_iteration(reader: &ChainReader, rng: &mut Rng, ids: &[TxId], n: usize, out: &mut Vec<u64>) {
     let who = authors();
@@ -158,10 +158,6 @@ fn reader_iteration(reader: &ChainReader, rng: &mut Rng, ids: &[TxId], n: usize,
     out.push(t.elapsed().as_nanos() as u64);
 
     let author = &who[(rng.next() as usize) % 3];
-    let t = Instant::now();
-    black_box(v.next_nonce_for(author));
-    out.push(t.elapsed().as_nanos() as u64);
-
     if n % 16 == 0 {
         let t = Instant::now();
         if n % 32 == 0 {

@@ -3,7 +3,7 @@
 //! The paper's background section (§2.1) names Proof of Work, Proof of
 //! Stake and BFT agreement as the trust mechanisms of provenance
 //! blockchains; the surveyed systems use all of them (ProvChain → PoW
-//! anchoring, BlockCloud [75] → PoS, the EO system [87] → Raft + PBFT,
+//! anchoring, BlockCloud \[75\] → PoS, the EO system \[87\] → Raft + PBFT,
 //! consortium prototypes → authority round-robin). This crate implements:
 //!
 //! * [`pow`] — real hash-search mining with difficulty retargeting;

@@ -4,7 +4,7 @@
 //! `2f+1` quorums, a view-change protocol for primary failure, and
 //! injectable Byzantine behaviours. Message complexity is the real O(n²)
 //! per decision, which is exactly what makes PBFT throughput degrade with
-//! network size in experiment E1 and what the EO system [87] leans on for
+//! network size in experiment E1 and what the EO system \[87\] leans on for
 //! small consortium committees.
 //!
 //! Simplifications relative to the full protocol (documented, standard for

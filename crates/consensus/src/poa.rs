@@ -1,7 +1,7 @@
 //! Proof of Authority: consortium round-robin sealing.
 //!
-//! Hyperledger-style consortium deployments (Cui et al. [23], LedgerView
-//! [66], MedBlock [27]) replace open mining with a fixed authority set —
+//! Hyperledger-style consortium deployments (Cui et al. \[23\], LedgerView
+//! \[66\], MedBlock \[27\]) replace open mining with a fixed authority set —
 //! the simplest viable sealer for a private provenance chain, and the
 //! default for `blockprov-core`'s private configuration.
 

@@ -1,6 +1,6 @@
 //! Raft leader election and log replication on `simnet`.
 //!
-//! The Earth-observation provenance system [87] runs a consortium chain on
+//! The Earth-observation provenance system \[87\] runs a consortium chain on
 //! Raft (for ordering) combined with PBFT (for validation); this module
 //! provides the Raft half: randomized election timeouts, terms, heartbeat
 //! replication, majority commit, and crash injection for leader-failure

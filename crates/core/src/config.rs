@@ -37,7 +37,7 @@ impl BlockchainKind {
 }
 
 /// §6.1 "Provenance Capture" storage decision: everything on-chain, or
-/// hash-anchored with payloads off-chain (the ProvChain/IPFS pattern [33]).
+/// hash-anchored with payloads off-chain (the ProvChain/IPFS pattern \[33\]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum StorageMode {
     /// Full payload embedded in the transaction.

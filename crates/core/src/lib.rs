@@ -14,7 +14,7 @@
 //! | Evaluation | every component exposes counters; see `blockprov-bench` |
 //!
 //! It also contains the RQ1 reproduction: [`cloud::CloudAuditor`], a
-//! ProvChain [47]-style cloud-storage auditing pipeline (file operations →
+//! ProvChain \[47\]-style cloud-storage auditing pipeline (file operations →
 //! provenance records → block anchoring → user-verifiable Merkle proofs,
 //! with hashed user identities for privacy).
 

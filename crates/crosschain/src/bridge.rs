@@ -1,4 +1,4 @@
-//! ForensiCross [11]: cross-chain digital-forensics collaboration through a
+//! ForensiCross \[11\]: cross-chain digital-forensics collaboration through a
 //! BridgeChain.
 //!
 //! Multiple organizations each run a private forensics chain; a BridgeChain

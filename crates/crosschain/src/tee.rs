@@ -1,5 +1,5 @@
 //! TEE-attested cross-chain queries — the enhancement the survey proposes
-//! for Vassago [31].
+//! for Vassago \[31\].
 //!
 //! The paper suggests "implementing a Trusted Execution Environment (TEE)
 //! for query authenticity": a relying party that cannot re-run a cross-chain

@@ -3,7 +3,7 @@
 //!
 //! Contents:
 //!
-//! * [`sha256`] — FIPS 180-4 SHA-256 with an incremental hasher and the
+//! * [`mod@sha256`] — FIPS 180-4 SHA-256 with an incremental hasher and the
 //!   workspace-wide [`Hash256`] digest type.
 //! * [`hmac`] — HMAC-SHA256 (RFC 2104) and a deterministic HMAC-DRBG
 //!   (SP 800-90A profile) used wherever protocol randomness must be
@@ -11,7 +11,7 @@
 //! * [`merkle`] — RFC 6962-style Merkle trees with domain-separated leaf and
 //!   node hashes and logarithmic inclusion proofs (the paper's Figure 2
 //!   tamper-evidence mechanism).
-//! * [`dmt`] — the *distributed Merkle tree* of ForensiBlock [12]: per-case
+//! * [`dmt`] — the *distributed Merkle tree* of ForensiBlock \[12\]: per-case
 //!   segment trees aggregated under a top tree, with compound proofs.
 //! * [`sig`] — hash-based signatures: Lamport and Winternitz one-time
 //!   signatures plus a Merkle (many-time) signature scheme. These substitute
@@ -19,13 +19,13 @@
 //!   resting on SHA-256 preimage resistance.
 //! * [`groupsig`] — hash-based group signatures (anonymous sign, public
 //!   verify against a 32-byte group root, manager-only opening), the
-//!   anonymity/unlinkability primitive of Abouyoussef et al. [3].
+//!   anonymity/unlinkability primitive of Abouyoussef et al. \[3\].
 //! * [`commit`] — salted hash commitments.
 //! * [`rangeproof`] — hash-chain range proofs in the issuer-trust model
 //!   (HashWires-style), standing in for PrivChain's ZK range proofs.
 //!
 //! The crate is safe Rust except for one private module, the SHA-NI kernel
-//! in [`sha256`], which is the only place allowed to lift the lint below.
+//! in [`mod@sha256`], which is the only place allowed to lift the lint below.
 
 #![deny(unsafe_code)]
 #![deny(unsafe_op_in_unsafe_fn)]

@@ -1,4 +1,4 @@
-//! IoTFC [45]: blockchain-based digital forensics for the Internet of
+//! IoTFC \[45\]: blockchain-based digital forensics for the Internet of
 //! Things.
 //!
 //! The surveyed framework's strengths are "efficient data acquisition and

@@ -1,4 +1,4 @@
-//! Digital-forensics provenance — the ForensiBlock [12] reproduction.
+//! Digital-forensics provenance — the ForensiBlock \[12\] reproduction.
 //!
 //! ForensiBlock is "a provenance-driven blockchain framework for data
 //! forensics and auditability": it tracks *all* investigation data

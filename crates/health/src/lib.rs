@@ -1,5 +1,5 @@
-//! Healthcare EHR provenance — Singh et al. [69], MedBlock [27] and
-//! HealthBlock [1] reproduced on the blockprov substrate.
+//! Healthcare EHR provenance — Singh et al. \[69\], MedBlock \[27\] and
+//! HealthBlock \[1\] reproduced on the blockprov substrate.
 //!
 //! The Table 2 healthcare column drives the design:
 //!
@@ -13,7 +13,7 @@
 //!   a complete immutable audit trail of every disclosure;
 //! * **privacy** — record payloads are hash-anchored off-chain and patients
 //!   appear on-chain only via pseudonymous subject ids. (Ciphertext-policy
-//!   attribute-based encryption from [59] is substituted by ABAC-gated
+//!   attribute-based encryption from \[59\] is substituted by ABAC-gated
 //!   access to the off-chain store — see DESIGN.md §Substitutions.)
 //!
 //! Beyond the EHR domain, this crate also owns the workspace's *service*

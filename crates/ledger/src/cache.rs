@@ -1,12 +1,13 @@
-//! A real least-recently-used cache shared by every block-store tier.
+//! A real least-recently-used cache, the shard type of
+//! [`crate::readview::ShardedCache`].
 //!
-//! Both the durable backends keep a hot set of decoded blocks in memory:
-//! `FileStore` fronts its log with one and `TieredStore` fronts the segment
-//! store with one. Provenance queries revisit recent blocks heavily (the
-//! paper's E2 repeated-query experiments), so eviction order matters — the
-//! previous `FileStore` cache dropped an *arbitrary* `HashMap` entry, which
-//! under iteration-order bad luck evicts the hottest block. This module is
-//! the one LRU implementation both tiers share.
+//! `TieredStore` fronts the segment store with a hot set of decoded blocks,
+//! and the durable index and height map cache decoded pages the same way.
+//! Provenance queries revisit recent blocks heavily (the paper's E2
+//! repeated-query experiments), so eviction order matters — dropping an
+//! *arbitrary* `HashMap` entry evicts the hottest block under
+//! iteration-order bad luck. This module is the one LRU implementation
+//! every tier shares.
 //!
 //! O(1) insert / lookup / evict: a `HashMap` keyed by `K` pointing into a
 //! slab of slots threaded onto an intrusive doubly-linked recency list.

@@ -11,7 +11,6 @@
 //! paired with [`crate::segment::TieredStore`].
 
 use crate::block::{Block, BlockHash, BlockHeader, Checkpoint};
-use crate::floor::{FloorEntry, FloorReader};
 use crate::index::{IndexEntry, MergeStats, TxIndex, TxIndexReader};
 use crate::meta::{HeightReader, MetaStore};
 use crate::pool::ValidationPool;
@@ -366,7 +365,7 @@ struct TxUndo {
     author: AccountId,
     kind: u16,
     /// The transaction's own nonce — at finality this raises the author's
-    /// durable nonce floor without re-reading the block.
+    /// nonce floor without re-reading the block.
     nonce: u64,
     /// Previous canonical location of this id (normally `None`; `Some` when
     /// the same id also appears in an earlier canonical block).
@@ -478,14 +477,12 @@ impl ChainIndex {
     /// order (oldest block first), so each transaction is the current front
     /// of its author/kind deques.
     ///
-    /// With `prune_nonces` (a metadata tier is attached and the durable
-    /// nonce floor was already raised by this block's transactions), an
-    /// author whose last suffix transaction just spilled also loses their
-    /// mutable `next_nonce` entry: the floor covers every finalized
-    /// transaction, so for an author with no suffix transactions left the
-    /// floor is at least the mutable value. Without a metadata tier nonce
-    /// state stays resident (there is nowhere durable to serve it from).
-    fn spill(&mut self, hash: BlockHash, undo: &BlockUndo, prune_nonces: bool) {
+    /// An author whose last suffix transaction just spilled also loses
+    /// their mutable `next_nonce` entry: the chain's nonce floor was raised
+    /// by this block's transactions and covers every finalized transaction,
+    /// so for an author with no suffix transactions left the floor is at
+    /// least the mutable value.
+    fn spill(&mut self, hash: BlockHash, undo: &BlockUndo) {
         for (i, u) in undo.txs.iter().enumerate() {
             // A later canonical block may have re-sealed the same id and
             // overwritten `tx_loc`; only remove the entry this block owns.
@@ -507,11 +504,9 @@ impl ChainIndex {
                 }
             }
         }
-        if prune_nonces {
-            for u in &undo.txs {
-                if !self.by_author.contains_key(&u.author) {
-                    self.next_nonce.remove(&u.author);
-                }
+        for u in &undo.txs {
+            if !self.by_author.contains_key(&u.author) {
+                self.next_nonce.remove(&u.author);
             }
         }
     }
@@ -532,13 +527,10 @@ pub struct ResidentMetadata {
     /// In-memory canonical height→hash entries (the suffix above the
     /// checkpoint when a metadata tier is attached, all of history else).
     pub canonical: usize,
-    /// Mutable per-author `next_nonce` entries (suffix authors when both
-    /// durable tiers are attached).
+    /// Mutable per-author `next_nonce` entries (suffix authors when a
+    /// durable index is attached).
     pub next_nonce: usize,
-    /// Durable nonce-floor entries (distinct finalized authors; persisted
-    /// in every snapshot, resident for O(1) validation).
-    /// Nonce-floor records staged in the floor store's memory tail (the
-    /// floors themselves page to disk; this is the crash-lossy window).
+    /// Resident floor entries (distinct finalized authors).
     pub nonce_floor: usize,
     /// Reorg undo records (always bounded by the finality window).
     pub undo: usize,
@@ -565,17 +557,17 @@ impl ResidentMetadata {
 
 /// One immutable published view of the chain's mutable suffix, captured at
 /// a commit point: tip, canonical hash deque, finality checkpoint and a
-/// clone of the suffix [`ChainIndex`].
+/// clone of the suffix `ChainIndex`.
 ///
 /// Everything *finalized* is deliberately absent — readers resolve it
 /// through the durable tiers' own published states ([`HeightReader`],
-/// [`TxIndexReader`], [`FloorReader`]), filtered to
-/// `height <= finalized_height` of this snapshot. The writer publishes each
-/// tier *before* the chain snapshot, so a tier's published state is always
-/// at least as new as any snapshot a reader holds; the height filter then
-/// trims the tier back to exactly this snapshot's prefix. That pairing is
-/// what makes a [`ChainView`]'s answers prefix-consistent: they describe one
-/// chain state that actually existed, never a torn mix of two commits.
+/// [`TxIndexReader`]), filtered to `height <= finalized_height` of this
+/// snapshot. The writer publishes each tier *before* the chain snapshot, so
+/// a tier's published state is always at least as new as any snapshot a
+/// reader holds; the height filter then trims the tier back to exactly this
+/// snapshot's prefix. That pairing is what makes a [`ChainView`]'s answers
+/// prefix-consistent: they describe one chain state that actually existed,
+/// never a torn mix of two commits.
 #[derive(Debug, Clone)]
 pub struct ChainSnapshot {
     tip: BlockHash,
@@ -632,7 +624,6 @@ struct ChainReadShared {
     blocks: Option<Arc<dyn BlockReader>>,
     tx_index: Option<TxIndexReader>,
     heights: Option<HeightReader>,
-    floors: Option<FloorReader>,
 }
 
 impl fmt::Debug for ChainReadShared {
@@ -727,11 +718,6 @@ impl ChainReader {
     /// All canonical transaction ids with the given kind tag, oldest first.
     pub fn txs_by_kind(&self, kind: u16) -> Vec<TxId> {
         self.view().txs_by_kind(kind)
-    }
-
-    /// Next expected nonce for an author on the canonical chain.
-    pub fn next_nonce_for(&self, author: &AccountId) -> u64 {
-        self.view().next_nonce_for(author)
     }
 
     /// Produce a self-contained inclusion proof for a canonical transaction.
@@ -884,24 +870,6 @@ impl ChainView {
         out
     }
 
-    /// Next expected nonce for an author: the snapshot's mutable tier
-    /// merged with the durable nonce floor capped at the snapshot's
-    /// checkpoint, exactly like [`Chain::next_nonce_for`].
-    pub fn next_nonce_for(&self, author: &AccountId) -> u64 {
-        let mutable = self.snap.index.next_nonce.get(author).copied().unwrap_or(0);
-        let floor = match &self.shared.floors {
-            Some(floors) => floors
-                .lookup(author, self.snap.finalized_height)
-                .unwrap_or_else(|e| {
-                    eprintln!("ledger: reader floor lookup failed: {e}");
-                    None
-                })
-                .unwrap_or(0),
-            None => 0,
-        };
-        mutable.max(floor)
-    }
-
     /// Produce a self-contained inclusion proof for a canonical transaction.
     pub fn prove_tx(&self, id: &TxId) -> Option<TxInclusionProof> {
         let (block, pos) = self.find_tx(id)?;
@@ -961,11 +929,6 @@ pub struct Chain {
     /// Height through which the durable tx index was last fully synced
     /// (recorded in snapshots; bounds crash-recovery re-derivation).
     index_synced_height: u64,
-    /// Height through which the nonce-floor store was last fully synced.
-    /// Floors raised above this height sit in the floor store's staged
-    /// tail (crash-lossy, re-derived from blocks on reopen); recorded in
-    /// snapshots as `floor_durable_height`.
-    floor_synced_height: u64,
     /// Checkpoint height of the last written snapshot (amortizes snapshot
     /// writes under `MetaConfig::snapshot_interval`).
     last_snapshot_height: u64,
@@ -981,12 +944,13 @@ pub struct Chain {
     /// advances since the last [`Chain::flush_commits`], appended to the
     /// [`TxIndex`] in one call per batch instead of one per advance.
     staged_spill: Vec<IndexEntry>,
-    /// Group-commit staging for nonce floors: `author → (next nonce,
-    /// height)` with the same max-nonce-wins merge [`FloorStore::append`]
-    /// applies, so deferring the append is observationally identical.
-    /// Consulted by [`Chain::next_nonce_for`] because the resident nonce
-    /// entry is pruned the moment its author finalizes out of the suffix.
-    staged_floors: HashMap<AccountId, (u64, u64)>,
+    /// Nonce floors: `author → next nonce` over every finalized
+    /// transaction, raised (max wins) as blocks finalize. Consulted by
+    /// [`Chain::next_nonce_for`] because the resident nonce entry is pruned
+    /// the moment its author finalizes out of the suffix. Writer-side only
+    /// — never cloned into a [`ChainSnapshot`] — and carried whole in every
+    /// [`CheckpointSnapshot`], so a fast-start resumes from it.
+    nonce_floors: HashMap<AccountId, u64>,
 }
 
 impl Chain {
@@ -1106,13 +1070,12 @@ impl Chain {
             tx_index,
             meta_tier,
             index_synced_height: 0,
-            floor_synced_height: 0,
             last_snapshot_height: 0,
             appended: 0,
             pool: None,
             read_shared,
             staged_spill: Vec::new(),
-            staged_floors: HashMap::new(),
+            nonce_floors: HashMap::new(),
         }
     }
 
@@ -1130,7 +1093,6 @@ impl Chain {
             blocks: store.reader(),
             tx_index: tx_index.as_ref().map(TxIndex::reader),
             heights: meta_tier.as_ref().map(|m| m.height_map().reader()),
-            floors: meta_tier.as_ref().map(|m| m.floors().reader()),
         })
     }
 
@@ -1390,16 +1352,18 @@ impl Chain {
             tx_index,
             meta_tier,
             index_synced_height: snap.index_durable_height,
-            floor_synced_height: snap.floor_durable_height,
             last_snapshot_height: snap.height,
             appended: 0,
             pool: None,
             read_shared,
             staged_spill: Vec::new(),
-            staged_floors: HashMap::new(),
+            nonce_floors: snap
+                .nonce_floors
+                .iter()
+                .map(|&(author, nonce)| (AccountId(Hash256(author)), nonce))
+                .collect(),
         };
         chain.heal_index(&snap)?;
-        chain.heal_floors(&snap)?;
         // Replay only the non-finalized suffix: a fenced header scan skips
         // sealed segments wholly below the checkpoint (the manifest's
         // per-segment height fences), so cold-start I/O is O(finality
@@ -1480,66 +1444,6 @@ impl Chain {
                 .as_mut()
                 .expect("checked above")
                 .append(entries)?;
-        }
-        Ok(())
-    }
-
-    /// Re-derive nonce floors a crash may have lost, mirroring
-    /// [`Chain::heal_index`]: floors at or below the snapshot's
-    /// `floor_durable_height` were synced to durable pages; anything above
-    /// it up to the checkpoint sat in the crash-lossy staged tail. A
-    /// partition whose durable watermark fell below what the snapshot
-    /// recorded (torn page truncated on open) drops the re-derivation
-    /// floor further. Floor appends are watermark-idempotent, so
-    /// over-covering costs reads, never duplicates.
-    fn heal_floors(&mut self, snap: &CheckpointSnapshot) -> std::io::Result<()> {
-        let meta = self.meta_tier.as_ref().expect("fast start has a meta tier");
-        let watermarks = meta.floors().partition_watermarks();
-        if !snap.floor_watermarks.is_empty() && watermarks.len() != snap.floor_watermarks.len() {
-            return Err(std::io::Error::new(
-                std::io::ErrorKind::InvalidData,
-                format!(
-                    "snapshot records {} floor partitions, floor store has {}",
-                    snap.floor_watermarks.len(),
-                    watermarks.len()
-                ),
-            ));
-        }
-        let mut from = snap.floor_durable_height;
-        for (current, recorded) in watermarks.iter().zip(&snap.floor_watermarks) {
-            if current < recorded {
-                from = from.min(*current);
-            }
-        }
-        if from >= snap.height {
-            return Ok(());
-        }
-        let mut floors: Vec<FloorEntry> = Vec::new();
-        for h in (from + 1)..=snap.height {
-            let hash = self.try_hash_at(h)?.ok_or_else(|| {
-                std::io::Error::new(
-                    std::io::ErrorKind::InvalidData,
-                    format!("floor heal: no canonical hash at height {h}"),
-                )
-            })?;
-            let block = self.store.get(&hash).ok_or_else(|| {
-                std::io::Error::new(
-                    std::io::ErrorKind::InvalidData,
-                    format!("floor heal: canonical block {hash} missing from the block store"),
-                )
-            })?;
-            floors.extend(block.txs.iter().map(|tx| FloorEntry {
-                author: tx.author,
-                nonce: tx.nonce + 1,
-                height: h,
-            }));
-        }
-        if !floors.is_empty() {
-            self.meta_tier
-                .as_mut()
-                .expect("checked above")
-                .floors_mut()
-                .append(floors)?;
         }
         Ok(())
     }
@@ -1677,43 +1581,15 @@ impl Chain {
     }
 
     /// Next expected nonce for an author on the canonical chain.
-    pub fn next_nonce(&self, author: &AccountId) -> u64 {
-        self.next_nonce_for(author)
-    }
-
-    /// Next expected nonce for an author — the two-tier merged accessor.
     ///
     /// The mutable tier covers authors with transactions in the
-    /// non-finalized suffix; the disk-paged nonce-floor store (raised at
-    /// each finality advance) covers finalized history. The maximum of the
-    /// two is the full-history value. An active author resolves from the
-    /// floor store's staged tail or its hot page cache; only a cold author
-    /// costs a page read. An unreadable floor store reads as no floor
-    /// (matching [`BlockStore::get`]'s `Option` contract) after logging —
-    /// blocks stay authoritative and a replay rebuilds the floors.
+    /// non-finalized suffix; the nonce floors (raised at each finality
+    /// advance) cover finalized history. The maximum of the two is the
+    /// full-history value.
     pub fn next_nonce_for(&self, author: &AccountId) -> u64 {
         let mutable = self.index.next_nonce.get(author).copied().unwrap_or(0);
-        // Floors raised by finality advances in the current batch sit in
-        // the chain's group-commit staging until `flush_commits`; the
-        // resident nonce entry is pruned at spill time, so mid-batch
-        // stateful validation must consult the staged floor too.
-        let staged = self
-            .staged_floors
-            .get(author)
-            .map(|&(nonce, _)| nonce)
-            .unwrap_or(0);
-        let floor = match &self.meta_tier {
-            Some(meta) => meta
-                .floors()
-                .lookup(author, self.finalized_height)
-                .unwrap_or_else(|e| {
-                    eprintln!("ledger: nonce floor lookup failed: {e}");
-                    None
-                })
-                .unwrap_or(0),
-            None => 0,
-        };
-        mutable.max(staged).max(floor)
+        let floor = self.nonce_floors.get(author).copied().unwrap_or(0);
+        mutable.max(floor)
     }
 
     /// Locate a canonical transaction: `(containing block hash, position)`.
@@ -1859,11 +1735,7 @@ impl Chain {
             meta: self.meta.len(),
             canonical: self.canonical.len(),
             next_nonce: self.index.next_nonce.len(),
-            nonce_floor: self
-                .meta_tier
-                .as_ref()
-                .map(|m| m.floors().staged_records())
-                .unwrap_or(0),
+            nonce_floor: self.nonce_floors.len(),
             undo: self.undo.len(),
             at_height: self.at_height.values().map(Vec::len).sum(),
         }
@@ -1920,7 +1792,6 @@ impl Chain {
                 // next write barrier.
                 eprintln!("ledger: height map publish failed: {e}");
             }
-            meta.floors().publish();
         }
         self.read_shared.snapshot.store(Arc::new(ChainSnapshot {
             tip: self.tip,
@@ -1942,22 +1813,11 @@ impl Chain {
         // below must cover it.
         self.flush_commits()?;
         self.sync_index()?;
-        self.sync_floors()?;
         if let Some(meta) = &mut self.meta_tier {
             meta.height_map_mut().sync()?;
         }
         self.write_snapshot()?;
         self.publish_read_state();
-        Ok(())
-    }
-
-    /// Force the floor store's staged tail into durable pages and advance
-    /// the floor durability watermark (no-op without a metadata tier).
-    fn sync_floors(&mut self) -> std::io::Result<()> {
-        if let Some(meta) = &mut self.meta_tier {
-            meta.floors_mut().sync()?;
-            self.floor_synced_height = self.finalized_height;
-        }
         Ok(())
     }
 
@@ -1981,8 +1841,11 @@ impl Chain {
                 .map(|ix| ix.partition_watermarks())
                 .unwrap_or_default(),
             index_durable_height: self.index_synced_height,
-            floor_watermarks: meta.floors().partition_watermarks(),
-            floor_durable_height: self.floor_synced_height,
+            nonce_floors: self
+                .nonce_floors
+                .iter()
+                .map(|(author, &nonce)| (*author.0.as_bytes(), nonce))
+                .collect(),
             height_map_len: meta.height_map().durable_len(),
         };
         meta.write_snapshot(&snap)?;
@@ -2136,7 +1999,7 @@ impl Chain {
             for tx in &block.txs {
                 let e = expected
                     .entry(tx.author)
-                    .or_insert_with(|| self.next_nonce(&tx.author));
+                    .or_insert_with(|| self.next_nonce_for(&tx.author));
                 if tx.nonce != *e {
                     return Err(ValidationError::BadNonce {
                         author: tx.author,
@@ -2344,12 +2207,12 @@ impl Chain {
     /// become orphaned) and demoting finalized canonical blocks to the
     /// store's cold tier.
     ///
-    /// With a metadata tier attached this is also where the chain's
+    /// The per-author nonce floors absorb the newly-final transactions'
+    /// nonces. With a metadata tier attached this is also where the chain's
     /// resident footprint is bounded: newly-final canonical hashes move to
-    /// the durable height map, the per-author nonce floor absorbs their
-    /// transactions' nonces, finalized `meta`/`canonical`/`next_nonce`
-    /// entries are pruned down to the suffix, and a checkpoint snapshot is
-    /// written atomically.
+    /// the durable height map, finalized `meta`/`canonical` entries are
+    /// pruned down to the suffix, and a checkpoint snapshot is written
+    /// atomically.
     fn advance_finality(&mut self) {
         let Some(depth) = self.config.finality_depth else {
             return;
@@ -2364,18 +2227,13 @@ impl Chain {
         // durable tier (when attached) so the mutable index keeps covering
         // only the non-finalized suffix.
         let mut spill: Vec<IndexEntry> = Vec::new();
-        let mut floors: Vec<FloorEntry> = Vec::new();
         let mut orphan_frontier: HashSet<BlockHash> = HashSet::new();
-        let has_meta_tier = self.meta_tier.is_some();
         for h in (old_fin + 1)..=new_fin {
             let canon = self.suffix_hash(h).expect("suffix covers finalizing heights");
             if let Some(undo) = self.undo.remove(&canon) {
-                if has_meta_tier {
-                    floors.extend(undo.txs.iter().map(|u| FloorEntry {
-                        author: u.author,
-                        nonce: u.nonce + 1,
-                        height: h,
-                    }));
+                for u in &undo.txs {
+                    let floor = self.nonce_floors.entry(u.author).or_insert(0);
+                    *floor = (*floor).max(u.nonce + 1);
                 }
                 if self.tx_index.is_some() {
                     spill.extend(undo.txs.iter().enumerate().map(|(i, u)| IndexEntry {
@@ -2386,7 +2244,7 @@ impl Chain {
                         height: h,
                         pos: i as u32,
                     }));
-                    self.index.spill(canon, &undo, has_meta_tier);
+                    self.index.spill(canon, &undo);
                 }
             }
             if let Some(meta) = &mut self.meta_tier {
@@ -2404,22 +2262,13 @@ impl Chain {
                 }
             }
         }
-        // Group-commit staging: spill entries and raised floors accumulate
-        // here and reach the durable tiers in one append per tier when
-        // `flush_commits` runs at the batch boundary — durable I/O is
-        // O(tiers) per batch, not O(advances). Height-map pushes above
-        // already buffer page cuts in memory; their flush moves to the
-        // batch boundary too.
+        // Group-commit staging: spill entries accumulate here and reach
+        // the durable index in one append when `flush_commits` runs at the
+        // batch boundary — durable I/O is O(tiers) per batch, not
+        // O(advances). Height-map pushes above already buffer page cuts in
+        // memory; their flush moves to the batch boundary too.
         self.staged_spill.extend(spill);
-        for e in floors {
-            // Mirror `FloorStore::append`'s merge exactly (max nonce wins,
-            // height rides the max) so deferring changes nothing.
-            let slot = self.staged_floors.entry(e.author).or_insert((0, 0));
-            if e.nonce >= slot.0 {
-                *slot = (e.nonce, e.height.max(slot.1));
-            }
-        }
-        if has_meta_tier {
+        if self.meta_tier.is_some() {
             // The durable tier now serves finalized heights: prune the
             // in-memory prefix (fork-choice metadata, canonical hashes and
             // height buckets strictly below the new checkpoint).
@@ -2455,10 +2304,10 @@ impl Chain {
             orphan_frontier = next;
             h += 1;
         }
-        // Interval-driven durability (index sync, floor sync, snapshot
-        // write) happens in `flush_commits`: mid-batch the staged tails
-        // are incomplete, so forcing them durable here would record
-        // watermarks ahead of the block flush.
+        // Interval-driven durability (index sync, snapshot write) happens
+        // in `flush_commits`: mid-batch the staged tails are incomplete, so
+        // forcing them durable here would record watermarks ahead of the
+        // block flush.
     }
 
     /// Stage-3 group flush: land everything the batch's commits staged,
@@ -2467,10 +2316,10 @@ impl Chain {
     /// Order is load-bearing. Block bodies flush first — every other tier
     /// is derived from blocks, so after a crash the replay path can heal a
     /// tier that lags its blocks, but a tier that leads its blocks would
-    /// reference frames that do not exist. Then the durable tx-index and
-    /// floor appends, the height-map page flush, and finally the
-    /// interval-driven syncs/snapshot (which record watermarks, so they
-    /// must observe the staged appends). Publication to readers stays with
+    /// reference frames that do not exist. Then the durable tx-index
+    /// append, the height-map page flush, and finally the interval-driven
+    /// sync/snapshot (which record watermarks, so they must observe the
+    /// staged appends). Publication to readers stays with
     /// the callers: tiers first, snapshot second, at the batch boundary.
     ///
     /// On error the chain's in-memory state is ahead of disk and the
@@ -2484,22 +2333,6 @@ impl Chain {
                 .as_mut()
                 .expect("spill staged only with an index")
                 .append(spill)?;
-        }
-        if !self.staged_floors.is_empty() {
-            let floors: Vec<FloorEntry> = self
-                .staged_floors
-                .drain()
-                .map(|(author, (nonce, height))| FloorEntry {
-                    author,
-                    nonce,
-                    height,
-                })
-                .collect();
-            self.meta_tier
-                .as_mut()
-                .expect("floors staged only with a meta tier")
-                .floors_mut()
-                .append(floors)?;
         }
         if let Some(meta) = &mut self.meta_tier {
             meta.height_map_mut().flush_pages()?;
@@ -2515,9 +2348,6 @@ impl Chain {
                 && fin.saturating_sub(self.index_synced_height) >= config.index_sync_interval
             {
                 self.sync_index()?;
-            }
-            if fin.saturating_sub(self.floor_synced_height) >= config.index_sync_interval {
-                self.sync_floors()?;
             }
             if fin.saturating_sub(self.last_snapshot_height) >= config.snapshot_interval.max(1) {
                 self.write_snapshot()?;
@@ -2740,7 +2570,7 @@ mod tests {
         );
         assert_eq!(c.txs_by_author(&AccountId::from_name("alice")).len(), 2);
         assert_eq!(c.txs_by_kind(1).len(), 3);
-        assert_eq!(c.next_nonce(&AccountId::from_name("alice")), 2);
+        assert_eq!(c.next_nonce_for(&AccountId::from_name("alice")), 2);
     }
 
     #[test]
@@ -2918,7 +2748,7 @@ mod tests {
         assert_eq!(c.height(), 4);
         assert!(c.index_consistent());
         assert_eq!(c.txs_by_author(&AccountId::from_name("a")).len(), 4);
-        assert_eq!(c.next_nonce(&AccountId::from_name("a")), 4);
+        assert_eq!(c.next_nonce_for(&AccountId::from_name("a")), 4);
         assert!(c.txs_by_author(&AccountId::from_name("r")).is_empty());
     }
 
@@ -3152,7 +2982,7 @@ mod tests {
             assert!(c.is_canonical(hash), "height {h} canonical");
         }
         assert_eq!(c.hash_at(31), None);
-        // …nonces merge the durable floor with the mutable suffix…
+        // …nonces merge the finalized floor with the mutable suffix…
         assert_eq!(c.next_nonce_for(&AccountId::from_name("alice")), 15);
         assert_eq!(c.next_nonce_for(&AccountId::from_name("bob")), 15);
         // …and the audit walks still pass over both tiers.
@@ -3280,7 +3110,6 @@ mod tests {
         }
         assert_eq!(reader.hash_at(31), None);
         let alice = AccountId::from_name("alice");
-        assert_eq!(reader.next_nonce_for(&alice), c.next_nonce_for(&alice));
         assert_eq!(reader.txs_by_author(&alice), c.txs_by_author(&alice));
         assert_eq!(reader.txs_by_kind(1), c.txs_by_kind(1));
         let some_id = reader.txs_by_author(&alice)[2];

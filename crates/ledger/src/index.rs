@@ -77,9 +77,7 @@ impl Codec for IndexEntry {
 }
 
 /// The 64-bit word of a 32-byte key used for partition routing. The key is
-/// already a cryptographic hash, so its bytes are uniform. Shared with the
-/// nonce-floor pages ([`crate::floor`]), which partition by author the same
-/// way.
+/// already a cryptographic hash, so its bytes are uniform.
 pub(crate) fn route_hash(bytes: &[u8; 32]) -> u64 {
     u64::from_le_bytes(bytes[0..8].try_into().expect("8 bytes"))
 }
@@ -89,7 +87,7 @@ pub(crate) fn route_hash(bytes: &[u8; 32]) -> u64 {
 /// shares its routing residue, so reusing the routing word as a probe base
 /// would cluster first probes into 1/partitions of the filter and inflate
 /// false positives.
-pub(crate) fn bloom_hashes(bytes: &[u8; 32]) -> (u64, u64) {
+fn bloom_hashes(bytes: &[u8; 32]) -> (u64, u64) {
     let h1 = u64::from_le_bytes(bytes[16..24].try_into().expect("8 bytes"));
     let h2 = u64::from_le_bytes(bytes[24..32].try_into().expect("8 bytes"));
     (h1, h2)
@@ -481,7 +479,8 @@ impl TxIndex {
         Ok(ix)
     }
 
-    /// Publish the current durable + staged view for lock-free readers.
+    /// Publish the current durable + staged view for readers, who pin it
+    /// under a mutex held for one `Arc` copy.
     ///
     /// Costs one clone of each partition's staged tail (bounded by
     /// `page_entries`) plus `Arc` bumps for the page directories and file
@@ -686,7 +685,7 @@ impl TxIndex {
     /// limit), with Bloom filters, kind masks and height fences rebuilt.
     ///
     /// The rewrite is a streaming k-way merge, not a materialize-and-sort:
-    /// every durable page is already an id-sorted run ([`Self::cut_page`]
+    /// every durable page is already an id-sorted run (`cut_page`
     /// sorts before writing, and merged pages are chunks of a sorted run),
     /// so a first pass records each page's id fences — coalescing adjacent
     /// pages that are already mutually ordered into single runs — and a

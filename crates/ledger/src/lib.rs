@@ -9,13 +9,12 @@
 //! The ledger is deliberately application-agnostic: a [`Transaction`] carries
 //! an opaque `kind` tag and payload, and upper layers (provenance records,
 //! smart-contract calls, cross-chain messages) define the semantics. This
-//! mirrors how ProvChain [47] rides on Bitcoin-style transactions and how
+//! mirrors how ProvChain \[47\] rides on Bitcoin-style transactions and how
 //! Fabric-based systems ride on endorsed key/value writes.
 
 pub mod block;
 pub mod cache;
 pub mod chain;
-pub mod floor;
 pub mod index;
 pub mod manifest;
 pub mod mempool;
@@ -32,7 +31,6 @@ pub use chain::{
     BatchError, Chain, ChainConfig, ChainReader, ChainSnapshot, ChainView, PrevalidatedBlock,
     ResidentMetadata, SignaturePolicy, ValidationError,
 };
-pub use floor::{FloorConfig, FloorEntry, FloorReader, FloorStore};
 pub use index::{IndexEntry, MergeStats, TxIndex, TxIndexConfig, TxIndexReader};
 pub use manifest::{
     commit_manifest, read_manifest, Manifest, ManifestEntry, ManifestFileKind, ManifestState,
@@ -44,5 +42,5 @@ pub use readview::{Published, ShardedCache};
 pub use segment::{
     SegmentConfig, SegmentReader, SegmentStore, TieredConfig, TieredReader, TieredStore,
 };
-pub use store::{BlockReader, BlockStore, CompactionStats, FileStore, MemReader, MemStore};
+pub use store::{BlockReader, BlockStore, CompactionStats, MemReader, MemStore};
 pub use tx::{AccountId, SignatureEnvelope, Transaction, TxId};

@@ -4,11 +4,10 @@
 //! PR 2 bounded resident *blocks* and PR 3 bounded resident *index*
 //! entries; this module bounds the remaining per-block chain metadata. Once
 //! a height finalizes, its canonical hash is appended here and pruned from
-//! the chain's in-memory suffix, its authors' nonce floors are staged into
-//! the disk-paged [`crate::floor::FloorStore`], and a
-//! [`CheckpointSnapshot`] — checkpoint height/hash plus durability
-//! watermarks — is written atomically so a restart fast-starts from the
-//! checkpoint instead of re-absorbing all of history.
+//! the chain's in-memory suffix, and a [`CheckpointSnapshot`] — checkpoint
+//! height/hash, the per-author nonce floors and durability watermarks — is
+//! written atomically so a restart fast-starts from the checkpoint instead
+//! of re-absorbing all of history.
 //!
 //! Crash safety mirrors [`crate::index::TxIndex`]: blocks are authoritative
 //! and everything here is *derived*. A torn height-map tail is truncated on
@@ -20,7 +19,7 @@
 //! different histories.
 
 use crate::block::BlockHash;
-use crate::floor::{FloorConfig, FloorReader, FloorStore};
+use crate::manifest::gc_strays;
 use crate::readview::{Published, ShardedCache};
 use blockprov_crypto::sha256::Hash256;
 use blockprov_wire::frame::FRAME_OVERHEAD;
@@ -29,6 +28,7 @@ use blockprov_wire::meta::{
     CheckpointSnapshot, HeightPageHeader, HEIGHT_ENTRY_LEN, META_VERSION,
 };
 use blockprov_wire::Codec;
+use std::collections::HashSet;
 use std::fs::{File, OpenOptions};
 use std::io::{self, BufReader, BufWriter, Write};
 use std::os::unix::fs::FileExt;
@@ -58,9 +58,6 @@ pub struct MetaConfig {
     /// shutdown (`Chain::sync_meta`) always writes a fresh snapshot
     /// regardless.
     pub snapshot_interval: u64,
-    /// Tuning for the disk-paged nonce-floor store that shares this
-    /// directory.
-    pub floor: FloorConfig,
 }
 
 impl Default for MetaConfig {
@@ -70,7 +67,6 @@ impl Default for MetaConfig {
             cached_pages: 32,
             index_sync_interval: 8192,
             snapshot_interval: 64,
-            floor: FloorConfig::default(),
         }
     }
 }
@@ -552,7 +548,6 @@ pub struct MetaStore {
     dir: PathBuf,
     config: MetaConfig,
     height_map: HeightMap,
-    floors: FloorStore,
 }
 
 impl std::fmt::Debug for MetaStore {
@@ -574,13 +569,19 @@ impl MetaStore {
         // for a height-map rewrite temp left by a crash mid-`resquare`.
         let _ = std::fs::remove_file(dir.join(format!("{SNAPSHOT_FILE}.tmp")));
         let _ = std::fs::remove_file(dir.join(format!("{HEIGHT_MAP_FILE}.tmp")));
+        // Page files (and merge temps) of the nonce-floor store that used to
+        // share this directory: the floors ride in the snapshot now, and a
+        // directory from before that carries a snapshot that no longer
+        // decodes, so the replay it takes re-derives them from blocks.
+        gc_strays(&dir, &HashSet::new(), |name| {
+            name.starts_with("floor-")
+                && (name.ends_with(".pages") || name.ends_with(".pages.tmp"))
+        })?;
         let height_map = HeightMap::open(dir.join(HEIGHT_MAP_FILE), &config)?;
-        let floors = FloorStore::open(&dir, config.floor)?;
         Ok(Self {
             dir,
             config,
             height_map,
-            floors,
         })
     }
 
@@ -604,24 +605,9 @@ impl MetaStore {
         &mut self.height_map
     }
 
-    /// The disk-paged nonce-floor store (read access).
-    pub fn floors(&self) -> &FloorStore {
-        &self.floors
-    }
-
-    /// The disk-paged nonce-floor store (append access).
-    pub fn floors_mut(&mut self) -> &mut FloorStore {
-        &mut self.floors
-    }
-
     /// A concurrent read handle over the height map's published state.
     pub fn height_reader(&self) -> HeightReader {
         self.height_map.reader()
-    }
-
-    /// A concurrent read handle over the floor store's published state.
-    pub fn floor_reader(&self) -> FloorReader {
-        self.floors.reader()
     }
 
     /// Read the current snapshot.
@@ -692,7 +678,6 @@ mod tests {
             cached_pages: 2,
             index_sync_interval: 8,
             snapshot_interval: 1,
-            floor: FloorConfig::default(),
         }
     }
 
@@ -768,8 +753,7 @@ mod tests {
             hash: *hash(7).0.as_bytes(),
             index_watermarks: vec![5, 7],
             index_durable_height: 5,
-            floor_watermarks: vec![6, 7],
-            floor_durable_height: 6,
+            nonce_floors: vec![(*hash(100).0.as_bytes(), 3)],
             height_map_len: 6,
         };
         store.write_snapshot(&snap).unwrap();

@@ -1,8 +1,9 @@
 //! Read-path concurrency primitives: a hand-rolled Arc-swap and a sharded
 //! LRU cache.
 //!
-//! The lock-free read path (ISSUE 8) needs exactly two building blocks, and
-//! neither may come from a registry crate:
+//! The detached read path (readers pin a published value under a mutex held
+//! for one `Arc` copy, and never wait on a commit) needs exactly two building
+//! blocks, and neither may come from a registry crate:
 //!
 //! * [`Published<T>`] — a single-slot publication cell. The writer replaces
 //!   the current value wholesale ([`Published::store`]); readers take a

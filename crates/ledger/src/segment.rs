@@ -731,10 +731,9 @@ impl SegmentStore {
     /// Returns the segment's info (length, fence, block count).
     ///
     /// Any malformed byte — a corrupt header, an undecodable block, a torn
-    /// trailing frame — fails loudly rather than being silently truncated,
-    /// matching [`crate::store::FileStore`]'s contract: without per-frame
-    /// checksums a torn tail write is indistinguishable from tampering,
-    /// and this is first a tamper-evidence substrate.
+    /// trailing frame — fails loudly rather than being silently truncated:
+    /// without per-frame checksums a torn tail write is indistinguishable
+    /// from tampering, and this is first a tamper-evidence substrate.
     fn scan_segment(
         path: &Path,
         expect_id: u32,

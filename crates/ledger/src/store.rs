@@ -1,15 +1,8 @@
-//! Pluggable block storage: in-memory, append-only file-backed, and (in
-//! [`crate::segment`]) tiered segment storage with a bounded hot set.
+//! Pluggable block storage: in-memory, and (in [`crate::segment`]) tiered
+//! segment storage with a bounded hot set.
 
 use crate::block::{Block, BlockHash, Checkpoint};
-use crate::cache::LruCache;
-use blockprov_wire::frame::{frame_len, read_frame_from, write_frame_to, FRAME_OVERHEAD};
-use blockprov_wire::Codec;
-use std::cell::RefCell;
 use std::collections::HashMap;
-use std::fs::{File, OpenOptions};
-use std::io::{BufReader, BufWriter, Read, Seek, SeekFrom, Write};
-use std::path::Path;
 use std::sync::{Arc, RwLock};
 
 /// What one compaction pass reclaimed (tombstone accounting, E3).
@@ -102,7 +95,7 @@ pub trait BlockStore: Send {
     /// Reclaim storage held by blocks on forks pruned by the finality
     /// `checkpoint`: a block survives iff it lies on the canonical chain at
     /// or below the checkpoint, or descends from the checkpoint block.
-    /// Stores without a reclaimable layout (in-memory, single-log) keep
+    /// Stores without a reclaimable layout (in-memory) keep
     /// everything and report nothing reclaimed.
     fn compact(&mut self, _checkpoint: &Checkpoint) -> std::io::Result<CompactionStats> {
         Ok(CompactionStats::default())
@@ -145,10 +138,9 @@ pub trait BlockStore: Send {
 
     /// A concurrent read handle, when the backend supports one.
     ///
-    /// `None` means reads must go through the owning store ([`FileStore`]
-    /// keeps single-threaded `RefCell` internals; callers fall back to the
-    /// writer-owned path). Tiered segment storage and [`MemStore`] return
-    /// shared handles.
+    /// `None` means reads must go through the owning store (callers fall
+    /// back to the writer-owned path). Tiered segment storage and
+    /// [`MemStore`] return shared handles.
     fn reader(&self) -> Option<Arc<dyn BlockReader>> {
         None
     }
@@ -277,188 +269,6 @@ impl BlockStore for MemStore {
     }
 }
 
-/// Default hot-cache capacity for [`FileStore`].
-const FILE_STORE_CACHE: usize = 256;
-
-/// Append-only file store: framed blocks (`[u32 le length][block bytes]*`,
-/// see [`blockprov_wire::frame`]) with an in-memory offset index rebuilt on
-/// open.
-///
-/// This is the single-file durable backend used by the storage-overhead
-/// experiments; it keeps recently touched blocks in a shared-LRU cache
-/// because provenance queries revisit hot blocks, and reads go through one
-/// persistent reader handle instead of reopening the file per miss.
-pub struct FileStore {
-    file: BufWriter<File>,
-    path: std::path::PathBuf,
-    offsets: HashMap<BlockHash, (u64, u32)>,
-    cache: RefCell<LruCache<BlockHash, Arc<Block>>>,
-    reader: RefCell<File>,
-    end: u64,
-    /// Blocks appended by `put_staged` whose frames may still sit in the
-    /// append handle's buffer. Pinned so `get` never issues a disk read for
-    /// an unflushed offset (the LRU cache alone could evict them); cleared
-    /// by `flush_staged` once the frames are readable.
-    staged: HashMap<BlockHash, Arc<Block>>,
-}
-
-impl FileStore {
-    /// Open (or create) a store at `path`, scanning existing contents.
-    pub fn open<P: AsRef<Path>>(path: P) -> std::io::Result<Self> {
-        let path = path.as_ref();
-        let file = OpenOptions::new()
-            .create(true)
-            .read(true)
-            .append(true)
-            .open(path)?;
-        let mut offsets = HashMap::new();
-        let mut reader = BufReader::new(File::open(path)?);
-        let mut pos = 0u64;
-        while let Some(body) = read_frame_from(&mut reader)? {
-            let block = Block::from_wire(&body).map_err(|e| {
-                std::io::Error::new(
-                    std::io::ErrorKind::InvalidData,
-                    format!("corrupt block at {pos}: {e}"),
-                )
-            })?;
-            offsets.insert(block.hash(), (pos + FRAME_OVERHEAD, body.len() as u32));
-            pos += frame_len(body.len());
-        }
-        Ok(Self {
-            file: BufWriter::new(file),
-            path: path.to_path_buf(),
-            offsets,
-            cache: RefCell::new(LruCache::new(FILE_STORE_CACHE)),
-            reader: RefCell::new(File::open(path)?),
-            end: pos,
-            staged: HashMap::new(),
-        })
-    }
-
-    fn read_at(&self, offset: u64, len: u32) -> std::io::Result<Block> {
-        // Persistent handle: seek is cheap, reopening the file per miss was
-        // not. Reads only ever target flushed frames (`put` flushes before
-        // indexing), so the append handle's buffered tail is never visible.
-        let mut f = self.reader.borrow_mut();
-        f.seek(SeekFrom::Start(offset))?;
-        let mut body = vec![0u8; len as usize];
-        f.read_exact(&mut body)?;
-        Block::from_wire(&body)
-            .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string()))
-    }
-
-    /// Append one block without flushing.
-    fn append_frame(&mut self, block: Block) -> std::io::Result<Arc<Block>> {
-        let hash = block.hash();
-        let body = block.to_wire();
-        write_frame_to(&mut self.file, &body)?;
-        self.offsets
-            .insert(hash, (self.end + FRAME_OVERHEAD, body.len() as u32));
-        self.end += frame_len(body.len());
-        let arc = Arc::new(block);
-        self.cache.borrow_mut().insert(hash, Arc::clone(&arc));
-        Ok(arc)
-    }
-}
-
-impl BlockStore for FileStore {
-    fn put(&mut self, block: Block) -> std::io::Result<Arc<Block>> {
-        if let Some(existing) = self.get(&block.hash()) {
-            return Ok(existing);
-        }
-        let arc = self.append_frame(block)?;
-        self.file.flush()?;
-        Ok(arc)
-    }
-
-    fn put_batch(&mut self, blocks: Vec<Block>) -> std::io::Result<Vec<Arc<Block>>> {
-        let mut out = Vec::with_capacity(blocks.len());
-        for block in blocks {
-            // Dedupe against the offset index, not `get`: a frame staged
-            // earlier in this batch is not flushed yet, so a disk read for
-            // it (after cache eviction) would hit EOF and re-append it.
-            if self.offsets.contains_key(&block.hash()) {
-                out.push(Arc::new(block));
-            } else {
-                out.push(self.append_frame(block)?);
-            }
-        }
-        self.file.flush()?;
-        Ok(out)
-    }
-
-    fn put_staged(&mut self, block: Block) -> std::io::Result<Arc<Block>> {
-        let hash = block.hash();
-        if let Some(arc) = self.staged.get(&hash) {
-            return Ok(Arc::clone(arc));
-        }
-        // Everything else in `offsets` is flushed, so `get` is safe here.
-        if self.offsets.contains_key(&hash) {
-            if let Some(existing) = self.get(&hash) {
-                return Ok(existing);
-            }
-        }
-        let arc = self.append_frame(block)?;
-        self.staged.insert(hash, Arc::clone(&arc));
-        Ok(arc)
-    }
-
-    fn flush_staged(&mut self) -> std::io::Result<()> {
-        if self.staged.is_empty() {
-            return Ok(());
-        }
-        self.file.flush()?;
-        self.staged.clear();
-        Ok(())
-    }
-
-    fn get(&self, hash: &BlockHash) -> Option<Arc<Block>> {
-        if let Some(arc) = self.staged.get(hash) {
-            return Some(Arc::clone(arc));
-        }
-        if let Some(hit) = self.cache.borrow_mut().get(hash) {
-            return Some(Arc::clone(hit));
-        }
-        let &(offset, len) = self.offsets.get(hash)?;
-        let block = self.read_at(offset, len).ok().map(Arc::new)?;
-        self.cache.borrow_mut().insert(*hash, Arc::clone(&block));
-        Some(block)
-    }
-
-    fn contains(&self, hash: &BlockHash) -> bool {
-        self.offsets.contains_key(hash)
-    }
-
-    fn len(&self) -> usize {
-        self.offsets.len()
-    }
-
-    fn stored_bytes(&self) -> u64 {
-        self.end
-    }
-
-    fn resident_blocks(&self) -> usize {
-        self.cache.borrow().len()
-    }
-
-    fn demote(&mut self, hash: &BlockHash) {
-        self.cache.borrow_mut().remove(hash);
-    }
-
-    fn scan(&self, visit: &mut dyn FnMut(Arc<Block>)) -> std::io::Result<()> {
-        // Fresh handle: holding the shared reader's borrow across `visit`
-        // would panic if the visitor calls `get` on this store.
-        let mut buffered = BufReader::new(File::open(&self.path)?);
-        while let Some(body) = read_frame_from(&mut buffered)? {
-            let block = Block::from_wire(&body).map_err(|e| {
-                std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string())
-            })?;
-            visit(Arc::new(block));
-        }
-        Ok(())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -479,14 +289,6 @@ mod tests {
                 vec![i as u8; 16],
             )],
         )
-    }
-
-    fn temp_file(tag: &str) -> std::path::PathBuf {
-        let dir = std::env::temp_dir().join(format!("blockprov-store-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join(format!("{tag}.log"));
-        let _ = std::fs::remove_file(&path);
-        path
     }
 
     #[test]
@@ -545,114 +347,5 @@ mod tests {
             assert!(reader.get(&block(i).hash()).is_some());
         }
         assert_eq!(s.len(), 49);
-    }
-
-    #[test]
-    fn file_store_has_no_concurrent_reader() {
-        let path = temp_file("noreader");
-        let s = FileStore::open(&path).unwrap();
-        assert!(s.reader().is_none());
-        std::fs::remove_file(&path).unwrap();
-    }
-
-    #[test]
-    fn file_store_round_trip_and_reopen() {
-        let path = temp_file("chain");
-        let blocks: Vec<Block> = (0..5).map(block).collect();
-        {
-            let mut s = FileStore::open(&path).unwrap();
-            for b in &blocks {
-                s.put(b.clone()).unwrap();
-            }
-            assert_eq!(s.len(), 5);
-            for b in &blocks {
-                assert_eq!(*s.get(&b.hash()).unwrap(), *b);
-            }
-        }
-        // Reopen and re-read (index rebuilt by scan).
-        let s = FileStore::open(&path).unwrap();
-        assert_eq!(s.len(), 5);
-        for b in &blocks {
-            assert_eq!(*s.get(&b.hash()).unwrap(), *b);
-        }
-        std::fs::remove_file(&path).unwrap();
-    }
-
-    #[test]
-    fn file_store_missing_block() {
-        let path = temp_file("miss");
-        let s = FileStore::open(&path).unwrap();
-        assert!(s.get(&block(9).hash()).is_none());
-        assert!(s.is_empty());
-        std::fs::remove_file(&path).unwrap();
-    }
-
-    #[test]
-    fn file_store_cache_is_lru_not_arbitrary() {
-        let path = temp_file("lru");
-        let mut s = FileStore::open(&path).unwrap();
-        // Overflow the cache, touching block 0 constantly: a real LRU keeps
-        // it resident; arbitrary eviction would eventually drop it.
-        let b0 = block(0);
-        let h0 = b0.hash();
-        s.put(b0).unwrap();
-        for i in 1..(FILE_STORE_CACHE as u64 + 64) {
-            s.put(block(i)).unwrap();
-            assert!(s.get(&h0).is_some());
-            assert!(
-                s.cache.borrow().contains(&h0),
-                "hot block evicted at i={i} despite constant touches"
-            );
-            assert!(s.resident_blocks() <= FILE_STORE_CACHE);
-        }
-        std::fs::remove_file(&path).unwrap();
-    }
-
-    #[test]
-    fn file_store_put_batch_round_trips() {
-        let path = temp_file("batch");
-        let blocks: Vec<Block> = (0..8).map(block).collect();
-        let mut s = FileStore::open(&path).unwrap();
-        s.put_batch(blocks.clone()).unwrap();
-        assert_eq!(s.len(), 8);
-        // Reopen and scan in append order.
-        drop(s);
-        let s = FileStore::open(&path).unwrap();
-        let mut seen = Vec::new();
-        s.scan(&mut |b| seen.push(b.header.height)).unwrap();
-        assert_eq!(seen, (0..8).collect::<Vec<_>>());
-        std::fs::remove_file(&path).unwrap();
-    }
-
-    #[test]
-    fn file_store_put_batch_dedupes_past_cache_capacity() {
-        let path = temp_file("batch-dedup");
-        let mut s = FileStore::open(&path).unwrap();
-        // The duplicate reappears after more than FILE_STORE_CACHE distinct
-        // blocks, so the staged (unflushed) first copy is long evicted from
-        // the hot cache when the dedupe check runs.
-        let mut batch: Vec<Block> = (0..FILE_STORE_CACHE as u64 + 20).map(block).collect();
-        batch.push(block(0));
-        let expect = batch.len() - 1;
-        s.put_batch(batch).unwrap();
-        assert_eq!(s.len(), expect);
-        let mut seen = 0u64;
-        s.scan(&mut |_| seen += 1).unwrap();
-        assert_eq!(seen as usize, expect, "no duplicate frame on disk");
-        std::fs::remove_file(&path).unwrap();
-    }
-
-    #[test]
-    fn file_store_demote_drops_resident_copy_only() {
-        let path = temp_file("demote");
-        let mut s = FileStore::open(&path).unwrap();
-        let b = block(1);
-        let h = b.hash();
-        s.put(b.clone()).unwrap();
-        assert_eq!(s.resident_blocks(), 1);
-        s.demote(&h);
-        assert_eq!(s.resident_blocks(), 0);
-        assert_eq!(*s.get(&h).unwrap(), b, "block survives on disk");
-        std::fs::remove_file(&path).unwrap();
     }
 }

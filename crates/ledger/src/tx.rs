@@ -24,7 +24,7 @@ impl AccountId {
         AccountId(hash_parts("blockprov-account", &[name.as_bytes()]))
     }
 
-    /// Privacy-preserving pseudonym: ProvChain [47] stores hashed user ids
+    /// Privacy-preserving pseudonym: ProvChain \[47\] stores hashed user ids
     /// on the public chain so provenance entries cannot be linked to owners
     /// without the salt. This derives such a pseudonym.
     pub fn pseudonym(&self, epoch_salt: &Hash256) -> AccountId {

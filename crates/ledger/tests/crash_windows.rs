@@ -12,12 +12,17 @@
 //! * a torn `HeightMap` tail and a lost staged metadata tail (the snapshot
 //!   is ahead of the durable map — healed by walking parent pointers);
 //! * a corrupt snapshot (ignored; blocks stay authoritative) versus a
-//!   *valid* snapshot that contradicts the store (fails loudly).
+//!   *valid* snapshot that contradicts the store (fails loudly);
+//! * a metadata directory written before the nonce floors moved into the
+//!   snapshot (version-2 snapshot beside `floor-NN.pages`: one full replay,
+//!   the page files removed);
+//! * a crash after an author's whole history finalized, with nonces
+//!   enforced: the snapshot's floors are the only record of what that
+//!   author may send next.
 
 use blockprov_ledger::block::{Block, BlockHash};
-use blockprov_ledger::chain::{Chain, ChainConfig};
+use blockprov_ledger::chain::{Chain, ChainConfig, ValidationError};
 use blockprov_ledger::index::{TxIndex, TxIndexConfig};
-use blockprov_ledger::floor::FloorConfig;
 use blockprov_ledger::meta::{MetaConfig, MetaStore};
 use blockprov_ledger::segment::{SegmentConfig, SegmentStore, TieredConfig, TieredStore};
 use blockprov_ledger::store::BlockStore;
@@ -93,7 +98,6 @@ fn small_meta(dir: &Path) -> MetaStore {
             // Snapshot every advance: these tests specifically exercise
             // the snapshot-ahead-of-durable-tail crash windows.
             snapshot_interval: 1,
-            floor: FloorConfig::default(),
         },
     )
     .unwrap()
@@ -433,7 +437,7 @@ fn linear_stream(config: &ChainConfig, range: std::ops::Range<u64>, base_ts: u64
 #[test]
 fn group_flush_window_blocks_ahead_of_tiers_heals_on_reopen() {
     // The group-commit flush order is: block segments first, then the
-    // TxIndex spill, nonce floors, height map and snapshot. A crash in
+    // TxIndex spill, height map and snapshot. A crash in
     // that window leaves the block store one batch AHEAD of every derived
     // tier. Reconstruct exactly that state by pairing a newer `blocks`
     // directory with the previous batch's tier directories.
@@ -473,7 +477,7 @@ fn group_flush_window_blocks_ahead_of_tiers_heals_on_reopen() {
     };
 
     // Transplant only the newer block segments: blocks durable through
-    // batch four, index/floor/meta still at batch three.
+    // batch four, index/meta still at batch three.
     std::fs::remove_dir_all(crash.join("blocks")).unwrap();
     copy_dir(&dir.join("blocks"), &crash.join("blocks"));
 
@@ -529,7 +533,7 @@ fn mid_batch_error_flushes_committed_prefix_before_returning() {
         assert_eq!(err.index, 6, "batch stops at the invalid block");
         assert_eq!(err.committed.len(), 6, "prefix/outcome mismatch");
         assert!(
-            matches!(err.error, blockprov_ledger::chain::ValidationError::BadHeight { .. }),
+            matches!(err.error, ValidationError::BadHeight { .. }),
             "unexpected error: {}",
             err.error
         );
@@ -580,4 +584,136 @@ fn snapshot_contradicting_the_store_fails_loudly() {
         "unexpected error: {err}"
     );
     std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn pre_v3_meta_directory_replays_once_and_sheds_its_floor_pages() {
+    let config = ChainConfig {
+        finality_depth: Some(3),
+        ..ChainConfig::default()
+    };
+    let stream = linear_stream(&config, 0..24, 0);
+    let mut oracle = Chain::new(config.clone());
+    for block in &stream {
+        oracle.append(block.clone()).unwrap();
+    }
+    let dir = temp_dir("pre-v3-meta");
+    {
+        let mut chain = Chain::with_tiers(
+            tiered(&dir.join("blocks")),
+            Some(small_index(&dir.join("txindex"))),
+            small_meta(&dir.join("meta")),
+            config,
+        );
+        chain.append_batch(stream).unwrap();
+        chain.sync_meta().unwrap();
+    }
+    // Dress `meta/` the way the floor-store era left it: one page file per
+    // partition, a half-finished merge, and a version-2 snapshot of the
+    // same checkpoint (floor-store watermarks where the floors now sit).
+    let meta = dir.join("meta");
+    for p in 0..4 {
+        std::fs::write(meta.join(format!("floor-{p:02}.pages")), b"").unwrap();
+    }
+    std::fs::write(meta.join("floor-01.pages.tmp"), b"half merge").unwrap();
+    let fin = oracle.finalized_height();
+    let mut w = blockprov_wire::Writer::new();
+    w.put_raw(&blockprov_wire::meta::SNAPSHOT_MAGIC);
+    w.put_u16(2);
+    w.put_u64(fin);
+    w.put_raw(oracle.hash_at(fin).unwrap().0.as_bytes());
+    blockprov_wire::encode_seq(&[fin, fin], &mut w); // index_watermarks
+    w.put_u64(fin); // index_durable_height
+    blockprov_wire::encode_seq(&[fin; 4], &mut w); // v2: floor-store partition watermarks
+    w.put_u64(fin); // v2: floor-store durable height
+    w.put_u64(fin + 1); // height_map_len
+    let mut blob = Vec::new();
+    blockprov_wire::frame::write_frame_to(&mut blob, &w.into_bytes()).unwrap();
+    std::fs::write(meta.join("snapshot.ckpt"), blob).unwrap();
+
+    let alice = AccountId::from_name("alice");
+    let chain = reopen(&dir).unwrap();
+    assert!(
+        names_in(&meta).iter().all(|n| !n.starts_with("floor-")),
+        "floor pages left behind: {:?}",
+        names_in(&meta)
+    );
+    assert!(
+        chain.appended_blocks() >= oracle.height() - 1,
+        "an undecodable snapshot means a full replay"
+    );
+    assert_eq!(chain.tip(), oracle.tip());
+    for h in 0..=oracle.height() + 1 {
+        assert_eq!(chain.hash_at(h), oracle.hash_at(h), "height {h}");
+    }
+    assert_eq!(chain.next_nonce_for(&alice), oracle.next_nonce_for(&alice));
+    assert!(chain.index_consistent());
+    drop(chain);
+    // The replay wrote a current snapshot: the next open fast-starts.
+    let chain = reopen(&dir).unwrap();
+    assert!(chain.appended_blocks() <= 4, "snapshot rewritten: O(suffix) start");
+    assert_eq!(chain.tip(), oracle.tip());
+    assert_eq!(chain.next_nonce_for(&alice), oracle.next_nonce_for(&alice));
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn nonce_enforcement_holds_through_finality_and_a_crash() {
+    let config = ChainConfig {
+        finality_depth: Some(3),
+        enforce_nonces: true,
+        ..ChainConfig::default()
+    };
+    // alice writes heights 1..=12, bob 13..=20: with depth 3 every alice
+    // transaction has finalized out of the suffix (and out of the mutable
+    // nonce map) by the time the chain stops.
+    let build = |dir: &Path| {
+        let mut chain = Chain::with_tiers(
+            tiered(&dir.join("blocks")),
+            Some(small_index(&dir.join("txindex"))),
+            small_meta(&dir.join("meta")),
+            config.clone(),
+        );
+        for i in 0..20u64 {
+            let ts = chain.tip_header().timestamp_ms + 10;
+            let t = if i < 12 { tx("alice", i) } else { tx("bob", i - 12) };
+            let block = chain.assemble_next(ts, AccountId::from_name("sealer"), 0, vec![t]);
+            chain.append(block).unwrap();
+        }
+        chain
+    };
+    let live_dir = temp_dir("nonce-restart-live");
+    let crash_dir = temp_dir("nonce-restart-crash");
+    let mut live = build(&live_dir);
+    assert_eq!(live.resident_metadata().next_nonce, 1, "only bob is in the suffix");
+    // Hard crash: no Drop, no final sync — the last interval snapshot is
+    // all the restart has.
+    std::mem::forget(build(&crash_dir));
+    let mut restarted = Chain::replay_with_tiers(
+        tiered(&crash_dir.join("blocks")),
+        Some(small_index(&crash_dir.join("txindex"))),
+        small_meta(&crash_dir.join("meta")),
+        config.clone(),
+    )
+    .unwrap();
+    assert!(restarted.appended_blocks() <= 4, "fast start, not a replay");
+    assert_eq!(restarted.tip(), live.tip());
+
+    let alice = AccountId::from_name("alice");
+    let ts = live.tip_header().timestamp_ms + 10;
+    for (nonce, expect) in [
+        (13, Err(ValidationError::BadNonce { author: alice, expected: 12, got: 13 })),
+        (11, Err(ValidationError::BadNonce { author: alice, expected: 12, got: 11 })),
+        (12, Ok(())),
+    ] {
+        let block = live.assemble_next(ts, AccountId::from_name("sealer"), 0, vec![tx("alice", nonce)]);
+        assert_eq!(live.append(block.clone()).map(|_| ()), expect, "live, nonce {nonce}");
+        assert_eq!(restarted.append(block).map(|_| ()), expect, "restarted, nonce {nonce}");
+    }
+    assert_eq!(restarted.tip(), live.tip());
+    assert_eq!(restarted.next_nonce_for(&alice), 13);
+    drop((live, restarted));
+    for d in [&live_dir, &crash_dir] {
+        std::fs::remove_dir_all(d).unwrap();
+    }
 }

@@ -11,7 +11,6 @@
 use blockprov_ledger::block::{Block, BlockHash};
 use blockprov_ledger::chain::{Chain, ChainConfig, ValidationError};
 use blockprov_ledger::index::{TxIndex, TxIndexConfig};
-use blockprov_ledger::floor::FloorConfig;
 use blockprov_ledger::meta::{MetaConfig, MetaStore};
 use blockprov_ledger::segment::{SegmentConfig, TieredConfig, TieredStore};
 use blockprov_ledger::tx::{AccountId, Transaction};
@@ -340,7 +339,6 @@ fn batched_ingest_equals_sequential_at_fixed_batch_sizes() {
                         cached_pages: 2,
                         index_sync_interval: 8,
                         snapshot_interval: 1,
-                        floor: FloorConfig::default(),
                     },
                 )
                 .expect("open meta store");
@@ -411,7 +409,6 @@ proptest! {
                         cached_pages: 2,
                         index_sync_interval: 8,
                         snapshot_interval: 1,
-                        floor: FloorConfig::default(),
                     },
                 )
                 .expect("open meta store");

@@ -17,7 +17,6 @@
 
 use blockprov_ledger::block::{Block, BlockHash};
 use blockprov_ledger::chain::{Chain, ChainConfig, ChainReader, ValidationError};
-use blockprov_ledger::floor::FloorConfig;
 use blockprov_ledger::index::{TxIndex, TxIndexConfig};
 use blockprov_ledger::meta::{MetaConfig, MetaStore};
 use blockprov_ledger::segment::{SegmentConfig, TieredConfig, TieredStore};
@@ -72,7 +71,6 @@ fn tiered_chain(dir: &std::path::Path) -> Chain {
             cached_pages: 2,
             index_sync_interval: 8,
             snapshot_interval: 4,
-            floor: FloorConfig::default(),
         },
     )
     .expect("open meta store");

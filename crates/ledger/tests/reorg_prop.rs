@@ -158,7 +158,6 @@ proptest! {
 // under test), and an LSM page merge must leave every query unchanged.
 // ---------------------------------------------------------------------------
 
-use blockprov_ledger::floor::FloorConfig;
 use blockprov_ledger::meta::{MetaConfig, MetaStore};
 use blockprov_ledger::segment::{SegmentConfig, TieredConfig, TieredStore};
 use blockprov_ledger::tx::AccountId as Acct;
@@ -185,7 +184,7 @@ fn tiers(dir: &Path, case: u64) -> Chain {
     .expect("open tx index");
     let meta = MetaStore::open(
         dir.join("meta"),
-        MetaConfig { page_heights: 4, cached_pages: 2, index_sync_interval: 8, snapshot_interval: 1, floor: FloorConfig::default() },
+        MetaConfig { page_heights: 4, cached_pages: 2, index_sync_interval: 8, snapshot_interval: 1 },
     )
     .expect("open meta store");
     Chain::replay_with_tiers(Box::new(store), Some(index), meta, config).expect("reopen tiers")

@@ -1,4 +1,4 @@
-//! AI asset provenance (Lüthi et al. [51]).
+//! AI asset provenance (Lüthi et al. \[51\]).
 //!
 //! Assets are datasets, operations and models linked in a DAG: operations
 //! consume datasets/models and produce new ones. The graph answers the two

@@ -1,4 +1,4 @@
-//! BlockDFL [62]: fully decentralized P2P federated learning with
+//! BlockDFL \[62\]: fully decentralized P2P federated learning with
 //! committee voting and gradient compression.
 //!
 //! The surveyed system "employs a voting mechanism and gradient compression

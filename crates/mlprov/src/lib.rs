@@ -1,5 +1,5 @@
-//! Machine-learning provenance — Lüthi et al. [51] asset tracking and
-//! Yang & Li [84] / BlockDFL [62] blockchain-coordinated federated
+//! Machine-learning provenance — Lüthi et al. \[51\] asset tracking and
+//! Yang & Li \[84\] / BlockDFL \[62\] blockchain-coordinated federated
 //! learning, reproduced on the blockprov substrate.
 //!
 //! Two halves:
@@ -7,7 +7,7 @@
 //! * [`assets`] — the AI-asset provenance model: datasets, operations and
 //!   models as a DAG, so "interacting AI value chains" can be traced and
 //!   dataset owners fairly remunerated by contribution share;
-//! * [`blockdfl`] — BlockDFL [62] proper: fully decentralized P2P rounds
+//! * [`blockdfl`] — BlockDFL \[62\] proper: fully decentralized P2P rounds
 //!   with top-k gradient compression and rotating-committee voting
 //!   (experiment E21);
 //! * [`fl`] — federated learning with on-ledger round coordination, a

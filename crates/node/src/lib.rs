@@ -5,7 +5,8 @@
 //! clients ingest into and query over a network. This crate is that
 //! service tier for the reproduction: a single-writer node that accepts
 //! block batches over HTTP, serves provenance queries and Merkle inclusion
-//! proofs from lock-free reader snapshots, and exposes its own health as
+//! proofs from published reader snapshots (pinned under a mutex held for one
+//! `Arc` copy), and exposes its own health as
 //! `GET /healthz` + `GET /metrics` (via [`blockprov_health::metrics`]).
 //!
 //! # Endpoints

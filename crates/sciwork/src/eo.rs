@@ -1,4 +1,4 @@
-//! Earth-observation data management — the Zhang et al. [87] reproduction.
+//! Earth-observation data management — the Zhang et al. \[87\] reproduction.
 //!
 //! The surveyed system manages petabyte-scale EO archives with three parts:
 //! *users* upload datasets to *data centers*, which store payloads off-chain

@@ -13,7 +13,7 @@
 //!
 //! The dedup ratio difference between the two is exactly what experiment
 //! E14 (storage overhead under versioned writes) measures; the surveyed
-//! cloud/EHR systems (Hasan [33], HealthBlock [1]) inherit whichever ratio
+//! cloud/EHR systems (Hasan \[33\], HealthBlock \[1\]) inherit whichever ratio
 //! their IPFS configuration picks.
 
 use blockprov_crypto::HmacDrbg;

@@ -1,8 +1,8 @@
 //! Content-addressed distributed storage — the workspace's IPFS substitute.
 //!
 //! Several systems the paper surveys park bulk payloads in IPFS and anchor
-//! only digests on chain: Hasan et al. [33] (cloud provenance), HealthBlock
-//! [1] (EHR sharing), Ahmed et al. [8] (media evidence). This crate rebuilds
+//! only digests on chain: Hasan et al. \[33\] (cloud provenance), HealthBlock
+//! \[1\] (EHR sharing), Ahmed et al. \[8\] (media evidence). This crate rebuilds
 //! that substrate from scratch so those reproductions exercise a real
 //! content-addressed path instead of a mock:
 //!

@@ -4,8 +4,8 @@
 //! Storage is keyed by [`Cid`], so identical nodes are stored once no matter
 //! how many files reference them — the deduplication that experiment E14
 //! quantifies. Pins declare GC roots; [`BlockStore::gc`] removes everything
-//! unreachable from a pin, the discipline IPFS-backed systems (Ahmed [8],
-//! HealthBlock [1]) rely on to bound evidence-store growth.
+//! unreachable from a pin, the discipline IPFS-backed systems (Ahmed \[8\],
+//! HealthBlock \[1\]) rely on to bound evidence-store growth.
 
 use crate::dag::{Cid, DagNode, NodeSink};
 use std::collections::{HashMap, HashSet};

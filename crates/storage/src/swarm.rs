@@ -8,7 +8,7 @@
 //! peers, content survives unless all `r` replicas landed on failed peers.
 //!
 //! This reproduces the property the surveyed systems buy from IPFS —
-//! "enhanced availability" (Hasan [33]) — without a network stack; the
+//! "enhanced availability" (Hasan \[33\]) — without a network stack; the
 //! probe counter stands in for round trips.
 
 use crate::dag::{Cid, DagNode, NodeSink};

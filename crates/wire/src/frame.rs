@@ -1,10 +1,11 @@
 //! Length-delimited record framing for append-only storage files.
 //!
-//! The ledger's durable backends (`FileStore`, `SegmentStore`) lay blocks out
-//! as a sequence of frames — `[u32 le length][payload]` — inside append-only
-//! files. The framing lives here, next to the rest of the wire format, so the
-//! on-disk layout is specified in exactly one place and both stores (plus any
-//! future replication / snapshot shipping code) share one implementation.
+//! The ledger's durable tiers (`SegmentStore`, the tx index, the height map
+//! and checkpoint snapshots) lay records out as a sequence of frames —
+//! `[u32 le length][payload]` — inside append-only files. The framing lives
+//! here, next to the rest of the wire format, so the on-disk layout is
+//! specified in exactly one place and every tier (plus any future
+//! replication / snapshot shipping code) shares one implementation.
 //!
 //! Segment files additionally open with a [`SegmentHeader`] identifying the
 //! file format and the segment's position in the sequence, so a directory of

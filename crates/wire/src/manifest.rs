@@ -5,8 +5,8 @@
 //! atomically-replaced file that lists every live file together with the
 //! key range it covers. The ledger adopts the same shape: each storage
 //! tier directory may hold a `MANIFEST` whose entries name the live files
-//! (segments, index pages, height-map pages, nonce-floor pages) with
-//! per-file *height fences* and byte lengths, under a monotonically
+//! (segments, index pages, height-map pages) with per-file *height
+//! fences* and byte lengths, under a monotonically
 //! increasing *epoch*. Compaction then becomes an epoch bump — write new
 //! files, commit a manifest listing only them, delete the old ones — and
 //! a crash at any point between those steps loses nothing, because only
@@ -38,9 +38,6 @@ pub enum ManifestFileKind {
     IndexPartition,
     /// The height-map file (`height.map`); `items` counts height entries.
     HeightMap,
-    /// A nonce-floor partition page file (`floor-NN.pages`); `items`
-    /// counts durable pages.
-    FloorPartition,
 }
 
 impl Codec for ManifestFileKind {
@@ -49,7 +46,6 @@ impl Codec for ManifestFileKind {
             ManifestFileKind::Segment => 0,
             ManifestFileKind::IndexPartition => 1,
             ManifestFileKind::HeightMap => 2,
-            ManifestFileKind::FloorPartition => 3,
         });
     }
     fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
@@ -57,7 +53,6 @@ impl Codec for ManifestFileKind {
             0 => Ok(ManifestFileKind::Segment),
             1 => Ok(ManifestFileKind::IndexPartition),
             2 => Ok(ManifestFileKind::HeightMap),
-            3 => Ok(ManifestFileKind::FloorPartition),
             value => Err(WireError::UnknownDiscriminant {
                 type_name: "ManifestFileKind",
                 value: value as u64,
@@ -231,7 +226,7 @@ mod tests {
                     sparse: Vec::new(),
                 },
                 ManifestEntry {
-                    kind: ManifestFileKind::FloorPartition,
+                    kind: ManifestFileKind::IndexPartition,
                     id: 3,
                     first_height: 0,
                     last_height: 99,
@@ -259,7 +254,7 @@ mod tests {
     fn of_kind_filters() {
         let m = sample();
         assert_eq!(m.of_kind(ManifestFileKind::Segment).count(), 2);
-        assert_eq!(m.of_kind(ManifestFileKind::FloorPartition).count(), 1);
+        assert_eq!(m.of_kind(ManifestFileKind::IndexPartition).count(), 1);
         assert_eq!(m.of_kind(ManifestFileKind::HeightMap).count(), 0);
     }
 

@@ -14,12 +14,12 @@
 //!   Entry bytes are opaque at this layer (the ledger writes raw hashes), so
 //!   a reader can binary-search a page directory without decoding bodies.
 //! * **[`CheckpointSnapshot`]**: everything the chain needs to resume at a
-//!   finality checkpoint — its height/hash, the transaction-index and
-//!   nonce-floor durability watermarks, and the height-map length at
-//!   snapshot time (the self-consistency watermarks crash recovery checks
-//!   against). Since version 2 the snapshot carries *only* watermarks: the
-//!   per-author nonce floors themselves live in the floor store's disk
-//!   pages, so snapshot size no longer grows with the number of authors.
+//!   finality checkpoint — its height/hash, the per-author nonce floors
+//!   of everything finalized at or below it, the transaction-index
+//!   durability watermarks, and the height-map length at snapshot time
+//!   (the self-consistency watermarks crash recovery checks against).
+//!   Snapshot size grows with the number of distinct finalized authors
+//!   (40 bytes each).
 
 use crate::frame::{read_frame_from, write_frame_to};
 use crate::{decode_seq, encode_seq, Codec, Reader, WireError, Writer};
@@ -34,13 +34,12 @@ pub const SNAPSHOT_MAGIC: [u8; 4] = *b"BPCS";
 /// Height-page format version (unchanged since PR 4).
 pub const META_VERSION: u16 = 1;
 
-/// Checkpoint-snapshot format version. Version 2 drops the inline
-/// per-author `next_nonce` map in favour of nonce-floor watermarks (the
-/// floors page to disk beside the height map). A version-1 snapshot fails
-/// decode, which readers treat as "no usable snapshot": the node replays
-/// from blocks once and writes a fresh version-2 snapshot — self-healing,
-/// no migration path needed.
-pub const SNAPSHOT_VERSION: u16 = 2;
+/// Checkpoint-snapshot format version. Version 3 carries the per-author
+/// nonce floors inline, where version 2 carried the durability watermarks
+/// of a separate floor store. An older snapshot fails decode, which readers
+/// treat as "no usable snapshot": the node replays from blocks once and
+/// writes a fresh snapshot — self-healing, no migration path needed.
+pub const SNAPSHOT_VERSION: u16 = 3;
 
 /// Width in bytes of one height-map entry (a block hash).
 pub const HEIGHT_ENTRY_LEN: usize = 32;
@@ -152,14 +151,10 @@ pub struct CheckpointSnapshot {
     /// entries at or below this height are guaranteed durable, so crash
     /// recovery only re-derives `(index_durable_height, height]`.
     pub index_durable_height: u64,
-    /// Per-partition durable height watermarks of the nonce-floor store at
-    /// snapshot time.
-    pub floor_watermarks: Vec<u64>,
-    /// Height through which the nonce floors were last fully synced; floors
-    /// raised by finalizing heights in `(floor_durable_height, height]`
-    /// were staged when the snapshot was cut and are re-derived from blocks
-    /// on reopen.
-    pub floor_durable_height: u64,
+    /// Nonce floors: `(author, next expected nonce)` for every author with
+    /// a transaction finalized at or below `height`. Authors are raw
+    /// 32-byte ids, like `hash`; order is not significant.
+    pub nonce_floors: Vec<([u8; 32], u64)>,
     /// Durable height-map length (heights covered by flushed pages) at
     /// snapshot time; a shorter map on reopen marks a torn tail to heal.
     pub height_map_len: u64,
@@ -173,8 +168,7 @@ impl Codec for CheckpointSnapshot {
         self.hash.encode(w);
         encode_seq(&self.index_watermarks, w);
         w.put_u64(self.index_durable_height);
-        encode_seq(&self.floor_watermarks, w);
-        w.put_u64(self.floor_durable_height);
+        encode_seq(&self.nonce_floors, w);
         w.put_u64(self.height_map_len);
     }
     fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
@@ -192,8 +186,7 @@ impl Codec for CheckpointSnapshot {
             hash: <[u8; 32]>::decode(r)?,
             index_watermarks: decode_seq(r)?,
             index_durable_height: r.get_u64()?,
-            floor_watermarks: decode_seq(r)?,
-            floor_durable_height: r.get_u64()?,
+            nonce_floors: decode_seq(r)?,
             height_map_len: r.get_u64()?,
         })
     }
@@ -240,8 +233,7 @@ mod tests {
             hash: [7u8; 32],
             index_watermarks: vec![40, 0, 41, 12],
             index_durable_height: 38,
-            floor_watermarks: vec![39, 41],
-            floor_durable_height: 39,
+            nonce_floors: vec![([1u8; 32], 17), ([2u8; 32], 1)],
             height_map_len: 40,
         }
     }
@@ -301,6 +293,20 @@ mod tests {
         let mut bytes = snapshot().to_wire();
         bytes[4] = 0xFF; // version low byte
         assert!(CheckpointSnapshot::from_wire(&bytes).is_err());
+
+        // A version-2 snapshot (floor-store watermarks where the floors now
+        // sit) is "no usable snapshot", whatever its tail happens to parse as.
+        let mut w = Writer::new();
+        w.put_raw(&SNAPSHOT_MAGIC);
+        w.put_u16(2);
+        w.put_u64(42);
+        [7u8; 32].encode(&mut w);
+        encode_seq(&[40u64, 41], &mut w); // index_watermarks
+        w.put_u64(38); // index_durable_height
+        encode_seq(&[39u64, 41], &mut w); // v2: floor-store partition watermarks
+        w.put_u64(39); // v2: floor-store durable height
+        w.put_u64(40); // height_map_len
+        assert!(CheckpointSnapshot::from_wire(&w.into_bytes()).is_err());
 
         // Torn frame: length prefix promising more than is present.
         let mut buf = Vec::new();

@@ -1,10 +1,12 @@
 #!/usr/bin/env bash
 # The single verification entrypoint shared by CI and local builds.
 #
-# Runs the tier-1 command from ROADMAP.md (release build + full test
-# suite), re-runs the ingest-pipeline equivalence property on both the
-# inline and the pooled validation paths, compiles every criterion bench
-# target so a bench-only breakage cannot slip past review, and smoke-runs
+# Runs the tier-1 command from ROADMAP.md (release build + every suite in
+# the workspace: the root manifest's `default-members` covers it), re-runs
+# the ingest-pipeline equivalence property on both the inline and the
+# pooled validation paths and the crypto crate's tests under --release,
+# compiles every criterion bench target so a bench-only breakage cannot
+# slip past review, and smoke-runs
 # the ledger_scale bench (the tiered-storage + spilled-index +
 # metadata-tier + ingest-scaling + compaction harness) so the scale
 # measurement path cannot silently rot either. The smoke run writes the
@@ -49,54 +51,12 @@ INGEST_THREADS=1 cargo test -q -p blockprov-ledger --test ingest_equiv
 echo "== ingest pipeline equivalence: INGEST_THREADS=4 (pooled stateless stage) =="
 INGEST_THREADS=4 cargo test -q -p blockprov-ledger --test ingest_equiv
 
-echo "== manifest crash windows: segment epochs, stale/corrupt manifests, stray GC =="
-# The manifest-driven open path has its own crash matrix: a crash between
-# the temp write and the rename, a stale manifest left beside newer orphan
-# segments (must GC them, not replay them), and a corrupt manifest falling
-# back to the full directory scan. Run the suite explicitly so a filter
-# typo in the tier-1 sweep can never skip it.
-cargo test -q -p blockprov-ledger --test crash_windows
-
-echo "== reader snapshot consistency: 1/2/8 reader threads vs a reorging writer =="
-# The lock-free read path's core property: every ChainView a reader pins —
-# while the writer appends, forks, reorgs and finalizes — is
-# prefix-consistent (tip resolves, no holes, finalized prefix immutable).
-# Run the stress suite explicitly so a filter typo in the tier-1 sweep can
-# never skip it.
-cargo test -q -p blockprov-ledger --test reader_snapshot_prop
-
-echo "== audit postings: provenance_of == the scan, under forks, restarts, 1/8 readers =="
-# The /provenance audit answers from subject postings resolved through a
-# pinned view; the property is that it equals the scan it replaced on that
-# same view, ids and order included. The suite lives in the umbrella crate
-# (tier-1 reaches it); run it explicitly so a filter typo in the tier-1
-# sweep can never skip it.
-cargo test -q --test audit_postings_prop
-
-echo "== sha256 kernels: dispatched == portable, FIPS vectors, ids from before the second kernel =="
-# Every id and root in the workspace goes through crypto::sha256, which
-# picks a compression kernel from the CPU. The umbrella suite holds the
-# dispatched path to the portable reference and to golden ids captured
-# before the hardware kernel existed; run it explicitly so a filter typo in
-# the tier-1 sweep can never skip it.
-cargo test -q --test sha256_kernel_equiv
-
-echo "== blockprov-crypto unit tests, dev profile and --release =="
-# Tier-1 never reaches this crate's own tests, and the #[target_feature]
-# kernel inlines and schedules differently under optimisation, so the
-# kernel-vs-portable and Merkle position-binding tests run in both. On a
-# CPU without SHA extensions the kernel test says so on stderr.
-cargo test -q -p blockprov-crypto
+echo "== blockprov-crypto unit tests, --release =="
+# The #[target_feature] kernel inlines and schedules differently under
+# optimisation, so the kernel-vs-portable and Merkle position-binding tests
+# run a second time here (tier-1 ran them in the dev profile). On a CPU
+# without SHA extensions the kernel test says so on stderr.
 cargo test -q -p blockprov-crypto --release
-
-echo "== node end-to-end: every endpoint vs the direct-ledger oracle =="
-# Tier-1's `cargo test -q` covers the umbrella crate only and never reaches
-# crates/node/tests, so this is the one place CI drives the HTTP handlers:
-# every artifact's /provenance body against the stream, the audit work
-# counters and the sha256 kernel line on /metrics, a malformed
-# percent-escape on a kept-alive connection, backpressure, drain and fast
-# restart.
-cargo test -q -p blockprov-node --test node_e2e
 
 echo "== benches compile: cargo bench --no-run =="
 cargo bench --no-run
@@ -142,10 +102,7 @@ echo "== node flood smoke: release blockprov-node + txflood over HTTP =="
 # request fails the driver), then SIGTERM the node and require the clean
 # drain + snapshot exit path. NODE_FLOOD_BLOCKS trims the flood to smoke
 # length; the node_flood/* metrics merge into the same tracked artifact.
-# The root `cargo build --release` builds the umbrella package only, not
-# other packages' binaries: build the node here, or this smoke floods
-# whatever stale binary an earlier session left in target/.
-cargo build --release -p blockprov-node --bin blockprov-node
+# Both binaries come from the tier-1 `cargo build --release` above.
 NODE_DATA_DIR="$(mktemp -d)"
 NODE_LOG="$(mktemp)"
 ./target/release/blockprov-node --addr 127.0.0.1:0 --data-dir "$NODE_DATA_DIR" \

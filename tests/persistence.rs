@@ -1,26 +1,30 @@
 //! Integration: durable block storage — a chain written through a
-//! `FileStore` survives process restart with proofs intact (the §6.1
+//! `TieredStore` survives process restart with proofs intact (the §6.1
 //! "storage performance overhead" axis needs a real persistent backend).
 
 use blockprov::ledger::chain::{Chain, ChainConfig};
-use blockprov::ledger::store::{BlockStore, FileStore};
+use blockprov::ledger::segment::{TieredConfig, TieredStore};
+use blockprov::ledger::store::BlockStore;
 use blockprov::ledger::tx::{AccountId, Transaction};
 
-fn temp_path(tag: &str) -> std::path::PathBuf {
-    let dir = std::env::temp_dir().join(format!("blockprov-it-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    dir.join(format!("{tag}.log"))
+fn temp_dir(tag: &str) -> std::path::PathBuf {
+    let dir = std::env::temp_dir().join(format!("blockprov-it-{}-{tag}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    dir
+}
+
+fn open(dir: &std::path::Path) -> std::io::Result<TieredStore> {
+    TieredStore::open(dir, TieredConfig::default())
 }
 
 #[test]
-fn chain_over_file_store_persists_blocks_and_proofs() {
-    let path = temp_path("persist");
-    let _ = std::fs::remove_file(&path);
+fn chain_over_tiered_store_persists_blocks_and_proofs() {
+    let dir = temp_dir("persist");
 
     let mut tx_ids = Vec::new();
     let tip;
     {
-        let store = FileStore::open(&path).unwrap();
+        let store = open(&dir).unwrap();
         let mut chain = Chain::with_store(Box::new(store), ChainConfig::default());
         for i in 0..20u64 {
             let tx = Transaction::new(AccountId::from_name("writer"), i, i, 1, vec![i as u8; 32]);
@@ -33,9 +37,9 @@ fn chain_over_file_store_persists_blocks_and_proofs() {
         tip = chain.tip();
     }
 
-    // "Restart": reopen the file and check every block decodes and every
+    // "Restart": reopen the directory and check every block decodes and every
     // transaction proof still verifies against its stored header.
-    let store = FileStore::open(&path).unwrap();
+    let store = open(&dir).unwrap();
     assert_eq!(store.len(), 21, "genesis + 20 blocks on disk");
     let tip_block = store.get(&tip).expect("tip block persisted");
     assert_eq!(tip_block.header.height, 20);
@@ -63,15 +67,14 @@ fn chain_over_file_store_persists_blocks_and_proofs() {
     }
     assert_eq!(checked, 20, "all transactions re-proven from disk");
 
-    std::fs::remove_file(&path).unwrap();
+    std::fs::remove_dir_all(&dir).unwrap();
 }
 
 #[test]
 fn corrupt_trailing_write_is_rejected_on_reopen() {
-    let path = temp_path("corrupt");
-    let _ = std::fs::remove_file(&path);
+    let dir = temp_dir("corrupt");
     {
-        let store = FileStore::open(&path).unwrap();
+        let store = open(&dir).unwrap();
         let mut chain = Chain::with_store(Box::new(store), ChainConfig::default());
         let tx = Transaction::new(AccountId::from_name("w"), 0, 0, 1, vec![1, 2, 3]);
         let block = chain.assemble_next(1_000, AccountId::from_name("s"), 0, vec![tx]);
@@ -83,14 +86,14 @@ fn corrupt_trailing_write_is_rejected_on_reopen() {
         use std::io::Write;
         let mut f = std::fs::OpenOptions::new()
             .append(true)
-            .open(&path)
+            .open(dir.join("seg-00000.blk"))
             .unwrap();
         f.write_all(&[0xFF, 0xFF, 0x00, 0x00]).unwrap();
         f.write_all(&[0xAB; 64]).unwrap();
     }
     assert!(
-        FileStore::open(&path).is_err(),
+        open(&dir).is_err(),
         "corruption must not be silently accepted"
     );
-    std::fs::remove_file(&path).unwrap();
+    std::fs::remove_dir_all(&dir).unwrap();
 }
