@@ -11,8 +11,6 @@
 //! * timed: canonical tx-lookup latency — hot (repeated id, cache hit),
 //!   uniform (sweep over all history, mostly cold-tier reads), and the
 //!   spilled-index point/secondary query path (warm page cache vs sweep);
-//! * one-shot: segment compaction on a fork-heavy history — reclaimed
-//!   bytes and full canonical-scan wall clock before/after `compact`;
 //! * one-shot: cold-start sweep — snapshot fast-start wall clock at
 //!   10k/50k/100k-block histories (`cold_start/*`), which the manifest's
 //!   height fences should keep flat as history grows.
@@ -513,88 +511,6 @@ fn report_batch_commit() {
     );
 }
 
-/// One-shot compaction measurement: a fork-heavy history over tiny
-/// segments, scan wall clock before and after reclaiming the stale forks.
-fn report_compaction() {
-    const FORKY_BLOCKS: u64 = 20_000;
-    let dir = tiered_dir("compact");
-    let store = TieredStore::open(
-        &dir,
-        TieredConfig {
-            segment: SegmentConfig {
-                segment_bytes: 256 * 1024,
-            },
-            hot_capacity: HOT_CAPACITY,
-        },
-    )
-    .expect("open tiered store");
-    let mut chain = Chain::with_store(Box::new(store), chain_config());
-    let sealer = AccountId::from_name("sealer");
-    for i in 0..FORKY_BLOCKS {
-        let parent = chain.tip();
-        let height = chain.height() + 1;
-        let canon = chain.assemble_next(i + 1, sealer, 0, Vec::new());
-        chain.append(canon).expect("append");
-        // Every 10th height also gets an equal-work rival that loses the
-        // tie and rots in the cold tier until compaction.
-        if i % 10 == 0 {
-            let rival = Block::assemble(
-                height,
-                parent,
-                i + 1,
-                AccountId::from_name("rival"),
-                0,
-                vec![Transaction::new(
-                    AccountId::from_name("r"),
-                    i,
-                    i,
-                    9,
-                    vec![0xEE; 96],
-                )],
-            );
-            chain.append(rival).expect("append rival");
-        }
-    }
-    // Best of two sweeps: the first warms OS/file caches, the second is
-    // the steady-state number.
-    let sweep = |chain: &Chain| {
-        let mut best = std::time::Duration::MAX;
-        let mut seen = 0u64;
-        for _ in 0..2 {
-            let t = Instant::now();
-            seen = 0;
-            for h in 0..=chain.height() {
-                if chain.block_at(h).is_some() {
-                    seen += 1;
-                }
-            }
-            best = best.min(t.elapsed());
-        }
-        (seen, best)
-    };
-    let bytes_before = chain.stored_bytes();
-    let (seen_before, scan_before) = sweep(&chain);
-    let t = Instant::now();
-    let stats = chain.compact().expect("compact");
-    let compact_t = t.elapsed();
-    let (seen_after, scan_after) = sweep(&chain);
-    assert_eq!(seen_before, seen_after, "canonical blocks must survive");
-    println!(
-        "ledger_scale compaction: {FORKY_BLOCKS} blocks + {} forks, compact in {:.2?}: \
-         dropped {} blocks, reclaimed {} of {} bytes ({} segments rewritten); \
-         full canonical scan {:.2?} → {:.2?}",
-        FORKY_BLOCKS / 10,
-        compact_t,
-        stats.blocks_dropped,
-        stats.bytes_reclaimed,
-        bytes_before,
-        stats.segments_rewritten,
-        scan_before,
-        scan_after,
-    );
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
 fn bench_ledger_scale(c: &mut Criterion) {
     let (mem, mem_ids, tiered, tiered_ids, spilled, spilled_ids, dirs) =
         report_append_throughput();
@@ -662,7 +578,6 @@ fn bench_ledger_scale(c: &mut Criterion) {
     report_cold_start_sweep();
     report_ingest_scaling();
     report_batch_commit();
-    report_compaction();
 
     drop(tiered);
     drop(spilled);

@@ -11,11 +11,11 @@
 //! paired with [`crate::segment::TieredStore`].
 
 use crate::block::{Block, BlockHash, BlockHeader, Checkpoint};
-use crate::index::{IndexEntry, MergeStats, TxIndex, TxIndexReader};
+use crate::index::{IndexEntry, TxIndex, TxIndexReader};
 use crate::meta::{HeightReader, MetaStore};
 use crate::pool::ValidationPool;
 use crate::readview::Published;
-use crate::store::{BlockReader, BlockStore, CompactionStats, MemStore};
+use crate::store::{BlockReader, BlockStore, MemStore};
 use crate::tx::{AccountId, Transaction, TxId};
 use blockprov_crypto::merkle::MerkleProof;
 use blockprov_crypto::sha256::Hash256;
@@ -1182,8 +1182,9 @@ impl Chain {
     /// prevalidated concurrently, and committed serially. Blocks that are
     /// provably stale — duplicates, forks at or below the advancing
     /// checkpoint, and blocks whose fork parents were pruned by finality
-    /// during this very replay — are skipped (compaction would have
-    /// dropped them); any other validation failure fails the replay loudly.
+    /// during this very replay — are skipped: the store is append-only, so
+    /// every fork block ever stored is met again here. Any other validation
+    /// failure fails the replay loudly.
     fn replay_all(&mut self, order: Vec<(u64, BlockHash)>) -> std::io::Result<()> {
         const REPLAY_CHUNK: usize = 256;
         let mut max_orphan_height = 0u64;
@@ -1229,8 +1230,9 @@ impl Chain {
         // An orphan *above* the final tip can only be the descendant of a
         // canonical block the store no longer holds — corruption, not
         // stale-fork residue (a stale fork never outgrows the heaviest
-        // tip here). Crash leftovers from a mid-compaction rename sit at
-        // or below the tip and stay skippable.
+        // tip here). Fork residue, which the append-only store keeps
+        // beside canonical blocks forever, sits at or below the tip and
+        // stays skippable.
         if max_orphan_height > self.height() {
             return Err(std::io::Error::new(
                 std::io::ErrorKind::InvalidData,
@@ -1754,7 +1756,7 @@ impl Chain {
     /// The handle is cloneable and `Send + Sync`; clones share one snapshot
     /// slot with the writer. While at least one handle is alive the writer
     /// re-publishes a fresh [`ChainSnapshot`] at every commit point
-    /// (append, batch append, reorg, finality advance, tier sync/merge);
+    /// (append, batch append, reorg, finality advance, tier sync);
     /// with none alive it skips that work entirely, so the single-writer
     /// hot path is unchanged when nobody is reading.
     pub fn reader(&mut self) -> ChainReader {
@@ -1852,67 +1854,6 @@ impl Chain {
         // Recorded only on success: a failed write must not suppress the
         // next interval-driven attempt.
         self.last_snapshot_height = self.finalized_height;
-        Ok(())
-    }
-
-    /// Compact the block store against the current finality checkpoint:
-    /// blocks on pruned forks at or below the checkpoint are dropped from
-    /// sealed cold-tier segments. A no-op without finality or on stores
-    /// with nothing to reclaim.
-    ///
-    /// Index maintenance rides along: staged entries are synced and any
-    /// partition at or past [`crate::index::TxIndexConfig::merge_threshold`]
-    /// pages is LSM-merged into one sorted run.
-    pub fn compact(&mut self) -> std::io::Result<CompactionStats> {
-        // Public maintenance boundary: nothing may stay staged across it.
-        self.flush_commits()?;
-        let stats = match self.checkpoint() {
-            Some(cp) => self.store.compact(&cp)?,
-            None => CompactionStats::default(),
-        };
-        if self.tx_index.is_some() {
-            self.sync_index()?;
-            let ix = self.tx_index.as_mut().expect("checked above");
-            let threshold = ix.config().merge_threshold;
-            ix.merge_pages(threshold)?;
-            self.resquare_height_map()?;
-            self.write_snapshot()?;
-        }
-        self.publish_read_state();
-        Ok(stats)
-    }
-
-    /// Force an LSM merge of every durable-index partition holding at
-    /// least `min_pages` pages (staged entries are synced first). Returns
-    /// what was rewritten; query results are unchanged by construction.
-    pub fn merge_index_pages(&mut self, min_pages: usize) -> std::io::Result<MergeStats> {
-        if self.tx_index.is_none() {
-            return Ok(MergeStats::default());
-        }
-        self.flush_commits()?;
-        self.sync_index()?;
-        let stats = self
-            .tx_index
-            .as_mut()
-            .expect("checked above")
-            .merge_pages(min_pages)?;
-        self.resquare_height_map()?;
-        self.write_snapshot()?;
-        self.publish_read_state();
-        Ok(stats)
-    }
-
-    /// Maintenance rider for the height map: when a restart left short
-    /// pages behind, rewrite the map into uniform pages. Runs at the same
-    /// moments as index merges — the store is already paying a sequential
-    /// rewrite, so the map's (much smaller) one piggybacks on that budget.
-    fn resquare_height_map(&mut self) -> std::io::Result<()> {
-        if let Some(meta) = &mut self.meta_tier {
-            let map = meta.height_map_mut();
-            if !map.is_square() {
-                map.resquare()?;
-            }
-        }
         Ok(())
     }
 

@@ -31,7 +31,7 @@ pub use chain::{
     BatchError, Chain, ChainConfig, ChainReader, ChainSnapshot, ChainView, PrevalidatedBlock,
     ResidentMetadata, SignaturePolicy, ValidationError,
 };
-pub use index::{IndexEntry, MergeStats, TxIndex, TxIndexConfig, TxIndexReader};
+pub use index::{IndexEntry, TxIndex, TxIndexConfig, TxIndexReader};
 pub use manifest::{
     commit_manifest, read_manifest, Manifest, ManifestEntry, ManifestFileKind, ManifestState,
 };
@@ -42,5 +42,5 @@ pub use readview::{Published, ShardedCache};
 pub use segment::{
     SegmentConfig, SegmentReader, SegmentStore, TieredConfig, TieredReader, TieredStore,
 };
-pub use store::{BlockReader, BlockStore, CompactionStats, MemReader, MemStore};
+pub use store::{BlockReader, BlockStore, MemReader, MemStore};
 pub use tx::{AccountId, SignatureEnvelope, Transaction, TxId};

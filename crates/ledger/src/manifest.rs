@@ -15,8 +15,9 @@
 //!   can warn and fall back to a full directory scan instead of silently
 //!   trusting half a file list.
 //! * **Garbage collection.** Files a manifest does not list are dead by
-//!   definition — leftovers of a crash mid-compaction or mid-rollover —
-//!   and are deleted on open. GC only ever runs under a *valid* manifest;
+//!   definition — leftovers of a crash mid-rollover, between creating a
+//!   file and committing the manifest that lists it — and are deleted on
+//!   open. GC only ever runs under a *valid* manifest;
 //!   the corrupt-manifest fallback must not delete anything it cannot
 //!   prove dead.
 

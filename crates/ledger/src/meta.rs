@@ -9,6 +9,12 @@
 //! written atomically so a restart fast-starts from the checkpoint instead
 //! of re-absorbing all of history.
 //!
+//! The height map is append-only and never rewritten: every
+//! [`HeightMap::sync`] (each clean shutdown included) cuts the staged tail
+//! into one short page that stays in the middle of the file once more
+//! heights land after it. Lookups binary-search the page directory, so a
+//! short page costs one directory entry and nothing else.
+//!
 //! Crash safety mirrors [`crate::index::TxIndex`]: blocks are authoritative
 //! and everything here is *derived*. A torn height-map tail is truncated on
 //! reopen and re-derived by walking parent pointers down from the
@@ -84,16 +90,16 @@ struct HeightPageMeta {
     header_len: u32,
 }
 
-/// Reader-shared half of a [`HeightMap`]: the published immutable view plus
-/// the sharded decoded-page cache both sides read through.
+/// Reader-shared half of a [`HeightMap`]: the published immutable view, one
+/// `pread` handle on the map file (opened once — the file is only ever
+/// appended to), and the sharded decoded-page cache both sides read
+/// through.
 #[derive(Debug)]
 pub struct HeightMapShared {
     state: Published<HeightMapState>,
-    /// Decoded page cache: `(generation, page index)` → hashes. The
-    /// generation bumps on every file rewrite ([`HeightMap::resquare`]), so
-    /// a reader still holding a pre-rewrite state can never poison the
-    /// cache with pages the new geometry would misindex.
-    cache: ShardedCache<(u64, u32), Arc<Vec<BlockHash>>>,
+    file: File,
+    /// Decoded page cache: page index → hashes.
+    cache: ShardedCache<u32, Arc<Vec<BlockHash>>>,
 }
 
 /// One immutable published view of the height map: everything a reader
@@ -103,23 +109,6 @@ struct HeightMapState {
     pages: Vec<HeightPageMeta>,
     staged: Vec<BlockHash>,
     durable: u64,
-    /// Read handle pinned to the file these `pages` offsets describe. A
-    /// rewrite renames over the path; this fd keeps the old inode readable,
-    /// so offsets and bytes in one state are always mutually consistent.
-    file: Arc<File>,
-    gen: u64,
-}
-
-impl HeightMapState {
-    fn empty(file: Arc<File>) -> Self {
-        Self {
-            pages: Vec::new(),
-            staged: Vec::new(),
-            durable: 0,
-            file,
-            gen: 0,
-        }
-    }
 }
 
 /// A cloneable, `Send + Sync` read handle over the last published
@@ -145,7 +134,7 @@ impl HeightReader {
             .pages
             .partition_point(|p| p.first_height + u64::from(p.entry_count) <= height);
         let page = state.pages[idx];
-        let entries = read_page_hashes(&self.shared.cache, &state.file, state.gen, idx as u32, page)?;
+        let entries = read_page_hashes(&self.shared, idx as u32, page)?;
         Ok(Some(entries[(height - page.first_height) as usize]))
     }
 
@@ -164,23 +153,23 @@ impl HeightReader {
 /// Fetch one decoded height page through the shared cache, positional-read
 /// (`pread`) on miss so concurrent readers never contend on a seek cursor.
 fn read_page_hashes(
-    cache: &ShardedCache<(u64, u32), Arc<Vec<BlockHash>>>,
-    file: &File,
-    gen: u64,
+    shared: &HeightMapShared,
     idx: u32,
     page: HeightPageMeta,
 ) -> io::Result<Arc<Vec<BlockHash>>> {
-    if let Some(hit) = cache.get(&(gen, idx)) {
+    if let Some(hit) = shared.cache.get(&idx) {
         return Ok(hit);
     }
     let mut body = vec![0u8; page.entry_count as usize * HEIGHT_ENTRY_LEN];
-    file.read_exact_at(&mut body, page.offset + u64::from(page.header_len))?;
+    shared
+        .file
+        .read_exact_at(&mut body, page.offset + u64::from(page.header_len))?;
     let hashes: Vec<BlockHash> = body
         .chunks_exact(HEIGHT_ENTRY_LEN)
         .map(|c| BlockHash(Hash256(c.try_into().expect("32-byte chunk"))))
         .collect();
     let arc = Arc::new(hashes);
-    cache.insert((gen, idx), Arc::clone(&arc));
+    shared.cache.insert(idx, Arc::clone(&arc));
     Ok(arc)
 }
 
@@ -202,18 +191,15 @@ pub struct HeightMap {
     /// Heights durably paged (`staged` covers `durable..durable+staged.len()`).
     durable: u64,
     page_heights: usize,
-    /// Read handle for the current file; replaced on rewrite.
-    read_file: Arc<File>,
-    /// File generation, bumped on every rewrite ([`Self::resquare`]).
-    gen: u64,
     shared: Arc<HeightMapShared>,
     bytes: u64,
-    /// Pages cut into the writer's buffer since the last flush. Cuts no
-    /// longer flush individually — the chain flushes once per finality
-    /// advance — so `durable` may briefly run ahead of the file; a crash in
-    /// that window loses the buffered tail, which is the torn-tail shape
-    /// reopen already heals from blocks.
-    unflushed: bool,
+    /// Pages cut into the writer's buffer since the last flush, pinned by
+    /// page index. Cuts do not flush individually — the chain flushes once
+    /// per finality advance — so `durable` may briefly run ahead of the
+    /// file, and the writer's own lookups answer these pages from memory.
+    /// A crash in that window loses the buffered tail, which is the
+    /// torn-tail shape reopen already heals from blocks.
+    unflushed: Vec<(u32, Arc<Vec<BlockHash>>)>,
 }
 
 impl std::fmt::Debug for HeightMap {
@@ -274,9 +260,13 @@ impl HeightMap {
             f.sync_all()?;
         }
         let writer = BufWriter::new(OpenOptions::new().append(true).open(&path)?);
-        let read_file = Arc::new(File::open(&path)?);
         let shared = Arc::new(HeightMapShared {
-            state: Published::new(HeightMapState::empty(Arc::clone(&read_file))),
+            state: Published::new(HeightMapState {
+                pages: Vec::new(),
+                staged: Vec::new(),
+                durable: 0,
+            }),
+            file: File::open(&path)?,
             cache: ShardedCache::new(config.cached_pages, PAGE_CACHE_SHARDS),
         });
         let mut hm = Self {
@@ -286,11 +276,9 @@ impl HeightMap {
             staged: Vec::new(),
             durable: covered,
             page_heights: config.page_heights.max(1),
-            read_file,
-            gen: 0,
             shared,
             bytes: pos,
-            unflushed: false,
+            unflushed: Vec::new(),
         };
         hm.publish()?;
         Ok(hm)
@@ -305,8 +293,6 @@ impl HeightMap {
             pages: self.pages.clone(),
             staged: self.staged.clone(),
             durable: self.durable,
-            file: Arc::clone(&self.read_file),
-            gen: self.gen,
         }));
         Ok(())
     }
@@ -393,9 +379,9 @@ impl HeightMap {
     /// the writer so a batch of finalized heights costs one flush, not one
     /// per page — callers flush once per finality advance.
     pub fn flush_pages(&mut self) -> io::Result<()> {
-        if self.unflushed {
+        if !self.unflushed.is_empty() {
             self.writer.flush()?;
-            self.unflushed = false;
+            self.unflushed.clear();
         }
         Ok(())
     }
@@ -412,7 +398,6 @@ impl HeightMap {
             entry_bytes.extend_from_slice(h.0.as_bytes());
         }
         write_height_page_to(&mut self.writer, &header, &entry_bytes)?;
-        self.unflushed = true;
         let header_len = header.to_wire().len() as u32;
         let frame = blockprov_wire::frame::frame_len(header_len as usize + entry_bytes.len());
         let page_index = self.pages.len() as u32;
@@ -425,9 +410,9 @@ impl HeightMap {
         self.bytes += frame;
         self.durable += staged.len() as u64;
         // The freshly cut page is hot by construction.
-        self.shared
-            .cache
-            .insert((self.gen, page_index), Arc::new(staged));
+        let staged = Arc::new(staged);
+        self.shared.cache.insert(page_index, Arc::clone(&staged));
+        self.unflushed.push((page_index, staged));
         Ok(())
     }
 
@@ -445,94 +430,11 @@ impl HeightMap {
             .partition_point(|p| p.first_height + u64::from(p.entry_count) <= height);
         let page = self.pages[idx];
         debug_assert!(height >= page.first_height);
-        let entries = self.page_hashes(idx as u32, page)?;
+        let entries = match self.unflushed.iter().find(|&&(i, _)| i == idx as u32) {
+            Some((_, pinned)) => Arc::clone(pinned),
+            None => read_page_hashes(&self.shared, idx as u32, page)?,
+        };
         Ok(Some(entries[(height - page.first_height) as usize]))
-    }
-
-    fn page_hashes(&self, idx: u32, page: HeightPageMeta) -> io::Result<Arc<Vec<BlockHash>>> {
-        read_page_hashes(&self.shared.cache, &self.read_file, self.gen, idx, page)
-    }
-
-    /// True when every durable page holds exactly `page_heights` entries —
-    /// the geometry [`Self::resquare`] restores.
-    pub fn is_square(&self) -> bool {
-        self.pages
-            .iter()
-            .all(|p| p.entry_count as usize == self.page_heights)
-    }
-
-    /// Rewrite the map into uniform `page_heights`-sized pages, re-staging
-    /// the trailing remainder.
-    ///
-    /// Clean shutdown (`sync`) cuts whatever is staged into a short final
-    /// page; once more heights land after it, that short page sits in the
-    /// middle of the file forever. This pass — driven from the chain's
-    /// page-merge machinery — streams every durable hash into fresh
-    /// full-sized pages written to a temp file and renames it over the map
-    /// (the same crash-safe shape as the index merge: a crash before the
-    /// rename leaves a stray `.tmp` that open garbage-collects). Hashes past
-    /// the last full page move back into the staged tail, so the next cut
-    /// keeps the file square. Readers holding the previous published state
-    /// keep reading the renamed-over inode through their pinned handle.
-    ///
-    /// Returns `false` (and does nothing) when the geometry is already
-    /// square.
-    pub fn resquare(&mut self) -> io::Result<bool> {
-        if self.is_square() {
-            return Ok(false);
-        }
-        self.flush_pages()?;
-        let mut all: Vec<BlockHash> = Vec::with_capacity(self.len() as usize);
-        for (i, page) in self.pages.iter().enumerate() {
-            all.extend(self.page_hashes(i as u32, *page)?.iter().copied());
-        }
-        // Fold the staged tail in too: the rewrite is the cheapest moment to
-        // make it durable, and it maximises how much of the map ends square.
-        all.append(&mut self.staged);
-        let keep = (all.len() / self.page_heights) * self.page_heights;
-        let tmp = self.path.with_file_name(format!("{HEIGHT_MAP_FILE}.tmp"));
-        let mut out = BufWriter::new(File::create(&tmp)?);
-        let mut pages = Vec::with_capacity(keep / self.page_heights);
-        let mut pos = 0u64;
-        for (page_no, chunk) in all[..keep].chunks(self.page_heights).enumerate() {
-            let header = HeightPageHeader {
-                version: META_VERSION,
-                first_height: (page_no * self.page_heights) as u64,
-                entry_count: chunk.len() as u32,
-            };
-            let mut entry_bytes = Vec::with_capacity(chunk.len() * HEIGHT_ENTRY_LEN);
-            for h in chunk {
-                entry_bytes.extend_from_slice(h.0.as_bytes());
-            }
-            write_height_page_to(&mut out, &header, &entry_bytes)?;
-            let header_len = header.to_wire().len() as u32;
-            pages.push(HeightPageMeta {
-                offset: pos + FRAME_OVERHEAD,
-                first_height: header.first_height,
-                entry_count: header.entry_count,
-                header_len,
-            });
-            pos += blockprov_wire::frame::frame_len(header_len as usize + entry_bytes.len());
-        }
-        out.flush()?;
-        out.get_ref().sync_all()?;
-        drop(out);
-        // Pin the new read handle to the temp file *before* the rename: the
-        // fd follows the inode, so after the rename it reads the live map.
-        let read_file = Arc::new(File::open(&tmp)?);
-        std::fs::rename(&tmp, &self.path)?;
-        self.writer = BufWriter::new(OpenOptions::new().append(true).open(&self.path)?);
-        self.staged = all.split_off(keep);
-        self.pages = pages;
-        self.durable = keep as u64;
-        self.bytes = pos;
-        self.read_file = read_file;
-        self.gen += 1;
-        self.unflushed = false;
-        let gen = self.gen;
-        self.shared.cache.retain(|&(g, _)| g == gen);
-        self.publish()?;
-        Ok(true)
     }
 }
 
@@ -566,7 +468,7 @@ impl MetaStore {
         std::fs::create_dir_all(&dir)?;
         // A stray snapshot temp file is a crashed write that never became
         // the snapshot; drop it so it cannot be mistaken for one later. Same
-        // for a height-map rewrite temp left by a crash mid-`resquare`.
+        // for a height-map rewrite temp an older build could leave behind.
         let _ = std::fs::remove_file(dir.join(format!("{SNAPSHOT_FILE}.tmp")));
         let _ = std::fs::remove_file(dir.join(format!("{HEIGHT_MAP_FILE}.tmp")));
         // Page files (and merge temps) of the nonce-floor store that used to
@@ -768,57 +670,6 @@ mod tests {
         // A corrupt snapshot reads as absent, not as an error.
         std::fs::write(dir.join("snapshot.ckpt"), b"\x10\x00\x00\x00garb").unwrap();
         assert!(store.read_snapshot().unwrap().is_none());
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn resquare_restores_page_geometry_after_short_shutdown_page() {
-        let dir = temp_dir("resq");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("height.map");
-        {
-            // Shutdown mid-page: sync cuts a short 2-entry page.
-            let mut hm = HeightMap::open(&path, &small_config()).unwrap();
-            for h in 0..10u64 {
-                hm.push(h, hash(h)).unwrap();
-            }
-            hm.sync().unwrap();
-            assert!(!hm.is_square(), "sync must have cut a short page");
-        }
-        let mut hm = HeightMap::open(&path, &small_config()).unwrap();
-        // More heights land after the short page, burying it mid-file.
-        for h in 10..21u64 {
-            hm.push(h, hash(h)).unwrap();
-        }
-        assert!(!hm.is_square());
-        let reader = hm.reader();
-        hm.publish().unwrap();
-        let before: Vec<_> = (0..21).map(|h| reader.hash_at(h).unwrap()).collect();
-        assert!(hm.resquare().unwrap());
-        assert!(hm.is_square(), "all durable pages full-sized after resquare");
-        assert_eq!(hm.len(), 21);
-        // 20 durable heights → 5 full pages of 4; the 21st re-staged.
-        assert_eq!(hm.page_count(), 5);
-        assert_eq!(hm.durable_len(), 20);
-        for h in 0..21u64 {
-            assert_eq!(hm.hash_at(h).unwrap(), Some(hash(h)), "height {h}");
-            assert_eq!(reader.hash_at(h).unwrap(), before[h as usize]);
-        }
-        // Idempotent: a square map is left alone.
-        assert!(!hm.resquare().unwrap());
-        // Staged tail keeps accepting pushes and cutting square pages.
-        for h in 21..28u64 {
-            hm.push(h, hash(h)).unwrap();
-        }
-        hm.flush_pages().unwrap();
-        assert!(hm.is_square());
-        drop(hm);
-        // Geometry and contents survive reopen.
-        let hm = HeightMap::open(&path, &small_config()).unwrap();
-        assert!(hm.is_square());
-        for h in 0..24u64 {
-            assert_eq!(hm.hash_at(h).unwrap(), Some(hash(h)));
-        }
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -118,18 +118,6 @@ impl<K: Eq + Hash + Copy, V: Clone> ShardedCache<K, V> {
             .remove(key);
     }
 
-    /// Remove every entry matching `pred` (merge/compaction purges).
-    pub fn retain(&self, mut keep: impl FnMut(&K) -> bool) {
-        for shard in &self.shards {
-            let mut cache = shard.lock().expect("cache shard poisoned");
-            for key in cache.keys_by_recency() {
-                if !keep(&key) {
-                    cache.remove(&key);
-                }
-            }
-        }
-    }
-
     /// Total entries across all shards.
     pub fn len(&self) -> usize {
         self.shards
@@ -141,16 +129,6 @@ impl<K: Eq + Hash + Copy, V: Clone> ShardedCache<K, V> {
     /// True when no shard holds an entry.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
-    }
-
-    /// Keys across all shards, most-recent first within each shard
-    /// (diagnostic aid; cross-shard order is arbitrary).
-    pub fn keys(&self) -> Vec<K> {
-        let mut out = Vec::new();
-        for shard in &self.shards {
-            out.extend(shard.lock().expect("cache shard poisoned").keys_by_recency());
-        }
-        out
     }
 }
 
@@ -208,17 +186,6 @@ mod tests {
         assert!(c.len() <= 16, "total capacity respected, got {}", c.len());
         // Recently inserted keys are retrievable.
         assert_eq!(c.get(&63), Some(630));
-    }
-
-    #[test]
-    fn sharded_cache_retain_purges() {
-        let c: ShardedCache<u64, u64> = ShardedCache::new(32, 4);
-        for i in 0..20 {
-            c.insert(i, i);
-        }
-        c.retain(|k| k % 2 == 0);
-        assert!(c.get(&3).is_none());
-        assert!(c.keys().iter().all(|k| k % 2 == 0));
     }
 
     #[test]

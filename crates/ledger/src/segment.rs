@@ -14,38 +14,37 @@
 //! Which segment files are *live* is decided by the directory's `MANIFEST`
 //! (see [`crate::manifest`]), an atomically-replaced file listing every
 //! live segment with its height fence, byte length and block count under a
-//! monotonically increasing epoch. That buys three things:
+//! monotonically increasing epoch. That buys two things:
 //!
 //! * **O(window) open.** Sealed segments are *verified* (present, exact
 //!   length) but not scanned on open; their offset indexes are built lazily
 //!   on first cold read, newest first. Combined with the height fences
 //!   consulted by [`BlockStore::scan_headers_from`], a snapshot fast-start
 //!   reads only the segments that can hold non-finalized blocks.
-//! * **Compaction as an epoch bump.** [`SegmentStore::compact`] streams the
-//!   survivors of dirty segments into *fresh* segment ids, commits a
-//!   manifest listing only clean + packed files, and deletes the old ones.
-//!   A crash anywhere in that sequence loses nothing: before the commit
-//!   the new files are unlisted strays, after it the old ones are.
 //! * **Crash-window GC.** Files the manifest does not list are dead by
-//!   definition and are garbage-collected on open — never replayed as if
-//!   they were history.
+//!   definition (a rollover that created its file but never committed) and
+//!   are garbage-collected on open — never replayed as if they were
+//!   history.
 //!
-//! A directory without a manifest (a store predating epochs) is scanned in
-//! full with the original loud gap check and then committed under epoch 1.
-//! A *corrupt* manifest falls back to a loud full scan that accepts gaps
-//! (compaction legitimately retires ids) and deletes nothing.
+//! Segment files are never rewritten: ids come only from the fresh store
+//! (0) and from rollover (previous id + 1), so the live ids are always
+//! contiguous and fork blocks stay on disk beside canonical ones. A
+//! directory without a manifest (a store predating epochs) or with a
+//! *corrupt* one is scanned in full with a loud gap check — a gap always
+//! means lost data — and then committed under a fresh epoch; the corrupt
+//! fallback deletes nothing.
 //!
 //! [`TieredStore`] stacks a real LRU cache of decoded blocks (the hot set)
 //! on top, giving bounded resident memory over unbounded history: every
 //! block is durable in the cold tier the moment `put` returns, and the hot
 //! set never exceeds its configured capacity.
 
-use crate::block::{Block, BlockHash, Checkpoint};
+use crate::block::{Block, BlockHash};
 use crate::manifest::{
     commit_manifest, gc_strays, read_manifest, ManifestEntry, ManifestFileKind, ManifestState,
 };
 use crate::readview::{Published, ShardedCache};
-use crate::store::{BlockReader, BlockStore, CompactionStats};
+use crate::store::{BlockReader, BlockStore};
 use blockprov_wire::frame::{
     frame_len, read_frame_from, write_frame_to, SegmentHeader, FRAME_OVERHEAD,
 };
@@ -62,7 +61,7 @@ use std::sync::{Arc, Mutex, RwLock};
 /// Where a block's frame lives in the segment sequence.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BlockLocation {
-    /// Segment id (manifest-listed; not necessarily contiguous).
+    /// Segment id (ids are contiguous from 0, in rollover order).
     pub segment: u32,
     /// Byte offset of the payload inside the segment file.
     pub offset: u64,
@@ -195,10 +194,10 @@ const INDEX_SHARDS: usize = 8;
 /// readers: the sharded offset index, the lazy-indexing work list, and the
 /// published set of per-segment read handles.
 ///
-/// The file set is [`Published`] rather than locked: readers resolve a
-/// location against whatever set they loaded, and because each handle's fd
-/// pins its inode, a compaction that unlinks a segment file cannot
-/// invalidate in-flight reads — they finish against the old bytes.
+/// The file set is [`Published`] rather than locked and only ever grows: a
+/// rollover publishes the new segment's handle before any location inside
+/// it is indexed, so a reader that resolves a location always finds its
+/// handle in the set it loads next.
 #[derive(Debug)]
 pub struct SegmentShared {
     dir: PathBuf,
@@ -239,13 +238,6 @@ impl SegmentShared {
             .write()
             .expect("index shard poisoned")
             .insert(hash, loc);
-    }
-
-    fn index_remove(&self, hash: &BlockHash) {
-        self.index_shard(hash)
-            .write()
-            .expect("index shard poisoned")
-            .remove(hash);
     }
 
     fn index_len(&self) -> usize {
@@ -289,53 +281,27 @@ impl SegmentShared {
         None
     }
 
-    /// Scan every still-unindexed sealed segment into the offset index,
-    /// failing loudly on corruption (unlike the best-effort path in
-    /// `lookup`). Compaction needs the complete index.
-    fn ensure_all_indexed(&self) -> io::Result<()> {
-        let mut pending = self.unindexed.lock().expect("unindexed poisoned");
-        while let Some((id, _)) = pending.pop() {
-            let mut local = HashMap::new();
-            SegmentStore::scan_segment(&segment_path(&self.dir, id), id, &mut local)?;
-            for (h, loc) in local {
-                self.index_insert(h, loc);
-            }
-        }
-        Ok(())
-    }
-
     /// Read a block at `loc` via `pread` on the published handle for its
-    /// segment. `Ok(None)` means the segment is absent from the loaded file
-    /// set — the location predates (or postdates) it; callers re-resolve.
-    fn read_at(&self, loc: BlockLocation) -> io::Result<Option<Block>> {
+    /// segment.
+    fn read_at(&self, loc: BlockLocation) -> io::Result<Block> {
         let files = self.files.load();
         let at = files.partition_point(|&(id, _)| id < loc.segment);
-        let Some((id, file)) = files.get(at) else {
-            return Ok(None);
+        let Some((_, file)) = files.get(at).filter(|(id, _)| *id == loc.segment) else {
+            return Err(io::Error::new(
+                io::ErrorKind::NotFound,
+                format!("segment {} has no published handle", loc.segment),
+            ));
         };
-        if *id != loc.segment {
-            return Ok(None);
-        }
         let mut body = vec![0u8; loc.len as usize];
         file.read_exact_at(&mut body, loc.offset)?;
         Block::from_wire(&body)
-            .map(Some)
             .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))
     }
 
-    /// Full point read: resolve, read, and retry once if a concurrent
-    /// compaction retired the resolved segment between the two steps (the
-    /// index is repointed before the retired handles are unpublished).
+    /// Full point read: resolve, then read.
     fn get_block(&self, hash: &BlockHash) -> Option<Arc<Block>> {
-        for _ in 0..2 {
-            let loc = self.lookup(hash)?;
-            match self.read_at(loc) {
-                Ok(Some(b)) => return Some(Arc::new(b)),
-                Ok(None) => continue,
-                Err(_) => return None,
-            }
-        }
-        None
+        let loc = self.lookup(hash)?;
+        self.read_at(loc).ok().map(Arc::new)
     }
 }
 
@@ -356,15 +322,14 @@ impl BlockReader for SegmentReader {
 pub struct SegmentStore {
     dir: PathBuf,
     config: SegmentConfig,
-    /// Live segments in id order; the last one is the active (append)
-    /// segment. Ids need not be contiguous — compaction retires old ids and
-    /// packs survivors into fresh ones.
+    /// Live segments in id order (contiguous from 0); the last one is the
+    /// active (append) segment.
     infos: Vec<SegmentInfo>,
     /// Index, lazy-scan list and published read handles, shared with every
     /// [`SegmentReader`].
     shared: Arc<SegmentShared>,
     /// Writer-side copy of the live read handles, id-ascending; published
-    /// wholesale after every file-set change (roll, compaction).
+    /// wholesale after every rollover.
     files: Vec<(u32, Arc<File>)>,
     /// Open append handle for the active segment.
     writer: BufWriter<File>,
@@ -376,10 +341,6 @@ pub struct SegmentStore {
     bytes: u64,
     /// Manifest epoch currently on disk.
     epoch: u64,
-    /// Lifetime tombstone accounting: blocks dropped and bytes reclaimed
-    /// across every compaction pass since open.
-    total_dropped: u64,
-    total_reclaimed: u64,
     /// Frames staged by `put_staged` but not yet written to the active
     /// segment file, emitted with one vectored write by `flush_staged`.
     /// Their locations are assigned at stage time (segment accounting
@@ -411,25 +372,25 @@ impl SegmentStore {
     /// With a valid `MANIFEST`, only the active segment is scanned; sealed
     /// segments are verified to exist at their recorded length and indexed
     /// lazily on first read, and unlisted segment files (crash leftovers of
-    /// a rollover or compaction) are garbage-collected. Without a manifest
-    /// the directory is scanned in full — loudly rejecting gaps, torn
-    /// frames and corrupt blocks exactly as before manifests existed — and
-    /// a manifest is committed so the next open is cheap. A corrupt
-    /// manifest falls back to the full scan with a loud message and
-    /// deletes nothing.
+    /// a rollover) are garbage-collected. Without a manifest the directory
+    /// is scanned in full — loudly rejecting gaps, torn frames and corrupt
+    /// blocks exactly as before manifests existed — and a manifest is
+    /// committed so the next open is cheap. A corrupt
+    /// manifest falls back to the same full scan, gap check included, with
+    /// a loud message, and deletes nothing.
     pub fn open<P: AsRef<Path>>(dir: P, config: SegmentConfig) -> io::Result<Self> {
         let dir = dir.as_ref().to_path_buf();
         std::fs::create_dir_all(&dir)?;
         match read_manifest(&dir)? {
             ManifestState::Loaded(m) => Self::open_from_manifest(dir, config, m),
-            ManifestState::Absent => Self::open_by_scan(dir, config, false),
+            ManifestState::Absent => Self::open_by_scan(dir, config),
             ManifestState::Corrupt(msg) => {
                 eprintln!(
                     "ledger: segment MANIFEST in {} is corrupt ({msg}); \
                      falling back to a full directory scan",
                     dir.display()
                 );
-                Self::open_by_scan(dir, config, true)
+                Self::open_by_scan(dir, config)
             }
         }
     }
@@ -443,7 +404,7 @@ impl SegmentStore {
             .collect();
         entries.sort_by_key(|e| e.id);
         // Anything seg-owned the manifest does not list is a dead crash
-        // leftover: a rollover or compaction that wrote files but never
+        // leftover: a rollover that created its file but never
         // committed. Deleting it is the whole point of the manifest — the
         // alternative is replaying orphans as if they were history.
         let live: HashSet<String> = entries.iter().map(|e| segment_name(e.id)).collect();
@@ -490,7 +451,7 @@ impl SegmentStore {
             bytes += e.len;
         }
         // The active segment may have grown past its manifest entry (the
-        // manifest is committed on rollover/compaction and every
+        // manifest is committed on rollover and every
         // `commit_stride` bytes of growth). The committed prefix is trusted
         // like a sealed segment — present at at least the recorded length,
         // indexed lazily — and only the delta past it is scanned eagerly:
@@ -545,8 +506,6 @@ impl SegmentStore {
             bytes,
             epoch: m.epoch,
             committed_len: active_entry.len,
-            total_dropped: 0,
-            total_reclaimed: 0,
             pending: FrameBatch::new(),
             pending_locs: Vec::new(),
             pending_arcs: HashMap::new(),
@@ -578,11 +537,10 @@ impl SegmentStore {
     }
 
     /// Open by scanning every segment file, then commit a manifest so the
-    /// next open is O(window). `allow_gaps` is the corrupt-manifest
-    /// fallback: a compacted store legitimately has non-contiguous ids, so
-    /// the gap check (which guards *pre-manifest* stores, where a gap means
-    /// lost data) must not fire there.
-    fn open_by_scan(dir: PathBuf, config: SegmentConfig, allow_gaps: bool) -> io::Result<Self> {
+    /// next open is O(window). Segment ids are only ever assigned by the
+    /// fresh store and by rollover, so a gap in the sequence is lost data
+    /// and fails the open.
+    fn open_by_scan(dir: PathBuf, config: SegmentConfig) -> io::Result<Self> {
         let mut ids: Vec<u32> = Vec::new();
         for entry in std::fs::read_dir(&dir)? {
             let name = entry?.file_name();
@@ -601,17 +559,15 @@ impl SegmentStore {
             }
         }
         ids.sort_unstable();
-        if !allow_gaps {
-            if let Some(&max) = ids.last() {
-                if ids.len() as u64 != u64::from(max) + 1 {
-                    return Err(io::Error::new(
-                        io::ErrorKind::InvalidData,
-                        format!(
-                            "segment sequence has gaps: found {} files up to seg-{max:05}",
-                            ids.len()
-                        ),
-                    ));
-                }
+        if let Some(&max) = ids.last() {
+            if ids.len() as u64 != u64::from(max) + 1 {
+                return Err(io::Error::new(
+                    io::ErrorKind::InvalidData,
+                    format!(
+                        "segment sequence has gaps: found {} files up to seg-{max:05}",
+                        ids.len()
+                    ),
+                ));
             }
         }
         if ids.is_empty() {
@@ -642,8 +598,6 @@ impl SegmentStore {
             bytes,
             epoch: 0,
             committed_len: 0,
-            total_dropped: 0,
-            total_reclaimed: 0,
             pending: FrameBatch::new(),
             pending_locs: Vec::new(),
             pending_arcs: HashMap::new(),
@@ -676,8 +630,6 @@ impl SegmentStore {
             bytes: header_len,
             epoch,
             committed_len: header_len,
-            total_dropped: 0,
-            total_reclaimed: 0,
             pending: FrameBatch::new(),
             pending_locs: Vec::new(),
             pending_arcs: HashMap::new(),
@@ -934,7 +886,7 @@ impl SegmentStore {
         self.shared.unindexed.lock().expect("unindexed poisoned").len()
     }
 
-    /// Current manifest epoch (bumps on rollover and compaction).
+    /// Current manifest epoch (bumps on rollover and growth commits).
     pub fn epoch(&self) -> u64 {
         self.epoch
     }
@@ -942,286 +894,6 @@ impl SegmentStore {
     /// The store's directory.
     pub fn dir(&self) -> &Path {
         &self.dir
-    }
-
-    /// Lifetime tombstone totals: `(blocks dropped, bytes reclaimed)`
-    /// across every [`SegmentStore::compact`] pass since open.
-    pub fn compaction_totals(&self) -> (u64, u64) {
-        (self.total_dropped, self.total_reclaimed)
-    }
-
-    /// Whether `block` survives compaction against `cp`: at or below the
-    /// checkpoint only the canonical-final set survives; above it, a block
-    /// survives iff its ancestry reaches the checkpoint block. `memo`
-    /// caches the above-checkpoint reachability verdicts.
-    fn retained(
-        &self,
-        block: &Block,
-        cp: &Checkpoint,
-        canonical_final: &HashMap<u64, BlockHash>,
-        memo: &mut HashMap<BlockHash, bool>,
-    ) -> bool {
-        let h = block.header.height;
-        if h <= cp.height {
-            return canonical_final.get(&h) == Some(&block.hash());
-        }
-        let mut path: Vec<BlockHash> = Vec::new();
-        let mut hash = block.hash();
-        let mut height = h;
-        let mut prev = block.header.prev;
-        let verdict = loop {
-            if let Some(&v) = memo.get(&hash) {
-                break v;
-            }
-            path.push(hash);
-            if height == cp.height + 1 {
-                break prev == cp.hash;
-            }
-            match self.get(&prev) {
-                // Parent already dropped (earlier pass) or never stored:
-                // the branch cannot reach the checkpoint.
-                None => break false,
-                Some(p) => {
-                    hash = prev;
-                    height = p.header.height;
-                    prev = p.header.prev;
-                }
-            }
-        };
-        for visited in path {
-            memo.insert(visited, verdict);
-        }
-        verdict
-    }
-
-    /// Drop blocks on pruned forks, keyed off the finality checkpoint `cp`.
-    ///
-    /// Compaction is an *epoch bump*. Pass 1 (read-only, so parent walks
-    /// still see every block): scan every live segment — the active one
-    /// included — and decide, frame by frame, whether the block survives:
-    /// it must be canonical at or below the checkpoint, or descend from the
-    /// checkpoint block. Compacting the active segment matters for
-    /// correctness, not just space: dropping a sealed fork parent while its
-    /// child lingered in an exempt active segment would orphan the child,
-    /// and a later [`crate::chain::Chain::replay`] of the store would fail
-    /// on the dangling parent reference. Pass 2: survivors of the segments
-    /// that lost blocks are *streamed into packed segments under fresh
-    /// ids* (clean segments keep their files untouched), a fresh empty
-    /// active segment is created, and a manifest listing exactly the clean
-    /// + packed + active files is committed under the next epoch; only then
-    /// are the dirty old files unlinked. A crash before the commit leaves
-    /// the new files as unlisted strays (GC'd on open, old epoch intact); a
-    /// crash after it leaves the old dirty files as the strays — either
-    /// way nothing is lost and nothing is replayed twice. A pass that drops
-    /// nothing commits nothing — compaction is idempotent and only bumps
-    /// the epoch when the file set actually changes.
-    pub fn compact(&mut self, cp: &Checkpoint) -> io::Result<CompactionStats> {
-        // Staged frames must be on disk before the keep/drop walk: the
-        // survivor copy reads frames from segment files, not memory.
-        self.emit_pending()?;
-        self.writer.flush()?;
-        // The keep/drop walk and the index repoint need every block
-        // addressable, so finish any lazy indexing up front — loudly.
-        self.shared.ensure_all_indexed()?;
-        let mut stats = CompactionStats::default();
-        let cp_block = self.get(&cp.hash).ok_or_else(|| {
-            io::Error::new(
-                io::ErrorKind::InvalidInput,
-                format!("checkpoint block {} not in store", cp.hash),
-            )
-        })?;
-        if cp_block.header.height != cp.height {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidInput,
-                format!(
-                    "checkpoint height {} does not match stored block height {}",
-                    cp.height, cp_block.header.height
-                ),
-            ));
-        }
-        // The canonical-final set: checkpoint back to genesis, by height.
-        let mut canonical_final: HashMap<u64, BlockHash> = HashMap::new();
-        let mut cur = cp_block;
-        loop {
-            canonical_final.insert(cur.header.height, cur.hash());
-            if cur.header.height == 0 {
-                break;
-            }
-            let parent = self.get(&cur.header.prev).ok_or_else(|| {
-                io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    format!("canonical ancestor {} missing from store", cur.header.prev),
-                )
-            })?;
-            cur = parent;
-        }
-        // Pass 1: per live segment, the keep/drop verdict per frame.
-        // Appends flush before returning, so the active file is complete
-        // on disk.
-        let mut memo: HashMap<BlockHash, bool> = HashMap::new();
-        let mut verdicts: Vec<(u32, Vec<(BlockHash, u64, bool)>)> =
-            Vec::with_capacity(self.infos.len());
-        for info in &self.infos {
-            let mut reader = BufReader::new(File::open(segment_path(&self.dir, info.id))?);
-            let mut header = [0u8; SegmentHeader::ENCODED_LEN];
-            reader.read_exact(&mut header)?;
-            let mut seg = Vec::new();
-            while let Some(body) = read_frame_from(&mut reader)? {
-                let block = Block::from_wire(&body)
-                    .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
-                let keep = self.retained(&block, cp, &canonical_final, &mut memo);
-                seg.push((block.hash(), block.header.height, keep));
-            }
-            stats.segments_scanned += 1;
-            verdicts.push((info.id, seg));
-        }
-        let dirty: HashSet<u32> = verdicts
-            .iter()
-            .filter(|(_, seg)| seg.iter().any(|&(_, _, keep)| !keep))
-            .map(|&(id, _)| id)
-            .collect();
-        if dirty.is_empty() {
-            return Ok(stats);
-        }
-        // Pass 2: stream dirty segments' survivors into packed segments
-        // under fresh ids (resident memory stays one frame, not one
-        // segment), then a fresh empty active, then the commit.
-        let mut next_id = self.infos.last().expect("active segment").id + 1;
-        let first_packed_id = next_id;
-        let mut packed: Vec<SegmentInfo> = Vec::new();
-        let mut out: Option<BufWriter<File>> = None;
-        let mut moved: Vec<(BlockHash, BlockLocation)> = Vec::new();
-        let mut dropped: Vec<BlockHash> = Vec::new();
-        for (id, seg) in &verdicts {
-            if !dirty.contains(id) {
-                continue;
-            }
-            let mut reader = BufReader::new(File::open(segment_path(&self.dir, *id))?);
-            let mut header = [0u8; SegmentHeader::ENCODED_LEN];
-            reader.read_exact(&mut header)?;
-            let mut frame_idx = 0usize;
-            while let Some(body) = read_frame_from(&mut reader)? {
-                let (hash, height, keep) = seg[frame_idx];
-                frame_idx += 1;
-                if !keep {
-                    dropped.push(hash);
-                    continue;
-                }
-                let need = frame_len(body.len());
-                let must_roll = match packed.last() {
-                    Some(info) => {
-                        info.len + need > self.config.segment_bytes && info.blocks > 0
-                    }
-                    None => true,
-                };
-                if must_roll {
-                    if let Some(mut w) = out.take() {
-                        w.flush()?;
-                        w.get_ref().sync_all()?;
-                    }
-                    let header_len = Self::create_segment_file(&self.dir, next_id)?;
-                    out = Some(BufWriter::new(
-                        OpenOptions::new()
-                            .append(true)
-                            .open(segment_path(&self.dir, next_id))?,
-                    ));
-                    packed.push(SegmentInfo::empty(next_id, header_len));
-                    next_id += 1;
-                }
-                let info = packed.last_mut().expect("packed segment open");
-                moved.push((
-                    hash,
-                    BlockLocation {
-                        segment: info.id,
-                        offset: info.len + FRAME_OVERHEAD,
-                        len: body.len() as u32,
-                    },
-                ));
-                write_frame_to(out.as_mut().expect("packed writer open"), &body)?;
-                info.note(height, need);
-            }
-        }
-        if let Some(mut w) = out.take() {
-            w.flush()?;
-            w.get_ref().sync_all()?;
-        }
-        // Fresh empty active segment; open its append handle before the
-        // commit so the only step after the point of no return that can
-        // fail is the best-effort unlink.
-        let active_id = next_id;
-        let active_len = Self::create_segment_file(&self.dir, active_id)?;
-        let new_writer = BufWriter::new(
-            OpenOptions::new()
-                .append(true)
-                .open(segment_path(&self.dir, active_id))?,
-        );
-        let active_info = SegmentInfo::empty(active_id, active_len);
-        let mut new_infos: Vec<SegmentInfo> = self
-            .infos
-            .iter()
-            .filter(|i| !dirty.contains(&i.id))
-            .cloned()
-            .collect();
-        new_infos.extend(packed);
-        new_infos.push(active_info);
-        commit_manifest(
-            &self.dir,
-            &Manifest {
-                epoch: self.epoch + 1,
-                entries: new_infos.iter().map(|i| i.to_entry()).collect(),
-            },
-        )?;
-        // New read handles: surviving clean handles carry over, packed +
-        // active files get fresh ones. Opened before the unlink so every
-        // live id always has a handle.
-        let mut new_files: Vec<(u32, Arc<File>)> = self
-            .files
-            .iter()
-            .filter(|(id, _)| !dirty.contains(id))
-            .cloned()
-            .collect();
-        for info in new_infos.iter().filter(|i| i.id >= first_packed_id) {
-            new_files.push((info.id, Arc::new(File::open(segment_path(&self.dir, info.id))?)));
-        }
-        // Three-step reader handoff, so a concurrent reader can never
-        // resolve a location whose segment has no published handle:
-        // 1. publish the union (old dirty handles still present — their fds
-        //    pin the inodes through the unlink below);
-        // 2. repoint the index at the packed locations;
-        // 3. publish the final set. A reader that raced step 2 with an old
-        //    location reads the pinned old inode; one that loads the final
-        //    set re-resolves and finds the packed location.
-        let mut union_files = new_files.clone();
-        for pair in self.files.iter().filter(|(id, _)| dirty.contains(id)) {
-            union_files.push(pair.clone());
-        }
-        union_files.sort_by_key(|&(id, _)| id);
-        self.shared.files.store(Arc::new(union_files));
-        // Committed: the dirty old files are dead. A failed unlink just
-        // leaves a stray the next open's GC removes.
-        for id in &dirty {
-            let _ = std::fs::remove_file(segment_path(&self.dir, *id));
-        }
-        for hash in &dropped {
-            self.shared.index_remove(hash);
-        }
-        for (hash, loc) in &moved {
-            self.shared.index_insert(*hash, *loc);
-        }
-        let bytes_before = self.bytes;
-        self.bytes = new_infos.iter().map(|i| i.len).sum();
-        self.infos = new_infos;
-        self.epoch += 1;
-        self.writer = new_writer;
-        self.committed_len = active_len;
-        self.files = new_files;
-        self.publish_files();
-        stats.segments_rewritten = dirty.len() as u32;
-        stats.blocks_dropped = dropped.len() as u64;
-        stats.bytes_reclaimed = bytes_before.saturating_sub(self.bytes);
-        self.total_dropped += stats.blocks_dropped;
-        self.total_reclaimed += stats.bytes_reclaimed;
-        Ok(stats)
     }
 }
 
@@ -1345,10 +1017,6 @@ impl BlockStore for SegmentStore {
 
     fn resident_blocks(&self) -> usize {
         0 // cold tier holds no decoded blocks in memory
-    }
-
-    fn compact(&mut self, checkpoint: &Checkpoint) -> io::Result<CompactionStats> {
-        SegmentStore::compact(self, checkpoint)
     }
 
     fn scan(&self, visit: &mut dyn FnMut(Arc<Block>)) -> io::Result<()> {
@@ -1620,17 +1288,6 @@ impl BlockStore for TieredStore {
         self.hot.cache.remove(hash);
     }
 
-    fn compact(&mut self, checkpoint: &Checkpoint) -> io::Result<CompactionStats> {
-        let stats = self.cold.compact(checkpoint)?;
-        if stats.blocks_dropped > 0 {
-            // Purge hot copies of dropped blocks so `get` cannot resurrect
-            // a block the cold tier no longer holds.
-            let cold = &self.cold;
-            self.hot.cache.retain(|key| cold.contains(key));
-        }
-        Ok(stats)
-    }
-
     fn reader(&self) -> Option<Arc<dyn BlockReader>> {
         Some(Arc::new(self.tiered_reader()))
     }
@@ -1756,8 +1413,9 @@ mod tests {
             let mut s = SegmentStore::open(&dir, SegmentConfig { segment_bytes: 512 }).unwrap();
             s.put_batch(blocks.clone()).unwrap();
         }
-        // Crash leftovers: an orphan segment beyond the manifest and an
-        // old-style compaction temp. Neither is listed, so both must go.
+        // Crash leftovers: an orphan segment beyond the manifest and a
+        // segment temp an older build could leave. Neither is listed, so
+        // both must go.
         std::fs::write(segment_path(&dir, 999), b"orphan").unwrap();
         std::fs::write(dir.join("seg-00000.blk.tmp"), b"tmp").unwrap();
         let s = SegmentStore::open(&dir, SegmentConfig { segment_bytes: 512 }).unwrap();
@@ -2115,95 +1773,6 @@ mod tests {
     }
 
     #[test]
-    fn compact_drops_only_unreachable_blocks_and_updates_accounting() {
-        use crate::block::Checkpoint;
-        // Two branches off genesis-like roots: chain A (canonical) and a
-        // rival chain B sharing no blocks. Checkpoint on A at height 2.
-        let dir = temp_dir("compact");
-        let mut s = SegmentStore::open(&dir, SegmentConfig { segment_bytes: 256 }).unwrap();
-        let a = chain_blocks(5);
-        // Rival branch forking off a[0].
-        let mut b = Vec::new();
-        let mut parent = a[0].hash();
-        for i in 0..4u64 {
-            let blk = Block::assemble(
-                i + 1,
-                parent,
-                5_000 + i,
-                AccountId::from_name("rival"),
-                0,
-                vec![Transaction::new(
-                    AccountId::from_name("r"),
-                    i,
-                    i,
-                    2,
-                    vec![0xEE; 64],
-                )],
-            );
-            parent = blk.hash();
-            b.push(blk);
-        }
-        for blk in a.iter().chain(b.iter()) {
-            s.put(blk.clone()).unwrap();
-        }
-        assert!(s.segment_count() > 2, "need several sealed segments");
-        let bytes_before = s.stored_bytes();
-        let epoch_before = s.epoch();
-        let cp = Checkpoint {
-            height: 2,
-            hash: a[2].hash(),
-        };
-        let stats = s.compact(&cp).unwrap();
-        // Everything on the rival branch is gone — below-or-at the
-        // checkpoint because it is not canonical-final, above it because
-        // its ancestry cannot reach the checkpoint block. The active
-        // segment is compacted too: a surviving rival child there would
-        // dangle once its sealed parent was dropped.
-        for blk in &b {
-            assert!(!s.contains(&blk.hash()), "rival block survived compaction");
-        }
-        // The canonical chain survives in full.
-        for blk in &a {
-            assert_eq!(s.get(&blk.hash()).as_deref(), Some(blk));
-        }
-        assert_eq!(stats.blocks_dropped, b.len() as u64);
-        assert!(stats.segments_rewritten > 0);
-        assert_eq!(s.stored_bytes(), bytes_before - stats.bytes_reclaimed);
-        assert_eq!(
-            s.compaction_totals(),
-            (stats.blocks_dropped, stats.bytes_reclaimed)
-        );
-        assert!(s.epoch() > epoch_before, "compaction is an epoch bump");
-        // A second pass reclaims nothing and does not bump the epoch —
-        // compaction is idempotent.
-        let epoch_after = s.epoch();
-        let again = s.compact(&cp).unwrap();
-        assert_eq!(again.blocks_dropped, 0);
-        assert_eq!(again.segments_rewritten, 0);
-        assert_eq!(s.epoch(), epoch_after);
-        // Appends keep working through the fresh active segment.
-        let tail = Block::assemble(
-            5,
-            a[4].hash(),
-            9_000,
-            AccountId::from_name("p"),
-            0,
-            vec![],
-        );
-        s.put(tail.clone()).unwrap();
-        assert_eq!(s.get(&tail.hash()).as_deref(), Some(&tail));
-        // Reopen: the new epoch's file set (non-contiguous ids included)
-        // loads cleanly and serves every survivor.
-        drop(s);
-        let s = SegmentStore::open(&dir, SegmentConfig { segment_bytes: 256 }).unwrap();
-        for blk in &a {
-            assert_eq!(s.get(&blk.hash()).as_deref(), Some(blk));
-        }
-        assert_eq!(s.get(&tail.hash()).as_deref(), Some(&tail));
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
     fn corrupt_segment_rejected_on_reopen() {
         let dir = temp_dir("corrupt");
         {
@@ -2224,7 +1793,7 @@ mod tests {
     }
 
     #[test]
-    fn tiered_reader_serves_during_writes_and_compaction() {
+    fn tiered_reader_serves_during_writes() {
         let dir = temp_dir("tiered-rw");
         let blocks = chain_blocks(60);
         let mut s = TieredStore::open(
@@ -2260,21 +1829,16 @@ mod tests {
             })
             .collect();
 
-        // Writer keeps appending and then compacts while readers sweep.
+        // Writer keeps appending (rolling segments) while readers sweep.
         for b in &blocks[30..] {
             s.put(b.clone()).unwrap();
         }
-        let checkpoint = Checkpoint {
-            height: 40,
-            hash: hashes[40],
-        };
-        s.compact(&checkpoint).unwrap();
         stop.store(true, Ordering::Relaxed);
         for t in threads {
             t.join().unwrap();
         }
-        // Post-compaction the reader still resolves every surviving block.
-        for b in &blocks[40..] {
+        // The reader resolves the blocks appended after it was handed out.
+        for b in &blocks[30..] {
             assert_eq!(*reader.get(&b.hash()).unwrap(), *b);
         }
         std::fs::remove_dir_all(&dir).unwrap();

@@ -1,22 +1,9 @@
 //! Pluggable block storage: in-memory, and (in [`crate::segment`]) tiered
 //! segment storage with a bounded hot set.
 
-use crate::block::{Block, BlockHash, Checkpoint};
+use crate::block::{Block, BlockHash};
 use std::collections::HashMap;
 use std::sync::{Arc, RwLock};
-
-/// What one compaction pass reclaimed (tombstone accounting, E3).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct CompactionStats {
-    /// Sealed segments examined.
-    pub segments_scanned: u32,
-    /// Sealed segments rewritten without their dropped blocks.
-    pub segments_rewritten: u32,
-    /// Stale-fork blocks dropped.
-    pub blocks_dropped: u64,
-    /// Bytes returned to the filesystem.
-    pub bytes_reclaimed: u64,
-}
 
 /// A concurrent, read-only view of a block store.
 ///
@@ -91,15 +78,6 @@ pub trait BlockStore: Send {
     /// memory *is* the only tier ignore the hint — dropping the block would
     /// lose it.
     fn demote(&mut self, _hash: &BlockHash) {}
-
-    /// Reclaim storage held by blocks on forks pruned by the finality
-    /// `checkpoint`: a block survives iff it lies on the canonical chain at
-    /// or below the checkpoint, or descends from the checkpoint block.
-    /// Stores without a reclaimable layout (in-memory) keep
-    /// everything and report nothing reclaimed.
-    fn compact(&mut self, _checkpoint: &Checkpoint) -> std::io::Result<CompactionStats> {
-        Ok(CompactionStats::default())
-    }
 
     /// Visit every stored block, parents before children.
     ///

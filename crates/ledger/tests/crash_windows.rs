@@ -2,9 +2,9 @@
 //! the states a crash can actually leave behind.
 //!
 //! The windows simulated here:
-//! * a crash on *either side* of `SegmentStore::compact`'s single MANIFEST
-//!   commit — before it the packed segments are unlisted strays (GC'd, old
-//!   data replays), after it the superseded segments are the strays;
+//! * a restart over the fork residue every append-only store carries (a
+//!   stale rival beside every canonical block, never removed): replay with
+//!   and without the index reproduces the live chain;
 //! * a crash between the MANIFEST temp write and its rename (stray
 //!   `MANIFEST.tmp` beside a live MANIFEST);
 //! * a stale MANIFEST beside newer orphan segments (must GC them, not
@@ -26,7 +26,7 @@ use blockprov_ledger::index::{TxIndex, TxIndexConfig};
 use blockprov_ledger::meta::{MetaConfig, MetaStore};
 use blockprov_ledger::segment::{SegmentConfig, SegmentStore, TieredConfig, TieredStore};
 use blockprov_ledger::store::BlockStore;
-use blockprov_ledger::tx::{AccountId, Transaction};
+use blockprov_ledger::tx::{AccountId, Transaction, TxId};
 use std::io::Write;
 use std::path::{Path, PathBuf};
 
@@ -103,13 +103,18 @@ fn small_meta(dir: &Path) -> MetaStore {
     .unwrap()
 }
 
-/// Grow a finality chain with a stale fork beside every canonical block.
-fn build_forky_segments(dir: &Path) -> (BlockHash, u64) {
-    let config = ChainConfig {
+fn forky_config() -> ChainConfig {
+    ChainConfig {
         finality_depth: Some(2),
         ..ChainConfig::default()
-    };
-    let mut chain = Chain::with_store(tiered(dir), config);
+    }
+}
+
+/// Append 20 canonical blocks, each followed by an equal-work rival at the
+/// same height that loses the tie and stays a stale fork; returns the
+/// rivals' hashes.
+fn grow_forky(chain: &mut Chain) -> Vec<BlockHash> {
+    let mut rivals = Vec::new();
     for i in 0..20u64 {
         let parent = chain.tip();
         let height = chain.height() + 1;
@@ -124,9 +129,40 @@ fn build_forky_segments(dir: &Path) -> (BlockHash, u64) {
             0,
             vec![tx("rival", i)],
         );
+        rivals.push(rival.hash());
         chain.append(rival).unwrap();
     }
+    rivals
+}
+
+/// Grow a finality chain with a stale fork beside every canonical block.
+fn build_forky_segments(dir: &Path) -> (BlockHash, u64) {
+    let mut chain = Chain::with_store(tiered(dir), forky_config());
+    grow_forky(&mut chain);
     (chain.tip(), chain.height())
+}
+
+/// What a restart must reproduce of a chain: tip, height, canonical
+/// hashes, index consistency and the two-tier secondary queries.
+type Observed = (
+    BlockHash,
+    u64,
+    Vec<BlockHash>,
+    bool,
+    Vec<TxId>,
+    Vec<TxId>,
+);
+
+fn observe(chain: &Chain) -> Observed {
+    chain.verify_integrity().unwrap();
+    (
+        chain.tip(),
+        chain.height(),
+        chain.canonical_hashes().collect(),
+        chain.index_consistent(),
+        chain.txs_by_author(&AccountId::from_name("a")),
+        chain.txs_by_kind(1),
+    )
 }
 
 /// File names present in `dir`.
@@ -138,85 +174,32 @@ fn names_in(dir: &Path) -> std::collections::BTreeSet<String> {
 }
 
 #[test]
-fn crash_around_compaction_manifest_commit_reopens_consistently() {
-    let dir = temp_dir("compact-epoch");
-    let (tip, height) = build_forky_segments(&dir);
-
-    // `full` is the completed post-compaction state. A compaction's only
-    // commit point is one atomic MANIFEST replace: everything before it is
-    // unlisted packed segments, everything after it is unlisted superseded
-    // segments. Reconstruct both sides of that window from the before/after
-    // directory listings.
-    let full = temp_dir("compact-epoch-full");
-    copy_dir(&dir, &full);
-    let full_stats = {
-        let config = ChainConfig {
-            finality_depth: Some(2),
-            ..ChainConfig::default()
-        };
-        let mut chain = Chain::replay(tiered(&full), config).unwrap();
-        chain.compact().unwrap()
+fn replay_over_fork_residue_reproduces_tip_and_indexes() {
+    // Segments are never rewritten, so every stale rival stays on disk
+    // beside its canonical sibling across many 512-byte segments — the
+    // state every production data directory is in.
+    let dir = temp_dir("fork-residue");
+    let (blocks, txindex) = (dir.join("blocks"), dir.join("txindex"));
+    let expected = {
+        let mut chain =
+            Chain::with_store_and_index(tiered(&blocks), small_index(&txindex), forky_config());
+        let rivals = grow_forky(&mut chain);
+        assert!(chain.finalized_height() > 2, "finality must pass fork heights");
+        assert!(
+            rivals.iter().all(|h| chain.block(h).is_some()),
+            "finalized-away forks stay in the store"
+        );
+        observe(&chain)
     };
-    assert!(full_stats.segments_rewritten >= 2, "need a multi-segment rewrite");
-    let before = names_in(&dir);
-    let after = names_in(&full);
-    let packed: Vec<_> = after.difference(&before).cloned().collect();
-    let superseded: Vec<_> = before.difference(&after).cloned().collect();
-    assert!(!packed.is_empty(), "compaction writes packed segments at fresh ids");
-    assert!(!superseded.is_empty(), "compaction unlinks the rewritten segments");
-
-    // Window A: died after writing the packed segments, before the MANIFEST
-    // commit. Old MANIFEST is live; the packed files are strays.
-    let crash_a = temp_dir("compact-epoch-a");
-    copy_dir(&dir, &crash_a);
-    for name in &packed {
-        std::fs::copy(full.join(name), crash_a.join(name)).unwrap();
-    }
-    {
-        let config = ChainConfig {
-            finality_depth: Some(2),
-            ..ChainConfig::default()
-        };
-        let mut chain = Chain::replay(tiered(&crash_a), config).unwrap();
-        for name in &packed {
-            assert!(!crash_a.join(name).exists(), "stray packed segment {name} must be GC'd");
-        }
-        assert_eq!(chain.tip(), tip);
-        assert_eq!(chain.height(), height);
-        chain.verify_integrity().unwrap();
-        assert!(chain.index_consistent());
-        // Nothing was lost, so re-running the compaction still reclaims.
-        let second = chain.compact().unwrap();
-        assert!(second.blocks_dropped > 0, "stale forks still present pre-commit");
-        chain.verify_integrity().unwrap();
-    }
-
-    // Window B: died after the MANIFEST commit, before unlinking the
-    // superseded segments. New MANIFEST is live; the old files are strays.
-    let crash_b = temp_dir("compact-epoch-b");
-    copy_dir(&dir, &crash_b);
-    copy_dir(&full, &crash_b); // new MANIFEST + packed files atop the old set
-    {
-        let config = ChainConfig {
-            finality_depth: Some(2),
-            ..ChainConfig::default()
-        };
-        let mut chain = Chain::replay(tiered(&crash_b), config).unwrap();
-        for name in &superseded {
-            assert!(!crash_b.join(name).exists(), "superseded segment {name} must be GC'd");
-        }
-        assert_eq!(chain.tip(), tip);
-        assert_eq!(chain.height(), height);
-        chain.verify_integrity().unwrap();
-        assert!(chain.index_consistent());
-        // The compaction DID commit: a second pass finds nothing to drop.
-        let second = chain.compact().unwrap();
-        assert_eq!(second.blocks_dropped, 0, "post-commit state is already compact");
-    }
-
-    for d in [&dir, &full, &crash_a, &crash_b] {
-        std::fs::remove_dir_all(d).unwrap();
-    }
+    assert!(expected.3, "live chain indexes consistent");
+    let replayed = Chain::replay(tiered(&blocks), forky_config()).unwrap();
+    assert_eq!(observe(&replayed), expected, "replay over the store alone");
+    drop(replayed);
+    let replayed =
+        Chain::replay_with_index(tiered(&blocks), small_index(&txindex), forky_config()).unwrap();
+    assert_eq!(observe(&replayed), expected, "replay over store and index");
+    drop(replayed);
+    std::fs::remove_dir_all(&dir).unwrap();
 }
 
 #[test]
@@ -312,6 +295,16 @@ fn corrupt_manifest_falls_back_to_full_scan() {
         store.unindexed_segments(),
         store.segment_count() as usize,
         "manifest-driven reopen defers sealed segments and the active committed prefix"
+    );
+    drop(store);
+    // Segment ids come only from the fresh store and rollover, so a gap
+    // under a corrupt manifest is lost data: the fallback scan rejects it.
+    std::fs::write(dir.join("MANIFEST"), b"\xDE\xAD\xBE\xEFnot a manifest").unwrap();
+    std::fs::remove_file(dir.join("seg-00001.blk")).unwrap();
+    let err = SegmentStore::open(&dir, SegmentConfig { segment_bytes: 512 }).unwrap_err();
+    assert!(
+        err.to_string().contains("segment sequence has gaps"),
+        "unexpected error: {err}"
     );
     std::fs::remove_dir_all(&dir).unwrap();
 }

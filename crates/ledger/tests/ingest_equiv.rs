@@ -328,7 +328,6 @@ fn batched_ingest_equals_sequential_at_fixed_batch_sizes() {
                         partitions: 2,
                         page_entries: 4,
                         cached_pages: 4,
-                        merge_threshold: 4,
                     },
                 )
                 .expect("open tx index");
@@ -398,7 +397,6 @@ proptest! {
                         partitions: 2,
                         page_entries: 4,
                         cached_pages: 4,
-                        merge_threshold: 4,
                     },
                 )
                 .expect("open tx index");

@@ -5,9 +5,8 @@
 //! depth must keep resident `meta`/`canonical`/`next_nonce`/`undo` entries
 //! O(finality window + live forks) — not O(history) — while the two-tier
 //! `hash_at` / `next_nonce_for` / tx queries match a from-scratch rebuild,
-//! a restart fast-starts from the snapshot without re-absorbing finalized
-//! history, and forced LSM page merging collapses every index partition to
-//! one page without changing a single query result.
+//! and a restart fast-starts from the snapshot without re-absorbing
+//! finalized history or changing a single query result.
 //!
 //! A second input holds the same checks over 1,000 distinct authors with a
 //! snapshot written at every finality advance: the per-author nonce floors
@@ -201,7 +200,7 @@ fn run(case: &Case) {
     let tip = chain.tip();
     chain.sync_meta().unwrap();
     drop(chain);
-    let mut chain = Chain::replay_with_tiers(store(&dir), Some(index(&dir)), meta(&dir, case), config())
+    let chain = Chain::replay_with_tiers(store(&dir), Some(index(&dir)), meta(&dir, case), config())
         .expect("fast start");
     assert_eq!(chain.tip(), tip);
     assert_eq!(chain.height(), blocks);
@@ -219,21 +218,6 @@ fn run(case: &Case) {
         assert_eq!(chain.txs_by_author(&author), by_author[&author]);
     }
 
-    // Forced LSM merge: every partition collapses to one durable page and
-    // query results stay byte-identical.
-    let pages_before = chain.tx_index().unwrap().page_count();
-    let stats = chain.merge_index_pages(2).unwrap();
-    assert!(stats.partitions_merged > 0, "{pages_before} pages should merge");
-    assert!(
-        chain
-            .tx_index()
-            .unwrap()
-            .partition_page_counts()
-            .iter()
-            .all(|&n| n == 1),
-        "per-partition page counts must drop to 1, got {:?}",
-        chain.tx_index().unwrap().partition_page_counts()
-    );
     for id in all_ids.iter().step_by(97) {
         assert_eq!(chain.tx_by_id(id), tx_loc.get(id).copied());
     }

@@ -60,7 +60,6 @@ fn tiered_chain(dir: &std::path::Path) -> Chain {
             partitions: 2,
             page_entries: 4,
             cached_pages: 4,
-            merge_threshold: 4,
         },
     )
     .expect("open tx index");
@@ -191,7 +190,7 @@ fn stress(n_readers: usize, ops: usize, seed: u64) {
         let parent = pool[(rng.next() as usize) % pool.len()];
         let Some(parent_block) = chain.block(&parent) else {
             i += 1;
-            continue; // parent pruned by finality/compaction
+            continue; // parent pruned by finality
         };
         let block = assemble_child(&mut rng, &parent_block, parent, i);
         match chain.append(block) {

@@ -179,7 +179,7 @@ fn tiers(dir: &Path, case: u64) -> Chain {
     .expect("open tiered store");
     let index = TxIndex::open(
         dir.join("txindex"),
-        TxIndexConfig { partitions: 2, page_entries: 4, cached_pages: 4, merge_threshold: 4 },
+        TxIndexConfig { partitions: 2, page_entries: 4, cached_pages: 4 },
     )
     .expect("open tx index");
     let meta = MetaStore::open(
@@ -259,7 +259,7 @@ proptest! {
                 let parent = pool[op.parent_sel as usize % pool.len()];
                 let parent_block = match chain.block(&parent) {
                     Some(b) => b,
-                    None => continue, // pruned by finality/compaction — skip
+                    None => continue, // pruned by finality — skip
                 };
                 let author = Acct::from_name(match op.author_sel % 3 {
                     0 => "alice",
@@ -299,26 +299,25 @@ proptest! {
                     Err(e) => prop_assert!(false, "unexpected validation error: {}", e),
                 }
             }
-            // Merge the index pages; every query must be unchanged.
+            // Final restart lands in the same state; every query must be
+            // unchanged across it.
             let authors = ["alice", "bob", "carol"].map(Acct::from_name);
             let by_author_before: Vec<_> =
                 authors.iter().map(|a| chain.txs_by_author(a)).collect();
             let by_kind_before: Vec<_> = (0..2u16).map(|k| chain.txs_by_kind(k)).collect();
-            chain.merge_index_pages(2).expect("merge");
-            for (a, before) in authors.iter().zip(&by_author_before) {
-                prop_assert_eq!(&chain.txs_by_author(a), before, "by_author changed over merge");
-            }
-            for (k, before) in (0..2u16).zip(&by_kind_before) {
-                prop_assert_eq!(&chain.txs_by_kind(k), before, "by_kind changed over merge");
-            }
             assert_two_tier_matches(&chain)?;
-            // Final restart lands in the same state.
             let tip = chain.tip();
             let height = chain.height();
             drop(chain);
             let chain = tiers(&dir, case);
             prop_assert_eq!(chain.tip(), tip);
             prop_assert_eq!(chain.height(), height);
+            for (a, before) in authors.iter().zip(&by_author_before) {
+                prop_assert_eq!(&chain.txs_by_author(a), before, "by_author changed over restart");
+            }
+            for (k, before) in (0..2u16).zip(&by_kind_before) {
+                prop_assert_eq!(&chain.txs_by_kind(k), before, "by_kind changed over restart");
+            }
             assert_two_tier_matches(&chain)?;
             prop_assert!(chain.verify_integrity().is_ok());
             Ok(())

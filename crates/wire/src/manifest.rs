@@ -7,11 +7,11 @@
 //! tier directory may hold a `MANIFEST` whose entries name the live files
 //! (segments, index pages, height-map pages) with per-file *height
 //! fences* and byte lengths, under a monotonically
-//! increasing *epoch*. Compaction then becomes an epoch bump — write new
-//! files, commit a manifest listing only them, delete the old ones — and
-//! a crash at any point between those steps loses nothing, because only
-//! manifest-listed files are live and stray files are garbage-collected
-//! on open.
+//! increasing *epoch*. The tiers are append-only, so an epoch bump only
+//! ever adds a file (a rollover) or records growth; a crash between
+//! creating a file and committing the manifest that lists it loses
+//! nothing, because only manifest-listed files are live and stray files
+//! are garbage-collected on open.
 //!
 //! This module is the wire format only: the magic, the entry layout and
 //! the whole-file codec. The commit protocol (temp + rename, epoch

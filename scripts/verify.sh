@@ -8,7 +8,7 @@
 # compiles every criterion bench target so a bench-only breakage cannot
 # slip past review, and smoke-runs
 # the ledger_scale bench (the tiered-storage + spilled-index +
-# metadata-tier + ingest-scaling + compaction harness) so the scale
+# metadata-tier + ingest-scaling harness) so the scale
 # measurement path cannot silently rot either. The smoke run writes the
 # machine-readable perf artifact BENCH_ledger_scale.json at the repo root
 # (append blk/s per backend, blk/s per ingest thread count, resident
@@ -68,10 +68,10 @@ fi
 
 echo "== bench smoke: cargo bench -p blockprov-bench --bench ledger_scale -- lookup =="
 # The filter trims the timing loops to the lookup groups; the one-shot
-# append/cold-start/ingest-scaling/compaction measurements always run,
+# append/cold-start/ingest-scaling measurements always run,
 # which is the point — they exercise the 100k-block tiered, spilled-index,
 # metadata-tier (snapshot fast-start vs full replay), batched-ingest,
-# group-commit batch-size sweep and compaction paths. INGEST_SCALE_BLOCKS
+# and group-commit batch-size sweep paths. INGEST_SCALE_BLOCKS
 # and BATCH_COMMIT_BLOCKS trim the per-thread-count and per-batch-size
 # streams to smoke length; COLD_START_BLOCKS=10000 trims the cold-start
 # sweep to its first point (the full 10k/50k/100k curve belongs to real
