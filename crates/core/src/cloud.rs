@@ -11,7 +11,8 @@
 //! against the block header without trusting the auditor.
 
 use crate::config::LedgerConfig;
-use crate::ledger::{CoreError, ProvenanceLedger, RecordProof};
+use crate::ledger::{CoreError, ProvenanceLedger};
+use crate::RecordProof;
 use blockprov_ledger::tx::AccountId;
 use blockprov_provenance::model::{Action, RecordId};
 use blockprov_provenance::query::ProvQuery;

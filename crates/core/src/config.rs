@@ -1,6 +1,6 @@
 //! Ledger configuration: the §6.1 design axes as one value.
 
-use blockprov_ledger::chain::SignaturePolicy;
+use blockprov_ledger::chain::{ChainConfig, SignaturePolicy};
 use blockprov_ledger::tx::AccountId;
 use blockprov_provenance::{CapturePathway, Domain};
 
@@ -169,6 +169,22 @@ impl LedgerConfig {
     pub fn with_ingest_threads(mut self, threads: usize) -> Self {
         self.ingest_threads = threads;
         self
+    }
+
+    /// The chain-level validation parameters this config implies: what a
+    /// [`crate::ProvenanceLedger`] opens its chain with, and what anything
+    /// else driving the same chain (the node's provenance log) must use to
+    /// agree with it on block size, timestamp tolerance and signatures.
+    pub fn chain_config(&self) -> ChainConfig {
+        ChainConfig {
+            signature_policy: self.signature_policy,
+            require_pow: matches!(self.kind, BlockchainKind::Public { .. }),
+            max_block_txs: self.max_block_txs,
+            timestamp_tolerance_ms: 5_000,
+            enforce_nonces: false,
+            finality_depth: self.finality_depth,
+            ingest_threads: self.ingest_threads,
+        }
     }
 }
 

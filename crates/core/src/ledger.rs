@@ -11,22 +11,20 @@ use blockprov_consensus::pos::ValidatorSet;
 use blockprov_consensus::pow;
 use blockprov_contracts::ContractRuntime;
 use blockprov_crypto::sha256::{sha256, Hash256};
-use blockprov_ledger::block::{Block, BlockHash};
-use blockprov_ledger::chain::{
-    AppendOutcome, BatchError, Chain, ChainConfig, ChainReader, ChainView, TxInclusionProof,
-    ValidationError,
-};
+use blockprov_ledger::block::{Block, BlockHash, BlockHeader};
+use blockprov_ledger::chain::{AppendOutcome, BatchError, Chain, ValidationError};
 use blockprov_ledger::mempool::{Mempool, MempoolError};
-use blockprov_ledger::readview::Published;
 use blockprov_ledger::tx::{AccountId, Transaction, TxId};
 use blockprov_provenance::capture::{CaptureError, CapturePipeline, DataOperation};
 use blockprov_provenance::graph::{GraphError, ProvGraph};
+use blockprov_provenance::log::{
+    LedgerReader, LoggedRecord, ProvenanceLog, RecordProof, RecordVisitor,
+};
 use blockprov_provenance::model::{Action, MissingField, ProvenanceRecord, RecordId};
 use blockprov_provenance::query::{ProvQuery, QueryCache, QueryEngine, QueryResult};
 use blockprov_wire::Codec;
 use std::collections::{BTreeMap, HashMap};
 use std::fmt;
-use std::sync::{Arc, RwLock};
 
 /// Framework-level errors.
 #[derive(Debug)]
@@ -100,271 +98,76 @@ impl From<BatchError> for CoreError {
     }
 }
 
-/// A self-contained, user-verifiable proof that a provenance record is
-/// anchored on the chain — what a ProvChain auditor hands back to a client.
-#[derive(Debug, Clone)]
-pub struct RecordProof {
-    /// The proven record id.
-    pub record_id: RecordId,
-    /// The transaction carrying the record.
-    pub tx_id: TxId,
-    /// Inclusion proof of the transaction in its block.
-    pub inclusion: TxInclusionProof,
+/// The provenance state a [`ProvenanceLedger`] keeps beyond its log's
+/// subject postings — derivation graph, query indexes, record → tx
+/// anchoring, author nonces and the logical clock — folded in by the log's
+/// own walk on open, on every commit and on a reorg's winning branch.
+struct RecordState {
+    graph: ProvGraph,
+    engine: QueryEngine,
+    /// record → carrying tx (filled as blocks are absorbed).
+    record_tx: HashMap<RecordId, TxId>,
+    nonces: HashMap<AccountId, u64>,
+    /// Logical clock (ms); deterministic and strictly monotonic.
+    now_ms: u64,
+    /// The first record the graph refused during the current walk.
+    refused: Option<GraphError>,
 }
 
-impl RecordProof {
-    /// Verify the whole chain of custody of the proof:
-    /// record → transaction payload → Merkle root → block hash.
-    pub fn verify(&self, record: &ProvenanceRecord) -> bool {
-        if record.id() != self.record_id {
-            return false;
+impl RecordState {
+    fn new() -> Self {
+        Self {
+            graph: ProvGraph::new(),
+            engine: QueryEngine::new(),
+            record_tx: HashMap::new(),
+            nonces: HashMap::new(),
+            now_ms: 1,
+            refused: None,
         }
-        self.inclusion.tx_id == self.tx_id && self.inclusion.verify()
     }
 }
 
-/// Decode a provenance record from the front of a transaction payload.
-///
-/// `OnChainFull` transactions append raw content after the record, so the
-/// record is a prefix of the payload (a payload that is exactly one record
-/// is the prefix case with no tail). Everything that reads records off the
-/// chain — absorption, rehydration, audits, the node's `/tx` — uses this
-/// one convention.
-pub fn decode_record_prefix(payload: &[u8]) -> Option<ProvenanceRecord> {
-    let mut r = blockprov_wire::Reader::new(payload);
-    ProvenanceRecord::decode(&mut r).ok()
-}
-
-/// Per subject, the `(block height, position)` of every provenance
-/// transaction this ledger has absorbed whose record names the subject —
-/// fork blocks included — kept sorted and unique.
-///
-/// A *hint*, never an answer: [`LedgerReader::provenance_of`] resolves each
-/// entry through a pinned [`ChainView`], which decides what is canonical.
-/// Heights and positions rather than 32-byte ids: 16 bytes per provenance
-/// transaction, and the id falls out of the resolved transaction.
-#[derive(Debug, Default)]
-struct SubjectPostings {
-    by_subject: HashMap<String, Vec<(u64, u32)>>,
-    entries: usize,
-}
-
-impl SubjectPostings {
-    fn insert(&mut self, subject: &str, at: (u64, u32)) {
-        // `entry` would allocate the key on every call; subjects repeat.
-        let list = match self.by_subject.get_mut(subject) {
-            Some(list) => list,
-            None => self.by_subject.entry(subject.to_string()).or_default(),
-        };
-        match list.last() {
-            // Canonical growth appends. A fork sibling, or a block absorbed
-            // a second time after a reorg, lands inside the list or is
-            // already there.
-            Some(last) if *last >= at => match list.binary_search(&at) {
-                Ok(_) => return,
-                Err(i) => list.insert(i, at),
-            },
-            _ => list.push(at),
-        }
-        self.entries += 1;
-    }
-}
-
-/// What [`LedgerReader::provenance_of`] answers.
-#[derive(Debug, Clone)]
-pub struct SubjectAudit {
-    /// The pinned view the answer describes: the chain as of the last batch
-    /// the ledger finished absorbing.
-    pub view: ChainView,
-    /// Every canonical provenance transaction of `view` whose record names
-    /// the subject, as `(carrying tx id, record)` in `(height, position)`
-    /// order.
-    pub records: Vec<(TxId, ProvenanceRecord)>,
-    /// Postings entries resolved against `view` to find them. Equal to
-    /// `records.len()` unless forks or reorgs left entries the view
-    /// rejects.
-    pub candidates: usize,
-}
-
-/// A cloneable, `Send + Sync` query handle over a [`ProvenanceLedger`],
-/// obtained from [`ProvenanceLedger::reader`].
-///
-/// Backed by the chain's epoch-published snapshots and the durable tiers'
-/// published states: every method answers without blocking the writer, and
-/// multi-step queries that must agree with each other can pin one snapshot
-/// via [`LedgerReader::view`].
-///
-/// One piece of provenance state is covered too: the per-subject audit,
-/// [`LedgerReader::provenance_of`], served from subject postings the ledger
-/// shares with its readers. The provenance graph itself (DAG edges,
-/// invalidation) stays with the writer.
-#[derive(Debug, Clone)]
-pub struct LedgerReader {
-    chain: ChainReader,
-    postings: Arc<RwLock<SubjectPostings>>,
-    /// The newest view whose every block the postings cover.
-    covered: Arc<Published<ChainView>>,
-}
-
-impl LedgerReader {
-    /// The underlying chain read handle.
-    pub fn chain(&self) -> &ChainReader {
-        &self.chain
+impl RecordVisitor for RecordState {
+    fn block(&mut self, header: &BlockHeader) {
+        self.now_ms = self.now_ms.max(header.timestamp_ms);
     }
 
-    /// Pin the latest published snapshot for a prefix-consistent view.
-    pub fn view(&self) -> ChainView {
-        self.chain.view()
-    }
-
-    /// Current published tip hash.
-    pub fn tip(&self) -> BlockHash {
-        self.chain.tip()
-    }
-
-    /// Current published tip height.
-    pub fn height(&self) -> u64 {
-        self.chain.height()
-    }
-
-    /// Current published finality checkpoint height.
-    pub fn finalized_height(&self) -> u64 {
-        self.chain.finalized_height()
-    }
-
-    /// Canonical block hash at `height`.
-    pub fn hash_at(&self, height: u64) -> Option<BlockHash> {
-        self.chain.hash_at(height)
-    }
-
-    /// Fetch a stored block by hash.
-    pub fn block(&self, hash: &BlockHash) -> Option<std::sync::Arc<Block>> {
-        self.chain.block(hash)
-    }
-
-    /// Fetch the canonical block at `height`.
-    pub fn block_at(&self, height: u64) -> Option<std::sync::Arc<Block>> {
-        self.chain.block_at(height)
-    }
-
-    /// Locate a canonical transaction: `(containing block hash, position)`.
-    pub fn tx_by_id(&self, id: &TxId) -> Option<(BlockHash, u32)> {
-        self.chain.tx_by_id(id)
-    }
-
-    /// Fetch a canonical transaction by id.
-    pub fn get_tx(&self, id: &TxId) -> Option<Transaction> {
-        self.chain.get_tx(id)
-    }
-
-    /// All canonical transaction ids by author, oldest first.
-    pub fn txs_by_author(&self, author: &AccountId) -> Vec<TxId> {
-        self.chain.txs_by_author(author)
-    }
-
-    /// All canonical transaction ids with the given kind tag, oldest first.
-    pub fn txs_by_kind(&self, kind: u16) -> Vec<TxId> {
-        self.chain.txs_by_kind(kind)
-    }
-
-    /// All canonical provenance-carrying transaction ids, oldest first.
-    pub fn provenance_txs(&self) -> Vec<TxId> {
-        self.chain.txs_by_kind(txkind::PROVENANCE)
-    }
-
-    /// Whether `hash` lies on the canonical chain.
-    pub fn is_canonical(&self, hash: &BlockHash) -> bool {
-        self.chain.is_canonical(hash)
-    }
-
-    /// Produce a Merkle inclusion proof for a canonical transaction.
-    pub fn prove_tx(&self, id: &TxId) -> Option<TxInclusionProof> {
-        self.chain.prove_tx(id)
-    }
-
-    /// Produce a user-verifiable anchoring proof for a sealed record whose
-    /// carrying transaction id is known (e.g. from
-    /// [`ProvenanceLedger::prove_record`]'s mapping at seal time).
-    pub fn prove_record_tx(&self, record_id: RecordId, tx_id: TxId) -> Option<RecordProof> {
-        let inclusion = self.chain.prove_tx(&tx_id)?;
-        Some(RecordProof {
-            record_id,
-            tx_id,
-            inclusion,
-        })
-    }
-
-    /// "Who did what to this artifact": every canonical provenance record
-    /// whose subject is `subject`, oldest first — in time proportional to
-    /// the records naming the subject, not to the ledger's history.
-    ///
-    /// The answer is exactly what scanning the returned view would give
-    /// (`txs_by_kind(PROVENANCE)`, fetch, decode, filter on subject), ids
-    /// and order included. The subject's postings supply candidate
-    /// `(height, position)`s; a candidate counts iff the view's canonical
-    /// block at that height carries a provenance transaction at that
-    /// position whose record names the subject, so fork blocks, reorged-out
-    /// blocks and undecodable payloads drop out here. An unknown subject is
-    /// an empty answer, not an error.
-    ///
-    /// The view is the one the ledger pinned after it last finished
-    /// absorbing a batch, not [`LedgerReader::view`]: the chain publishes a
-    /// batch's snapshot before the ledger has absorbed it, and only blocks
-    /// absorbed before a view was pinned are certain to be in the postings.
-    pub fn provenance_of(&self, subject: &str) -> SubjectAudit {
-        let view = ChainView::clone(&self.covered.load());
-        let mut candidates = self
-            .postings
-            .read()
-            .expect("postings lock poisoned by a panicked writer")
-            .by_subject
-            .get(subject)
-            .cloned()
-            .unwrap_or_default();
-        // Entries above the view's tip belong to batches absorbed since.
-        candidates.truncate(candidates.partition_point(|&(h, _)| h <= view.height()));
-        let mut records = Vec::with_capacity(candidates.len());
-        let mut block: Option<Arc<Block>> = None;
-        for &(height, pos) in &candidates {
-            if block.as_ref().map(|b| b.header.height) != Some(height) {
-                block = view.block_at(height);
+    /// Fold one committed record into the provenance layer: logical clock,
+    /// author nonces, record→tx anchoring, then graph and query indexes.
+    /// Idempotent. The log has posted the record whether or not the graph
+    /// takes it (the same record in a second transaction is another entry;
+    /// a record whose parent is unknown is still on the chain), and a
+    /// record the graph refuses is never indexed.
+    fn record(&mut self, logged: LoggedRecord<'_>) {
+        let tx_id = logged.tx_id();
+        let (tx, record) = (logged.tx, logged.record);
+        let record_id = record.id();
+        self.now_ms = self.now_ms.max(record.timestamp_ms);
+        let nonce = self.nonces.entry(tx.author).or_insert(0);
+        *nonce = (*nonce).max(tx.nonce + 1);
+        self.record_tx.insert(record_id, tx_id);
+        match self.graph.insert_with_id(record_id, record) {
+            Ok(()) => {
+                let record = self.graph.get(&record_id).expect("inserted just above");
+                self.engine.index_record(record_id, record);
             }
-            let Some(tx) = block.as_ref().and_then(|b| b.txs.get(pos as usize)) else {
-                continue;
-            };
-            if tx.kind != txkind::PROVENANCE {
-                continue;
-            }
-            match decode_record_prefix(&tx.payload) {
-                Some(record) if record.subject == subject => records.push((tx.id(), record)),
-                _ => {}
+            Err(GraphError::DuplicateRecord(_)) => {}
+            Err(e) => {
+                self.refused.get_or_insert(e);
             }
         }
-        SubjectAudit {
-            view,
-            records,
-            candidates: candidates.len(),
-        }
-    }
-
-    /// Subject-postings entries held (one per absorbed provenance
-    /// transaction, fork blocks included).
-    pub fn postings_len(&self) -> usize {
-        self.postings
-            .read()
-            .expect("postings lock poisoned by a panicked writer")
-            .entries
     }
 }
 
 /// The assembled provenance ledger.
 pub struct ProvenanceLedger {
     config: LedgerConfig,
-    chain: Chain,
+    /// The chain and the subject postings its readers audit from.
+    log: ProvenanceLog,
+    /// Everything else the log's walk folds committed records into.
+    records: RecordState,
     mempool: Mempool,
     capture: CapturePipeline,
-    graph: ProvGraph,
-    engine: QueryEngine,
     cache: QueryCache,
     offchain: OffChainStore,
     /// Role-based access control over ledger operations.
@@ -377,38 +180,14 @@ pub struct ProvenanceLedger {
     validators: ValidatorSet,
     epoch_seed: Hash256,
     agents: BTreeMap<AccountId, String>,
-    nonces: HashMap<AccountId, u64>,
-    /// record → carrying tx (filled as blocks are absorbed).
-    record_tx: HashMap<RecordId, TxId>,
-    /// Subject postings, shared with every [`LedgerReader`]. Written in the
-    /// three places a record becomes chain state — rehydration, sealing,
-    /// batched ingest — under one write lock per batch.
-    postings: Arc<RwLock<SubjectPostings>>,
-    /// Set by the first [`ProvenanceLedger::reader`]: the chain handle the
-    /// ledger pins covered views from, and the slot it publishes them to.
-    covered: Option<(ChainReader, Arc<Published<ChainView>>)>,
-    /// Logical clock (ms); deterministic and strictly monotonic.
-    now_ms: u64,
 }
 
 impl ProvenanceLedger {
-    /// The chain-level validation parameters implied by a ledger config.
-    fn chain_config(config: &LedgerConfig) -> ChainConfig {
-        ChainConfig {
-            signature_policy: config.signature_policy,
-            require_pow: matches!(config.kind, BlockchainKind::Public { .. }),
-            max_block_txs: config.max_block_txs,
-            timestamp_tolerance_ms: 5_000,
-            enforce_nonces: false,
-            finality_depth: config.finality_depth,
-            ingest_threads: config.ingest_threads,
-        }
-    }
-
     /// Open a fresh ledger under `config` (in-memory block store).
     pub fn open(config: LedgerConfig) -> Self {
-        let chain = Chain::new(Self::chain_config(&config));
-        Self::assemble(config, chain)
+        let log = ProvenanceLog::new(Chain::new(config.chain_config()))
+            .expect("a fresh in-memory chain has no index to fail");
+        Self::assemble(config, log, RecordState::new())
     }
 
     /// Open a ledger over a custom block store — typically a
@@ -425,7 +204,7 @@ impl ProvenanceLedger {
         config: LedgerConfig,
         store: Box<dyn blockprov_ledger::store::BlockStore>,
     ) -> std::io::Result<Self> {
-        let chain = Chain::replay(store, Self::chain_config(&config))?;
+        let chain = Chain::replay(store, config.chain_config())?;
         Self::finish_open(config, chain)
     }
 
@@ -442,7 +221,7 @@ impl ProvenanceLedger {
         store: Box<dyn blockprov_ledger::store::BlockStore>,
         index: blockprov_ledger::index::TxIndex,
     ) -> std::io::Result<Self> {
-        let chain = Chain::replay_with_index(store, index, Self::chain_config(&config))?;
+        let chain = Chain::replay_with_index(store, index, config.chain_config())?;
         Self::finish_open(config, chain)
     }
 
@@ -462,66 +241,34 @@ impl ProvenanceLedger {
         index: blockprov_ledger::index::TxIndex,
         meta: blockprov_ledger::meta::MetaStore,
     ) -> std::io::Result<Self> {
-        let chain =
-            Chain::replay_with_tiers(store, Some(index), meta, Self::chain_config(&config))?;
+        let chain = Chain::replay_with_tiers(store, Some(index), meta, config.chain_config())?;
         Self::finish_open(config, chain)
     }
 
+    /// Rebuild the provenance layer from the canonical chain after replay,
+    /// in the one walk that rebuilds the log's postings (see
+    /// [`ProvenanceLog::new`]: index-driven, canonical order, each carrying
+    /// block fetched once). A durable-index read failure, or a record the
+    /// graph refuses, fails the open loudly instead of silently rebuilding
+    /// a partial provenance graph. The logical clock resumes from the tip
+    /// header and the visited records/blocks — for ledger-sealed histories
+    /// the tip carries the maximum timestamp.
     fn finish_open(config: LedgerConfig, chain: Chain) -> std::io::Result<Self> {
-        let mut ledger = Self::assemble(config, chain);
-        ledger.rehydrate_provenance().map_err(|e| {
+        let replay = |e: CoreError| {
             std::io::Error::new(std::io::ErrorKind::InvalidData, format!("replay: {e}"))
-        })?;
-        Ok(ledger)
-    }
-
-    /// Rebuild the provenance layer from the canonical chain after replay.
-    ///
-    /// Index-driven: only provenance-carrying transactions are visited (via
-    /// the two-tier located-by-kind query, which hands back each entry's
-    /// block and position so no per-id point lookup re-probes the index),
-    /// in canonical order — blocks with no provenance payload are never
-    /// decoded, and consecutive transactions of one block hit the store's
-    /// hot cache. A durable-index read failure fails the open loudly
-    /// instead of silently rebuilding a partial provenance graph. The
-    /// logical clock resumes from the tip header and the visited
-    /// records/blocks — for ledger-sealed histories the tip carries the
-    /// maximum timestamp.
-    ///
-    /// Stored fork blocks above the checkpoint are not visited; should a
-    /// later reorg make one canonical, [`Self::absorb_winning_branch`]
-    /// folds it in then.
-    fn rehydrate_provenance(&mut self) -> Result<(), CoreError> {
-        self.now_ms = self.now_ms.max(self.chain.tip_header().timestamp_ms);
-        let located = self
-            .chain
-            .try_txs_by_kind_located(txkind::PROVENANCE)
-            .map_err(CoreError::IndexIo)?;
-        let shared = Arc::clone(&self.postings);
-        let mut postings = shared.write().expect("postings lock poisoned");
-        for (id, hash, pos) in located {
-            // A located entry whose block is unreadable means the index and
-            // store disagree (e.g. the store was rolled back without its
-            // index directory) — fail the open rather than silently
-            // rebuilding a partial provenance graph.
-            let block = self.chain.block(&hash).ok_or_else(|| {
-                CoreError::IndexIo(std::io::Error::new(
-                    std::io::ErrorKind::InvalidData,
-                    format!("index entry for {id} references block {hash} missing from the store"),
-                ))
-            })?;
-            let tx = &block.txs[pos as usize];
-            self.now_ms = self.now_ms.max(block.header.timestamp_ms);
-            let Some(record) = decode_record_prefix(&tx.payload) else {
-                continue;
-            };
-            self.absorb_record(record, tx, id, (block.header.height, pos), &mut postings)?;
+        };
+        let mut records = RecordState::new();
+        let opened = ProvenanceLog::new_visiting(chain, &mut records);
+        if let Some(e) = records.refused.take() {
+            return Err(replay(CoreError::Graph(e)));
         }
-        Ok(())
+        let log = opened.map_err(|e| replay(CoreError::IndexIo(e)))?;
+        records.now_ms = records.now_ms.max(log.chain().tip_header().timestamp_ms);
+        Ok(Self::assemble(config, log, records))
     }
 
-    /// Assemble the framework around an existing chain.
-    fn assemble(config: LedgerConfig, chain: Chain) -> Self {
+    /// Assemble the framework around an opened log.
+    fn assemble(config: LedgerConfig, log: ProvenanceLog, records: RecordState) -> Self {
         let mut capture = CapturePipeline::new(config.capture, config.domain);
         if config.pseudonymize {
             capture = capture.with_pseudonyms(sha256(b"blockprov-epoch-0"));
@@ -540,11 +287,10 @@ impl ProvenanceLedger {
             BlockchainKind::Public { .. } => (AuthoritySet::default(), ValidatorSet::new()),
         };
         Self {
-            chain,
+            log,
+            records,
             mempool: Mempool::new(config.max_block_txs * 64),
             capture,
-            graph: ProvGraph::new(),
-            engine: QueryEngine::new(),
             cache: QueryCache::new(config.cache_capacity.max(1)),
             offchain: OffChainStore::new(),
             rbac: RbacEngine::new(),
@@ -554,11 +300,6 @@ impl ProvenanceLedger {
             validators,
             epoch_seed: sha256(b"blockprov-pos-epoch"),
             agents: BTreeMap::new(),
-            nonces: HashMap::new(),
-            record_tx: HashMap::new(),
-            postings: Arc::default(),
-            covered: None,
-            now_ms: 1,
             config,
         }
     }
@@ -570,7 +311,7 @@ impl ProvenanceLedger {
 
     /// The underlying chain (read access for audits and experiments).
     pub fn chain(&self) -> &Chain {
-        &self.chain
+        self.log.chain()
     }
 
     /// Attach a concurrent, cloneable query handle over the chain.
@@ -587,40 +328,7 @@ impl ProvenanceLedger {
     /// batch this ledger finished absorbing. The provenance graph (DAG
     /// edges, invalidation) is not covered.
     pub fn reader(&mut self) -> LedgerReader {
-        let (chain, covered) = match &self.covered {
-            Some((chain, covered)) => (chain.clone(), Arc::clone(covered)),
-            None => {
-                // `&mut self`: no batch is in flight, so every block of the
-                // view pinned here has been absorbed.
-                let chain = self.chain.reader();
-                let covered = Arc::new(Published::new(chain.view()));
-                self.covered = Some((chain.clone(), Arc::clone(&covered)));
-                (chain, covered)
-            }
-        };
-        LedgerReader {
-            chain,
-            postings: Arc::clone(&self.postings),
-            covered,
-        }
-    }
-
-    /// Pin the chain's current snapshot as the view audits answer from.
-    /// Called once the postings cover every block stored so far — after a
-    /// batch (or a sealed block) has been absorbed — so a block in a
-    /// covered view was absorbed before the view was pinned. Costs two
-    /// `Arc` clones, and nothing before the first [`Self::reader`] call.
-    fn publish_covered(&mut self) {
-        let Some((chain, covered)) = &self.covered else {
-            return;
-        };
-        if Arc::strong_count(covered) == 1 {
-            // Every `LedgerReader` is gone: give up the chain handle, so
-            // the chain stops building snapshots nobody will load.
-            self.covered = None;
-            return;
-        }
-        covered.store(Arc::new(chain.view()));
+        self.log.reader()
     }
 
     /// Force a clean-shutdown sync: flush staged commits across every
@@ -631,12 +339,12 @@ impl ProvenanceLedger {
     /// services call this explicitly (e.g. on SIGTERM) so a durability
     /// failure surfaces as an error instead of being swallowed by `Drop`.
     pub fn sync(&mut self) -> std::io::Result<()> {
-        self.chain.sync_meta()
+        self.log.sync()
     }
 
     /// The provenance DAG.
     pub fn graph(&self) -> &ProvGraph {
-        &self.graph
+        &self.records.graph
     }
 
     /// The off-chain store.
@@ -656,13 +364,13 @@ impl ProvenanceLedger {
 
     /// Advance the logical clock and return the new time.
     fn tick(&mut self) -> u64 {
-        self.now_ms += 1;
-        self.now_ms
+        self.records.now_ms += 1;
+        self.records.now_ms
     }
 
     /// Current logical time (ms).
     pub fn now_ms(&self) -> u64 {
-        self.now_ms
+        self.records.now_ms
     }
 
     /// Advance the logical clock by one tick and return the new time.
@@ -741,8 +449,12 @@ impl ProvenanceLedger {
         let mut record = self.capture.capture(&op)?;
         // Derivation edge: link to the latest prior record of this subject.
         if let Some(prev) = self
+            .records
             .engine
-            .execute(&self.graph, &ProvQuery::BySubject(subject.to_string()))
+            .execute(
+                &self.records.graph,
+                &ProvQuery::BySubject(subject.to_string()),
+            )
             .ids
             .last()
         {
@@ -774,7 +486,7 @@ impl ProvenanceLedger {
             }
         };
         let author = record.agent;
-        let nonce = self.nonces.entry(author).or_insert(0);
+        let nonce = self.records.nonces.entry(author).or_insert(0);
         let tx = Transaction::new(
             author,
             *nonce,
@@ -787,8 +499,8 @@ impl ProvenanceLedger {
         self.mempool.insert(tx)?;
         // Insert into the graph immediately (pending); queries see pending
         // records, proofs only exist after sealing.
-        self.graph.insert(record.clone())?;
-        self.engine.index_record(record_id, &record);
+        self.records.graph.insert(record.clone())?;
+        self.records.engine.index_record(record_id, &record);
         Ok(record_id)
     }
 
@@ -798,10 +510,10 @@ impl ProvenanceLedger {
     pub fn seal_block(&mut self) -> Result<BlockHash, CoreError> {
         let txs = self.mempool.take_batch(self.config.max_block_txs);
         if txs.is_empty() {
-            return Ok(self.chain.tip());
+            return Ok(self.chain().tip());
         }
         let ts = self.tick();
-        let height = self.chain.height() + 1;
+        let height = self.chain().height() + 1;
         let (proposer, difficulty) = match &self.config.kind {
             BlockchainKind::Public { pow_bits } => (AccountId::from_name("miner-0"), *pow_bits),
             BlockchainKind::Private { .. } => (
@@ -818,7 +530,7 @@ impl ProvenanceLedger {
             ),
         };
         let tx_ids: Vec<TxId> = txs.iter().map(Transaction::id).collect();
-        let mut block = self.chain.assemble_next(ts, proposer, difficulty, txs);
+        let mut block = self.chain().assemble_next(ts, proposer, difficulty, txs);
         block.header.state_root = self.contracts.state_root();
         if difficulty > 0 {
             match pow::mine(&mut block.header, 1 << 28) {
@@ -826,32 +538,27 @@ impl ProvenanceLedger {
                 pow::MiningOutcome::Exhausted => return Err(CoreError::MiningFailed),
             }
         }
-        let outcome = self.chain.append(block)?;
-        self.mempool.remove_committed(&tx_ids);
         // The records entered the graph when they were submitted; absorbing
         // the sealed block adds what sealing decides: record→tx anchoring
         // and the subject postings.
-        let absorbed = match self.chain.block(&outcome.hash) {
-            Some(block) => {
-                let shared = Arc::clone(&self.postings);
-                let mut postings = shared.write().expect("postings lock poisoned");
-                self.absorb_block_provenance(&block, &mut postings)
-            }
-            None => Ok(()),
-        };
-        self.publish_covered();
-        absorbed.map(|()| outcome.hash)
+        let outcome = self.log.append_visiting(block, &mut self.records)?;
+        self.mempool.remove_committed(&tx_ids);
+        match self.records.refused.take() {
+            Some(e) => Err(CoreError::Graph(e)),
+            None => Ok(outcome.hash),
+        }
     }
 
     /// Ingest a batch of externally produced blocks (e.g. replicated from
     /// a peer) through the two-stage pipeline: stateless validation fans
     /// out across [`LedgerConfig::ingest_threads`] workers, the serialized
-    /// commit section applies fork choice, finality and the provenance
-    /// layer per committed block. Durability is batch-granular: the chain
-    /// group-flushes every tier once per call, on the error path too, so
-    /// blocks this method reports as committed are on disk — which is also
-    /// what lets the loop below read the committed prefix's bodies back
-    /// for provenance absorption before surfacing the error. Blocks before
+    /// commit section applies fork choice and finality, and the ledger's
+    /// [`ProvenanceLog`] walks each committed block once, posting every
+    /// record's subject and handing the record to the graph and query
+    /// indexes. Durability is batch-granular: the chain group-flushes every
+    /// tier once per call, on the error path too (written to the OS, not
+    /// fsynced), so the committed prefix's bodies can be read back for
+    /// provenance absorption before the error surfaces. Blocks before
     /// the first invalid one commit, and the error reports which block
     /// failed and why (a `StoreIo` error with `index == committed.len()`
     /// means the group flush itself failed; reopen and replay). A record
@@ -860,134 +567,11 @@ impl ProvenanceLedger {
     /// committed block has been absorbed: its block is on the chain
     /// regardless, and readers audit what the chain holds.
     pub fn ingest_blocks(&mut self, blocks: Vec<Block>) -> Result<Vec<AppendOutcome>, CoreError> {
-        let old_tip = self.chain.tip();
-        let (outcomes, err) = match self.chain.append_batch(blocks) {
-            Ok(outcomes) => (outcomes, None),
-            Err(e) => (e.committed.clone(), Some(e)),
-        };
-        // Every committed block is absorbed, whatever an earlier one hit:
-        // the chain holds them all, and audits rely on the postings
-        // covering every stored block. The first graph error is reported.
-        let shared = Arc::clone(&self.postings);
-        let mut postings = shared.write().expect("postings lock poisoned");
-        let mut graph_err = None;
-        for outcome in &outcomes {
-            let Some(block) = self.chain.block(&outcome.hash) else {
-                continue; // already pruned by finality — nothing to absorb
-            };
-            if let Err(e) = self.absorb_block_provenance(&block, &mut postings) {
-                graph_err.get_or_insert(e);
-            }
+        let result = self.log.ingest_blocks_visiting(blocks, &mut self.records);
+        match self.records.refused.take() {
+            Some(e) => Err(CoreError::Graph(e)),
+            None => result.map_err(CoreError::Batch),
         }
-        if outcomes.iter().any(|o| o.reorged) {
-            if let Err(e) = self.absorb_winning_branch(old_tip, &mut postings) {
-                graph_err.get_or_insert(e);
-            }
-        }
-        drop(postings);
-        self.publish_covered();
-        match (graph_err, err) {
-            (Some(e), _) => Err(e),
-            (None, Some(e)) => Err(CoreError::Batch(e)),
-            (None, None) => Ok(outcomes),
-        }
-    }
-
-    /// Fold one committed block into the provenance layer — the same
-    /// per-transaction work [`Self::rehydrate_provenance`] does on replay.
-    /// A record the graph refuses does not stop the block: the rest is
-    /// absorbed and the first refusal returned.
-    fn absorb_block_provenance(
-        &mut self,
-        block: &Block,
-        postings: &mut SubjectPostings,
-    ) -> Result<(), CoreError> {
-        self.now_ms = self.now_ms.max(block.header.timestamp_ms);
-        let mut first_err = None;
-        for (pos, tx) in block.txs.iter().enumerate() {
-            if tx.kind != txkind::PROVENANCE {
-                continue;
-            }
-            let Some(record) = decode_record_prefix(&tx.payload) else {
-                continue;
-            };
-            let at = (block.header.height, pos as u32);
-            if let Err(e) = self.absorb_record(record, tx, tx.id(), at, postings) {
-                first_err.get_or_insert(e);
-            }
-        }
-        first_err.map_or(Ok(()), Err)
-    }
-
-    /// Fold one decoded record, carried by `tx` at `at = (height,
-    /// position)`, into the provenance layer: logical clock, author nonces,
-    /// record→tx anchoring, subject postings, then graph and query indexes.
-    /// Idempotent. The postings take the entry whether or not the graph
-    /// takes the record (the same record in a second transaction is
-    /// another entry; a record whose parent is unknown is still on the
-    /// chain), and a record the graph refuses is never indexed.
-    fn absorb_record(
-        &mut self,
-        record: ProvenanceRecord,
-        tx: &Transaction,
-        tx_id: TxId,
-        at: (u64, u32),
-        postings: &mut SubjectPostings,
-    ) -> Result<(), CoreError> {
-        let record_id = record.id();
-        self.now_ms = self.now_ms.max(record.timestamp_ms);
-        let nonce = self.nonces.entry(tx.author).or_insert(0);
-        *nonce = (*nonce).max(tx.nonce + 1);
-        self.record_tx.insert(record_id, tx_id);
-        postings.insert(&record.subject, at);
-        match self.graph.insert_with_id(record_id, record) {
-            Ok(()) => {
-                let record = self.graph.get(&record_id).expect("inserted just above");
-                self.engine.index_record(record_id, record);
-                Ok(())
-            }
-            Err(GraphError::DuplicateRecord(_)) => Ok(()),
-            Err(e) => Err(CoreError::Graph(e)),
-        }
-    }
-
-    /// After a reorg, absorb the winning branch down to the fork point.
-    ///
-    /// Its blocks were absorbed when they were stored — unless that was
-    /// before a restart: replay restores stored fork blocks to the chain,
-    /// but rehydration walks canonical transactions only. Both branches are
-    /// walked down from their tips until they meet, or to the finality
-    /// checkpoint when the losing branch has been pruned; absorbing is
-    /// idempotent, so a block absorbed before costs its decode and no more.
-    fn absorb_winning_branch(
-        &mut self,
-        old_tip: BlockHash,
-        postings: &mut SubjectPostings,
-    ) -> Result<(), CoreError> {
-        let floor = self.chain.finalized_height();
-        let mut old = self.chain.block(&old_tip);
-        let mut new = self.chain.block(&self.chain.tip());
-        let mut first_err = None;
-        while let Some(block) = new {
-            let height = block.header.height;
-            if height <= floor {
-                break;
-            }
-            while let Some(o) = old.take_if(|o| o.header.height > height) {
-                old = self.chain.block(&o.header.prev);
-            }
-            if let Some(o) = old.take_if(|o| o.header.height == height) {
-                if o.hash() == block.hash() {
-                    break; // the fork point: canonical before the reorg too
-                }
-                old = self.chain.block(&o.header.prev);
-            }
-            if let Err(e) = self.absorb_block_provenance(&block, postings) {
-                first_err.get_or_insert(e);
-            }
-            new = self.chain.block(&block.header.prev);
-        }
-        first_err.map_or(Ok(()), Err)
     }
 
     /// Number of transactions waiting to be sealed.
@@ -997,22 +581,24 @@ impl ProvenanceLedger {
 
     /// Execute a provenance query through the repeated-query cache.
     pub fn query(&mut self, query: &ProvQuery) -> QueryResult {
-        self.cache.execute(&self.engine, &self.graph, query)
+        self.cache
+            .execute(&self.records.engine, &self.records.graph, query)
     }
 
     /// Fetch a record body by id.
     pub fn record(&self, id: &RecordId) -> Option<&ProvenanceRecord> {
-        self.graph.get(id)
+        self.records.graph.get(id)
     }
 
     /// Produce a user-verifiable anchoring proof for a sealed record.
     pub fn prove_record(&self, id: &RecordId) -> Result<RecordProof, CoreError> {
         let tx_id = self
+            .records
             .record_tx
             .get(id)
             .ok_or(CoreError::UnknownRecord(*id))?;
         let inclusion = self
-            .chain
+            .chain()
             .prove_tx(tx_id)
             .ok_or(CoreError::UnknownRecord(*id))?;
         Ok(RecordProof {
@@ -1024,12 +610,12 @@ impl ProvenanceLedger {
 
     /// Re-verify the whole chain (Figure 2 integrity walk).
     pub fn verify_chain(&self) -> Result<(), CoreError> {
-        self.chain.verify_integrity().map_err(CoreError::Chain)
+        self.chain().verify_integrity().map_err(CoreError::Chain)
     }
 
     /// On-chain bytes (block store) — experiment E3.
     pub fn onchain_bytes(&self) -> u64 {
-        self.chain.stored_bytes()
+        self.chain().stored_bytes()
     }
 
     /// Off-chain bytes — experiment E3.
@@ -1457,67 +1043,6 @@ mod tests {
         let some_id = reader.provenance_txs()[4];
         let proof = reader.prove_tx(&some_id).expect("proof through reader");
         assert!(proof.verify());
-    }
-
-    /// `n` chained single-record blocks about `subject` on the ledger's tip.
-    fn record_blocks(l: &ProvenanceLedger, subject: &str, n: u64) -> Vec<Block> {
-        let author = AccountId::from_name("peer");
-        let (mut prev, base) = (l.chain.tip(), l.chain.height());
-        (1..=n)
-            .map(|i| {
-                let ts = 10 * (base + i);
-                let record =
-                    ProvenanceRecord::new(subject, author, Action::Update, ts, Domain::Generic);
-                let tx =
-                    Transaction::new(author, base + i, ts, txkind::PROVENANCE, record.to_wire());
-                let block = Block::assemble(base + i, prev, ts, author, 0, vec![tx]);
-                prev = block.hash();
-                block
-            })
-            .collect()
-    }
-
-    #[test]
-    fn audits_answer_as_of_the_last_absorbed_batch() {
-        let mut l = ledger();
-        let reader = l.reader();
-        l.ingest_blocks(record_blocks(&l, "f", 3)).unwrap();
-        assert_eq!(reader.provenance_of("f").records.len(), 3);
-
-        // Stop a batch where `ingest_blocks` is between the chain's commit
-        // and the absorb: the snapshot is out, the postings are not. An
-        // audit must keep answering from the view the postings cover.
-        let batch = record_blocks(&l, "f", 2);
-        l.chain.append_batch(batch.clone()).unwrap();
-        assert_eq!(reader.view().height(), 5, "the chain published the batch");
-        let audit = reader.provenance_of("f");
-        assert_eq!(audit.view.height(), 3);
-        assert_eq!((audit.candidates, audit.records.len()), (3, 3));
-
-        // Finishing the batch — absorb, then pin — catches the audit up.
-        let shared = Arc::clone(&l.postings);
-        for block in &batch {
-            l.absorb_block_provenance(block, &mut shared.write().unwrap())
-                .unwrap();
-        }
-        l.publish_covered();
-        let audit = reader.provenance_of("f");
-        assert_eq!(audit.view.height(), 5);
-        assert_eq!((audit.candidates, audit.records.len()), (5, 5));
-    }
-
-    #[test]
-    fn dropping_every_reader_releases_the_chain_handle() {
-        let mut l = ledger();
-        let reader = l.reader();
-        l.ingest_blocks(record_blocks(&l, "f", 1)).unwrap();
-        assert!(l.covered.is_some());
-        drop(reader);
-        l.ingest_blocks(record_blocks(&l, "f", 1)).unwrap();
-        assert!(l.covered.is_none(), "no reader left to publish views for");
-        // A later reader starts from a view covering everything absorbed.
-        let reader = l.reader();
-        assert_eq!(reader.provenance_of("f").records.len(), 2);
     }
 
     #[test]

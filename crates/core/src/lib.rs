@@ -24,22 +24,12 @@ pub mod design;
 pub mod ledger;
 pub mod offchain;
 
+pub use blockprov_provenance::log::{
+    decode_record_prefix, LedgerReader, RecordProof, SubjectAudit,
+};
+pub use blockprov_provenance::txkind;
 pub use cloud::{CloudAuditor, CloudOpKind, CloudReport};
 pub use config::{BlockchainKind, LedgerConfig, StorageMode};
 pub use design::{table2, DomainProfile};
-pub use ledger::{
-    decode_record_prefix, CoreError, LedgerReader, ProvenanceLedger, RecordProof, SubjectAudit,
-};
+pub use ledger::{CoreError, ProvenanceLedger};
 pub use offchain::OffChainStore;
-
-/// Transaction kind tags used by the framework.
-pub mod txkind {
-    /// Provenance record payload.
-    pub const PROVENANCE: u16 = 1;
-    /// Smart-contract invocation.
-    pub const CONTRACT_CALL: u16 = 2;
-    /// Cross-chain receipt (used by `blockprov-crosschain`).
-    pub const CROSS_CHAIN: u16 = 3;
-    /// Domain-specific envelope.
-    pub const DOMAIN: u16 = 4;
-}

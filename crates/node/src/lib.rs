@@ -1,5 +1,6 @@
 //! The blockprov node: a long-running HTTP service over a
-//! [`blockprov_core::ProvenanceLedger`].
+//! [`blockprov_provenance::ProvenanceLog`] — a chain plus the per-subject
+//! postings its audits read, with no provenance graph.
 //!
 //! The paper surveys provenance blockchains as *services* — systems that
 //! clients ingest into and query over a network. This crate is that
@@ -28,9 +29,10 @@
 //! [`http`] hand-rolls the HTTP/1.1 subset the node needs over
 //! [`std::net`] threads, the same way the ledger hand-rolls its
 //! validation pool. [`server`] holds the threading model: exactly one
-//! writer thread owns the ledger, every read is answered from a cloneable
-//! [`blockprov_core::LedgerReader`] pinned view, and the two meet only at
-//! a bounded ingest queue. [`json`] is the tiny response serializer.
+//! writer thread owns the log, every read is answered from a cloneable
+//! [`blockprov_provenance::LedgerReader`] pinned view, and the two meet
+//! only at a bounded ingest queue. [`json`] is the tiny response
+//! serializer.
 //!
 //! See `docs/OPERATIONS.md` for the operator's handbook and the
 //! `blockprov-node` binary for the deployable entry point (SIGTERM drains

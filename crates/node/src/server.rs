@@ -1,6 +1,7 @@
-//! The node proper: one writer thread owning the [`ProvenanceLedger`], a
-//! bounded ingest queue in front of it, and an accept loop that serves
-//! every read from a cloneable [`LedgerReader`] — request threads never
+//! The node proper: one writer thread owning a [`ProvenanceLog`] — the
+//! chain plus the subject postings audits read, and no provenance graph —
+//! a bounded ingest queue in front of it, and an accept loop that serves
+//! every read from a cloneable [`LedgerReader`]; request threads never
 //! touch the writer.
 //!
 //! # Threading model
@@ -9,23 +10,28 @@
 //!  clients ──► accept loop ──► per-connection handler threads
 //!                                  │ reads: reader.view() (pinned snapshot)
 //!                                  │ writes: try_send ──► bounded queue ──► writer thread
-//!                                  │          (full ⇒ 429 Retry-After)        │
+//!                                  │          (full ⇒ 429 Retry-After)      (ProvenanceLog)
 //!                                  └── reply channel ◄── ingest_blocks ───────┘
 //! ```
 //!
-//! The writer thread is the only owner of the `ProvenanceLedger`; ingest
+//! The writer thread is the only owner of the `ProvenanceLog`; ingest
 //! batches reach it through a [`std::sync::mpsc::sync_channel`] whose bound
 //! is the backpressure limit. Handlers `try_send` — a full queue is an
 //! immediate `429` with `Retry-After`, never a blocked accept thread. Each
 //! job carries a reply channel, so `POST /blocks` returns only after the
-//! batch is group-flushed across all durable tiers ([PR 8] semantics:
-//! committed means on disk).
+//! batch is group-flushed across all durable tiers: every tier's writes
+//! have reached the OS, so a `200` batch survives a kill of the node
+//! process, but nothing is fsynced, so it need not survive a power loss.
+//!
+//! The log posts every committed provenance record under its subject and
+//! cannot refuse one: a `409` means the chain refused a block (validation
+//! or the group flush), never that a record names an unknown parent.
 //!
 //! # Shutdown
 //!
 //! [`Node::shutdown`] flips the drain flag (new ingest → `503`), drops the
 //! queue's sender, and joins the writer: the writer first drains every
-//! queued batch, then calls [`ProvenanceLedger::sync`] to write the
+//! queued batch, then calls [`ProvenanceLog::sync`] to write the
 //! clean-shutdown checkpoint snapshot the next open fast-starts from. The
 //! accept loop is unblocked with a self-connection and joined; in-flight
 //! read connections finish on their own threads against reader handles
@@ -40,21 +46,21 @@ use std::sync::{Arc, Mutex};
 use std::thread::{self, JoinHandle};
 use std::time::Instant;
 
-use blockprov_core::{
-    decode_record_prefix, txkind, CoreError, LedgerConfig, LedgerReader, ProvenanceLedger,
-};
+use blockprov_core::LedgerConfig;
 use blockprov_health::metrics::NodeMetrics;
 use blockprov_ledger::{
-    Block, ChainView, MetaConfig, MetaStore, TieredConfig, TieredReader, TieredStore, TxId,
-    TxIndex, TxIndexConfig,
+    BatchError, Block, Chain, ChainView, MetaConfig, MetaStore, TieredConfig, TieredReader,
+    TieredStore, TxId, TxIndex, TxIndexConfig,
 };
-use blockprov_provenance::ProvenanceRecord;
+use blockprov_provenance::{
+    decode_record_prefix, txkind, LedgerReader, ProvenanceLog, ProvenanceRecord,
+};
 use blockprov_wire::{decode_seq, Reader};
 
 use crate::http::{percent_decode, read_request, write_response, Request, Response};
 use crate::json::{arr, str_lit, Obj};
 
-/// How the node opens its ledger and sizes its queue.
+/// How the node opens its log and sizes its queue.
 #[derive(Debug, Clone)]
 pub struct NodeConfig {
     /// Durable root directory (`blocks/`, `index/`, `meta/` subtrees).
@@ -63,7 +69,7 @@ pub struct NodeConfig {
     pub data_dir: Option<PathBuf>,
     /// Finality depth (PR 6 checkpoint cadence).
     pub finality_depth: u64,
-    /// Stateless-validation worker threads inside the ledger (PR 4).
+    /// Stateless-validation worker threads inside the chain.
     pub ingest_threads: usize,
     /// Ingest queue bound: batches that may wait for the writer before
     /// handlers start answering `429`.
@@ -117,14 +123,18 @@ pub struct Node {
 }
 
 impl Node {
-    /// Open the ledger per `config`, bind `addr` (use port 0 for an
+    /// Open the log per `config`, bind `addr` (use port 0 for an
     /// ephemeral port) and start serving.
     pub fn start(addr: &str, config: NodeConfig) -> io::Result<Node> {
-        let ledger_config = LedgerConfig::private_default()
+        // The chain settings the core crate's ledger derives from the same
+        // config, so an in-process ledger and the node accept the same
+        // blocks (block size, timestamp tolerance, signature policy).
+        let chain_config = LedgerConfig::private_default()
             .with_finality(config.finality_depth)
-            .with_ingest_threads(config.ingest_threads);
+            .with_ingest_threads(config.ingest_threads)
+            .chain_config();
 
-        let (mut ledger, tier_reader) = match &config.data_dir {
+        let (chain, tier_reader) = match &config.data_dir {
             Some(dir) => {
                 let store = TieredStore::open(
                     dir.join("blocks"),
@@ -136,18 +146,15 @@ impl Node {
                 let tier_reader = store.tiered_reader();
                 let index = TxIndex::open(dir.join("index"), TxIndexConfig::default())?;
                 let meta = MetaStore::open(dir.join("meta"), MetaConfig::default())?;
-                let ledger = ProvenanceLedger::open_with_tiers(
-                    ledger_config,
-                    Box::new(store),
-                    index,
-                    meta,
-                )?;
-                (ledger, Some(tier_reader))
+                let chain =
+                    Chain::replay_with_tiers(Box::new(store), Some(index), meta, chain_config)?;
+                (chain, Some(tier_reader))
             }
-            None => (ProvenanceLedger::open(ledger_config), None),
+            None => (Chain::new(chain_config), None),
         };
+        let mut log = ProvenanceLog::new(chain)?;
 
-        let reader = ledger.reader();
+        let reader = log.reader();
         let metrics = Arc::new(NodeMetrics::new());
         let (tx, rx) = mpsc::sync_channel::<IngestJob>(config.queue_capacity);
 
@@ -158,7 +165,7 @@ impl Node {
                 for job in rx {
                     writer_metrics.queue_depth.dec();
                     let txs: usize = job.blocks.iter().map(|b| b.txs.len()).sum();
-                    match ledger.ingest_blocks(job.blocks) {
+                    match log.ingest_blocks(job.blocks) {
                         Ok(outcomes) => {
                             writer_metrics.ingest_batches.inc();
                             writer_metrics.ingest_blocks.add(outcomes.len() as u64);
@@ -167,7 +174,7 @@ impl Node {
                         }
                         Err(e) => {
                             writer_metrics.ingest_invalid.inc();
-                            let _ = job.reply.send(Err(describe_core_error(&e)));
+                            let _ = job.reply.send(Err(describe_ingest_error(&e)));
                         }
                     }
                     writer_metrics
@@ -176,7 +183,7 @@ impl Node {
                 }
                 // All senders gone: the queue is drained. Write the
                 // clean-shutdown snapshot so the next open fast-starts.
-                ledger.sync()
+                log.sync()
             })?;
 
         let shared = Arc::new(Shared {
@@ -223,7 +230,7 @@ impl Node {
         Arc::clone(&self.shared.metrics)
     }
 
-    /// A fresh reader handle over the node's ledger.
+    /// A fresh reader handle over the node's log.
     pub fn reader(&self) -> LedgerReader {
         self.shared.reader.clone()
     }
@@ -256,10 +263,11 @@ impl Drop for Node {
     }
 }
 
-/// Flatten a [`CoreError`] into the stable one-line form ingest replies
-/// carry (the full enum is not part of the HTTP contract).
-fn describe_core_error(e: &CoreError) -> String {
-    format!("{e}")
+/// Flatten a chain refusal into the stable one-line form `409` replies
+/// carry: `ingest: ` and the batch error, the same text the core crate's
+/// ledger reports for it.
+fn describe_ingest_error(e: &BatchError) -> String {
+    format!("ingest: {e}")
 }
 
 /// Serve one connection until EOF, `Connection: close`, or a parse error.
@@ -472,7 +480,7 @@ fn get_tx(view: &ChainView, id: &str) -> Response {
 
 /// `GET /provenance/{artifact}`: every canonical provenance record whose
 /// subject is the (percent-decoded) artifact name, oldest first, as of the
-/// last batch the ledger absorbed. Work is proportional to the records
+/// last batch the log absorbed. Work is proportional to the records
 /// naming the artifact ([`LedgerReader::provenance_of`]), not to history.
 fn get_provenance(reader: &LedgerReader, metrics: &NodeMetrics, artifact: &str) -> Response {
     let audit = reader.provenance_of(artifact);

@@ -16,10 +16,11 @@ use std::net::TcpStream;
 use std::path::PathBuf;
 
 use blockprov_bench::flood::{artifact_name, flood_blocks, mixed_tx};
-use blockprov_core::{txkind, LedgerConfig, ProvenanceLedger};
-use blockprov_crypto::sha256::Hash256;
-use blockprov_ledger::{AccountId, Block, BlockHash};
+use blockprov_core::{txkind, CoreError, LedgerConfig, ProvenanceLedger};
+use blockprov_crypto::sha256::{sha256, Hash256};
+use blockprov_ledger::{AccountId, Block, BlockHash, Transaction};
 use blockprov_node::{Node, NodeConfig};
+use blockprov_provenance::{Action, Domain, ProvenanceRecord, RecordId};
 use blockprov_wire::{encode_seq, Codec, Writer};
 
 const FINALITY: u64 = 8;
@@ -477,5 +478,55 @@ fn in_memory_node_serves_mixed_tx_shapes() {
     let (status, body) = get(&addr, &format!("/tx/{}", tx.id().0.to_hex()));
     assert_eq!(status, 200);
     assert_eq!(json_str(&body, "subject"), Some(artifact_name(0)));
+    node.shutdown().expect("shutdown");
+}
+
+#[test]
+fn a_record_naming_an_unknown_parent_is_committed_and_served() {
+    // The node keeps no derivation graph, so it cannot refuse a record: one
+    // naming a parent nobody recorded commits with `200` and is served like
+    // any other. (`409` is for blocks the chain refuses.) The in-process
+    // ledger commits the same block and still reports the graph's refusal.
+    let mut node = Node::start("127.0.0.1:0", NodeConfig::default()).expect("start");
+    let addr = node.addr().to_string();
+    let (genesis_hash, ts) = genesis_info(&addr);
+
+    let author = AccountId::from_name("orphan-author");
+    let record = ProvenanceRecord::new(
+        "orphaned-artifact",
+        author,
+        Action::Update,
+        ts + 1,
+        Domain::Generic,
+    )
+    .with_parent(RecordId(sha256(b"never recorded")));
+    let tx = Transaction::new(author, 0, ts + 1, txkind::PROVENANCE, record.to_wire());
+    let block = Block::assemble(
+        1,
+        genesis_hash,
+        ts + 1,
+        AccountId::from_name("sealer"),
+        0,
+        vec![tx.clone()],
+    );
+
+    let (status, body, _) = post_blocks(&addr, std::slice::from_ref(&block));
+    assert_eq!(status, 200, "{body}");
+    assert_eq!(json_u64(&body, "committed"), Some(1));
+    let id_hex = tx.id().0.to_hex();
+    let (status, body) = get(&addr, &format!("/tx/{id_hex}"));
+    assert_eq!(status, 200);
+    assert_eq!(json_str(&body, "subject"), Some("orphaned-artifact".into()));
+    let (status, body) = get(&addr, "/provenance/orphaned-artifact");
+    assert_eq!(status, 200);
+    assert_eq!(json_u64(&body, "count"), Some(1));
+    assert_eq!(json_txs(&body), vec![id_hex]);
+
+    let mut oracle = ProvenanceLedger::open(LedgerConfig::private_default());
+    assert!(matches!(
+        oracle.ingest_blocks(vec![block]),
+        Err(CoreError::Graph(_))
+    ));
+    assert_eq!(oracle.chain().height(), 1, "the ledger committed it too");
     node.shutdown().expect("shutdown");
 }

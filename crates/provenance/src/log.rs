@@ -1,0 +1,668 @@
+//! [`ProvenanceLog`]: a [`Chain`] plus the per-subject postings its readers
+//! audit from — what a node needs to ingest blocks and answer "who did what
+//! to this artifact", and nothing more.
+//!
+//! Every block the chain commits is walked once: each provenance
+//! transaction's record is decoded once and posted under its subject. No
+//! transaction id or record id is computed, and no derivation graph is
+//! built. A caller that keeps more provenance state (the core crate's
+//! ledger keeps a graph, query indexes, record anchoring, author nonces and
+//! a logical clock) passes a [`RecordVisitor`] to the `*_visiting` methods
+//! and folds each record in during that same walk.
+
+use crate::model::{ProvenanceRecord, RecordId};
+use crate::txkind;
+use blockprov_ledger::block::{Block, BlockHash, BlockHeader};
+use blockprov_ledger::chain::{
+    AppendOutcome, BatchError, Chain, ChainReader, ChainView, TxInclusionProof, ValidationError,
+};
+use blockprov_ledger::readview::Published;
+use blockprov_ledger::tx::{AccountId, Transaction, TxId};
+use blockprov_wire::Codec;
+use std::collections::HashMap;
+use std::io;
+use std::sync::{Arc, RwLock};
+
+/// Decode a provenance record from the front of a transaction payload.
+///
+/// `OnChainFull` transactions append raw content after the record, so the
+/// record is a prefix of the payload (a payload that is exactly one record
+/// is the prefix case with no tail). Everything that reads records off the
+/// chain — absorption, rehydration, audits, the node's `/tx` — uses this
+/// one convention.
+pub fn decode_record_prefix(payload: &[u8]) -> Option<ProvenanceRecord> {
+    let mut r = blockprov_wire::Reader::new(payload);
+    ProvenanceRecord::decode(&mut r).ok()
+}
+
+/// A self-contained, user-verifiable proof that a provenance record is
+/// anchored on the chain — what a ProvChain auditor hands back to a client.
+#[derive(Debug, Clone)]
+pub struct RecordProof {
+    /// The proven record id.
+    pub record_id: RecordId,
+    /// The transaction carrying the record.
+    pub tx_id: TxId,
+    /// Inclusion proof of the transaction in its block.
+    pub inclusion: TxInclusionProof,
+}
+
+impl RecordProof {
+    /// Verify the whole chain of custody of the proof:
+    /// record → transaction payload → Merkle root → block hash.
+    pub fn verify(&self, record: &ProvenanceRecord) -> bool {
+        if record.id() != self.record_id {
+            return false;
+        }
+        self.inclusion.tx_id == self.tx_id && self.inclusion.verify()
+    }
+}
+
+/// Per subject, the `(block height, position)` of every provenance
+/// transaction the log has absorbed whose record names the subject — fork
+/// blocks included — kept sorted and unique.
+///
+/// A *hint*, never an answer: [`LedgerReader::provenance_of`] resolves each
+/// entry through a pinned [`ChainView`], which decides what is canonical.
+/// Heights and positions rather than 32-byte ids: 16 bytes per provenance
+/// transaction, and the id falls out of the resolved transaction.
+#[derive(Debug, Default)]
+struct SubjectPostings {
+    by_subject: HashMap<String, Vec<(u64, u32)>>,
+    entries: usize,
+}
+
+impl SubjectPostings {
+    fn insert(&mut self, subject: &str, at: (u64, u32)) {
+        // `entry` would allocate the key on every call; subjects repeat.
+        let list = match self.by_subject.get_mut(subject) {
+            Some(list) => list,
+            None => self.by_subject.entry(subject.to_string()).or_default(),
+        };
+        match list.last() {
+            // Canonical growth appends. A fork sibling, or a block absorbed
+            // a second time after a reorg, lands inside the list or is
+            // already there.
+            Some(last) if *last >= at => match list.binary_search(&at) {
+                Ok(_) => return,
+                Err(i) => list.insert(i, at),
+            },
+            _ => list.push(at),
+        }
+        self.entries += 1;
+    }
+}
+
+/// What [`LedgerReader::provenance_of`] answers.
+#[derive(Debug, Clone)]
+pub struct SubjectAudit {
+    /// The pinned view the answer describes: the chain as of the last batch
+    /// the log finished absorbing.
+    pub view: ChainView,
+    /// Every canonical provenance transaction of `view` whose record names
+    /// the subject, as `(carrying tx id, record)` in `(height, position)`
+    /// order.
+    pub records: Vec<(TxId, ProvenanceRecord)>,
+    /// Postings entries resolved against `view` to find them. Equal to
+    /// `records.len()` unless forks or reorgs left entries the view
+    /// rejects.
+    pub candidates: usize,
+}
+
+/// A cloneable, `Send + Sync` query handle over a [`ProvenanceLog`],
+/// obtained from [`ProvenanceLog::reader`].
+///
+/// Backed by the chain's epoch-published snapshots and the durable tiers'
+/// published states: every method answers without blocking the writer, and
+/// multi-step queries that must agree with each other can pin one snapshot
+/// via [`LedgerReader::view`].
+///
+/// One piece of provenance state is covered too: the per-subject audit,
+/// [`LedgerReader::provenance_of`], served from subject postings the log
+/// shares with its readers.
+#[derive(Debug, Clone)]
+pub struct LedgerReader {
+    chain: ChainReader,
+    postings: Arc<RwLock<SubjectPostings>>,
+    /// The newest view whose every block the postings cover.
+    covered: Arc<Published<ChainView>>,
+}
+
+impl LedgerReader {
+    /// The underlying chain read handle.
+    pub fn chain(&self) -> &ChainReader {
+        &self.chain
+    }
+
+    /// Pin the latest published snapshot for a prefix-consistent view.
+    pub fn view(&self) -> ChainView {
+        self.chain.view()
+    }
+
+    /// Current published tip hash.
+    pub fn tip(&self) -> BlockHash {
+        self.chain.tip()
+    }
+
+    /// Current published tip height.
+    pub fn height(&self) -> u64 {
+        self.chain.height()
+    }
+
+    /// Current published finality checkpoint height.
+    pub fn finalized_height(&self) -> u64 {
+        self.chain.finalized_height()
+    }
+
+    /// Canonical block hash at `height`.
+    pub fn hash_at(&self, height: u64) -> Option<BlockHash> {
+        self.chain.hash_at(height)
+    }
+
+    /// Fetch a stored block by hash.
+    pub fn block(&self, hash: &BlockHash) -> Option<Arc<Block>> {
+        self.chain.block(hash)
+    }
+
+    /// Fetch the canonical block at `height`.
+    pub fn block_at(&self, height: u64) -> Option<Arc<Block>> {
+        self.chain.block_at(height)
+    }
+
+    /// Locate a canonical transaction: `(containing block hash, position)`.
+    pub fn tx_by_id(&self, id: &TxId) -> Option<(BlockHash, u32)> {
+        self.chain.tx_by_id(id)
+    }
+
+    /// Fetch a canonical transaction by id.
+    pub fn get_tx(&self, id: &TxId) -> Option<Transaction> {
+        self.chain.get_tx(id)
+    }
+
+    /// All canonical transaction ids by author, oldest first.
+    pub fn txs_by_author(&self, author: &AccountId) -> Vec<TxId> {
+        self.chain.txs_by_author(author)
+    }
+
+    /// All canonical transaction ids with the given kind tag, oldest first.
+    pub fn txs_by_kind(&self, kind: u16) -> Vec<TxId> {
+        self.chain.txs_by_kind(kind)
+    }
+
+    /// All canonical provenance-carrying transaction ids, oldest first.
+    pub fn provenance_txs(&self) -> Vec<TxId> {
+        self.chain.txs_by_kind(txkind::PROVENANCE)
+    }
+
+    /// Whether `hash` lies on the canonical chain.
+    pub fn is_canonical(&self, hash: &BlockHash) -> bool {
+        self.chain.is_canonical(hash)
+    }
+
+    /// Produce a Merkle inclusion proof for a canonical transaction.
+    pub fn prove_tx(&self, id: &TxId) -> Option<TxInclusionProof> {
+        self.chain.prove_tx(id)
+    }
+
+    /// Produce a user-verifiable anchoring proof for a sealed record whose
+    /// carrying transaction id is known (e.g. from the ledger's record → tx
+    /// mapping at seal time).
+    pub fn prove_record_tx(&self, record_id: RecordId, tx_id: TxId) -> Option<RecordProof> {
+        let inclusion = self.chain.prove_tx(&tx_id)?;
+        Some(RecordProof {
+            record_id,
+            tx_id,
+            inclusion,
+        })
+    }
+
+    /// "Who did what to this artifact": every canonical provenance record
+    /// whose subject is `subject`, oldest first — in time proportional to
+    /// the records naming the subject, not to the chain's history.
+    ///
+    /// The answer is exactly what scanning the returned view would give
+    /// (`txs_by_kind(PROVENANCE)`, fetch, decode, filter on subject), ids
+    /// and order included. The subject's postings supply candidate
+    /// `(height, position)`s; a candidate counts iff the view's canonical
+    /// block at that height carries a provenance transaction at that
+    /// position whose record names the subject, so fork blocks, reorged-out
+    /// blocks and undecodable payloads drop out here. An unknown subject is
+    /// an empty answer, not an error.
+    ///
+    /// The view is the one the log pinned after it last finished absorbing
+    /// a batch, not [`LedgerReader::view`]: the chain publishes a batch's
+    /// snapshot before the log has absorbed it, and only blocks absorbed
+    /// before a view was pinned are certain to be in the postings.
+    pub fn provenance_of(&self, subject: &str) -> SubjectAudit {
+        let view = ChainView::clone(&self.covered.load());
+        let mut candidates = self
+            .postings
+            .read()
+            .expect("postings lock poisoned by a panicked writer")
+            .by_subject
+            .get(subject)
+            .cloned()
+            .unwrap_or_default();
+        // Entries above the view's tip belong to batches absorbed since.
+        candidates.truncate(candidates.partition_point(|&(h, _)| h <= view.height()));
+        let mut records = Vec::with_capacity(candidates.len());
+        let mut block: Option<Arc<Block>> = None;
+        for &(height, pos) in &candidates {
+            if block.as_ref().map(|b| b.header.height) != Some(height) {
+                block = view.block_at(height);
+            }
+            let Some(tx) = block.as_ref().and_then(|b| b.txs.get(pos as usize)) else {
+                continue;
+            };
+            if tx.kind != txkind::PROVENANCE {
+                continue;
+            }
+            match decode_record_prefix(&tx.payload) {
+                Some(record) if record.subject == subject => records.push((tx.id(), record)),
+                _ => {}
+            }
+        }
+        SubjectAudit {
+            view,
+            records,
+            candidates: candidates.len(),
+        }
+    }
+
+    /// Subject-postings entries held (one per absorbed provenance
+    /// transaction, fork blocks included).
+    pub fn postings_len(&self) -> usize {
+        self.postings
+            .read()
+            .expect("postings lock poisoned by a panicked writer")
+            .entries
+    }
+}
+
+/// One decodable provenance record a [`ProvenanceLog`] walk absorbed.
+#[derive(Debug)]
+pub struct LoggedRecord<'a> {
+    /// The decoded record (moved out to the visitor; the log keeps only its
+    /// subject's postings entry).
+    pub record: ProvenanceRecord,
+    /// The carrying transaction.
+    pub tx: &'a Transaction,
+    /// `(block height, position)` of the carrying transaction.
+    pub at: (u64, u32),
+    /// The carrying transaction's id when the walk already holds it.
+    known_id: Option<TxId>,
+}
+
+impl LoggedRecord<'_> {
+    /// The carrying transaction's id: read off the transaction index on
+    /// open, hashed here on commit (the log itself never needs it).
+    pub fn tx_id(&self) -> TxId {
+        self.known_id.unwrap_or_else(|| self.tx.id())
+    }
+}
+
+/// Provenance state kept beside a [`ProvenanceLog`], folded in during the
+/// log's own walk: on open, on every commit and on the winning branch of a
+/// reorg. Both hooks default to nothing.
+pub trait RecordVisitor {
+    /// The walk entered a block; its records follow. A block may be entered
+    /// more than once (a reorg re-walks the winning branch).
+    fn block(&mut self, _header: &BlockHeader) {}
+
+    /// The walk absorbed one decodable provenance record. Called again for
+    /// the same transaction when a reorg re-walks its block.
+    fn record(&mut self, _record: LoggedRecord<'_>) {}
+}
+
+/// The log on its own: no state beyond the postings.
+impl RecordVisitor for () {}
+
+/// A [`Chain`] and the subject postings that cover every block it stores.
+///
+/// The postings are rebuilt on open from the chain's provenance-kind index
+/// entries and extended by every block the log commits; readers from
+/// [`ProvenanceLog::reader`] audit subjects against views the log pins once
+/// a batch is absorbed.
+pub struct ProvenanceLog {
+    chain: Chain,
+    /// Shared with every [`LedgerReader`]; written under one lock per batch.
+    postings: Arc<RwLock<SubjectPostings>>,
+    /// Set by the first [`ProvenanceLog::reader`]: the chain handle the log
+    /// pins covered views from, and the slot it publishes them to.
+    covered: Option<(ChainReader, Arc<Published<ChainView>>)>,
+}
+
+impl ProvenanceLog {
+    /// Wrap `chain` (fresh or replayed from its tiers), rebuilding the
+    /// postings from its canonical provenance transactions.
+    ///
+    /// Index-driven: only provenance-carrying transactions are visited, via
+    /// the located-by-kind query, in canonical order — blocks with no
+    /// provenance payload are never decoded, and consecutive transactions
+    /// of one block are fetched once. An index read failure, or an index
+    /// entry whose block the store does not hold, fails the open loudly
+    /// instead of leaving audits a partial history.
+    ///
+    /// Stored fork blocks above the checkpoint are not visited; should a
+    /// later reorg make one canonical, the winning-branch walk folds it in
+    /// then.
+    pub fn new(chain: Chain) -> io::Result<Self> {
+        Self::new_visiting(chain, &mut ())
+    }
+
+    /// [`ProvenanceLog::new`], handing every block entered and every record
+    /// absorbed on the way to `visitor`.
+    pub fn new_visiting(chain: Chain, visitor: &mut impl RecordVisitor) -> io::Result<Self> {
+        let log = Self {
+            chain,
+            postings: Arc::default(),
+            covered: None,
+        };
+        let located = log.chain.try_txs_by_kind_located(txkind::PROVENANCE)?;
+        let mut postings = log.postings.write().expect("postings lock poisoned");
+        let mut current: Option<(BlockHash, Arc<Block>)> = None;
+        for (id, hash, pos) in located {
+            let block = match &current {
+                Some((at, block)) if *at == hash => Arc::clone(block),
+                _ => {
+                    // The index and store disagree (e.g. the store was
+                    // rolled back without its index directory).
+                    let block = log.chain.block(&hash).ok_or_else(|| {
+                        io::Error::new(
+                            io::ErrorKind::InvalidData,
+                            format!(
+                                "index entry for {id} references block {hash} missing from the store"
+                            ),
+                        )
+                    })?;
+                    visitor.block(&block.header);
+                    current = Some((hash, Arc::clone(&block)));
+                    block
+                }
+            };
+            let tx = &block.txs[pos as usize];
+            absorb_tx(
+                tx,
+                (block.header.height, pos),
+                Some(id),
+                &mut postings,
+                visitor,
+            );
+        }
+        drop(postings);
+        Ok(log)
+    }
+
+    /// The underlying chain (read access for audits and experiments).
+    pub fn chain(&self) -> &Chain {
+        &self.chain
+    }
+
+    /// Ingest a batch of blocks through the chain's batched pipeline and
+    /// post every committed provenance record under its subject.
+    ///
+    /// Blocks before the first invalid one commit and are absorbed; the
+    /// error reports which block failed and why. Durability is the chain's:
+    /// every tier is group-flushed to the OS once per call, on the error
+    /// path too — a returned batch survives a process kill; nothing is
+    /// fsynced.
+    pub fn ingest_blocks(&mut self, blocks: Vec<Block>) -> Result<Vec<AppendOutcome>, BatchError> {
+        self.ingest_blocks_visiting(blocks, &mut ())
+    }
+
+    /// [`ProvenanceLog::ingest_blocks`], handing every block entered and
+    /// every record absorbed on the way to `visitor`.
+    pub fn ingest_blocks_visiting(
+        &mut self,
+        blocks: Vec<Block>,
+        visitor: &mut impl RecordVisitor,
+    ) -> Result<Vec<AppendOutcome>, BatchError> {
+        let old_tip = self.chain.tip();
+        let result = self.chain.append_batch(blocks);
+        let committed = match &result {
+            Ok(outcomes) => outcomes,
+            Err(e) => &e.committed,
+        };
+        self.absorb(old_tip, committed, visitor);
+        result
+    }
+
+    /// Append one block (a locally sealed one) and absorb it, handing its
+    /// records to `visitor`.
+    pub fn append_visiting(
+        &mut self,
+        block: Block,
+        visitor: &mut impl RecordVisitor,
+    ) -> Result<AppendOutcome, ValidationError> {
+        let old_tip = self.chain.tip();
+        let outcome = self.chain.append(block)?;
+        self.absorb(old_tip, std::slice::from_ref(&outcome), visitor);
+        Ok(outcome)
+    }
+
+    /// Fold every committed block into the postings — whatever an earlier
+    /// one held, since audits rely on the postings covering every stored
+    /// block — then walk the winning branch of any reorg, then publish a
+    /// covered view.
+    fn absorb(
+        &mut self,
+        old_tip: BlockHash,
+        outcomes: &[AppendOutcome],
+        visitor: &mut impl RecordVisitor,
+    ) {
+        {
+            let mut postings = self.postings.write().expect("postings lock poisoned");
+            for outcome in outcomes {
+                // A block already pruned by finality has nothing to absorb.
+                if let Some(block) = self.chain.block(&outcome.hash) {
+                    absorb_block(&block, &mut postings, visitor);
+                }
+            }
+            if outcomes.iter().any(|o| o.reorged) {
+                self.absorb_winning_branch(old_tip, &mut postings, visitor);
+            }
+        }
+        self.publish_covered();
+    }
+
+    /// After a reorg, absorb the winning branch down to the fork point.
+    ///
+    /// Its blocks were absorbed when they were stored — unless that was
+    /// before a restart: replay restores stored fork blocks to the chain,
+    /// but the open walks canonical transactions only. Both branches are
+    /// walked down from their tips until they meet, or to the finality
+    /// checkpoint when the losing branch has been pruned; absorbing is
+    /// idempotent, so a block absorbed before costs its decode and no more.
+    fn absorb_winning_branch(
+        &self,
+        old_tip: BlockHash,
+        postings: &mut SubjectPostings,
+        visitor: &mut impl RecordVisitor,
+    ) {
+        let floor = self.chain.finalized_height();
+        let mut old = self.chain.block(&old_tip);
+        let mut new = self.chain.block(&self.chain.tip());
+        while let Some(block) = new {
+            let height = block.header.height;
+            if height <= floor {
+                break;
+            }
+            while let Some(o) = old.take_if(|o| o.header.height > height) {
+                old = self.chain.block(&o.header.prev);
+            }
+            if let Some(o) = old.take_if(|o| o.header.height == height) {
+                if o.hash() == block.hash() {
+                    break; // the fork point: canonical before the reorg too
+                }
+                old = self.chain.block(&o.header.prev);
+            }
+            absorb_block(&block, postings, visitor);
+            new = self.chain.block(&block.header.prev);
+        }
+    }
+
+    /// Attach a concurrent, cloneable query handle over the chain.
+    ///
+    /// The handle is `Send + Sync` and answers from epoch-published chain
+    /// snapshots plus the durable tiers' published states, so query threads
+    /// never block the ingest path and never observe torn commit state.
+    /// While at least one handle is alive the chain re-publishes a snapshot
+    /// at every commit point; queries then lag live state by at most one
+    /// commit. This is the chain-level view — id/author/kind lookups,
+    /// height/hash resolution, block fetch and Merkle inclusion proofs —
+    /// plus the per-subject audit ([`LedgerReader::provenance_of`]), which
+    /// answers as of the last batch this log finished absorbing.
+    pub fn reader(&mut self) -> LedgerReader {
+        let (chain, covered) = match &self.covered {
+            Some((chain, covered)) => (chain.clone(), Arc::clone(covered)),
+            None => {
+                // `&mut self`: no batch is in flight, so every block of the
+                // view pinned here has been absorbed.
+                let chain = self.chain.reader();
+                let covered = Arc::new(Published::new(chain.view()));
+                self.covered = Some((chain.clone(), Arc::clone(&covered)));
+                (chain, covered)
+            }
+        };
+        LedgerReader {
+            chain,
+            postings: Arc::clone(&self.postings),
+            covered,
+        }
+    }
+
+    /// Pin the chain's current snapshot as the view audits answer from.
+    /// Called once the postings cover every block stored so far — after a
+    /// batch (or an appended block) has been absorbed — so a block in a
+    /// covered view was absorbed before the view was pinned. Costs two
+    /// `Arc` clones, and nothing before the first [`Self::reader`] call.
+    fn publish_covered(&mut self) {
+        let Some((chain, covered)) = &self.covered else {
+            return;
+        };
+        if Arc::strong_count(covered) == 1 {
+            // Every `LedgerReader` is gone: give up the chain handle, so
+            // the chain stops building snapshots nobody will load.
+            self.covered = None;
+            return;
+        }
+        covered.store(Arc::new(chain.view()));
+    }
+
+    /// Force a clean-shutdown sync: flush staged commits across every
+    /// durable tier and write the checkpoint snapshot the next open
+    /// fast-starts from.
+    ///
+    /// Dropping the log performs the same sync implicitly; long-running
+    /// services call this explicitly (e.g. on SIGTERM) so a durability
+    /// failure surfaces as an error instead of being swallowed by `Drop`.
+    pub fn sync(&mut self) -> io::Result<()> {
+        self.chain.sync_meta()
+    }
+}
+
+/// Fold one committed block into the postings.
+fn absorb_block(block: &Block, postings: &mut SubjectPostings, visitor: &mut impl RecordVisitor) {
+    visitor.block(&block.header);
+    for (pos, tx) in block.txs.iter().enumerate() {
+        absorb_tx(
+            tx,
+            (block.header.height, pos as u32),
+            None,
+            postings,
+            visitor,
+        );
+    }
+}
+
+/// Post one transaction's record under its subject, if it carries one, and
+/// hand the record on. A non-provenance or undecodable transaction is not
+/// a record.
+fn absorb_tx(
+    tx: &Transaction,
+    at: (u64, u32),
+    known_id: Option<TxId>,
+    postings: &mut SubjectPostings,
+    visitor: &mut impl RecordVisitor,
+) {
+    if tx.kind != txkind::PROVENANCE {
+        return;
+    }
+    let Some(record) = decode_record_prefix(&tx.payload) else {
+        return;
+    };
+    postings.insert(&record.subject, at);
+    visitor.record(LoggedRecord {
+        record,
+        tx,
+        at,
+        known_id,
+    });
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::model::{Action, Domain};
+    use blockprov_ledger::chain::ChainConfig;
+
+    fn log() -> ProvenanceLog {
+        ProvenanceLog::new(Chain::new(ChainConfig::default())).unwrap()
+    }
+
+    /// `n` chained single-record blocks about `subject` on the log's tip.
+    fn record_blocks(log: &ProvenanceLog, subject: &str, n: u64) -> Vec<Block> {
+        let author = AccountId::from_name("peer");
+        let (mut prev, base) = (log.chain.tip(), log.chain.height());
+        (1..=n)
+            .map(|i| {
+                let ts = 10 * (base + i);
+                let record =
+                    ProvenanceRecord::new(subject, author, Action::Update, ts, Domain::Generic);
+                let tx =
+                    Transaction::new(author, base + i, ts, txkind::PROVENANCE, record.to_wire());
+                let block = Block::assemble(base + i, prev, ts, author, 0, vec![tx]);
+                prev = block.hash();
+                block
+            })
+            .collect()
+    }
+
+    #[test]
+    fn audits_answer_as_of_the_last_absorbed_batch() {
+        let mut l = log();
+        let reader = l.reader();
+        l.ingest_blocks(record_blocks(&l, "f", 3)).unwrap();
+        assert_eq!(reader.provenance_of("f").records.len(), 3);
+
+        // Stop a batch where `ingest_blocks` is between the chain's commit
+        // and the absorb: the snapshot is out, the postings are not. An
+        // audit must keep answering from the view the postings cover.
+        let batch = record_blocks(&l, "f", 2);
+        let outcomes = l.chain.append_batch(batch).unwrap();
+        assert_eq!(reader.view().height(), 5, "the chain published the batch");
+        let audit = reader.provenance_of("f");
+        assert_eq!(audit.view.height(), 3);
+        assert_eq!((audit.candidates, audit.records.len()), (3, 3));
+
+        // Finishing the batch — absorb, then pin — catches the audit up.
+        l.absorb(BlockHash::ZERO, &outcomes, &mut ());
+        let audit = reader.provenance_of("f");
+        assert_eq!(audit.view.height(), 5);
+        assert_eq!((audit.candidates, audit.records.len()), (5, 5));
+    }
+
+    #[test]
+    fn dropping_every_reader_releases_the_chain_handle() {
+        let mut l = log();
+        let reader = l.reader();
+        l.ingest_blocks(record_blocks(&l, "f", 1)).unwrap();
+        assert!(l.covered.is_some());
+        drop(reader);
+        l.ingest_blocks(record_blocks(&l, "f", 1)).unwrap();
+        assert!(l.covered.is_none(), "no reader left to publish views for");
+        // A later reader starts from a view covering everything absorbed.
+        let reader = l.reader();
+        assert_eq!(reader.provenance_of("f").records.len(), 2);
+    }
+}

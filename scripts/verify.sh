@@ -2,7 +2,8 @@
 # The single verification entrypoint shared by CI and local builds.
 #
 # Runs the tier-1 command from ROADMAP.md (release build + every suite in
-# the workspace: the root manifest's `default-members` covers it), re-runs
+# the workspace: the root manifest's `default-members` covers it), smoke-runs
+# the repo benchmark (benchmarks/run.sh --smoke, every oracle check), re-runs
 # the ingest-pipeline equivalence property on both the inline and the
 # pooled validation paths and the crypto crate's tests under --release,
 # compiles every criterion bench target so a bench-only breakage cannot
@@ -38,6 +39,14 @@ cargo build --release
 
 echo "== tier-1: cargo test -q =="
 cargo test -q
+
+echo "== repo benchmark smoke: bash benchmarks/run.sh --smoke =="
+# Builds the release node and the benchmark harness, runs all four
+# BENCHMARK.json workloads at smoke length (traced and untraced) against
+# the real node process, and checks every answer against the in-process
+# oracle: a node change that breaks an endpoint fails here, not in the
+# next benchmark run.
+bash benchmarks/run.sh --smoke
 
 echo "== docs: cargo doc --no-deps (warnings are errors) =="
 # The operator handbook (docs/OPERATIONS.md) leans on the API docs, so a

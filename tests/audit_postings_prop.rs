@@ -10,15 +10,19 @@
 //! sibling's transactions, stale forks revived later, reorgs inside the
 //! finality window, restarts mid-stream, and reader threads auditing while
 //! the writer ingests.
+//!
+//! The node serves the same audit from a `ProvenanceLog` (chain and postings,
+//! no graph); one case drives the forking, restarting stream through a log
+//! beside the ledger and requires the two to answer identically.
 
 use blockprov::core::{
     decode_record_prefix, txkind, CoreError, LedgerConfig, LedgerReader, ProvenanceLedger,
 };
 use blockprov::ledger::{
-    AccountId, Block, BlockHash, ChainView, MetaConfig, MetaStore, SegmentConfig, TieredConfig,
-    TieredStore, Transaction, TxId, TxIndex, TxIndexConfig,
+    AccountId, Block, BlockHash, Chain, ChainView, MetaConfig, MetaStore, SegmentConfig,
+    TieredConfig, TieredStore, Transaction, TxId, TxIndex, TxIndexConfig,
 };
-use blockprov::provenance::{Action, Domain, ProvenanceRecord, RecordId};
+use blockprov::provenance::{Action, Domain, ProvenanceLog, ProvenanceRecord, RecordId};
 use blockprov::wire::Codec;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -165,11 +169,11 @@ impl Stream {
         mut prev: BlockHash,
         height: u64,
         len: u64,
-        canonical: Option<&ProvenanceLedger>,
+        canonical: Option<&Chain>,
     ) -> Vec<Block> {
         (1..=len)
             .map(|i| {
-                let rival = canonical.and_then(|l| l.chain().block_at(height + i));
+                let rival = canonical.and_then(|c| c.block_at(height + i));
                 let reuse: Vec<Transaction> = match rival {
                     Some(rival) if self.rng.below(2) == 0 => {
                         let keep = self.rng.below(rival.txs.len() as u64 + 1) as usize;
@@ -202,51 +206,58 @@ fn ingest(ledger: &mut ProvenanceLedger, blocks: Vec<Block>, one_batch: bool) {
     }
 }
 
-/// One random step: extend the tip, fork inside the finality window
-/// (sometimes far enough to reorg), or revive a stale fork tip.
-fn step(
-    ledger: &mut ProvenanceLedger,
+/// One random step on `chain`: extend the tip, fork inside the finality
+/// window (sometimes far enough to reorg), or revive a stale fork tip.
+/// Returns the blocks and whether to ingest them as one batch, or `None`
+/// when there is nothing to revive.
+fn next_blocks(
+    chain: &Chain,
     stream: &mut Stream,
     stale: &mut Vec<(BlockHash, u64)>,
     forks: bool,
-) {
-    let chain = ledger.chain();
+) -> Option<(Vec<Block>, bool)> {
     let (tip, height, floor) = (chain.tip(), chain.height(), chain.finalized_height());
     let one_batch = stream.rng.below(2) == 0;
-    match stream.rng.below(if forks { 10 } else { 1 }) {
+    let blocks = match stream.rng.below(if forks { 10 } else { 1 }) {
         0..=5 => {
             let len = 1 + stream.rng.below(3);
-            let blocks = stream.branch(tip, height, len, None);
-            ingest(ledger, blocks, one_batch);
+            stream.branch(tip, height, len, None)
         }
         6..=8 if height > floor => {
             // Fork off a canonical block `depth` below the tip; a branch of
             // `depth + 1` blocks outgrows the canonical one and reorgs.
             let depth = 1 + stream.rng.below((height - floor).min(3));
             let parent_height = height - depth;
-            let parent = ledger
-                .chain()
-                .hash_at(parent_height)
-                .expect("canonical hash");
+            let parent = chain.hash_at(parent_height).expect("canonical hash");
             let len = 1 + stream.rng.below(depth + 1);
-            let blocks = stream.branch(parent, parent_height, len, Some(ledger));
+            let blocks = stream.branch(parent, parent_height, len, Some(chain));
             let last = blocks.last().expect("len >= 1");
             stale.push((last.hash(), last.header.height));
-            ingest(ledger, blocks, one_batch);
+            blocks
         }
         _ => {
             // Revive a fork tip stored earlier (maybe before a restart):
             // long enough to win if it is still there.
-            let Some((hash, at)) = stale.pop() else {
-                return;
-            };
-            if at <= floor || ledger.chain().is_canonical(&hash) {
-                return;
+            let (hash, at) = stale.pop()?;
+            if at <= floor || chain.is_canonical(&hash) {
+                return None;
             }
             let len = height.saturating_sub(at) + 1;
-            let blocks = stream.branch(hash, at, len, None);
-            ingest(ledger, blocks, one_batch);
+            stream.branch(hash, at, len, None)
         }
+    };
+    Some((blocks, one_batch))
+}
+
+/// One random step ([`next_blocks`]) through the ledger.
+fn step(
+    ledger: &mut ProvenanceLedger,
+    stream: &mut Stream,
+    stale: &mut Vec<(BlockHash, u64)>,
+    forks: bool,
+) {
+    if let Some((blocks, one_batch)) = next_blocks(ledger.chain(), stream, stale, forks) {
+        ingest(ledger, blocks, one_batch);
     }
 }
 
@@ -259,9 +270,9 @@ fn temp_dir(tag: &str) -> PathBuf {
     dir
 }
 
-/// A ledger over all three durable tiers, sized small enough that a short
+/// The three durable tiers under `dir`, sized small enough that a short
 /// stream spills out of the hot tier and across index and height pages.
-fn open_tiered(dir: &Path) -> ProvenanceLedger {
+fn open_tiers(dir: &Path) -> (TieredStore, TxIndex, MetaStore) {
     let store = TieredStore::open(
         dir.join("blocks"),
         TieredConfig {
@@ -292,13 +303,26 @@ fn open_tiered(dir: &Path) -> ProvenanceLedger {
         },
     )
     .expect("open meta");
-    ProvenanceLedger::open_with_tiers(
-        LedgerConfig::private_default().with_finality(FINALITY),
-        Box::new(store),
-        index,
-        meta,
-    )
-    .expect("open ledger")
+    (store, index, meta)
+}
+
+fn config() -> LedgerConfig {
+    LedgerConfig::private_default().with_finality(FINALITY)
+}
+
+/// A ledger over [`open_tiers`].
+fn open_tiered(dir: &Path) -> ProvenanceLedger {
+    let (store, index, meta) = open_tiers(dir);
+    ProvenanceLedger::open_with_tiers(config(), Box::new(store), index, meta).expect("open ledger")
+}
+
+/// A log over [`open_tiers`], on the chain settings of [`open_tiered`].
+fn open_tiered_log(dir: &Path) -> ProvenanceLog {
+    let (store, index, meta) = open_tiers(dir);
+    let chain =
+        Chain::replay_with_tiers(Box::new(store), Some(index), meta, config().chain_config())
+            .expect("replay chain");
+    ProvenanceLog::new(chain).expect("open log")
 }
 
 #[test]
@@ -383,6 +407,65 @@ fn audits_equal_the_scan_under_forks_reorgs_and_restarts() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// Every subject's audit, and the postings count, answered identically by
+/// a log's reader and a ledger's reader.
+fn log_agrees_with_ledger(log: &LedgerReader, ledger: &LedgerReader) {
+    assert_eq!(log.postings_len(), ledger.postings_len());
+    for subject in every_subject() {
+        let (from_log, from_ledger) = (log.provenance_of(&subject), ledger.provenance_of(&subject));
+        assert_eq!(from_log.view.tip(), from_ledger.view.tip(), "{subject}");
+        assert_eq!(from_log.records, from_ledger.records, "{subject}");
+        assert_eq!(from_log.candidates, from_ledger.candidates, "{subject}");
+    }
+}
+
+#[test]
+fn a_log_beside_the_ledger_audits_identically_under_forks_reorgs_and_restarts() {
+    let (ledger_dir, log_dir) = (temp_dir("beside-ledger"), temp_dir("beside-log"));
+    let mut ledger = open_tiered(&ledger_dir);
+    let mut log = open_tiered_log(&log_dir);
+    let (mut ledger_reader, mut log_reader) = (ledger.reader(), log.reader());
+    let mut stream = Stream::new(23);
+    let mut stale = Vec::new();
+    let mut reorged_entries = false;
+    for i in 1..=240 {
+        if let Some((blocks, one_batch)) =
+            next_blocks(ledger.chain(), &mut stream, &mut stale, true)
+        {
+            let batches: Vec<Vec<Block>> = if one_batch {
+                vec![blocks.clone()]
+            } else {
+                blocks.iter().map(|b| vec![b.clone()]).collect()
+            };
+            for batch in batches {
+                // A chain refusal is part of the stream, as for the ledger.
+                let _ = log.ingest_blocks(batch);
+            }
+            ingest(&mut ledger, blocks, one_batch);
+        }
+        assert_eq!(log.chain().tip(), ledger.chain().tip());
+        log_agrees_with_ledger(&log_reader, &ledger_reader);
+        let (candidates, matches) = audits_agree(&log_reader);
+        reorged_entries |= candidates > matches;
+        if i % 40 == 0 {
+            ledger.sync().expect("sync ledger");
+            log.sync().expect("sync log");
+            drop((ledger_reader, ledger, log_reader, log));
+            ledger = open_tiered(&ledger_dir);
+            log = open_tiered_log(&log_dir);
+            (ledger_reader, log_reader) = (ledger.reader(), log.reader());
+            log_agrees_with_ledger(&log_reader, &ledger_reader);
+        }
+    }
+    assert!(
+        reorged_entries,
+        "the stream must leave entries the view rejects"
+    );
+    drop((ledger_reader, ledger, log_reader, log));
+    let _ = std::fs::remove_dir_all(&ledger_dir);
+    let _ = std::fs::remove_dir_all(&log_dir);
+}
+
 #[test]
 fn a_fork_stored_before_a_restart_is_audited_once_it_wins_after_it() {
     // Rehydration walks canonical transactions only, so the fork block
@@ -395,7 +478,7 @@ fn a_fork_stored_before_a_restart_is_audited_once_it_wins_after_it() {
         let main = stream.branch(ledger.chain().tip(), 0, 3, None);
         let fork_parent = main[0].hash();
         ledger.ingest_blocks(main).expect("main chain");
-        let fork = stream.branch(fork_parent, 1, 1, Some(&ledger));
+        let fork = stream.branch(fork_parent, 1, 1, Some(ledger.chain()));
         let fork_tip = fork[0].hash();
         ledger.ingest_blocks(fork).expect("stale fork");
         assert!(!ledger.chain().is_canonical(&fork_tip));
