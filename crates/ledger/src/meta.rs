@@ -6,8 +6,8 @@
 //! a height finalizes, its canonical hash is appended here and pruned from
 //! the chain's in-memory suffix, and a [`CheckpointSnapshot`] — checkpoint
 //! height/hash, the per-author nonce floors and durability watermarks — is
-//! written atomically so a restart fast-starts from the checkpoint instead
-//! of re-absorbing all of history.
+//! written into one of two checksummed slot files so a restart fast-starts
+//! from the checkpoint instead of re-absorbing all of history.
 //!
 //! The height map is append-only and never rewritten: every
 //! [`HeightMap::sync`] (each clean shutdown included) cuts the staged tail
@@ -18,8 +18,9 @@
 //! Crash safety mirrors [`crate::index::TxIndex`]: blocks are authoritative
 //! and everything here is *derived*. A torn height-map tail is truncated on
 //! reopen and re-derived by walking parent pointers down from the
-//! checkpoint block; an unreadable snapshot is ignored (full replay
-//! rebuilds and rewrites it). Only a *valid* snapshot that contradicts the
+//! checkpoint block; a torn snapshot slot is ignored in favour of the other
+//! slot, and with neither slot readable a full replay rebuilds and rewrites
+//! the snapshot. Only a *valid* snapshot that contradicts the
 //! block store — a checkpoint hash the store does not hold — fails loudly,
 //! because that means the store and metadata directories belong to
 //! different histories.
@@ -27,10 +28,10 @@
 use crate::block::BlockHash;
 use crate::manifest::gc_strays;
 use crate::readview::{Published, ShardedCache};
-use blockprov_crypto::sha256::Hash256;
+use blockprov_crypto::sha256::{sha256, Hash256};
 use blockprov_wire::frame::FRAME_OVERHEAD;
 use blockprov_wire::meta::{
-    read_height_page_from, read_snapshot_from, write_height_page_to, write_snapshot_to,
+    decode_snapshot_slot, encode_snapshot_slot, read_height_page_from, write_height_page_to,
     CheckpointSnapshot, HeightPageHeader, HEIGHT_ENTRY_LEN, META_VERSION,
 };
 use blockprov_wire::Codec;
@@ -55,14 +56,16 @@ pub struct MetaConfig {
     /// index suffix crash recovery has to re-derive.
     pub index_sync_interval: u64,
     /// Write the checkpoint snapshot at every Nth finality advance (1 =
-    /// every advance). A crash can then lose up to N snapshots, so a
-    /// restart re-absorbs at most `finality window + N` blocks — still
-    /// O(1) over history. The default of 64 amortizes the per-advance
-    /// write+rename (measured ~15x append-throughput cost at interval 1
-    /// on the `ledger_scale` harness); latency-insensitive audit nodes
-    /// can set 1 for a checkpoint-exact snapshot at every advance. Clean
-    /// shutdown (`Chain::sync_meta`) always writes a fresh snapshot
-    /// regardless.
+    /// every advance). A crash can then lose up to N advances, so a restart
+    /// re-absorbs at most `finality window + N` blocks — `window + 2N`
+    /// when a power loss tore the newest snapshot slot and the open falls
+    /// back to the other one — still O(1) over history. A write is one
+    /// in-place `pwrite` of the encoded snapshot into a slot file; the
+    /// default of 64 amortizes encoding the snapshot, which grows with the
+    /// distinct authors in the floor map.
+    /// Latency-insensitive audit nodes can set 1 for a checkpoint-exact
+    /// snapshot at every advance. Clean shutdown (`Chain::sync_meta`)
+    /// always writes a fresh snapshot regardless.
     pub snapshot_interval: u64,
 }
 
@@ -223,9 +226,7 @@ impl HeightMap {
     /// page onward is dropped).
     pub fn open<P: AsRef<Path>>(path: P, config: &MetaConfig) -> io::Result<Self> {
         let path = path.as_ref().to_path_buf();
-        if !path.exists() {
-            File::create(&path)?;
-        }
+        OpenOptions::new().create(true).append(true).open(&path)?;
         let mut reader = BufReader::new(File::open(&path)?);
         let mut pages = Vec::new();
         let mut pos = 0u64;
@@ -440,16 +441,30 @@ impl HeightMap {
 
 /// Name of the height-map file inside a metadata directory.
 const HEIGHT_MAP_FILE: &str = "height.map";
-/// Name of the snapshot file inside a metadata directory.
-const SNAPSHOT_FILE: &str = "snapshot.ckpt";
+/// Names of the two snapshot slot files inside a metadata directory.
+const SNAPSHOT_SLOTS: [&str; 2] = ["snapshot.0", "snapshot.1"];
+/// The single snapshot file of builds before the slots, deleted on open.
+const LEGACY_SNAPSHOT_FILE: &str = "snapshot.ckpt";
+
+/// The digest snapshot slots are checked with.
+fn slot_digest(bytes: &[u8]) -> [u8; 32] {
+    sha256(bytes).0
+}
 
 /// The durable metadata tier a [`crate::chain::Chain`] attaches: the
-/// height→hash map plus atomically-replaced checkpoint snapshots, rooted in
-/// one directory alongside the segment store and transaction index.
+/// height→hash map plus checkpoint snapshots written in place into two
+/// alternating slot files, rooted in one directory alongside the segment
+/// store and transaction index.
 pub struct MetaStore {
     dir: PathBuf,
     config: MetaConfig,
     height_map: HeightMap,
+    /// `snapshot.0` and `snapshot.1`, opened once and overwritten in place.
+    slots: [File; 2],
+    /// Slot and sequence number of the newest usable snapshot: the next
+    /// write goes into the *other* slot, so a write torn by a crash can
+    /// only ever cost the slot it was overwriting.
+    newest: Option<(usize, u64)>,
 }
 
 impl std::fmt::Debug for MetaStore {
@@ -466,10 +481,12 @@ impl MetaStore {
     pub fn open<P: AsRef<Path>>(dir: P, config: MetaConfig) -> io::Result<Self> {
         let dir = dir.as_ref().to_path_buf();
         std::fs::create_dir_all(&dir)?;
-        // A stray snapshot temp file is a crashed write that never became
-        // the snapshot; drop it so it cannot be mistaken for one later. Same
-        // for a height-map rewrite temp an older build could leave behind.
-        let _ = std::fs::remove_file(dir.join(format!("{SNAPSHOT_FILE}.tmp")));
+        // The single-file snapshot (and its write temp) of earlier builds:
+        // the snapshot lives in the slot files now, so a directory from
+        // before replays once and writes its first slot. Same for a
+        // height-map rewrite temp an older build could leave behind.
+        let _ = std::fs::remove_file(dir.join(LEGACY_SNAPSHOT_FILE));
+        let _ = std::fs::remove_file(dir.join(format!("{LEGACY_SNAPSHOT_FILE}.tmp")));
         let _ = std::fs::remove_file(dir.join(format!("{HEIGHT_MAP_FILE}.tmp")));
         // Page files (and merge temps) of the nonce-floor store that used to
         // share this directory: the floors ride in the snapshot now, and a
@@ -480,10 +497,22 @@ impl MetaStore {
                 && (name.ends_with(".pages") || name.ends_with(".pages.tmp"))
         })?;
         let height_map = HeightMap::open(dir.join(HEIGHT_MAP_FILE), &config)?;
+        let open_slot = |name: &str| {
+            OpenOptions::new()
+                .read(true)
+                .write(true)
+                .create(true)
+                .truncate(false)
+                .open(dir.join(name))
+        };
+        let slots = [open_slot(SNAPSHOT_SLOTS[0])?, open_slot(SNAPSHOT_SLOTS[1])?];
+        let newest = newest_slot(&slots)?.map(|(slot, seq, _)| (slot, seq));
         Ok(Self {
             dir,
             config,
             height_map,
+            slots,
+            newest,
         })
     }
 
@@ -512,46 +541,55 @@ impl MetaStore {
         self.height_map.reader()
     }
 
-    /// Read the current snapshot.
+    /// Read the current snapshot: the usable slot with the higher
+    /// sequence number.
     ///
-    /// `Ok(None)` when no snapshot exists *or* the snapshot bytes are torn
-    /// or corrupt — blocks are authoritative, so an unreadable snapshot
-    /// just means a full replay (which rewrites it). I/O errors other than
-    /// absence still surface.
+    /// `Ok(None)` when neither slot holds a usable snapshot — empty, torn,
+    /// corrupt or of an older format. Blocks are authoritative, so that
+    /// just means a full replay (which rewrites the snapshot). I/O errors
+    /// still surface.
     pub fn read_snapshot(&self) -> io::Result<Option<CheckpointSnapshot>> {
-        let path = self.dir.join(SNAPSHOT_FILE);
-        let file = match File::open(&path) {
-            Ok(f) => f,
-            Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(None),
-            Err(e) => return Err(e),
-        };
-        let mut reader = BufReader::new(file);
-        match read_snapshot_from(&mut reader) {
-            Ok(snap) => Ok(snap),
-            // Corrupt snapshot: derived data, recover by ignoring it.
-            Err(_) => Ok(None),
-        }
+        Ok(newest_slot(&self.slots)?.map(|(_, _, snap)| snap))
     }
 
-    /// Atomically replace the snapshot: write a temp file, flush, rename.
+    /// Overwrite the slot that does not hold the newest usable snapshot,
+    /// in place, with `seq` one past it.
     ///
     /// No fsync — like the block and index tiers, durability is against
-    /// process crashes; the rename guarantees a reader sees either the old
-    /// or the new snapshot, never a mix.
+    /// process crashes. A write a power loss tears fails its slot's digest
+    /// on the next open, which then reads the other slot: the previous
+    /// snapshot, which this write never touches.
     pub fn write_snapshot(&mut self, snapshot: &CheckpointSnapshot) -> io::Result<()> {
-        let path = self.dir.join(SNAPSHOT_FILE);
-        let tmp = self.dir.join(format!("{SNAPSHOT_FILE}.tmp"));
-        {
-            let mut out = BufWriter::new(File::create(&tmp)?);
-            write_snapshot_to(&mut out, snapshot)?;
-            out.flush()?;
-        }
-        if let Err(e) = std::fs::rename(&tmp, &path) {
-            let _ = std::fs::remove_file(&tmp);
-            return Err(e);
-        }
+        let (slot, seq) = match self.newest {
+            Some((slot, seq)) => (1 - slot, seq + 1),
+            None => (0, 1),
+        };
+        let bytes = encode_snapshot_slot(seq, &snapshot.to_wire(), slot_digest);
+        self.slots[slot].write_all_at(&bytes, 0)?;
+        self.newest = Some((slot, seq));
         Ok(())
     }
+}
+
+/// The newest usable snapshot across both slots, with its slot index and
+/// sequence number. A slot is usable when its digest checks out *and* its
+/// payload decodes as a current-format snapshot.
+fn newest_slot(slots: &[File; 2]) -> io::Result<Option<(usize, u64, CheckpointSnapshot)>> {
+    let mut newest: Option<(usize, u64, CheckpointSnapshot)> = None;
+    for (slot, file) in slots.iter().enumerate() {
+        let mut bytes = vec![0u8; file.metadata()?.len() as usize];
+        file.read_exact_at(&mut bytes, 0)?;
+        let Some((seq, payload)) = decode_snapshot_slot(&bytes, slot_digest) else {
+            continue;
+        };
+        let Ok(snap) = CheckpointSnapshot::from_wire(payload) else {
+            continue;
+        };
+        if newest.as_ref().is_none_or(|&(_, best, _)| seq > best) {
+            newest = Some((slot, seq, snap));
+        }
+    }
+    Ok(newest)
 }
 
 #[cfg(test)]
@@ -668,8 +706,47 @@ mod tests {
         assert_eq!(store.read_snapshot().unwrap(), Some(newer));
 
         // A corrupt snapshot reads as absent, not as an error.
-        std::fs::write(dir.join("snapshot.ckpt"), b"\x10\x00\x00\x00garb").unwrap();
+        for slot in SNAPSHOT_SLOTS {
+            std::fs::write(dir.join(slot), b"\x10\x00\x00\x00garb").unwrap();
+        }
         assert!(store.read_snapshot().unwrap().is_none());
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn snapshot_writes_touch_no_directory_entry() {
+        use std::os::unix::fs::MetadataExt;
+        let dir = temp_dir("inplace");
+        let mut store = MetaStore::open(&dir, small_config()).unwrap();
+        let listing = || {
+            let mut names: Vec<String> = std::fs::read_dir(&dir)
+                .unwrap()
+                .map(|e| e.unwrap().file_name().into_string().unwrap())
+                .collect();
+            names.sort();
+            names
+        };
+        let inodes = || SNAPSHOT_SLOTS.map(|s| std::fs::metadata(dir.join(s)).unwrap().ino());
+        let (names, inos) = (listing(), inodes());
+        let mut snap = CheckpointSnapshot {
+            version: SNAPSHOT_VERSION,
+            height: 0,
+            hash: *hash(0).0.as_bytes(),
+            index_watermarks: vec![],
+            index_durable_height: 0,
+            nonce_floors: vec![],
+            height_map_len: 0,
+        };
+        for h in 1..=100u64 {
+            snap.height = h;
+            snap.nonce_floors.push((*hash(h).0.as_bytes(), h));
+            store.write_snapshot(&snap).unwrap();
+        }
+        // Every write landed in a slot file in place: no file was
+        // created, renamed over or removed on the way.
+        assert_eq!(listing(), names);
+        assert_eq!(inodes(), inos);
+        assert_eq!(store.read_snapshot().unwrap(), Some(snap));
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

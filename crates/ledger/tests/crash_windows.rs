@@ -13,6 +13,11 @@
 //!   is ahead of the durable map — healed by walking parent pointers);
 //! * a corrupt snapshot (ignored; blocks stay authoritative) versus a
 //!   *valid* snapshot that contradicts the store (fails loudly);
+//! * a torn newest snapshot slot (the open fast-starts from the other,
+//!   one interval older, and the next write goes over the torn slot, never
+//!   over the intact one);
+//! * a metadata directory from before the snapshot slots (a lone
+//!   `snapshot.ckpt`: one full replay, the file removed);
 //! * a metadata directory written before the nonce floors moved into the
 //!   snapshot (version-2 snapshot beside `floor-NN.pages`: one full replay,
 //!   the page files removed);
@@ -27,6 +32,7 @@ use blockprov_ledger::meta::{MetaConfig, MetaStore};
 use blockprov_ledger::segment::{SegmentConfig, SegmentStore, TieredConfig, TieredStore};
 use blockprov_ledger::store::BlockStore;
 use blockprov_ledger::tx::{AccountId, Transaction, TxId};
+use blockprov_wire::meta::{decode_snapshot_slot, encode_snapshot_slot, SNAPSHOT_SLOT_HEADER_LEN};
 use std::io::Write;
 use std::path::{Path, PathBuf};
 
@@ -89,18 +95,32 @@ fn small_index(dir: &Path) -> TxIndex {
 }
 
 fn small_meta(dir: &Path) -> MetaStore {
+    // Snapshot every advance: these tests specifically exercise the
+    // snapshot-ahead-of-durable-tail crash windows.
+    interval_meta(dir, 1)
+}
+
+fn interval_meta(dir: &Path, snapshot_interval: u64) -> MetaStore {
     MetaStore::open(
         dir,
         MetaConfig {
             page_heights: 4,
             cached_pages: 2,
             index_sync_interval: 8,
-            // Snapshot every advance: these tests specifically exercise
-            // the snapshot-ahead-of-durable-tail crash windows.
-            snapshot_interval: 1,
+            snapshot_interval,
         },
     )
     .unwrap()
+}
+
+/// The digest snapshot slots are written with.
+fn slot_digest(bytes: &[u8]) -> [u8; 32] {
+    blockprov_crypto::sha256::sha256(bytes).0
+}
+
+/// The snapshot slot files of a metadata directory.
+fn slot_paths(meta: &Path) -> [PathBuf; 2] {
+    [meta.join("snapshot.0"), meta.join("snapshot.1")]
 }
 
 fn forky_config() -> ChainConfig {
@@ -338,6 +358,10 @@ fn build_tiered_chain(dir: &Path, blocks: u64, sync: bool) -> (BlockHash, u64, u
 }
 
 fn reopen(dir: &Path) -> std::io::Result<Chain> {
+    reopen_with_interval(dir, 1)
+}
+
+fn reopen_with_interval(dir: &Path, snapshot_interval: u64) -> std::io::Result<Chain> {
     let config = ChainConfig {
         finality_depth: Some(3),
         ..ChainConfig::default()
@@ -345,7 +369,7 @@ fn reopen(dir: &Path) -> std::io::Result<Chain> {
     Chain::replay_with_tiers(
         tiered(&dir.join("blocks")),
         Some(small_index(&dir.join("txindex"))),
-        small_meta(&dir.join("meta")),
+        interval_meta(&dir.join("meta"), snapshot_interval),
         config,
     )
 }
@@ -396,7 +420,9 @@ fn lost_staged_tails_heal_from_blocks_on_reopen() {
 fn corrupt_snapshot_falls_back_to_full_replay() {
     let dir = temp_dir("corrupt-snap");
     let (tip, height, _) = build_tiered_chain(&dir, 16, true);
-    std::fs::write(dir.join("meta").join("snapshot.ckpt"), b"\x20\x00\x00\x00nonsense").unwrap();
+    for slot in slot_paths(&dir.join("meta")) {
+        std::fs::write(slot, b"\x20\x00\x00\x00nonsense").unwrap();
+    }
     let chain = reopen(&dir).unwrap();
     assert_eq!(chain.tip(), tip);
     assert_eq!(chain.height(), height);
@@ -620,9 +646,11 @@ fn pre_v3_meta_directory_replays_once_and_sheds_its_floor_pages() {
     blockprov_wire::encode_seq(&[fin; 4], &mut w); // v2: floor-store partition watermarks
     w.put_u64(fin); // v2: floor-store durable height
     w.put_u64(fin + 1); // height_map_len
-    let mut blob = Vec::new();
-    blockprov_wire::frame::write_frame_to(&mut blob, &w.into_bytes()).unwrap();
-    std::fs::write(meta.join("snapshot.ckpt"), blob).unwrap();
+    // Intact slot frames in both slots: only the version fails.
+    let body = w.into_bytes();
+    for (seq, slot) in slot_paths(&meta).into_iter().enumerate() {
+        std::fs::write(slot, encode_snapshot_slot(seq as u64 + 1, &body, slot_digest)).unwrap();
+    }
 
     let alice = AccountId::from_name("alice");
     let chain = reopen(&dir).unwrap();
@@ -647,6 +675,153 @@ fn pre_v3_meta_directory_replays_once_and_sheds_its_floor_pages() {
     assert!(chain.appended_blocks() <= 4, "snapshot rewritten: O(suffix) start");
     assert_eq!(chain.tip(), oracle.tip());
     assert_eq!(chain.next_nonce_for(&alice), oracle.next_nonce_for(&alice));
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// Snapshot interval of the torn-slot windows: the two slots then hold
+/// checkpoints one interval apart.
+const SLOT_INTERVAL: u64 = 4;
+
+/// Chain lengths for the torn-slot windows: one interval apart, so the
+/// newest snapshot sits in `snapshot.0` after one and in `snapshot.1`
+/// after the other.
+const TORN_SLOT_LENGTHS: [u64; 2] = [40, 44];
+
+/// Crash a `blocks`-long chain that snapshots every [`SLOT_INTERVAL`]
+/// advances, then tear its newest snapshot slot mid-payload, as a power
+/// loss during that slot's write would. Returns an un-crashed oracle over
+/// the same blocks and the path of the other, intact slot.
+fn crash_with_torn_newest_slot(dir: &Path, blocks: u64) -> (Chain, PathBuf) {
+    let config = ChainConfig {
+        finality_depth: Some(3),
+        ..ChainConfig::default()
+    };
+    let stream = linear_stream(&config, 0..blocks, 0);
+    let mut oracle = Chain::new(config.clone());
+    for block in &stream {
+        oracle.append(block.clone()).unwrap();
+    }
+    let mut chain = Chain::with_tiers(
+        tiered(&dir.join("blocks")),
+        Some(small_index(&dir.join("txindex"))),
+        interval_meta(&dir.join("meta"), SLOT_INTERVAL),
+        config,
+    );
+    for block in stream {
+        chain.append(block).unwrap();
+    }
+    // Hard crash: no clean-shutdown snapshot on top of the interval ones.
+    std::mem::forget(chain);
+    let [s0, s1] = slot_paths(&dir.join("meta"));
+    let seq = |p: &Path| {
+        let bytes = std::fs::read(p).unwrap();
+        decode_snapshot_slot(&bytes, slot_digest).expect("both slots written").0
+    };
+    let (newest, older) = if seq(&s0) > seq(&s1) { (s0, s1) } else { (s1, s0) };
+    let len = std::fs::metadata(&newest).unwrap().len();
+    let mid_payload = SNAPSHOT_SLOT_HEADER_LEN as u64 + (len - SNAPSHOT_SLOT_HEADER_LEN as u64) / 2;
+    std::fs::OpenOptions::new()
+        .write(true)
+        .open(&newest)
+        .unwrap()
+        .set_len(mid_payload)
+        .unwrap();
+    (oracle, older)
+}
+
+#[test]
+fn torn_newest_snapshot_slot_fast_starts_from_the_other() {
+    for blocks in TORN_SLOT_LENGTHS {
+        torn_newest_slot_fast_starts(blocks);
+    }
+}
+
+fn torn_newest_slot_fast_starts(blocks: u64) {
+    let dir = temp_dir(&format!("torn-slot-{blocks}"));
+    let (oracle, _) = crash_with_torn_newest_slot(&dir, blocks);
+    let chain = reopen_with_interval(&dir, SLOT_INTERVAL).unwrap();
+    // The other slot is one interval older than the torn one: the open
+    // re-absorbs at most the window plus two intervals, not history.
+    assert!(
+        chain.appended_blocks() <= 3 + 2 * SLOT_INTERVAL,
+        "re-absorbed {} of {} blocks",
+        chain.appended_blocks(),
+        oracle.height()
+    );
+    assert_eq!(chain.tip(), oracle.tip());
+    for h in 0..=oracle.height() + 1 {
+        assert_eq!(chain.hash_at(h), oracle.hash_at(h), "height {h}");
+    }
+    let alice = AccountId::from_name("alice");
+    assert_eq!(chain.next_nonce_for(&alice), oracle.next_nonce_for(&alice));
+    chain.verify_integrity().unwrap();
+    assert!(chain.index_consistent());
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn next_snapshot_write_after_a_torn_slot_goes_over_the_torn_slot() {
+    for blocks in TORN_SLOT_LENGTHS {
+        next_write_goes_over_the_torn_slot(blocks);
+    }
+}
+
+fn next_write_goes_over_the_torn_slot(blocks: u64) {
+    let dir = temp_dir(&format!("torn-slot-next-write-{blocks}"));
+    let (_, older) = crash_with_torn_newest_slot(&dir, blocks);
+    let intact = std::fs::read(&older).unwrap();
+    let older_seq = decode_snapshot_slot(&intact, slot_digest).unwrap().0;
+    {
+        let mut meta = interval_meta(&dir.join("meta"), SLOT_INTERVAL);
+        let mut snap = meta.read_snapshot().unwrap().expect("the intact slot reads");
+        snap.height_map_len += 1; // any change, so the write is visible
+        meta.write_snapshot(&snap).unwrap();
+        assert_eq!(std::fs::read(&older).unwrap(), intact, "intact slot overwritten");
+        assert_eq!(meta.read_snapshot().unwrap(), Some(snap));
+    }
+    let [s0, s1] = slot_paths(&dir.join("meta"));
+    let torn = if older == s0 { s1 } else { s0 };
+    let rewritten = std::fs::read(&torn).unwrap();
+    let (seq, _) = decode_snapshot_slot(&rewritten, slot_digest).expect("torn slot rewritten");
+    assert_eq!(seq, older_seq + 1);
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn single_file_snapshot_directory_replays_once_and_sheds_it() {
+    let dir = temp_dir("single-file-snapshot");
+    let (tip, height, _) = build_tiered_chain(&dir, 16, true);
+    // Dress `meta/` the way builds before the slots left it: the current
+    // snapshot as one frame in `snapshot.ckpt`, no slot files.
+    let meta = dir.join("meta");
+    let newest = slot_paths(&meta)
+        .iter()
+        .filter_map(|p| {
+            let bytes = std::fs::read(p).unwrap();
+            decode_snapshot_slot(&bytes, slot_digest).map(|(seq, payload)| (seq, payload.to_vec()))
+        })
+        .max()
+        .expect("a slot was written")
+        .1;
+    let mut blob = Vec::new();
+    blockprov_wire::frame::write_frame_to(&mut blob, &newest).unwrap();
+    std::fs::write(meta.join("snapshot.ckpt"), blob).unwrap();
+    for slot in slot_paths(&meta) {
+        std::fs::remove_file(slot).unwrap();
+    }
+    let chain = reopen(&dir).unwrap();
+    assert!(!meta.join("snapshot.ckpt").exists(), "legacy snapshot left behind");
+    assert!(
+        chain.appended_blocks() >= height - 1,
+        "a directory without slots means a full replay"
+    );
+    assert_eq!(chain.tip(), tip);
+    assert!(chain.index_consistent());
+    drop(chain);
+    // The replay wrote a slot: the next open fast-starts.
+    let chain = reopen(&dir).unwrap();
+    assert!(chain.appended_blocks() <= 4, "snapshot slot written: O(suffix) start");
+    assert_eq!(chain.tip(), tip);
     std::fs::remove_dir_all(&dir).unwrap();
 }
 

@@ -7,19 +7,23 @@
 //! unbounded history and a restart can fast-start from the snapshot instead
 //! of re-absorbing all of history.
 //!
-//! Two record kinds, both framed with the shared [`crate::frame`] framing:
+//! Two record kinds:
 //!
 //! * **Height pages**: fixed-width entries (32-byte block hashes) covering a
-//!   contiguous height range `[first_height, first_height + entry_count)`.
-//!   Entry bytes are opaque at this layer (the ledger writes raw hashes), so
-//!   a reader can binary-search a page directory without decoding bodies.
+//!   contiguous height range `[first_height, first_height + entry_count)`,
+//!   framed with the shared [`crate::frame`] framing. Entry bytes are opaque
+//!   at this layer (the ledger writes raw hashes), so a reader can
+//!   binary-search a page directory without decoding bodies.
 //! * **[`CheckpointSnapshot`]**: everything the chain needs to resume at a
 //!   finality checkpoint — its height/hash, the per-author nonce floors
 //!   of everything finalized at or below it, the transaction-index
 //!   durability watermarks, and the height-map length at snapshot time
 //!   (the self-consistency watermarks crash recovery checks against).
 //!   Snapshot size grows with the number of distinct finalized authors
-//!   (40 bytes each).
+//!   (40 bytes each). A snapshot is stored in a *slot*
+//!   ([`encode_snapshot_slot`]): a sequence number and a digest of the
+//!   payload ahead of it, so a slot overwritten in place and torn by a
+//!   crash is detected rather than trusted.
 
 use crate::frame::{read_frame_from, write_frame_to};
 use crate::{decode_seq, encode_seq, Codec, Reader, WireError, Writer};
@@ -133,9 +137,9 @@ pub fn read_height_page_from<R: Read>(
 
 /// A checkpoint state snapshot: the chain state a restart resumes from.
 ///
-/// Written atomically (temp + rename) at each finality advance. The hash
-/// appears as a raw 32-byte value because the wire layer sits below the
-/// ledger's newtypes.
+/// Written into a snapshot slot ([`encode_snapshot_slot`]) as finality
+/// advances. The hash appears as a raw 32-byte value because the wire layer
+/// sits below the ledger's newtypes.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CheckpointSnapshot {
     /// Format version.
@@ -192,21 +196,41 @@ impl Codec for CheckpointSnapshot {
     }
 }
 
-/// Write a snapshot as one frame (callers write to a temp file and rename).
-pub fn write_snapshot_to<W: Write>(w: &mut W, snapshot: &CheckpointSnapshot) -> io::Result<()> {
-    write_frame_to(w, &snapshot.to_wire())
+/// Bytes ahead of a snapshot slot's payload: `u64` sequence number, `u32`
+/// payload length and the 32-byte payload digest.
+pub const SNAPSHOT_SLOT_HEADER_LEN: usize = 8 + 4 + 32;
+
+/// The digest a snapshot slot checks its payload with. The wire layer sits
+/// below the crypto crate, so callers pass it in (the ledger passes SHA-256).
+pub type SlotDigest = fn(&[u8]) -> [u8; 32];
+
+/// Encode one snapshot slot: `[u64 seq][u32 len][32 B digest(payload)]
+/// [payload]`, where the payload is a [`CheckpointSnapshot::to_wire`].
+///
+/// A slot is overwritten in place, never truncated, so the file may carry
+/// stale bytes past `len` from a longer earlier snapshot;
+/// [`decode_snapshot_slot`] ignores them.
+pub fn encode_snapshot_slot(seq: u64, payload: &[u8], digest: SlotDigest) -> Vec<u8> {
+    let mut w = Writer::with_capacity(SNAPSHOT_SLOT_HEADER_LEN + payload.len());
+    w.put_u64(seq);
+    w.put_u32(payload.len() as u32);
+    w.put_raw(&digest(payload));
+    w.put_raw(payload);
+    w.into_bytes()
 }
 
-/// Read a snapshot frame. `Ok(None)` on a clean empty stream; torn or
-/// corrupt bytes are an error (callers treat that as "no usable snapshot" —
-/// blocks stay authoritative).
-pub fn read_snapshot_from<R: Read>(r: &mut R) -> io::Result<Option<CheckpointSnapshot>> {
-    let Some(body) = read_frame_from(r)? else {
-        return Ok(None);
-    };
-    CheckpointSnapshot::from_wire(&body)
-        .map(Some)
-        .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))
+/// Decode a snapshot slot's bytes into its sequence number and payload.
+///
+/// `None` — "not intact" — for a slot shorter than its header, a `len`
+/// past the end of the bytes, or a payload whose digest does not match:
+/// the signature of a write a crash tore. Never panics on any input.
+pub fn decode_snapshot_slot(bytes: &[u8], digest: SlotDigest) -> Option<(u64, &[u8])> {
+    let mut r = Reader::new(bytes);
+    let seq = r.get_u64().ok()?;
+    let len = r.get_u32().ok()? as usize;
+    let stored = r.get_raw(32).ok()?;
+    let payload = r.get_raw(len).ok()?;
+    (digest(payload)[..] == *stored).then_some((seq, payload))
 }
 
 #[cfg(test)]
@@ -271,17 +295,30 @@ mod tests {
         assert!(read_height_page_from(&mut std::io::Cursor::new(buf)).is_err());
     }
 
+    /// Test digest: four FNV-1a lanes with distinct offsets. Every lane's
+    /// step is a bijection of its state, so any change to a single payload
+    /// byte changes the digest, which the slot tests below rely on.
+    fn digest(bytes: &[u8]) -> [u8; 32] {
+        let mut out = [0u8; 32];
+        for (lane, chunk) in out.chunks_exact_mut(8).enumerate() {
+            let mut h = 0xcbf2_9ce4_8422_2325u64 ^ lane as u64;
+            for &b in bytes {
+                h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+            }
+            chunk.copy_from_slice(&h.to_le_bytes());
+        }
+        out
+    }
+
     #[test]
     fn snapshot_round_trip() {
         let s = snapshot();
         assert_eq!(CheckpointSnapshot::from_wire(&s.to_wire()).unwrap(), s);
 
-        let mut buf = Vec::new();
-        write_snapshot_to(&mut buf, &s).unwrap();
-        let read = read_snapshot_from(&mut std::io::Cursor::new(buf))
-            .unwrap()
-            .unwrap();
-        assert_eq!(read, s);
+        let slot = encode_snapshot_slot(9, &s.to_wire(), digest);
+        let (seq, payload) = decode_snapshot_slot(&slot, digest).unwrap();
+        assert_eq!(seq, 9);
+        assert_eq!(CheckpointSnapshot::from_wire(payload).unwrap(), s);
     }
 
     #[test]
@@ -308,15 +345,55 @@ mod tests {
         w.put_u64(40); // height_map_len
         assert!(CheckpointSnapshot::from_wire(&w.into_bytes()).is_err());
 
-        // Torn frame: length prefix promising more than is present.
-        let mut buf = Vec::new();
-        write_snapshot_to(&mut buf, &snapshot()).unwrap();
-        buf.truncate(buf.len() - 3);
-        assert!(read_snapshot_from(&mut std::io::Cursor::new(buf)).is_err());
+        // Torn slot: a length promising more than is present.
+        let mut slot = encode_snapshot_slot(1, &snapshot().to_wire(), digest);
+        slot.truncate(slot.len() - 3);
+        assert!(decode_snapshot_slot(&slot, digest).is_none());
 
-        // Clean empty stream is "no snapshot", not an error.
-        assert!(read_snapshot_from(&mut std::io::Cursor::new(Vec::new()))
-            .unwrap()
-            .is_none());
+        // An empty slot (a freshly created file) holds no snapshot.
+        assert!(decode_snapshot_slot(&[], digest).is_none());
+    }
+
+    #[test]
+    fn snapshot_slot_ignores_a_longer_stale_tail() {
+        // A long snapshot written first, a short one later over the same
+        // bytes: the file keeps the long one's tail past the new `len`.
+        let long = CheckpointSnapshot {
+            nonce_floors: (0..20u8).map(|a| ([a; 32], u64::from(a))).collect(),
+            ..snapshot()
+        };
+        let mut file = encode_snapshot_slot(1, &long.to_wire(), digest);
+        let short = encode_snapshot_slot(2, &snapshot().to_wire(), digest);
+        assert!(short.len() < file.len());
+        file[..short.len()].copy_from_slice(&short);
+        let (seq, payload) = decode_snapshot_slot(&file, digest).unwrap();
+        assert_eq!(seq, 2);
+        assert_eq!(CheckpointSnapshot::from_wire(payload).unwrap(), snapshot());
+    }
+
+    #[test]
+    fn snapshot_slot_truncations_and_bit_flips_are_not_intact() {
+        let slot = encode_snapshot_slot(5, &snapshot().to_wire(), digest);
+        for cut in 0..slot.len() {
+            assert!(
+                decode_snapshot_slot(&slot[..cut], digest).is_none(),
+                "slot cut to {cut} bytes decoded"
+            );
+        }
+        // One bit flipped in `len`, in the digest and in the payload.
+        for (what, at) in [
+            ("len", 8),
+            ("digest", 12 + 17),
+            ("payload", SNAPSHOT_SLOT_HEADER_LEN + 10),
+        ] {
+            for bit in 0..8 {
+                let mut flipped = slot.clone();
+                flipped[at] ^= 1 << bit;
+                assert!(
+                    decode_snapshot_slot(&flipped, digest).is_none(),
+                    "bit {bit} of the {what} flipped and the slot decoded"
+                );
+            }
+        }
     }
 }
