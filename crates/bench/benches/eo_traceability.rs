@@ -31,7 +31,8 @@ fn bench_trace(c: &mut Criterion) {
     }
     group.finish();
 
-    // Print the records-examined shape once for EXPERIMENTS.md.
+    // Print the records-examined shape once (experiment E15; the `tables`
+    // binary's flag list in `src/bin/tables.rs` indexes the experiments).
     for noise in [100usize, 1_000, 5_000] {
         let (net, head) = network_with(noise, 8);
         let dag = net.trace(head).unwrap();

@@ -1,7 +1,8 @@
 //! Regenerate every table and figure of *SOK: Blockchain for Provenance*.
 //!
 //! Usage: `cargo run --release -p blockprov-bench --bin tables [-- --t1 --e1 …]`
-//! With no flags, every experiment runs. See EXPERIMENTS.md for the index.
+//! With no flags, every experiment runs. The `want("--…")` calls in `main`
+//! are the index: one flag per table, figure or experiment.
 
 use blockprov_bench::{loaded_ledger, render_table};
 use blockprov_consensus::pbft::{ByzMode, PbftNode};

@@ -2,8 +2,6 @@
 //! harness. The `tables` binary regenerates every table/figure of the
 //! paper; the Criterion benches under `benches/` cover the wall-clock axes.
 
-pub mod flood;
-
 use blockprov_core::{LedgerConfig, ProvenanceLedger};
 use blockprov_crypto::hmac::HmacDrbg;
 use blockprov_provenance::model::Action;

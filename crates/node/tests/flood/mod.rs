@@ -1,14 +1,13 @@
-//! Mixed-scenario traffic generation for node load tests.
+//! Mixed-scenario traffic for the node's end-to-end tests.
 //!
 //! Builds a pre-chained stream of blocks whose transactions carry real
 //! [`ProvenanceRecord`]s rotating across four survey scenarios — supply
 //! chain, digital forensics (IoT custody), ML asset tracking and
-//! scientific workflows — so a flood against the node exercises the same
-//! decode/index/graph path as the domain crates, not opaque byte blobs.
+//! scientific workflows — so a stream posted to the node exercises the
+//! same decode/index path as the domain crates, not opaque byte blobs.
 //!
-//! Both the `txflood` load driver and the node's end-to-end test build
-//! their streams here, which is what lets the test's direct-ledger oracle
-//! and the HTTP-ingested node agree block-for-block.
+//! The HTTP-ingested node and the test's direct-ledger oracle both ingest
+//! streams built here, which is what lets them agree block-for-block.
 
 use blockprov_ledger::block::{Block, BlockHash};
 use blockprov_ledger::tx::{AccountId, Transaction};

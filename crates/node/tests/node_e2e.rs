@@ -15,13 +15,15 @@ use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
 use std::path::PathBuf;
 
-use blockprov_bench::flood::{artifact_name, flood_blocks, mixed_tx};
 use blockprov_core::{txkind, CoreError, LedgerConfig, ProvenanceLedger};
 use blockprov_crypto::sha256::{sha256, Hash256};
 use blockprov_ledger::{AccountId, Block, BlockHash, Transaction};
 use blockprov_node::{Node, NodeConfig};
 use blockprov_provenance::{Action, Domain, ProvenanceRecord, RecordId};
 use blockprov_wire::{encode_seq, Codec, Writer};
+use flood::{artifact_name, flood_blocks, mixed_tx};
+
+mod flood;
 
 const FINALITY: u64 = 8;
 const BLOCKS: u64 = 96;
