@@ -919,17 +919,12 @@ mod tests {
             cached_pages: 8,
             ..TxIndexConfig::default()
         };
-        let meta_config = MetaConfig {
-            page_heights: 8,
-            cached_pages: 4,
-            ..MetaConfig::default()
-        };
         let open = |config: &LedgerConfig| {
             ProvenanceLedger::open_with_tiers(
                 config.clone(),
                 tiered_store(&dir),
                 TxIndex::open(dir.join("txindex"), index_config).unwrap(),
-                MetaStore::open(dir.join("meta"), meta_config).unwrap(),
+                MetaStore::open(dir.join("meta"), MetaConfig::default()).unwrap(),
             )
             .unwrap()
         };

@@ -1271,9 +1271,10 @@ impl Chain {
                 snap.height, cp_block.header.height
             )));
         }
-        // Heal the height map: a crash can lose its staged tail (or tear
-        // its last page, truncated on open). Blocks are authoritative —
-        // walk parent pointers down from the checkpoint and refill.
+        // Heal the height map: open kept only the prefix the snapshot
+        // vouches for, and a crash can leave it short of the checkpoint.
+        // Blocks are authoritative — walk parent pointers down from the
+        // checkpoint and refill.
         let have = meta_tier.height_map().len();
         if have <= snap.height {
             let mut fill: Vec<(u64, BlockHash)> = Vec::new();
@@ -1787,13 +1788,8 @@ impl Chain {
         if let Some(ix) = &self.tx_index {
             ix.publish();
         }
-        if let Some(meta) = &mut self.meta_tier {
-            if let Err(e) = meta.height_map_mut().publish() {
-                // Readers keep the previous height-map state; the writer
-                // hits (and surfaces) the same flush failure on its own
-                // next write barrier.
-                eprintln!("ledger: height map publish failed: {e}");
-            }
+        if let Some(meta) = &self.meta_tier {
+            meta.height_map().publish();
         }
         self.read_shared.snapshot.store(Arc::new(ChainSnapshot {
             tip: self.tip,
@@ -1807,7 +1803,7 @@ impl Chain {
     }
 
     /// Flush every durable tier: staged index entries become pages, the
-    /// staged height-map tail becomes a page, and a fresh snapshot records
+    /// staged height-map tail lands in the array, and a fresh snapshot records
     /// the resulting watermarks. Shutdown hygiene — a restart after this
     /// heals nothing and fast-starts immediately.
     pub fn sync_meta(&mut self) -> std::io::Result<()> {
@@ -2206,8 +2202,8 @@ impl Chain {
         // Group-commit staging: spill entries accumulate here and reach
         // the durable index in one append when `flush_commits` runs at the
         // batch boundary — durable I/O is O(tiers) per batch, not
-        // O(advances). Height-map pushes above already buffer page cuts in
-        // memory; their flush moves to the batch boundary too.
+        // O(advances). Height-map pushes above stage in memory; their
+        // flush moves to the batch boundary too.
         self.staged_spill.extend(spill);
         if self.meta_tier.is_some() {
             // The durable tier now serves finalized heights: prune the
@@ -2258,7 +2254,7 @@ impl Chain {
     /// is derived from blocks, so after a crash the replay path can heal a
     /// tier that lags its blocks, but a tier that leads its blocks would
     /// reference frames that do not exist. Then the durable tx-index
-    /// append, the height-map page flush, and finally the interval-driven
+    /// append, the height-map flush, and finally the interval-driven
     /// sync/snapshot (which record watermarks, so they must observe the
     /// staged appends). Publication to readers stays with
     /// the callers: tiers first, snapshot second, at the batch boundary.
@@ -2276,7 +2272,7 @@ impl Chain {
                 .append(spill)?;
         }
         if let Some(meta) = &mut self.meta_tier {
-            meta.height_map_mut().flush_pages()?;
+            meta.height_map_mut().flush()?;
         }
         if self.meta_tier.is_some() {
             // Bound crash recovery: periodically force the staged tier
@@ -2863,8 +2859,6 @@ mod tests {
         let meta = crate::meta::MetaStore::open(
             dir.join("meta"),
             crate::meta::MetaConfig {
-                page_heights: 4,
-                cached_pages: 2,
                 index_sync_interval: 8,
                 ..Default::default()
             },

@@ -363,12 +363,6 @@ impl TxIndex {
             let entry = entry?;
             let name = entry.file_name();
             let name = name.to_string_lossy();
-            // Older builds could rewrite a partition through a temp file;
-            // one left behind by a crash is garbage beside intact pages.
-            if name.ends_with(".pages.tmp") {
-                let _ = std::fs::remove_file(entry.path());
-                continue;
-            }
             if let Some(num) = name.strip_prefix("idx-").and_then(|s| s.strip_suffix(".pages")) {
                 let id = num.parse::<u16>().map_err(|_| {
                     io::Error::new(
@@ -1044,26 +1038,6 @@ mod tests {
         }
         std::fs::remove_file(partition_path(&dir, 1)).unwrap();
         assert!(TxIndex::open(&dir, small_config()).is_err());
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn crashed_merge_temp_file_is_ignored_on_reopen() {
-        let dir = temp_dir("merge-crash");
-        let entries: Vec<IndexEntry> = (1..=40).map(|i| entry(i, "a", 1)).collect();
-        {
-            let mut ix = TxIndex::open(&dir, small_config()).unwrap();
-            ix.append(entries.clone()).unwrap();
-            ix.sync().unwrap();
-        }
-        // A temp file left by an older build (which could rewrite a
-        // partition through one) sits next to the intact originals.
-        std::fs::write(dir.join("idx-00.pages.tmp"), b"half-written rewrite").unwrap();
-        let ix = TxIndex::open(&dir, small_config()).unwrap();
-        assert!(!dir.join("idx-00.pages.tmp").exists(), "stray temp removed");
-        for e in &entries {
-            assert_eq!(ix.lookup(&e.id).unwrap(), Some((e.block, e.pos)));
-        }
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -86,8 +86,8 @@ pub fn commit_manifest(dir: &Path, manifest: &Manifest) -> io::Result<()> {
 
 /// Delete files in `dir` that match `managed` but are not in `live`.
 ///
-/// `managed` decides which file names this tier owns (e.g. `seg-*.blk`
-/// plus their temps); anything else in the directory — the manifest
+/// `managed` decides which file names this tier owns (e.g. `seg-*.blk`);
+/// anything else in the directory — the manifest
 /// itself, other tiers' files — is never touched. Returns the deleted
 /// names, for logging and tests.
 pub fn gc_strays(

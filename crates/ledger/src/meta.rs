@@ -1,56 +1,49 @@
-//! Durable chain-metadata tier: the height→hash map and checkpoint
+//! Durable chain-metadata tier: the height→hash array and checkpoint
 //! snapshots.
 //!
-//! PR 2 bounded resident *blocks* and PR 3 bounded resident *index*
-//! entries; this module bounds the remaining per-block chain metadata. Once
-//! a height finalizes, its canonical hash is appended here and pruned from
-//! the chain's in-memory suffix, and a [`CheckpointSnapshot`] — checkpoint
-//! height/hash, the per-author nonce floors and durability watermarks — is
-//! written into one of two checksummed slot files so a restart fast-starts
-//! from the checkpoint instead of re-absorbing all of history.
+//! Once a height finalizes, its canonical hash is appended here and pruned
+//! from the chain's in-memory suffix, and a [`CheckpointSnapshot`] —
+//! checkpoint height/hash, the per-author nonce floors and durability
+//! watermarks — is written into one of two checksummed slot files, so a
+//! restart fast-starts from the checkpoint instead of re-absorbing history.
 //!
-//! The height map is append-only and never rewritten: every
-//! [`HeightMap::sync`] (each clean shutdown included) cuts the staged tail
-//! into one short page that stays in the middle of the file once more
-//! heights land after it. Lookups binary-search the page directory, so a
-//! short page costs one directory entry and nothing else.
+//! The height array (`heights.arr`) is one append-only file with no header
+//! and no framing: entry `h` is the canonical hash at byte offset `h × 32`.
+//! The newest 32k heights are also held in memory; an older lookup is one
+//! 32-byte `pread`. Finalized heights never change, which is what makes a
+//! flat array sufficient.
 //!
-//! Crash safety mirrors [`crate::index::TxIndex`]: blocks are authoritative
-//! and everything here is *derived*. A torn height-map tail is truncated on
-//! reopen and re-derived by walking parent pointers down from the
-//! checkpoint block; a torn snapshot slot is ignored in favour of the other
-//! slot, and with neither slot readable a full replay rebuilds and rewrites
-//! the snapshot. Only a *valid* snapshot that contradicts the
-//! block store — a checkpoint hash the store does not hold — fails loudly,
-//! because that means the store and metadata directories belong to
-//! different histories.
+//! Blocks are authoritative and everything here is *derived*. Open trusts
+//! only the array prefix the newest intact snapshot vouches for
+//! ([`CheckpointSnapshot::height_map_len`], covered by the slot's SHA-256)
+//! and cuts the rest; the chain re-derives the heights past it by walking
+//! parent pointers down from the checkpoint block and replaying the
+//! suffix. A torn snapshot slot is ignored in favour of the other slot, and
+//! with neither slot readable a full replay rebuilds and rewrites the
+//! snapshot. Two things fail loudly: an intact slot of another format
+//! version (a data dir from another build — there is no migration; delete
+//! the directory to rebuild it from blocks), and a *valid* snapshot that
+//! contradicts the block store (the directories belong to different
+//! histories).
 
 use crate::block::BlockHash;
-use crate::manifest::gc_strays;
-use crate::readview::{Published, ShardedCache};
+use crate::readview::Published;
 use blockprov_crypto::sha256::{sha256, Hash256};
-use blockprov_wire::frame::FRAME_OVERHEAD;
 use blockprov_wire::meta::{
-    decode_snapshot_slot, encode_snapshot_slot, read_height_page_from, write_height_page_to,
-    CheckpointSnapshot, HeightPageHeader, HEIGHT_ENTRY_LEN, META_VERSION,
+    decode_snapshot_slot, encode_snapshot_slot, snapshot_version, CheckpointSnapshot,
+    HEIGHT_ENTRY_LEN, SNAPSHOT_VERSION,
 };
 use blockprov_wire::Codec;
-use std::collections::HashSet;
+use std::collections::VecDeque;
 use std::fs::{File, OpenOptions};
-use std::io::{self, BufReader, BufWriter, Write};
+use std::io;
 use std::os::unix::fs::FileExt;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::sync::Arc;
 
 /// Tuning for the metadata tier.
 #[derive(Debug, Clone, Copy)]
 pub struct MetaConfig {
-    /// Heights staged in memory before a height-map page is cut. Entries
-    /// are fixed-width, so this is also the nominal page entry count
-    /// (`sync` may cut a shorter final page at shutdown).
-    pub page_heights: usize,
-    /// Decoded height pages held in the LRU page cache.
-    pub cached_pages: usize,
     /// Force a transaction-index sync (and record the durable height in the
     /// snapshot) at least every this many finalized heights, bounding the
     /// index suffix crash recovery has to re-derive.
@@ -72,46 +65,80 @@ pub struct MetaConfig {
 impl Default for MetaConfig {
     fn default() -> Self {
         Self {
-            page_heights: 1024,
-            cached_pages: 32,
             index_sync_interval: 8192,
             snapshot_interval: 64,
         }
     }
 }
 
-/// Where a height page's entry bytes live inside the map file.
-#[derive(Debug, Clone, Copy)]
-struct HeightPageMeta {
-    /// Byte offset of the frame payload (header + entries).
-    offset: u64,
-    /// First height covered.
-    first_height: u64,
-    /// Entries in the page.
-    entry_count: u32,
-    /// Encoded header length (entries start at `offset + header_len`).
-    header_len: u32,
+/// Heights per resident chunk of the array.
+const CHUNK: u64 = 1024;
+/// Whole chunks held in memory: the newest `RESIDENT_CHUNKS × CHUNK`
+/// heights (1 MiB of hashes) answer without a syscall, older ones with one
+/// 32-byte `pread`.
+const RESIDENT_CHUNKS: usize = 32;
+
+/// The newest heights of the array, in memory: sealed chunks of [`CHUNK`]
+/// hashes, shared with published views by `Arc`, then the open chunk. It
+/// always covers everything not yet flushed.
+#[derive(Debug, Clone, Default)]
+struct Resident {
+    /// First height held (a multiple of [`CHUNK`]).
+    first: u64,
+    sealed: VecDeque<Arc<[BlockHash]>>,
+    open: Vec<BlockHash>,
 }
 
-/// Reader-shared half of a [`HeightMap`]: the published immutable view, one
-/// `pread` handle on the map file (opened once — the file is only ever
-/// appended to), and the sharded decoded-page cache both sides read
-/// through.
+impl Resident {
+    /// One past the last height held: the map's length.
+    fn end(&self) -> u64 {
+        self.first + self.sealed.len() as u64 * CHUNK + self.open.len() as u64
+    }
+
+    fn get(&self, height: u64) -> Option<BlockHash> {
+        let off = height.checked_sub(self.first)?;
+        let (chunk, at) = ((off / CHUNK) as usize, (off % CHUNK) as usize);
+        match self.sealed.get(chunk) {
+            Some(sealed) => Some(sealed[at]),
+            None if chunk == self.sealed.len() => self.open.get(at).copied(),
+            None => None,
+        }
+    }
+
+    fn push(&mut self, hash: BlockHash) {
+        self.open.push(hash);
+        if self.open.len() as u64 == CHUNK {
+            self.sealed.push_back(std::mem::take(&mut self.open).into());
+        }
+    }
+
+    /// Drop the oldest chunks past the bound — only ones wholly below
+    /// `durable`, so an unflushed height is never dropped.
+    fn evict(&mut self, durable: u64) {
+        while self.sealed.len() > RESIDENT_CHUNKS && self.first + CHUNK <= durable {
+            self.sealed.pop_front();
+            self.first += CHUNK;
+        }
+    }
+}
+
+/// Reader-shared half of a [`HeightMap`]: the published immutable view and
+/// the array file, which both sides `pread` and only the writer extends.
 #[derive(Debug)]
-pub struct HeightMapShared {
-    state: Published<HeightMapState>,
+struct HeightMapShared {
+    state: Published<Resident>,
     file: File,
-    /// Decoded page cache: page index → hashes.
-    cache: ShardedCache<u32, Arc<Vec<BlockHash>>>,
 }
 
-/// One immutable published view of the height map: everything a reader
-/// needs to answer `hash_at` without touching the writer.
-#[derive(Debug)]
-struct HeightMapState {
-    pages: Vec<HeightPageMeta>,
-    staged: Vec<BlockHash>,
-    durable: u64,
+/// Canonical hash at `height`: from `resident` when it holds the height,
+/// else one `pread` of the array (everything below `resident` is on disk).
+fn lookup(file: &File, resident: &Resident, height: u64) -> io::Result<Option<BlockHash>> {
+    if height >= resident.first {
+        return Ok(resident.get(height));
+    }
+    let mut entry = [0u8; HEIGHT_ENTRY_LEN];
+    file.read_exact_at(&mut entry, height * HEIGHT_ENTRY_LEN as u64)?;
+    Ok(Some(BlockHash(Hash256(entry))))
 }
 
 /// A cloneable, `Send + Sync` read handle over the last published
@@ -125,26 +152,12 @@ impl HeightReader {
     /// Canonical hash at `height` in the published view, or `None` when the
     /// view does not cover it.
     pub fn hash_at(&self, height: u64) -> io::Result<Option<BlockHash>> {
-        let state = self.shared.state.load();
-        let len = state.durable + state.staged.len() as u64;
-        if height >= len {
-            return Ok(None);
-        }
-        if height >= state.durable {
-            return Ok(Some(state.staged[(height - state.durable) as usize]));
-        }
-        let idx = state
-            .pages
-            .partition_point(|p| p.first_height + u64::from(p.entry_count) <= height);
-        let page = state.pages[idx];
-        let entries = read_page_hashes(&self.shared, idx as u32, page)?;
-        Ok(Some(entries[(height - page.first_height) as usize]))
+        lookup(&self.shared.file, &self.shared.state.load(), height)
     }
 
-    /// Heights covered by the published view (staged tail included).
+    /// Heights covered by the published view (unflushed ones included).
     pub fn len(&self) -> u64 {
-        let state = self.shared.state.load();
-        state.durable + state.staged.len() as u64
+        self.shared.state.load().end()
     }
 
     /// True when the published view covers nothing.
@@ -153,149 +166,66 @@ impl HeightReader {
     }
 }
 
-/// Fetch one decoded height page through the shared cache, positional-read
-/// (`pread`) on miss so concurrent readers never contend on a seek cursor.
-fn read_page_hashes(
-    shared: &HeightMapShared,
-    idx: u32,
-    page: HeightPageMeta,
-) -> io::Result<Arc<Vec<BlockHash>>> {
-    if let Some(hit) = shared.cache.get(&idx) {
-        return Ok(hit);
-    }
-    let mut body = vec![0u8; page.entry_count as usize * HEIGHT_ENTRY_LEN];
-    shared
-        .file
-        .read_exact_at(&mut body, page.offset + u64::from(page.header_len))?;
-    let hashes: Vec<BlockHash> = body
-        .chunks_exact(HEIGHT_ENTRY_LEN)
-        .map(|c| BlockHash(Hash256(c.try_into().expect("32-byte chunk"))))
-        .collect();
-    let arc = Arc::new(hashes);
-    shared.cache.insert(idx, Arc::clone(&arc));
-    Ok(arc)
-}
-
-/// Shards in the decoded-page cache (see [`ShardedCache`]).
-const PAGE_CACHE_SHARDS: usize = 8;
-
-/// The durable, append-only canonical height→hash map.
+/// The durable, append-only canonical height→hash array.
 ///
 /// Heights are strictly contiguous: entry `h` is the canonical block hash
 /// at height `h`, and pushes must arrive in height order (idempotent pushes
 /// of already-covered heights are dropped, so crash replay can blindly
-/// re-push). Finality guarantees covered heights never change, which is
-/// what makes an append-only layout sufficient.
+/// re-push). Pushes land in memory; [`HeightMap::flush`] writes the
+/// unflushed tail with one positional write, and only then counts it
+/// durable.
+#[derive(Debug)]
 pub struct HeightMap {
-    path: PathBuf,
-    writer: BufWriter<File>,
-    pages: Vec<HeightPageMeta>,
-    staged: Vec<BlockHash>,
-    /// Heights durably paged (`staged` covers `durable..durable+staged.len()`).
+    resident: Resident,
+    /// Entries on disk; `durable..len()` are held only in `resident`.
     durable: u64,
-    page_heights: usize,
     shared: Arc<HeightMapShared>,
-    bytes: u64,
-    /// Pages cut into the writer's buffer since the last flush, pinned by
-    /// page index. Cuts do not flush individually — the chain flushes once
-    /// per finality advance — so `durable` may briefly run ahead of the
-    /// file, and the writer's own lookups answer these pages from memory.
-    /// A crash in that window loses the buffered tail, which is the
-    /// torn-tail shape reopen already heals from blocks.
-    unflushed: Vec<(u32, Arc<Vec<BlockHash>>)>,
-}
-
-impl std::fmt::Debug for HeightMap {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("HeightMap")
-            .field("path", &self.path)
-            .field("heights", &self.len())
-            .field("pages", &self.pages.len())
-            .field("bytes", &self.bytes)
-            .finish_non_exhaustive()
-    }
 }
 
 impl HeightMap {
-    /// Open (or create) a height map at `path`, scanning existing pages.
-    ///
-    /// A torn or corrupt trailing page — the signature of a crash mid-flush
-    /// — is truncated away: the map is derived from blocks, and the chain
-    /// re-derives the lost suffix on replay. A page whose `first_height`
-    /// breaks contiguity is treated the same way (everything from the bad
-    /// page onward is dropped).
-    pub fn open<P: AsRef<Path>>(path: P, config: &MetaConfig) -> io::Result<Self> {
-        let path = path.as_ref().to_path_buf();
-        OpenOptions::new().create(true).append(true).open(&path)?;
-        let mut reader = BufReader::new(File::open(&path)?);
-        let mut pages = Vec::new();
-        let mut pos = 0u64;
-        let mut covered = 0u64;
-        let truncate_at = loop {
-            match read_height_page_from(&mut reader) {
-                Ok(None) => break None,
-                Ok(Some((header, entry_bytes))) => {
-                    if header.first_height != covered {
-                        break Some(pos); // contiguity broken: drop the tail
-                    }
-                    let header_len = header.to_wire().len() as u32;
-                    pages.push(HeightPageMeta {
-                        offset: pos + FRAME_OVERHEAD,
-                        first_height: header.first_height,
-                        entry_count: header.entry_count,
-                        header_len,
-                    });
-                    covered += u64::from(header.entry_count);
-                    pos += blockprov_wire::frame::frame_len(
-                        header_len as usize + entry_bytes.len(),
-                    );
-                }
-                // Torn or corrupt tail: self-heal by truncation.
-                Err(_) => break Some(pos),
-            }
-        };
-        if let Some(at) = truncate_at {
-            drop(reader);
-            let f = OpenOptions::new().write(true).open(&path)?;
-            f.set_len(at)?;
-            f.sync_all()?;
+    /// Open (or create) the array at `path`, trusting its first `vouched`
+    /// entries and cutting (then `fsync`ing) everything past them — a
+    /// torn record, or whole records a crash left after the last snapshot.
+    /// The chain re-derives the cut heights from blocks.
+    pub fn open<P: AsRef<Path>>(path: P, vouched: u64) -> io::Result<Self> {
+        let file = OpenOptions::new()
+            .read(true)
+            .write(true)
+            .create(true)
+            .truncate(false)
+            .open(path)?;
+        let entry = HEIGHT_ENTRY_LEN as u64;
+        let len = file.metadata()?.len();
+        let durable = vouched.min(len / entry);
+        if len != durable * entry {
+            file.set_len(durable * entry)?;
+            file.sync_all()?;
         }
-        let writer = BufWriter::new(OpenOptions::new().append(true).open(&path)?);
-        let shared = Arc::new(HeightMapShared {
-            state: Published::new(HeightMapState {
-                pages: Vec::new(),
-                staged: Vec::new(),
-                durable: 0,
-            }),
-            file: File::open(&path)?,
-            cache: ShardedCache::new(config.cached_pages, PAGE_CACHE_SHARDS),
-        });
-        let mut hm = Self {
-            path,
-            writer,
-            pages,
-            staged: Vec::new(),
-            durable: covered,
-            page_heights: config.page_heights.max(1),
-            shared,
-            bytes: pos,
-            unflushed: Vec::new(),
+        let first = durable.saturating_sub(RESIDENT_CHUNKS as u64 * CHUNK) / CHUNK * CHUNK;
+        let mut bytes = vec![0u8; ((durable - first) * entry) as usize];
+        file.read_exact_at(&mut bytes, first * entry)?;
+        let mut resident = Resident {
+            first,
+            ..Resident::default()
         };
-        hm.publish()?;
-        Ok(hm)
+        for hash in bytes.chunks_exact(HEIGHT_ENTRY_LEN) {
+            resident.push(BlockHash(Hash256(hash.try_into().expect("32-byte entry"))));
+        }
+        let shared = Arc::new(HeightMapShared {
+            state: Published::new(resident.clone()),
+            file,
+        });
+        Ok(Self {
+            resident,
+            durable,
+            shared,
+        })
     }
 
-    /// Publish the current durable + staged view for readers. Flushes
-    /// buffered page cuts first so every published page offset is backed by
-    /// on-disk bytes.
-    pub fn publish(&mut self) -> io::Result<()> {
-        self.flush_pages()?;
-        self.shared.state.store(Arc::new(HeightMapState {
-            pages: self.pages.clone(),
-            staged: self.staged.clone(),
-            durable: self.durable,
-        }));
-        Ok(())
+    /// Publish the current view for readers. Heights below the resident
+    /// chunks are all flushed, so every entry a reader `pread`s is on disk.
+    pub fn publish(&self) {
+        self.shared.state.store(Arc::new(self.resident.clone()));
     }
 
     /// A read handle over the last published state.
@@ -305,9 +235,9 @@ impl HeightMap {
         }
     }
 
-    /// Heights covered, staged tail included.
+    /// Heights covered, unflushed ones included.
     pub fn len(&self) -> u64 {
-        self.durable + self.staged.len() as u64
+        self.resident.end()
     }
 
     /// True when no heights are covered.
@@ -315,19 +245,9 @@ impl HeightMap {
         self.len() == 0
     }
 
-    /// Heights covered by durably flushed pages.
+    /// Heights written to the array file.
     pub fn durable_len(&self) -> u64 {
         self.durable
-    }
-
-    /// Bytes in the map file.
-    pub fn stored_bytes(&self) -> u64 {
-        self.bytes
-    }
-
-    /// Durable pages in the map file.
-    pub fn page_count(&self) -> usize {
-        self.pages.len()
     }
 
     /// Append the canonical hash for `height`.
@@ -359,92 +279,45 @@ impl HeightMap {
                 format!("height map gap: pushing {height}, next expected {next}"),
             ));
         }
-        self.staged.push(hash);
-        if self.staged.len() >= self.page_heights {
-            self.cut_page()?;
-        }
+        self.resident.push(hash);
         Ok(true)
     }
 
-    /// Force the staged tail into a durable page and flush the writer
-    /// (checkpoint/shutdown).
-    pub fn sync(&mut self) -> io::Result<()> {
-        if !self.staged.is_empty() {
-            self.cut_page()?;
+    /// Write the unflushed tail to the array file in one positional write.
+    /// The chain calls this once per group commit.
+    pub fn flush(&mut self) -> io::Result<()> {
+        let len = self.len();
+        if self.durable == len {
+            return Ok(());
         }
-        self.flush_pages()?;
-        self.publish()
-    }
-
-    /// Flush buffered page cuts to the file. [`Self::push`] buffers cuts in
-    /// the writer so a batch of finalized heights costs one flush, not one
-    /// per page — callers flush once per finality advance.
-    pub fn flush_pages(&mut self) -> io::Result<()> {
-        if !self.unflushed.is_empty() {
-            self.writer.flush()?;
-            self.unflushed.clear();
-        }
+        let bytes: Vec<u8> = (self.durable..len)
+            .flat_map(|h| *self.resident.get(h).expect("resident").0.as_bytes())
+            .collect();
+        self.shared
+            .file
+            .write_all_at(&bytes, self.durable * HEIGHT_ENTRY_LEN as u64)?;
+        self.durable = len;
+        self.resident.evict(len);
         Ok(())
     }
 
-    fn cut_page(&mut self) -> io::Result<()> {
-        let staged = std::mem::take(&mut self.staged);
-        let header = HeightPageHeader {
-            version: META_VERSION,
-            first_height: self.durable,
-            entry_count: staged.len() as u32,
-        };
-        let mut entry_bytes = Vec::with_capacity(staged.len() * HEIGHT_ENTRY_LEN);
-        for h in &staged {
-            entry_bytes.extend_from_slice(h.0.as_bytes());
-        }
-        write_height_page_to(&mut self.writer, &header, &entry_bytes)?;
-        let header_len = header.to_wire().len() as u32;
-        let frame = blockprov_wire::frame::frame_len(header_len as usize + entry_bytes.len());
-        let page_index = self.pages.len() as u32;
-        self.pages.push(HeightPageMeta {
-            offset: self.bytes + FRAME_OVERHEAD,
-            first_height: self.durable,
-            entry_count: staged.len() as u32,
-            header_len,
-        });
-        self.bytes += frame;
-        self.durable += staged.len() as u64;
-        // The freshly cut page is hot by construction.
-        let staged = Arc::new(staged);
-        self.shared.cache.insert(page_index, Arc::clone(&staged));
-        self.unflushed.push((page_index, staged));
+    /// Flush the unflushed tail and publish (checkpoint/shutdown).
+    pub fn sync(&mut self) -> io::Result<()> {
+        self.flush()?;
+        self.publish();
         Ok(())
     }
 
     /// Canonical hash at `height`, or `None` when not covered.
     pub fn hash_at(&self, height: u64) -> io::Result<Option<BlockHash>> {
-        if height >= self.len() {
-            return Ok(None);
-        }
-        if height >= self.durable {
-            return Ok(Some(self.staged[(height - self.durable) as usize]));
-        }
-        // Pages cover contiguous sorted ranges: binary-search the directory.
-        let idx = self
-            .pages
-            .partition_point(|p| p.first_height + u64::from(p.entry_count) <= height);
-        let page = self.pages[idx];
-        debug_assert!(height >= page.first_height);
-        let entries = match self.unflushed.iter().find(|&&(i, _)| i == idx as u32) {
-            Some((_, pinned)) => Arc::clone(pinned),
-            None => read_page_hashes(&self.shared, idx as u32, page)?,
-        };
-        Ok(Some(entries[(height - page.first_height) as usize]))
+        lookup(&self.shared.file, &self.resident, height)
     }
 }
 
-/// Name of the height-map file inside a metadata directory.
-const HEIGHT_MAP_FILE: &str = "height.map";
+/// Name of the height-array file inside a metadata directory.
+const HEIGHT_ARRAY_FILE: &str = "heights.arr";
 /// Names of the two snapshot slot files inside a metadata directory.
 const SNAPSHOT_SLOTS: [&str; 2] = ["snapshot.0", "snapshot.1"];
-/// The single snapshot file of builds before the slots, deleted on open.
-const LEGACY_SNAPSHOT_FILE: &str = "snapshot.ckpt";
 
 /// The digest snapshot slots are checked with.
 fn slot_digest(bytes: &[u8]) -> [u8; 32] {
@@ -452,11 +325,11 @@ fn slot_digest(bytes: &[u8]) -> [u8; 32] {
 }
 
 /// The durable metadata tier a [`crate::chain::Chain`] attaches: the
-/// height→hash map plus checkpoint snapshots written in place into two
+/// height→hash array plus checkpoint snapshots written in place into two
 /// alternating slot files, rooted in one directory alongside the segment
 /// store and transaction index.
+#[derive(Debug)]
 pub struct MetaStore {
-    dir: PathBuf,
     config: MetaConfig,
     height_map: HeightMap,
     /// `snapshot.0` and `snapshot.1`, opened once and overwritten in place.
@@ -467,36 +340,14 @@ pub struct MetaStore {
     newest: Option<(usize, u64)>,
 }
 
-impl std::fmt::Debug for MetaStore {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("MetaStore")
-            .field("dir", &self.dir)
-            .field("height_map", &self.height_map)
-            .finish_non_exhaustive()
-    }
-}
-
 impl MetaStore {
     /// Open (or create) a metadata tier rooted at `dir`.
+    ///
+    /// Fails when either slot holds an intact snapshot of another format
+    /// version; the error names both versions.
     pub fn open<P: AsRef<Path>>(dir: P, config: MetaConfig) -> io::Result<Self> {
-        let dir = dir.as_ref().to_path_buf();
-        std::fs::create_dir_all(&dir)?;
-        // The single-file snapshot (and its write temp) of earlier builds:
-        // the snapshot lives in the slot files now, so a directory from
-        // before replays once and writes its first slot. Same for a
-        // height-map rewrite temp an older build could leave behind.
-        let _ = std::fs::remove_file(dir.join(LEGACY_SNAPSHOT_FILE));
-        let _ = std::fs::remove_file(dir.join(format!("{LEGACY_SNAPSHOT_FILE}.tmp")));
-        let _ = std::fs::remove_file(dir.join(format!("{HEIGHT_MAP_FILE}.tmp")));
-        // Page files (and merge temps) of the nonce-floor store that used to
-        // share this directory: the floors ride in the snapshot now, and a
-        // directory from before that carries a snapshot that no longer
-        // decodes, so the replay it takes re-derives them from blocks.
-        gc_strays(&dir, &HashSet::new(), |name| {
-            name.starts_with("floor-")
-                && (name.ends_with(".pages") || name.ends_with(".pages.tmp"))
-        })?;
-        let height_map = HeightMap::open(dir.join(HEIGHT_MAP_FILE), &config)?;
+        let dir = dir.as_ref();
+        std::fs::create_dir_all(dir)?;
         let open_slot = |name: &str| {
             OpenOptions::new()
                 .read(true)
@@ -506,24 +357,22 @@ impl MetaStore {
                 .open(dir.join(name))
         };
         let slots = [open_slot(SNAPSHOT_SLOTS[0])?, open_slot(SNAPSHOT_SLOTS[1])?];
-        let newest = newest_slot(&slots)?.map(|(slot, seq, _)| (slot, seq));
+        let newest = newest_slot(&slots)?;
+        let vouched = newest
+            .as_ref()
+            .map_or(0, |(_, _, snap)| snap.height_map_len);
+        let height_map = HeightMap::open(dir.join(HEIGHT_ARRAY_FILE), vouched)?;
         Ok(Self {
-            dir,
             config,
             height_map,
             slots,
-            newest,
+            newest: newest.map(|(slot, seq, _)| (slot, seq)),
         })
     }
 
     /// The tier's configuration.
     pub fn config(&self) -> &MetaConfig {
         &self.config
-    }
-
-    /// The metadata directory.
-    pub fn dir(&self) -> &Path {
-        &self.dir
     }
 
     /// The height→hash map (read access).
@@ -536,18 +385,13 @@ impl MetaStore {
         &mut self.height_map
     }
 
-    /// A concurrent read handle over the height map's published state.
-    pub fn height_reader(&self) -> HeightReader {
-        self.height_map.reader()
-    }
-
     /// Read the current snapshot: the usable slot with the higher
     /// sequence number.
     ///
-    /// `Ok(None)` when neither slot holds a usable snapshot — empty, torn,
-    /// corrupt or of an older format. Blocks are authoritative, so that
-    /// just means a full replay (which rewrites the snapshot). I/O errors
-    /// still surface.
+    /// `Ok(None)` when neither slot holds a usable snapshot — empty, torn
+    /// or corrupt. Blocks are authoritative, so that just means a full
+    /// replay (which rewrites the snapshot). I/O errors and an intact slot
+    /// of another format version still surface.
     pub fn read_snapshot(&self) -> io::Result<Option<CheckpointSnapshot>> {
         Ok(newest_slot(&self.slots)?.map(|(_, _, snap)| snap))
     }
@@ -573,7 +417,8 @@ impl MetaStore {
 
 /// The newest usable snapshot across both slots, with its slot index and
 /// sequence number. A slot is usable when its digest checks out *and* its
-/// payload decodes as a current-format snapshot.
+/// payload decodes as a current-format snapshot; an intact slot of another
+/// format version is an error.
 fn newest_slot(slots: &[File; 2]) -> io::Result<Option<(usize, u64, CheckpointSnapshot)>> {
     let mut newest: Option<(usize, u64, CheckpointSnapshot)> = None;
     for (slot, file) in slots.iter().enumerate() {
@@ -582,6 +427,17 @@ fn newest_slot(slots: &[File; 2]) -> io::Result<Option<(usize, u64, CheckpointSn
         let Some((seq, payload)) = decode_snapshot_slot(&bytes, slot_digest) else {
             continue;
         };
+        if let Some(version) = snapshot_version(payload).filter(|&v| v != SNAPSHOT_VERSION) {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidData,
+                format!(
+                    "{} holds metadata format version {version}, this build reads only \
+                     version {SNAPSHOT_VERSION}: delete the metadata directory to rebuild \
+                     it from blocks",
+                    SNAPSHOT_SLOTS[slot]
+                ),
+            ));
+        }
         let Ok(snap) = CheckpointSnapshot::from_wire(payload) else {
             continue;
         };
@@ -596,7 +452,8 @@ fn newest_slot(slots: &[File; 2]) -> io::Result<Option<(usize, u64, CheckpointSn
 mod tests {
     use super::*;
     use blockprov_crypto::sha256::sha256;
-    use blockprov_wire::meta::SNAPSHOT_VERSION;
+    use std::io::Write;
+    use std::path::PathBuf;
 
     fn hash(i: u64) -> BlockHash {
         BlockHash(sha256(format!("h-{i}").as_bytes()))
@@ -614,8 +471,6 @@ mod tests {
 
     fn small_config() -> MetaConfig {
         MetaConfig {
-            page_heights: 4,
-            cached_pages: 2,
             index_sync_interval: 8,
             snapshot_interval: 1,
         }
@@ -625,30 +480,43 @@ mod tests {
     fn height_map_push_lookup_and_reopen() {
         let dir = temp_dir("hm");
         std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("height.map");
+        let path = dir.join(HEIGHT_ARRAY_FILE);
+        // Past the resident bound, so the oldest heights answer by `pread`.
+        let n = (RESIDENT_CHUNKS as u64 + 2) * CHUNK + 10;
         {
-            let mut hm = HeightMap::open(&path, &small_config()).unwrap();
-            for h in 0..10u64 {
+            let mut hm = HeightMap::open(&path, 0).unwrap();
+            for h in 0..n - 4 {
                 assert!(hm.push(h, hash(h)).unwrap());
             }
-            assert_eq!(hm.len(), 10);
-            assert!(hm.page_count() >= 2, "small pages must have been cut");
-            for h in 0..10 {
-                assert_eq!(hm.hash_at(h).unwrap(), Some(hash(h)));
+            hm.flush().unwrap();
+            assert_eq!(hm.durable_len(), n - 4);
+            assert!(hm.resident.first > 0, "old chunks evicted");
+            for h in n - 4..n {
+                assert!(hm.push(h, hash(h)).unwrap());
             }
-            assert_eq!(hm.hash_at(10).unwrap(), None);
-            // Idempotent re-push of a covered height.
+            // Evicted and flushed-resident heights, then the unflushed tail.
+            assert_eq!(hm.len(), n);
+            for h in (0..n).step_by(97).chain(n - 5..n) {
+                assert_eq!(hm.hash_at(h).unwrap(), Some(hash(h)), "height {h}");
+            }
+            assert_eq!(hm.hash_at(n).unwrap(), None);
+            // Idempotent re-push of a covered height, durable or not.
             assert!(!hm.push(3, hash(3)).unwrap());
+            assert!(!hm.push(n - 2, hash(n - 2)).unwrap());
             // A contradicting re-push is a different history, not a no-op.
             assert!(hm.push(3, hash(99)).is_err());
             // Gap is an error.
-            assert!(hm.push(12, hash(12)).is_err());
+            assert!(hm.push(n + 2, hash(n + 2)).is_err());
             hm.sync().unwrap();
         }
-        let hm = HeightMap::open(&path, &small_config()).unwrap();
-        assert_eq!(hm.durable_len(), 10);
-        for h in 0..10 {
-            assert_eq!(hm.hash_at(h).unwrap(), Some(hash(h)));
+        // Entry `h` is the raw hash at offset h × 32.
+        let bytes = std::fs::read(&path).unwrap();
+        assert_eq!(bytes.len() as u64, n * HEIGHT_ENTRY_LEN as u64);
+        assert_eq!(&bytes[7 * 32..8 * 32], hash(7).0.as_bytes());
+        let hm = HeightMap::open(&path, n).unwrap();
+        assert_eq!(hm.durable_len(), n);
+        for h in 0..n {
+            assert_eq!(hm.hash_at(h).unwrap(), Some(hash(h)), "height {h}");
         }
         std::fs::remove_dir_all(&dir).unwrap();
     }
@@ -657,21 +525,24 @@ mod tests {
     fn height_map_torn_tail_self_heals() {
         let dir = temp_dir("torn");
         std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("height.map");
+        let path = dir.join(HEIGHT_ARRAY_FILE);
         {
-            let mut hm = HeightMap::open(&path, &small_config()).unwrap();
+            let mut hm = HeightMap::open(&path, 0).unwrap();
             for h in 0..8u64 {
                 hm.push(h, hash(h)).unwrap();
             }
             hm.sync().unwrap();
         }
         let whole = std::fs::metadata(&path).unwrap().len();
-        {
-            let mut f = OpenOptions::new().append(true).open(&path).unwrap();
-            f.write_all(&(999u32).to_le_bytes()).unwrap();
-            f.write_all(b"torn").unwrap();
-        }
-        let mut hm = HeightMap::open(&path, &small_config()).unwrap();
+        // A torn record plus whole records no snapshot vouches for.
+        let mut f = OpenOptions::new().append(true).open(&path).unwrap();
+        f.write_all(&[0xEE; 3 * HEIGHT_ENTRY_LEN + 13]).unwrap();
+        // A vouched length past the file trusts only what is there.
+        let mut hm = HeightMap::open(&path, 100).unwrap();
+        assert_eq!(std::fs::metadata(&path).unwrap().len(), whole + 3 * 32);
+        assert_eq!(hm.durable_len(), 11);
+        // The vouched length cuts the whole garbage records as well.
+        hm = HeightMap::open(&path, 8).unwrap();
         assert_eq!(std::fs::metadata(&path).unwrap().len(), whole);
         assert_eq!(hm.durable_len(), 8);
         for h in 0..8 {
@@ -679,6 +550,10 @@ mod tests {
         }
         // The map keeps accepting pushes after healing.
         assert!(hm.push(8, hash(8)).unwrap());
+        // With no snapshot nothing is vouched for: the array starts over.
+        let hm = HeightMap::open(&path, 0).unwrap();
+        assert!(hm.is_empty());
+        assert_eq!(std::fs::metadata(&path).unwrap().len(), 0);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -754,15 +629,14 @@ mod tests {
     fn height_reader_sees_published_state_only() {
         let dir = temp_dir("pubr");
         std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("height.map");
-        let mut hm = HeightMap::open(&path, &small_config()).unwrap();
+        let mut hm = HeightMap::open(dir.join(HEIGHT_ARRAY_FILE), 0).unwrap();
         let reader = hm.reader();
         for h in 0..6u64 {
             hm.push(h, hash(h)).unwrap();
         }
         // Not yet published: the reader still sees the open-time state.
         assert_eq!(reader.len(), 0);
-        hm.publish().unwrap();
+        hm.publish();
         assert_eq!(reader.len(), 6);
         for h in 0..6u64 {
             assert_eq!(reader.hash_at(h).unwrap(), Some(hash(h)));

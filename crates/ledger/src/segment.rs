@@ -408,9 +408,7 @@ impl SegmentStore {
         // committed. Deleting it is the whole point of the manifest — the
         // alternative is replaying orphans as if they were history.
         let live: HashSet<String> = entries.iter().map(|e| segment_name(e.id)).collect();
-        let removed = gc_strays(&dir, &live, |n| {
-            n.starts_with("seg-") && (n.ends_with(".blk") || n.ends_with(".tmp"))
-        })?;
+        let removed = gc_strays(&dir, &live, |n| n.starts_with("seg-") && n.ends_with(".blk"))?;
         if !removed.is_empty() {
             eprintln!(
                 "ledger: removed {} stray segment file(s) not listed by MANIFEST epoch {}: {:?}",
@@ -1413,14 +1411,11 @@ mod tests {
             let mut s = SegmentStore::open(&dir, SegmentConfig { segment_bytes: 512 }).unwrap();
             s.put_batch(blocks.clone()).unwrap();
         }
-        // Crash leftovers: an orphan segment beyond the manifest and a
-        // segment temp an older build could leave. Neither is listed, so
-        // both must go.
+        // Crash leftover: an orphan segment beyond the manifest. It is not
+        // listed, so it must go.
         std::fs::write(segment_path(&dir, 999), b"orphan").unwrap();
-        std::fs::write(dir.join("seg-00000.blk.tmp"), b"tmp").unwrap();
         let s = SegmentStore::open(&dir, SegmentConfig { segment_bytes: 512 }).unwrap();
         assert!(!segment_path(&dir, 999).exists(), "orphan segment GC'd");
-        assert!(!dir.join("seg-00000.blk.tmp").exists(), "temp GC'd");
         for b in &blocks {
             assert_eq!(*s.get(&b.hash()).unwrap(), *b);
         }

@@ -9,18 +9,17 @@
 //!   `MANIFEST.tmp` beside a live MANIFEST);
 //! * a stale MANIFEST beside newer orphan segments (must GC them, not
 //!   replay them) and a corrupt MANIFEST (loud fallback to a full scan);
-//! * a torn `HeightMap` tail and a lost staged metadata tail (the snapshot
-//!   is ahead of the durable map — healed by walking parent pointers);
+//! * a torn `heights.arr` tail, whole garbage records past the prefix the
+//!   snapshot vouches for (cut on open, re-derived from blocks), and a lost
+//!   staged metadata tail (the snapshot is ahead of the durable map —
+//!   healed by walking parent pointers);
 //! * a corrupt snapshot (ignored; blocks stay authoritative) versus a
 //!   *valid* snapshot that contradicts the store (fails loudly);
 //! * a torn newest snapshot slot (the open fast-starts from the other,
 //!   one interval older, and the next write goes over the torn slot, never
 //!   over the intact one);
-//! * a metadata directory from before the snapshot slots (a lone
-//!   `snapshot.ckpt`: one full replay, the file removed);
-//! * a metadata directory written before the nonce floors moved into the
-//!   snapshot (version-2 snapshot beside `floor-NN.pages`: one full replay,
-//!   the page files removed);
+//! * a metadata directory of another format version (an intact snapshot
+//!   slot declaring it: the open is refused, naming both versions);
 //! * a crash after an author's whole history finalized, with nonces
 //!   enforced: the snapshot's floors are the only record of what that
 //!   author may send next.
@@ -104,8 +103,6 @@ fn interval_meta(dir: &Path, snapshot_interval: u64) -> MetaStore {
     MetaStore::open(
         dir,
         MetaConfig {
-            page_heights: 4,
-            cached_pages: 2,
             index_sync_interval: 8,
             snapshot_interval,
         },
@@ -375,28 +372,6 @@ fn reopen_with_interval(dir: &Path, snapshot_interval: u64) -> std::io::Result<C
 }
 
 #[test]
-fn torn_height_map_tail_self_heals_on_reopen() {
-    let dir = temp_dir("torn-heightmap");
-    let (tip, height, nonce) = build_tiered_chain(&dir, 24, true);
-    // Tear the height map's tail: garbage the chain never wrote.
-    {
-        let mut f = std::fs::OpenOptions::new()
-            .append(true)
-            .open(dir.join("meta").join("height.map"))
-            .unwrap();
-        f.write_all(&(5_000u32).to_le_bytes()).unwrap();
-        f.write_all(b"torn height page").unwrap();
-    }
-    let chain = reopen(&dir).unwrap();
-    assert_eq!(chain.tip(), tip);
-    assert_eq!(chain.height(), height);
-    assert_eq!(chain.next_nonce_for(&AccountId::from_name("alice")), nonce);
-    chain.verify_integrity().unwrap();
-    assert!(chain.index_consistent());
-    std::fs::remove_dir_all(&dir).unwrap();
-}
-
-#[test]
 fn lost_staged_tails_heal_from_blocks_on_reopen() {
     // A hard crash loses the staged height-map tail and staged index
     // entries; the snapshot may reference heights the durable files no
@@ -606,75 +581,92 @@ fn snapshot_contradicting_the_store_fails_loudly() {
 }
 
 #[test]
-fn pre_v3_meta_directory_replays_once_and_sheds_its_floor_pages() {
+fn torn_height_map_tail_self_heals_on_reopen() {
     let config = ChainConfig {
         finality_depth: Some(3),
         ..ChainConfig::default()
     };
-    let stream = linear_stream(&config, 0..24, 0);
+    let stream = linear_stream(&config, 0..28, 0);
     let mut oracle = Chain::new(config.clone());
     for block in &stream {
         oracle.append(block.clone()).unwrap();
     }
-    let dir = temp_dir("pre-v3-meta");
-    {
-        let mut chain = Chain::with_tiers(
-            tiered(&dir.join("blocks")),
-            Some(small_index(&dir.join("txindex"))),
-            small_meta(&dir.join("meta")),
-            config,
-        );
-        chain.append_batch(stream).unwrap();
-        chain.sync_meta().unwrap();
-    }
-    // Dress `meta/` the way the floor-store era left it: one page file per
-    // partition, a half-finished merge, and a version-2 snapshot of the
-    // same checkpoint (floor-store watermarks where the floors now sit).
-    let meta = dir.join("meta");
-    for p in 0..4 {
-        std::fs::write(meta.join(format!("floor-{p:02}.pages")), b"").unwrap();
-    }
-    std::fs::write(meta.join("floor-01.pages.tmp"), b"half merge").unwrap();
-    let fin = oracle.finalized_height();
-    let mut w = blockprov_wire::Writer::new();
-    w.put_raw(&blockprov_wire::meta::SNAPSHOT_MAGIC);
-    w.put_u16(2);
-    w.put_u64(fin);
-    w.put_raw(oracle.hash_at(fin).unwrap().0.as_bytes());
-    blockprov_wire::encode_seq(&[fin, fin], &mut w); // index_watermarks
-    w.put_u64(fin); // index_durable_height
-    blockprov_wire::encode_seq(&[fin; 4], &mut w); // v2: floor-store partition watermarks
-    w.put_u64(fin); // v2: floor-store durable height
-    w.put_u64(fin + 1); // height_map_len
-    // Intact slot frames in both slots: only the version fails.
-    let body = w.into_bytes();
-    for (seq, slot) in slot_paths(&meta).into_iter().enumerate() {
-        std::fs::write(slot, encode_snapshot_slot(seq as u64 + 1, &body, slot_digest)).unwrap();
-    }
-
     let alice = AccountId::from_name("alice");
-    let chain = reopen(&dir).unwrap();
-    assert!(
-        names_in(&meta).iter().all(|n| !n.starts_with("floor-")),
-        "floor pages left behind: {:?}",
-        names_in(&meta)
-    );
-    assert!(
-        chain.appended_blocks() >= oracle.height() - 1,
-        "an undecodable snapshot means a full replay"
-    );
-    assert_eq!(chain.tip(), oracle.tip());
-    for h in 0..=oracle.height() + 1 {
-        assert_eq!(chain.hash_at(h), oracle.hash_at(h), "height {h}");
+    // Tails a crash can leave past the prefix the snapshot vouches for: a
+    // torn record, and whole records of garbage a length-only rule would
+    // keep and serve.
+    for (tag, tail) in [("partial", vec![0xEE; 13]), ("records", vec![0xEE; 3 * 32])] {
+        let dir = temp_dir(&format!("torn-heightmap-{tag}"));
+        {
+            let mut chain = Chain::with_tiers(
+                tiered(&dir.join("blocks")),
+                Some(small_index(&dir.join("txindex"))),
+                small_meta(&dir.join("meta")),
+                config.clone(),
+            );
+            chain.append_batch(stream[..24].to_vec()).unwrap();
+            chain.sync_meta().unwrap();
+        }
+        std::fs::OpenOptions::new()
+            .append(true)
+            .open(dir.join("meta").join("heights.arr"))
+            .unwrap()
+            .write_all(&tail)
+            .unwrap();
+        let mut chain = reopen(&dir).unwrap();
+        assert_eq!(chain.tip(), stream[23].hash(), "{tag}");
+        chain.verify_integrity().unwrap();
+        for h in 0..=24 {
+            assert_eq!(chain.hash_at(h), oracle.hash_at(h), "{tag}: height {h}");
+        }
+        // Finality advances over the heights the garbage sat at.
+        chain.append_batch(stream[24..].to_vec()).unwrap();
+        assert_eq!(chain.tip(), oracle.tip(), "{tag}");
+        for h in 0..=oracle.height() + 1 {
+            assert_eq!(chain.hash_at(h), oracle.hash_at(h), "{tag}: height {h}");
+        }
+        assert_eq!(chain.next_nonce_for(&alice), oracle.next_nonce_for(&alice));
+        chain.verify_integrity().unwrap();
+        assert!(chain.index_consistent());
+        drop(chain);
+        std::fs::remove_dir_all(&dir).unwrap();
     }
-    assert_eq!(chain.next_nonce_for(&alice), oracle.next_nonce_for(&alice));
-    assert!(chain.index_consistent());
-    drop(chain);
-    // The replay wrote a current snapshot: the next open fast-starts.
-    let chain = reopen(&dir).unwrap();
-    assert!(chain.appended_blocks() <= 4, "snapshot rewritten: O(suffix) start");
-    assert_eq!(chain.tip(), oracle.tip());
-    assert_eq!(chain.next_nonce_for(&alice), oracle.next_nonce_for(&alice));
+}
+
+#[test]
+fn other_format_version_is_refused() {
+    let dir = temp_dir("other-version");
+    build_tiered_chain(&dir, 16, true);
+    // The newest slot, re-encoded intact with the payload's version field
+    // set to 3: a data dir another build wrote.
+    let meta = dir.join("meta");
+    let (seq, mut payload) = slot_paths(&meta)
+        .iter()
+        .filter_map(|p| {
+            let bytes = std::fs::read(p).unwrap();
+            decode_snapshot_slot(&bytes, slot_digest).map(|(seq, payload)| (seq, payload.to_vec()))
+        })
+        .max()
+        .expect("a slot was written");
+    payload[4..6].copy_from_slice(&3u16.to_le_bytes());
+    std::fs::write(
+        meta.join("snapshot.0"),
+        encode_snapshot_slot(seq + 1, &payload, slot_digest),
+    )
+    .unwrap();
+    let err = MetaStore::open(
+        &meta,
+        MetaConfig {
+            index_sync_interval: 8,
+            snapshot_interval: 1,
+        },
+    )
+    .unwrap_err();
+    let msg = err.to_string();
+    assert!(
+        msg.contains("version 3") && msg.contains("version 4"),
+        "unexpected error: {msg}"
+    );
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
@@ -784,44 +776,6 @@ fn next_write_goes_over_the_torn_slot(blocks: u64) {
     let rewritten = std::fs::read(&torn).unwrap();
     let (seq, _) = decode_snapshot_slot(&rewritten, slot_digest).expect("torn slot rewritten");
     assert_eq!(seq, older_seq + 1);
-    std::fs::remove_dir_all(&dir).unwrap();
-}
-
-#[test]
-fn single_file_snapshot_directory_replays_once_and_sheds_it() {
-    let dir = temp_dir("single-file-snapshot");
-    let (tip, height, _) = build_tiered_chain(&dir, 16, true);
-    // Dress `meta/` the way builds before the slots left it: the current
-    // snapshot as one frame in `snapshot.ckpt`, no slot files.
-    let meta = dir.join("meta");
-    let newest = slot_paths(&meta)
-        .iter()
-        .filter_map(|p| {
-            let bytes = std::fs::read(p).unwrap();
-            decode_snapshot_slot(&bytes, slot_digest).map(|(seq, payload)| (seq, payload.to_vec()))
-        })
-        .max()
-        .expect("a slot was written")
-        .1;
-    let mut blob = Vec::new();
-    blockprov_wire::frame::write_frame_to(&mut blob, &newest).unwrap();
-    std::fs::write(meta.join("snapshot.ckpt"), blob).unwrap();
-    for slot in slot_paths(&meta) {
-        std::fs::remove_file(slot).unwrap();
-    }
-    let chain = reopen(&dir).unwrap();
-    assert!(!meta.join("snapshot.ckpt").exists(), "legacy snapshot left behind");
-    assert!(
-        chain.appended_blocks() >= height - 1,
-        "a directory without slots means a full replay"
-    );
-    assert_eq!(chain.tip(), tip);
-    assert!(chain.index_consistent());
-    drop(chain);
-    // The replay wrote a slot: the next open fast-starts.
-    let chain = reopen(&dir).unwrap();
-    assert!(chain.appended_blocks() <= 4, "snapshot slot written: O(suffix) start");
-    assert_eq!(chain.tip(), tip);
     std::fs::remove_dir_all(&dir).unwrap();
 }
 

@@ -334,8 +334,6 @@ fn batched_ingest_equals_sequential_at_fixed_batch_sizes() {
                 let meta = MetaStore::open(
                     dir.join("meta"),
                     MetaConfig {
-                        page_heights: 4,
-                        cached_pages: 2,
                         index_sync_interval: 8,
                         snapshot_interval: 1,
                     },
@@ -403,8 +401,6 @@ proptest! {
                 let meta = MetaStore::open(
                     dir.join("meta"),
                     MetaConfig {
-                        page_heights: 4,
-                        cached_pages: 2,
                         index_sync_interval: 8,
                         snapshot_interval: 1,
                     },

@@ -66,8 +66,6 @@ fn tiered_chain(dir: &std::path::Path) -> Chain {
     let meta = MetaStore::open(
         dir.join("meta"),
         MetaConfig {
-            page_heights: 4,
-            cached_pages: 2,
             index_sync_interval: 8,
             snapshot_interval: 4,
         },

@@ -184,7 +184,7 @@ fn tiers(dir: &Path, case: u64) -> Chain {
     .expect("open tx index");
     let meta = MetaStore::open(
         dir.join("meta"),
-        MetaConfig { page_heights: 4, cached_pages: 2, index_sync_interval: 8, snapshot_interval: 1 },
+        MetaConfig { index_sync_interval: 8, snapshot_interval: 1 },
     )
     .expect("open meta store");
     Chain::replay_with_tiers(Box::new(store), Some(index), meta, config).expect("reopen tiers")

@@ -5,7 +5,7 @@
 //! atomically-replaced file that lists every live file together with the
 //! key range it covers. The ledger adopts the same shape: each storage
 //! tier directory may hold a `MANIFEST` whose entries name the live files
-//! (segments, index pages, height-map pages) with per-file *height
+//! (block segments; no other tier keeps one) with per-file *height
 //! fences* and byte lengths, under a monotonically
 //! increasing *epoch*. The tiers are append-only, so an epoch bump only
 //! ever adds a file (a rollover) or records growth; a crash between
@@ -33,26 +33,17 @@ pub const MANIFEST_FILE: &str = "MANIFEST";
 pub enum ManifestFileKind {
     /// A block segment (`seg-NNNNN.blk`); `items` counts blocks.
     Segment,
-    /// A tx-index partition page file (`idx-NN.pages`); `items` counts
-    /// durable pages.
-    IndexPartition,
-    /// The height-map file (`height.map`); `items` counts height entries.
-    HeightMap,
 }
 
 impl Codec for ManifestFileKind {
     fn encode(&self, w: &mut Writer) {
         w.put_u8(match self {
             ManifestFileKind::Segment => 0,
-            ManifestFileKind::IndexPartition => 1,
-            ManifestFileKind::HeightMap => 2,
         });
     }
     fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
         match r.get_u8()? {
             0 => Ok(ManifestFileKind::Segment),
-            1 => Ok(ManifestFileKind::IndexPartition),
-            2 => Ok(ManifestFileKind::HeightMap),
             value => Err(WireError::UnknownDiscriminant {
                 type_name: "ManifestFileKind",
                 value: value as u64,
@@ -106,8 +97,7 @@ impl Codec for SparsePoint {
 pub struct ManifestEntry {
     /// Role of the file in its tier.
     pub kind: ManifestFileKind,
-    /// Tier-local file id (segment number, partition number; 0 for the
-    /// single height map).
+    /// Tier-local file id (the segment number).
     pub id: u32,
     /// Smallest ledger height the file covers (0 when empty).
     pub first_height: u64,
@@ -116,8 +106,7 @@ pub struct ManifestEntry {
     /// Exact byte length of the file when this manifest was committed.
     pub len: u64,
     /// Item count at commit time; the unit depends on `kind` (blocks for
-    /// segments, durable pages for paged indexes, entries for the height
-    /// map).
+    /// segments).
     pub items: u64,
     /// Sparse intra-file height index (may be empty), offsets ascending.
     pub sparse: Vec<SparsePoint>,
@@ -225,15 +214,6 @@ mod tests {
                     items: 21,
                     sparse: Vec::new(),
                 },
-                ManifestEntry {
-                    kind: ManifestFileKind::IndexPartition,
-                    id: 3,
-                    first_height: 0,
-                    last_height: 99,
-                    len: 333,
-                    items: 2,
-                    sparse: Vec::new(),
-                },
             ],
         }
     }
@@ -254,8 +234,8 @@ mod tests {
     fn of_kind_filters() {
         let m = sample();
         assert_eq!(m.of_kind(ManifestFileKind::Segment).count(), 2);
-        assert_eq!(m.of_kind(ManifestFileKind::IndexPartition).count(), 1);
-        assert_eq!(m.of_kind(ManifestFileKind::HeightMap).count(), 0);
+        // Segments are the only kind: any other kind byte is unknown.
+        assert!(ManifestFileKind::from_wire(&[1]).is_err());
     }
 
     #[test]

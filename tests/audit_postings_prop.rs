@@ -296,8 +296,6 @@ fn open_tiers(dir: &Path) -> (TieredStore, TxIndex, MetaStore) {
     let meta = MetaStore::open(
         dir.join("meta"),
         MetaConfig {
-            page_heights: 4,
-            cached_pages: 2,
             snapshot_interval: 2,
             ..MetaConfig::default()
         },
