@@ -45,9 +45,11 @@ pub enum CoreError {
     MiningFailed,
     /// Record not found on the canonical chain.
     UnknownRecord(RecordId),
-    /// The durable transaction index failed a read (corruption or I/O) —
-    /// surfaced loudly instead of rebuilding a partial provenance graph.
-    IndexIo(std::io::Error),
+    /// The open's pass over the canonical blocks failed (an unreadable or
+    /// corrupt block store or height map, or a canonical height the store
+    /// does not hold) — surfaced loudly instead of rebuilding a partial
+    /// provenance graph.
+    StoreIo(std::io::Error),
     /// A batched block ingest stopped at an invalid block. Blocks before
     /// it committed; the failing block and everything after it did not.
     Batch(BatchError),
@@ -64,7 +66,7 @@ impl fmt::Display for CoreError {
             CoreError::UnknownAgent(a) => write!(f, "unknown agent {a}"),
             CoreError::MiningFailed => write!(f, "mining budget exhausted"),
             CoreError::UnknownRecord(r) => write!(f, "unknown record {r}"),
-            CoreError::IndexIo(e) => write!(f, "transaction index read failed: {e}"),
+            CoreError::StoreIo(e) => write!(f, "block store read failed: {e}"),
             CoreError::Batch(e) => write!(f, "ingest: {e}"),
         }
     }
@@ -186,7 +188,7 @@ impl ProvenanceLedger {
     /// Open a fresh ledger under `config` (in-memory block store).
     pub fn open(config: LedgerConfig) -> Self {
         let log = ProvenanceLog::new(Chain::new(config.chain_config()))
-            .expect("a fresh in-memory chain has no index to fail");
+            .expect("a fresh in-memory chain holds only its genesis");
         Self::assemble(config, log, RecordState::new())
     }
 
@@ -213,9 +215,9 @@ impl ProvenanceLedger {
     ///
     /// The chain's canonical tx indexes rehydrate from the index pages
     /// instead of being rebuilt in RAM — the mutable in-memory index covers
-    /// only the non-finalized suffix — and the provenance layer is
-    /// reconstructed by walking `txs_by_kind(PROVENANCE)` rather than
-    /// re-reading every canonical block.
+    /// only the non-finalized suffix. The provenance layer is rebuilt from
+    /// one sequential pass over the stored canonical blocks, as in
+    /// [`ProvenanceLedger::open_with_store`].
     pub fn open_with_store_and_index(
         config: LedgerConfig,
         store: Box<dyn blockprov_ledger::store::BlockStore>,
@@ -233,8 +235,8 @@ impl ProvenanceLedger {
     /// suffix (blocks above the checkpoint) instead of re-absorbing all of
     /// history, resident chain metadata stays O(finality window + live
     /// forks), and a snapshot that contradicts the block store fails the
-    /// open loudly. Provenance-graph rehydration still walks the (durable)
-    /// provenance-kind index entries, exactly as before.
+    /// open loudly. The provenance layer is still rebuilt from one
+    /// sequential pass over every stored canonical block.
     pub fn open_with_tiers(
         config: LedgerConfig,
         store: Box<dyn blockprov_ledger::store::BlockStore>,
@@ -247,12 +249,13 @@ impl ProvenanceLedger {
 
     /// Rebuild the provenance layer from the canonical chain after replay,
     /// in the one walk that rebuilds the log's postings (see
-    /// [`ProvenanceLog::new`]: index-driven, canonical order, each carrying
-    /// block fetched once). A durable-index read failure, or a record the
-    /// graph refuses, fails the open loudly instead of silently rebuilding
-    /// a partial provenance graph. The logical clock resumes from the tip
-    /// header and the visited records/blocks — for ledger-sealed histories
-    /// the tip carries the maximum timestamp.
+    /// [`ProvenanceLog::new`]: one sequential pass over the block store,
+    /// canonical blocks in height order, each decoded once). A failed
+    /// block-store or height-map read, a canonical height the store does
+    /// not hold, or a record the graph refuses fails the open loudly
+    /// instead of silently rebuilding a partial provenance graph. The
+    /// logical clock resumes from the newest timestamp of the visited
+    /// blocks (the tip among them) and records.
     fn finish_open(config: LedgerConfig, chain: Chain) -> std::io::Result<Self> {
         let replay = |e: CoreError| {
             std::io::Error::new(std::io::ErrorKind::InvalidData, format!("replay: {e}"))
@@ -262,8 +265,7 @@ impl ProvenanceLedger {
         if let Some(e) = records.refused.take() {
             return Err(replay(CoreError::Graph(e)));
         }
-        let log = opened.map_err(|e| replay(CoreError::IndexIo(e)))?;
-        records.now_ms = records.now_ms.max(log.chain().tip_header().timestamp_ms);
+        let log = opened.map_err(|e| replay(CoreError::StoreIo(e)))?;
         Ok(Self::assemble(config, log, records))
     }
 
@@ -889,7 +891,7 @@ mod tests {
         }
 
         // Restart: chain queries rehydrate from index pages, and the
-        // provenance layer is rebuilt via txs_by_kind.
+        // provenance layer is rebuilt from one pass over the block store.
         let mut l = open(&config);
         assert_eq!(l.chain().tip(), tip);
         assert_eq!(l.chain().height(), height);
@@ -956,8 +958,8 @@ mod tests {
         }
 
         // Restart: the chain fast-starts from the snapshot — only the
-        // non-finalized suffix is re-validated — while provenance state
-        // rehydrates from the durable index as before.
+        // non-finalized suffix is re-validated — while provenance state is
+        // rebuilt from one pass over the stored canonical blocks.
         let mut l = open(&config);
         assert_eq!(l.chain().tip(), tip);
         assert_eq!(l.chain().height(), height);

@@ -226,6 +226,12 @@ pub struct NodeMetrics {
     pub reader_cache_misses: Gauge,
     /// Subject-postings entries the ledger holds for audits (sampled).
     pub provenance_postings: Gauge,
+    /// Microseconds the open spent on the tiers and the chain replay (set
+    /// once at startup).
+    pub open_replay_us: Gauge,
+    /// Microseconds the open spent rebuilding the subject postings (set
+    /// once at startup).
+    pub open_postings_us: Gauge,
 
     /// End-to-end `POST /blocks` latency (enqueue → committed reply).
     pub ingest_latency: Histogram,
@@ -353,6 +359,16 @@ impl NodeMetrics {
             "node_provenance_postings",
             "subject-postings entries held for audits",
             self.provenance_postings.get(),
+        );
+        gauge(
+            "node_open_replay_us",
+            "startup: tiers opened and chain replayed (us)",
+            self.open_replay_us.get(),
+        );
+        gauge(
+            "node_open_postings_us",
+            "startup: subject postings rebuilt (us)",
+            self.open_postings_us.get(),
         );
 
         let mut histogram = |name: &str, help: &str, h: &Histogram| {

@@ -1669,35 +1669,57 @@ impl Chain {
         Ok(out)
     }
 
-    /// Canonical transactions of one kind *with their locations*, oldest
-    /// first: `(id, containing block, position)`.
+    /// Visit every canonical block, genesis to tip, in one sequential pass
+    /// over the block store ([`BlockStore::scan`]) — no index walk, no
+    /// point read through the hot tier.
     ///
-    /// Full-history consumers (provenance rehydration after restart) use
-    /// this instead of `txs_by_kind` + per-id lookups — the durable tier
-    /// already decoded every matching page once, so handing back locations
-    /// avoids a second bloom-probe/page-read sweep per transaction. For a
-    /// duplicated id the location is that of *an* occurrence; identical
-    /// ids imply identical transaction bytes, so any occurrence decodes
-    /// to the same transaction.
-    pub fn try_txs_by_kind_located(
-        &self,
-        kind: u16,
-    ) -> std::io::Result<Vec<(TxId, BlockHash, u32)>> {
-        let mut out: Vec<(TxId, BlockHash, u32)> = match &self.tx_index {
-            Some(ix) => ix
-                .entries_by_kind(kind)?
-                .into_iter()
-                .map(|e| (e.id, e.block, e.pos))
-                .collect(),
-            None => Vec::new(),
-        };
-        if let Some(list) = self.index.by_kind.get(&kind) {
-            for id in list {
-                let (hash, pos) = self.index.tx_loc[id];
-                out.push((*id, hash, pos));
+    /// A stored block is visited iff its height is at or below the tip and
+    /// the height map names it there, so fork blocks are skipped. A block is
+    /// stored only after its parent, so canonical blocks arrive in strictly
+    /// ascending height; anything else — a height missing from the store, a
+    /// repeat, an out-of-order block — fails with `InvalidData` naming the
+    /// height, instead of handing the caller a partial history. Height-map
+    /// and frame-decode errors surface as they are.
+    pub fn scan_canonical(&self, visit: &mut dyn FnMut(&Block)) -> std::io::Result<()> {
+        use std::cmp::Ordering;
+        use std::io::ErrorKind::InvalidData;
+        let tip = self.height();
+        let mut next = 0u64;
+        let mut failed: Option<std::io::Error> = None;
+        self.store.scan(&mut |block| {
+            let height = block.header.height;
+            if failed.is_some() || height > tip {
+                return;
             }
+            let broken = |msg: String| Some(std::io::Error::new(InvalidData, msg));
+            match self.try_hash_at(height) {
+                Ok(Some(hash)) if hash == block.hash() => match height.cmp(&next) {
+                    Ordering::Equal => {
+                        visit(&block);
+                        next += 1;
+                    }
+                    Ordering::Greater => {
+                        failed = broken(format!(
+                            "canonical height {next} is missing from the block store \
+                             before height {height}"
+                        ))
+                    }
+                    Ordering::Less => {
+                        failed = broken(format!("canonical height {height} is stored twice"))
+                    }
+                },
+                Ok(_) => {}
+                Err(e) => failed = Some(e),
+            }
+        })?;
+        match failed {
+            Some(e) => Err(e),
+            None if next <= tip => Err(std::io::Error::new(
+                InvalidData,
+                format!("canonical height {next} is missing from the block store (tip {tip})"),
+            )),
+            None => Ok(()),
         }
-        Ok(out)
     }
 
     /// Entries currently held in the mutable in-memory index — O(finality
@@ -2634,6 +2656,47 @@ mod tests {
         assert!(c.is_canonical(&b1h));
         assert!(!c.is_canonical(&a1));
         assert!(c.index_consistent());
+    }
+
+    #[test]
+    fn scan_canonical_visits_each_height_once_and_refuses_a_partial_store() {
+        let mut c = chain();
+        seal(&mut c, vec![tx("a", 0)]);
+        // A losing sibling of height 1: stored, never canonical.
+        let rival = Block::assemble(
+            1,
+            c.genesis(),
+            500,
+            AccountId::from_name("rival"),
+            0,
+            vec![tx("r", 0)],
+        );
+        assert!(!c.append(rival).unwrap().new_tip);
+        for nonce in 1..4 {
+            seal(&mut c, vec![tx("a", nonce)]);
+        }
+        let canonical: Vec<BlockHash> = c.canonical_hashes().collect();
+        let mut seen = Vec::new();
+        c.scan_canonical(&mut |b| seen.push(b.hash())).unwrap();
+        assert_eq!(seen, canonical);
+
+        // The canonical blocks again, in stores that lose a height or hold
+        // one ahead of its parent.
+        let blocks: Vec<Block> = canonical.iter().map(|h| (*c.block(h).unwrap()).clone()).collect();
+        for (order, missing) in [
+            (vec![0, 1, 3, 4], 2),
+            (vec![0, 2, 1, 3, 4], 1),
+            (vec![0, 1, 2, 3], 4),
+        ] {
+            let mut store = MemStore::new();
+            for i in order {
+                store.put(blocks[i].clone()).unwrap();
+            }
+            c.store = Box::new(store);
+            let err = c.scan_canonical(&mut |_| {}).unwrap_err();
+            assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+            assert!(err.to_string().contains(&format!("height {missing} is missing")), "{err}");
+        }
     }
 
     #[test]

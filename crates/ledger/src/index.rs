@@ -725,20 +725,12 @@ impl TxIndex {
 
     /// Finalized transaction ids with the given kind tag, oldest first.
     pub fn txs_by_kind(&self, kind: u16) -> io::Result<Vec<TxId>> {
+        let bit = 1u64 << (kind % 64);
         Ok(self
-            .entries_by_kind(kind)?
+            .collect(|header| header.tag_mask & bit != 0, |e| e.kind == kind)?
             .into_iter()
             .map(|e| e.id)
             .collect())
-    }
-
-    /// Finalized entries with the given kind tag, oldest first, with their
-    /// locations — full-history scans (e.g. provenance rehydration) use
-    /// this to avoid a per-id point lookup after the pages were already
-    /// decoded once.
-    pub fn entries_by_kind(&self, kind: u16) -> io::Result<Vec<IndexEntry>> {
-        let bit = 1u64 << (kind % 64);
-        self.collect(|header| header.tag_mask & bit != 0, |e| e.kind == kind)
     }
 
     /// Total entries held (durable pages + staged tail).

@@ -134,6 +134,8 @@ impl Node {
             .with_ingest_threads(config.ingest_threads)
             .chain_config();
 
+        let metrics = Arc::new(NodeMetrics::new());
+        let opening = Instant::now();
         let (chain, tier_reader) = match &config.data_dir {
             Some(dir) => {
                 let store = TieredStore::open(
@@ -152,10 +154,13 @@ impl Node {
             }
             None => (Chain::new(chain_config), None),
         };
+        let replayed = Instant::now();
         let mut log = ProvenanceLog::new(chain)?;
+        let micros = |d: std::time::Duration| d.as_micros().try_into().unwrap_or(i64::MAX);
+        metrics.open_replay_us.set(micros(replayed - opening));
+        metrics.open_postings_us.set(micros(replayed.elapsed()));
 
         let reader = log.reader();
-        let metrics = Arc::new(NodeMetrics::new());
         let (tx, rx) = mpsc::sync_channel::<IngestJob>(config.queue_capacity);
 
         let writer_metrics = Arc::clone(&metrics);

@@ -336,6 +336,13 @@ fn node_agrees_with_direct_ledger_oracle_and_fast_starts() {
     );
     assert_eq!(status, 200);
     assert_eq!(json_u64(&body, "block_height"), Some(1));
+    // The reopen rebuilt every posting, and `/metrics` splits its startup
+    // into the replay and the postings rebuild.
+    let (status, metrics) = get(&addr2, "/metrics");
+    assert_eq!(status, 200);
+    assert_eq!(metric(&metrics, "node_provenance_postings"), total);
+    assert!(metric(&metrics, "node_open_replay_us") > 0);
+    assert!(metric(&metrics, "node_open_postings_us") > 0);
     drop(node2);
 
     // The fast-start claim itself, via a direct reopen: a snapshot-driven

@@ -289,24 +289,24 @@ pub struct LoggedRecord<'a> {
     pub tx: &'a Transaction,
     /// `(block height, position)` of the carrying transaction.
     pub at: (u64, u32),
-    /// The carrying transaction's id when the walk already holds it.
-    known_id: Option<TxId>,
 }
 
 impl LoggedRecord<'_> {
-    /// The carrying transaction's id: read off the transaction index on
-    /// open, hashed here on commit (the log itself never needs it).
+    /// The carrying transaction's id, hashed on each call — on open and on
+    /// commit alike (the log itself never needs it).
     pub fn tx_id(&self) -> TxId {
-        self.known_id.unwrap_or_else(|| self.tx.id())
+        self.tx.id()
     }
 }
 
 /// Provenance state kept beside a [`ProvenanceLog`], folded in during the
-/// log's own walk: on open, on every commit and on the winning branch of a
-/// reorg. Both hooks default to nothing.
+/// log's own walk: over every canonical block on open, over every committed
+/// block and over the winning branch of a reorg. Both hooks default to
+/// nothing.
 pub trait RecordVisitor {
-    /// The walk entered a block; its records follow. A block may be entered
-    /// more than once (a reorg re-walks the winning branch).
+    /// The walk entered a block; its records follow. Every block the walk
+    /// covers is entered, whether or not it carries a record, and a block
+    /// may be entered more than once (a reorg re-walks the winning branch).
     fn block(&mut self, _header: &BlockHeader) {}
 
     /// The walk absorbed one decodable provenance record. Called again for
@@ -317,12 +317,12 @@ pub trait RecordVisitor {
 /// The log on its own: no state beyond the postings.
 impl RecordVisitor for () {}
 
-/// A [`Chain`] and the subject postings that cover every block it stores.
+/// A [`Chain`] and the subject postings that cover its canonical chain.
 ///
-/// The postings are rebuilt on open from the chain's provenance-kind index
-/// entries and extended by every block the log commits; readers from
-/// [`ProvenanceLog::reader`] audit subjects against views the log pins once
-/// a batch is absorbed.
+/// The postings are rebuilt on open from one sequential pass over the
+/// chain's canonical blocks and extended by every block the log commits
+/// (fork blocks included); readers from [`ProvenanceLog::reader`] audit
+/// subjects against views the log pins once a batch is absorbed.
 pub struct ProvenanceLog {
     chain: Chain,
     /// Shared with every [`LedgerReader`]; written under one lock per batch.
@@ -334,18 +334,18 @@ pub struct ProvenanceLog {
 
 impl ProvenanceLog {
     /// Wrap `chain` (fresh or replayed from its tiers), rebuilding the
-    /// postings from its canonical provenance transactions.
+    /// postings from its canonical blocks.
     ///
-    /// Index-driven: only provenance-carrying transactions are visited, via
-    /// the located-by-kind query, in canonical order — blocks with no
-    /// provenance payload are never decoded, and consecutive transactions
-    /// of one block are fetched once. An index read failure, or an index
-    /// entry whose block the store does not hold, fails the open loudly
-    /// instead of leaving audits a partial history.
+    /// One sequential pass over the block store ([`Chain::scan_canonical`]):
+    /// every canonical block is decoded once, in height order, and absorbed
+    /// exactly as a commit absorbs it. No index page is read and no block is
+    /// fetched through the hot tier. A block-store or height-map read
+    /// failure, an undecodable frame, or a canonical height the store does
+    /// not hold fails the open loudly instead of leaving audits a partial
+    /// history.
     ///
-    /// Stored fork blocks above the checkpoint are not visited; should a
-    /// later reorg make one canonical, the winning-branch walk folds it in
-    /// then.
+    /// Stored fork blocks are not visited; should a later reorg make one
+    /// canonical, the winning-branch walk folds it in then.
     pub fn new(chain: Chain) -> io::Result<Self> {
         Self::new_visiting(chain, &mut ())
     }
@@ -353,44 +353,13 @@ impl ProvenanceLog {
     /// [`ProvenanceLog::new`], handing every block entered and every record
     /// absorbed on the way to `visitor`.
     pub fn new_visiting(chain: Chain, visitor: &mut impl RecordVisitor) -> io::Result<Self> {
-        let log = Self {
+        let mut postings = SubjectPostings::default();
+        chain.scan_canonical(&mut |block| absorb_block(block, &mut postings, visitor))?;
+        Ok(Self {
             chain,
-            postings: Arc::default(),
+            postings: Arc::new(RwLock::new(postings)),
             covered: None,
-        };
-        let located = log.chain.try_txs_by_kind_located(txkind::PROVENANCE)?;
-        let mut postings = log.postings.write().expect("postings lock poisoned");
-        let mut current: Option<(BlockHash, Arc<Block>)> = None;
-        for (id, hash, pos) in located {
-            let block = match &current {
-                Some((at, block)) if *at == hash => Arc::clone(block),
-                _ => {
-                    // The index and store disagree (e.g. the store was
-                    // rolled back without its index directory).
-                    let block = log.chain.block(&hash).ok_or_else(|| {
-                        io::Error::new(
-                            io::ErrorKind::InvalidData,
-                            format!(
-                                "index entry for {id} references block {hash} missing from the store"
-                            ),
-                        )
-                    })?;
-                    visitor.block(&block.header);
-                    current = Some((hash, Arc::clone(&block)));
-                    block
-                }
-            };
-            let tx = &block.txs[pos as usize];
-            absorb_tx(
-                tx,
-                (block.header.height, pos),
-                Some(id),
-                &mut postings,
-                visitor,
-            );
-        }
-        drop(postings);
-        Ok(log)
+        })
     }
 
     /// The underlying chain (read access for audits and experiments).
@@ -469,7 +438,7 @@ impl ProvenanceLog {
     ///
     /// Its blocks were absorbed when they were stored — unless that was
     /// before a restart: replay restores stored fork blocks to the chain,
-    /// but the open walks canonical transactions only. Both branches are
+    /// but the open walks canonical blocks only. Both branches are
     /// walked down from their tips until they meet, or to the finality
     /// checkpoint when the losing branch has been pruned; absorbing is
     /// idempotent, so a block absorbed before costs its decode and no more.
@@ -565,13 +534,7 @@ impl ProvenanceLog {
 fn absorb_block(block: &Block, postings: &mut SubjectPostings, visitor: &mut impl RecordVisitor) {
     visitor.block(&block.header);
     for (pos, tx) in block.txs.iter().enumerate() {
-        absorb_tx(
-            tx,
-            (block.header.height, pos as u32),
-            None,
-            postings,
-            visitor,
-        );
+        absorb_tx(tx, (block.header.height, pos as u32), postings, visitor);
     }
 }
 
@@ -581,7 +544,6 @@ fn absorb_block(block: &Block, postings: &mut SubjectPostings, visitor: &mut imp
 fn absorb_tx(
     tx: &Transaction,
     at: (u64, u32),
-    known_id: Option<TxId>,
     postings: &mut SubjectPostings,
     visitor: &mut impl RecordVisitor,
 ) {
@@ -592,12 +554,7 @@ fn absorb_tx(
         return;
     };
     postings.insert(&record.subject, at);
-    visitor.record(LoggedRecord {
-        record,
-        tx,
-        at,
-        known_id,
-    });
+    visitor.record(LoggedRecord { record, tx, at });
 }
 
 #[cfg(test)]
@@ -605,23 +562,33 @@ mod tests {
     use super::*;
     use crate::model::{Action, Domain};
     use blockprov_ledger::chain::ChainConfig;
+    use blockprov_ledger::{
+        MetaConfig, MetaStore, SegmentConfig, TieredConfig, TieredReader, TieredStore, TxIndex,
+        TxIndexConfig,
+    };
 
     fn log() -> ProvenanceLog {
         ProvenanceLog::new(Chain::new(ChainConfig::default())).unwrap()
     }
 
     /// `n` chained single-record blocks about `subject` on the log's tip.
-    fn record_blocks(log: &ProvenanceLog, subject: &str, n: u64) -> Vec<Block> {
+    fn record_blocks(log: &ProvenanceLog, subject: &str, n: usize) -> Vec<Block> {
+        branch(log.chain.tip(), log.chain.height() + 1, &vec![subject; n], 0)
+    }
+
+    /// Chained blocks from `prev` (at `height - 1`), one record per block
+    /// about each subject in turn; `salt` keeps sibling branches distinct.
+    fn branch(prev: BlockHash, height: u64, subjects: &[&str], salt: u64) -> Vec<Block> {
         let author = AccountId::from_name("peer");
-        let (mut prev, base) = (log.chain.tip(), log.chain.height());
-        (1..=n)
-            .map(|i| {
-                let ts = 10 * (base + i);
+        let mut prev = prev;
+        (height..)
+            .zip(subjects)
+            .map(|(h, subject)| {
+                let ts = 10 * h + salt;
                 let record =
                     ProvenanceRecord::new(subject, author, Action::Update, ts, Domain::Generic);
-                let tx =
-                    Transaction::new(author, base + i, ts, txkind::PROVENANCE, record.to_wire());
-                let block = Block::assemble(base + i, prev, ts, author, 0, vec![tx]);
+                let tx = Transaction::new(author, h, ts, txkind::PROVENANCE, record.to_wire());
+                let block = Block::assemble(h, prev, ts, author, 0, vec![tx]);
                 prev = block.hash();
                 block
             })
@@ -650,6 +617,138 @@ mod tests {
         let audit = reader.provenance_of("f");
         assert_eq!(audit.view.height(), 5);
         assert_eq!((audit.candidates, audit.records.len()), (5, 5));
+    }
+
+    fn chain_config() -> ChainConfig {
+        ChainConfig {
+            finality_depth: Some(4),
+            ..ChainConfig::default()
+        }
+    }
+
+    fn temp_dir(tag: &str) -> std::path::PathBuf {
+        let dir = std::env::temp_dir().join(format!(
+            "blockprov-log-{tag}-{}",
+            std::process::id()
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        dir
+    }
+
+    /// The three durable tiers under `dir`, with segments of about three
+    /// blocks each.
+    fn open_tiers(dir: &std::path::Path) -> (TieredStore, TxIndex, MetaStore) {
+        let store = TieredStore::open(
+            dir.join("blocks"),
+            TieredConfig {
+                segment: SegmentConfig {
+                    segment_bytes: 1024,
+                },
+                hot_capacity: 4,
+            },
+        )
+        .unwrap();
+        let index = TxIndex::open(dir.join("index"), TxIndexConfig::default()).unwrap();
+        let meta = MetaStore::open(dir.join("meta"), MetaConfig::default()).unwrap();
+        (store, index, meta)
+    }
+
+    fn replay(dir: &std::path::Path) -> io::Result<(Chain, TieredReader)> {
+        let (store, index, meta) = open_tiers(dir);
+        assert!(store.cold().segment_count() >= 2);
+        let tiers = store.tiered_reader();
+        let chain = Chain::replay_with_tiers(Box::new(store), Some(index), meta, chain_config())?;
+        Ok((chain, tiers))
+    }
+
+    /// Write a durable history with a stored losing fork and a reorg, sync
+    /// it, and return its canonical blocks above genesis in height order.
+    fn write_forked_history(dir: &std::path::Path) -> Vec<Block> {
+        let (store, index, meta) = open_tiers(dir);
+        let chain = Chain::with_tiers(Box::new(store), Some(index), meta, chain_config());
+        let mut log = ProvenanceLog::new(chain).unwrap();
+        let subjects = ["a", "b", "c"];
+        let main = branch(log.chain.tip(), 1, &subjects.repeat(7)[..20], 0);
+        log.ingest_blocks(main.clone()).unwrap();
+
+        // A losing sibling at height 18: stored, never canonical.
+        let loser = branch(main[16].hash(), 18, &["z"], 1);
+        let outcomes = log.ingest_blocks(loser).unwrap();
+        assert!(!outcomes[0].new_tip);
+        // A heavier branch from height 18 reorgs heights 18..=20 away.
+        let winner = branch(main[16].hash(), 18, &["a", "y", "b", "y"], 2);
+        let outcomes = log.ingest_blocks(winner.clone()).unwrap();
+        assert!(outcomes.iter().any(|o| o.reorged));
+        let tail = branch(winner[3].hash(), 22, &subjects.repeat(4), 0);
+        log.ingest_blocks(tail.clone()).unwrap();
+        log.sync().unwrap();
+
+        let canonical: Vec<Block> = [&main[..17], &winner, &tail].concat();
+        assert_eq!(log.chain.hash_at(33), canonical.last().map(Block::hash));
+        // The live log posted the fork blocks too.
+        let mut oracle = log_of(&canonical);
+        assert!(log.reader().postings_len() > oracle.reader().postings_len());
+        canonical
+    }
+
+    /// An in-memory log fed exactly `blocks`.
+    fn log_of(blocks: &[Block]) -> ProvenanceLog {
+        let mut l = ProvenanceLog::new(Chain::new(chain_config())).unwrap();
+        l.ingest_blocks(blocks.to_vec()).unwrap();
+        l
+    }
+
+    #[test]
+    fn reopen_rebuilds_canonical_postings_without_point_reads() {
+        let dir = temp_dir("reopen");
+        let canonical = write_forked_history(&dir);
+
+        let (chain, tiers) = replay(&dir).unwrap();
+        let before = tiers.tier_stats();
+        let mut reopened = ProvenanceLog::new(chain).unwrap();
+        assert_eq!(tiers.tier_stats(), before, "the open made a point read");
+
+        let (reopened, oracle) = (reopened.reader(), log_of(&canonical).reader());
+        assert_eq!(reopened.postings_len(), oracle.postings_len());
+        for subject in ["a", "b", "c", "y", "z", "unknown"] {
+            let (got, want) = (reopened.provenance_of(subject), oracle.provenance_of(subject));
+            assert_eq!(got.records, want.records, "{subject}");
+            assert_eq!(got.candidates, want.candidates, "{subject}");
+        }
+        assert!(oracle.provenance_of("z").records.is_empty());
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn an_undecodable_committed_frame_fails_the_reopen() {
+        let dir = temp_dir("corrupt");
+        let canonical = write_forked_history(&dir);
+
+        // Overwrite everything after the header of block 1's frame: the
+        // frame keeps its length and the header, but no transaction list.
+        let wire = canonical[0].to_wire();
+        let mut garbled = wire.clone();
+        garbled[canonical[0].header.to_wire().len()..].fill(0xFF);
+        assert!(Block::from_wire(&garbled).is_err());
+        let mut corrupted = 0;
+        for entry in std::fs::read_dir(dir.join("blocks")).unwrap() {
+            let path = entry.unwrap().path();
+            let mut bytes = std::fs::read(&path).unwrap();
+            let Some(at) = bytes.windows(wire.len()).position(|w| w == wire) else {
+                continue;
+            };
+            bytes[at..at + wire.len()].copy_from_slice(&garbled);
+            std::fs::write(&path, bytes).unwrap();
+            corrupted += 1;
+        }
+        assert_eq!(corrupted, 1);
+
+        // The fast-start replay reads no frame that far below the
+        // checkpoint; the postings pass decodes every one.
+        let (chain, _) = replay(&dir).unwrap();
+        let err = ProvenanceLog::new(chain).err().expect("the reopen must fail");
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

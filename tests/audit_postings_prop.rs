@@ -271,7 +271,7 @@ fn temp_dir(tag: &str) -> PathBuf {
 }
 
 /// The three durable tiers under `dir`, sized small enough that a short
-/// stream spills out of the hot tier and across index and height pages.
+/// stream spills out of the hot tier and across segments and index pages.
 fn open_tiers(dir: &Path) -> (TieredStore, TxIndex, MetaStore) {
     let store = TieredStore::open(
         dir.join("blocks"),
