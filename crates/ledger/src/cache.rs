@@ -112,7 +112,9 @@ impl<K: Eq + Hash + Copy, V> LruCache<K, V> {
 
     /// Fetch a value without touching recency order.
     pub fn peek(&self, key: &K) -> Option<&V> {
-        self.map.get(key).and_then(|&idx| self.slots[idx].value.as_ref())
+        self.map
+            .get(key)
+            .and_then(|&idx| self.slots[idx].value.as_ref())
     }
 
     /// Insert (or replace) an entry, returning the evicted LRU entry if the

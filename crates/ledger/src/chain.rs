@@ -145,7 +145,10 @@ impl fmt::Display for ValidationError {
             }
             ValidationError::Duplicate(h) => write!(f, "duplicate block {h}"),
             ValidationError::BelowFinality { finalized, got } => {
-                write!(f, "height {got} at or below finality checkpoint {finalized}")
+                write!(
+                    f,
+                    "height {got} at or below finality checkpoint {finalized}"
+                )
             }
             ValidationError::StoreIo(msg) => write!(f, "block store I/O failed: {msg}"),
         }
@@ -814,10 +817,11 @@ impl ChainView {
             return Some(*loc);
         }
         let ix = self.shared.tx_index.as_ref()?;
-        ix.lookup(id, self.snap.finalized_height).unwrap_or_else(|e| {
-            eprintln!("ledger: reader tx lookup failed: {e}");
-            None
-        })
+        ix.lookup(id, self.snap.finalized_height)
+            .unwrap_or_else(|e| {
+                eprintln!("ledger: reader tx lookup failed: {e}");
+                None
+            })
     }
 
     /// Locate a canonical transaction and fetch its block.
@@ -1208,9 +1212,8 @@ impl Chain {
             for ((h, hash), pre) in pending.into_iter().zip(pres) {
                 match self.commit_prevalidated(pre) {
                     Ok(_)
-                    | Err(
-                        ValidationError::Duplicate(_) | ValidationError::BelowFinality { .. },
-                    ) => {}
+                    | Err(ValidationError::Duplicate(_) | ValidationError::BelowFinality { .. }) => {
+                    }
                     Err(ValidationError::UnknownParent(_)) => {
                         max_orphan_height = max_orphan_height.max(h);
                     }
@@ -1373,13 +1376,11 @@ impl Chain {
         // window), not O(history bytes). Over-visiting is allowed; the
         // height filter keeps correctness independent of fence precision.
         let mut order: Vec<(u64, BlockHash)> = Vec::new();
-        chain
-            .store
-            .scan_headers_from(snap.height, &mut |h, hash| {
-                if h > snap.height {
-                    order.push((h, hash));
-                }
-            })?;
+        chain.store.scan_headers_from(snap.height, &mut |h, hash| {
+            if h > snap.height {
+                order.push((h, hash));
+            }
+        })?;
         order.sort_by_key(|&(h, _)| h);
         chain.replay_all(order)?;
         chain.sync_meta()?;
@@ -1895,8 +1896,7 @@ impl Chain {
     pub fn validate(&self, block: &Block) -> Result<(), ValidationError> {
         let hash = block.hash();
         let tx_ids: Vec<TxId> = block.txs.iter().map(Transaction::id).collect();
-        let stateless =
-            PrevalidatedBlock::stateless_err(block, hash, &tx_ids, &self.config).err();
+        let stateless = PrevalidatedBlock::stateless_err(block, hash, &tx_ids, &self.config).err();
         self.validate_stateful(block, hash, stateless.as_ref())
     }
 
@@ -2188,7 +2188,9 @@ impl Chain {
         let mut spill: Vec<IndexEntry> = Vec::new();
         let mut orphan_frontier: HashSet<BlockHash> = HashSet::new();
         for h in (old_fin + 1)..=new_fin {
-            let canon = self.suffix_hash(h).expect("suffix covers finalizing heights");
+            let canon = self
+                .suffix_hash(h)
+                .expect("suffix covers finalizing heights");
             if let Some(undo) = self.undo.remove(&canon) {
                 for u in &undo.txs {
                     let floor = self.nonce_floors.entry(u.author).or_insert(0);
@@ -2682,7 +2684,10 @@ mod tests {
 
         // The canonical blocks again, in stores that lose a height or hold
         // one ahead of its parent.
-        let blocks: Vec<Block> = canonical.iter().map(|h| (*c.block(h).unwrap()).clone()).collect();
+        let blocks: Vec<Block> = canonical
+            .iter()
+            .map(|h| (*c.block(h).unwrap()).clone())
+            .collect();
         for (order, missing) in [
             (vec![0, 1, 3, 4], 2),
             (vec![0, 2, 1, 3, 4], 1),
@@ -2695,7 +2700,11 @@ mod tests {
             c.store = Box::new(store);
             let err = c.scan_canonical(&mut |_| {}).unwrap_err();
             assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
-            assert!(err.to_string().contains(&format!("height {missing} is missing")), "{err}");
+            assert!(
+                err.to_string()
+                    .contains(&format!("height {missing} is missing")),
+                "{err}"
+            );
         }
     }
 
@@ -2725,24 +2734,10 @@ mod tests {
         assert!(c.index_consistent());
         assert!(c.txs_by_author(&AccountId::from_name("a")).is_empty());
         // Original branch strikes back: a3, a4 on top of a2.
-        let a3 = Block::assemble(
-            3,
-            a2,
-            900,
-            AccountId::from_name("s"),
-            0,
-            vec![tx("a", 2)],
-        );
+        let a3 = Block::assemble(3, a2, 900, AccountId::from_name("s"), 0, vec![tx("a", 2)]);
         let a3h = a3.hash();
         c.append(a3).unwrap();
-        let a4 = Block::assemble(
-            4,
-            a3h,
-            950,
-            AccountId::from_name("s"),
-            0,
-            vec![tx("a", 3)],
-        );
+        let a4 = Block::assemble(4, a3h, 950, AccountId::from_name("s"), 0, vec![tx("a", 3)]);
         let out = c.append(a4).unwrap();
         assert!(out.reorged);
         assert_eq!(c.height(), 4);
@@ -2871,7 +2866,14 @@ mod tests {
             vec![tx("r", 0)],
         );
         let f1h = f1.hash();
-        let f2 = Block::assemble(2, f1h, 150, AccountId::from_name("rival"), 0, vec![tx("r", 1)]);
+        let f2 = Block::assemble(
+            2,
+            f1h,
+            150,
+            AccountId::from_name("rival"),
+            0,
+            vec![tx("r", 1)],
+        );
         let f2h = f2.hash();
         // Keep canonical level with the fork (ties keep the existing tip),
         // and append the fork before finality passes its heights.
@@ -2935,7 +2937,9 @@ mod tests {
             crate::segment::TieredStore::open(
                 dir.join("blocks"),
                 crate::segment::TieredConfig {
-                    segment: crate::segment::SegmentConfig { segment_bytes: 4096 },
+                    segment: crate::segment::SegmentConfig {
+                        segment_bytes: 4096,
+                    },
                     hot_capacity: 8,
                 },
             )
@@ -3051,7 +3055,14 @@ mod tests {
         );
         let b1h = b1.hash();
         c.append(b1).unwrap();
-        let b2 = Block::assemble(2, b1h, 600, AccountId::from_name("rival"), 0, vec![tx("r", 1)]);
+        let b2 = Block::assemble(
+            2,
+            b1h,
+            600,
+            AccountId::from_name("rival"),
+            0,
+            vec![tx("r", 1)],
+        );
         c.append(b2).unwrap();
 
         // Replay from a store holding the same blocks.
@@ -3069,11 +3080,12 @@ mod tests {
             c.canonical_hashes().collect::<Vec<_>>()
         );
         assert!(replayed.index_consistent());
-        assert_eq!(replayed.get_tx(&id0), None, "losing-branch tx not canonical");
         assert_eq!(
-            replayed.txs_by_author(&AccountId::from_name("r")).len(),
-            2
+            replayed.get_tx(&id0),
+            None,
+            "losing-branch tx not canonical"
         );
+        assert_eq!(replayed.txs_by_author(&AccountId::from_name("r")).len(), 2);
     }
 
     #[test]
@@ -3126,7 +3138,14 @@ mod tests {
         assert_eq!(view.tip(), a);
         // A reorg moves the writer's tip; the pinned view keeps answering
         // from the captured commit point, a cloned handle sees the new one.
-        let f1 = Block::assemble(1, c.genesis(), 500, AccountId::from_name("r"), 0, vec![tx("r", 0)]);
+        let f1 = Block::assemble(
+            1,
+            c.genesis(),
+            500,
+            AccountId::from_name("r"),
+            0,
+            vec![tx("r", 0)],
+        );
         let f1h = f1.hash();
         c.append(f1).unwrap();
         let f2 = Block::assemble(2, f1h, 600, AccountId::from_name("r"), 0, vec![tx("r", 1)]);

@@ -355,7 +355,10 @@ impl TxIndex {
     /// crash mid-flush — is truncated away: index contents are derived from
     /// blocks, so the chain re-spills the lost suffix on replay.
     pub fn open<P: AsRef<Path>>(dir: P, config: TxIndexConfig) -> io::Result<Self> {
-        assert!(config.partitions > 0, "TxIndex needs at least one partition");
+        assert!(
+            config.partitions > 0,
+            "TxIndex needs at least one partition"
+        );
         let dir = dir.as_ref().to_path_buf();
         std::fs::create_dir_all(&dir)?;
         let mut ids: Vec<u16> = Vec::new();
@@ -363,7 +366,10 @@ impl TxIndex {
             let entry = entry?;
             let name = entry.file_name();
             let name = name.to_string_lossy();
-            if let Some(num) = name.strip_prefix("idx-").and_then(|s| s.strip_suffix(".pages")) {
+            if let Some(num) = name
+                .strip_prefix("idx-")
+                .and_then(|s| s.strip_suffix(".pages"))
+            {
                 let id = num.parse::<u16>().map_err(|_| {
                     io::Error::new(
                         io::ErrorKind::InvalidData,
@@ -416,9 +422,7 @@ impl TxIndex {
                 .map(|m| u64::from(m.header.entry_count))
                 .sum::<u64>();
             bytes += part.file_len;
-            writers.push(BufWriter::new(
-                OpenOptions::new().append(true).open(&path)?,
-            ));
+            writers.push(BufWriter::new(OpenOptions::new().append(true).open(&path)?));
             files.push(File::open(&path)?);
             partitions.push(part);
         }
@@ -459,7 +463,9 @@ impl TxIndex {
                 staged: part.staged.clone(),
             })
             .collect();
-        self.shared.state.store(Arc::new(TxIndexState { partitions }));
+        self.shared
+            .state
+            .store(Arc::new(TxIndexState { partitions }));
     }
 
     /// A cloneable read handle over the last published state.
@@ -576,7 +582,11 @@ impl TxIndex {
 
     /// Build a page header plus encoded entry bytes for `entries`, which
     /// must already be sorted by id (the binary-search invariant).
-    fn build_page(partition: u16, sequence: u32, entries: &[IndexEntry]) -> (IndexPageHeader, Vec<u8>) {
+    fn build_page(
+        partition: u16,
+        sequence: u32,
+        entries: &[IndexEntry],
+    ) -> (IndexPageHeader, Vec<u8>) {
         let mut key_bloom = BloomFilter::with_capacity(entries.len());
         let mut authors: Vec<AccountId> = entries.iter().map(|e| e.author).collect();
         authors.sort_unstable();
@@ -844,10 +854,7 @@ mod tests {
         for e in &entries {
             assert_eq!(ix.lookup(&e.id).unwrap(), Some((e.block, e.pos)));
         }
-        assert_eq!(
-            ix.lookup(&TxId(sha256(b"missing"))).unwrap(),
-            None
-        );
+        assert_eq!(ix.lookup(&TxId(sha256(b"missing"))).unwrap(), None);
         let alice = ix.txs_by_author(&AccountId::from_name("alice")).unwrap();
         assert_eq!(alice.len(), 50);
         // Canonical (height) order.

@@ -89,11 +89,7 @@ impl ValidationPool {
     /// order. Single-block batches and inline pools skip the channels
     /// entirely — the caller's thread does the work — so tiny batches pay
     /// no coordination cost.
-    pub fn prevalidate(
-        &self,
-        blocks: Vec<Block>,
-        config: &ChainConfig,
-    ) -> Vec<PrevalidatedBlock> {
+    pub fn prevalidate(&self, blocks: Vec<Block>, config: &ChainConfig) -> Vec<PrevalidatedBlock> {
         let inline = |blocks: Vec<Block>| {
             blocks
                 .into_iter()
@@ -287,7 +283,10 @@ mod tests {
             let got = pool.prevalidate(blocks.clone(), &config);
             assert_eq!(got.len(), expect.len());
             for (g, e) in got.iter().zip(&expect) {
-                assert_eq!(g.hash, e.hash, "order or hash diverged at {threads} threads");
+                assert_eq!(
+                    g.hash, e.hash,
+                    "order or hash diverged at {threads} threads"
+                );
                 assert_eq!(g.tx_ids, e.tx_ids);
                 assert_eq!(g.work, e.work);
                 assert_eq!(g.stateless_err, e.stateless_err);

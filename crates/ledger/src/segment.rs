@@ -152,9 +152,7 @@ impl SegmentInfo {
     /// begin. Falls back to 0 (scan from the top).
     fn seek_floor(&self, min_height: u64) -> u64 {
         // `max_height` is monotone across points, so binary search holds.
-        let n = self
-            .sparse
-            .partition_point(|p| p.max_height <= min_height);
+        let n = self.sparse.partition_point(|p| p.max_height <= min_height);
         if n == 0 {
             0
         } else {
@@ -166,7 +164,11 @@ impl SegmentInfo {
         ManifestEntry {
             kind: ManifestFileKind::Segment,
             id: self.id,
-            first_height: if self.blocks == 0 { 0 } else { self.first_height },
+            first_height: if self.blocks == 0 {
+                0
+            } else {
+                self.first_height
+            },
             last_height: self.last_height,
             len: self.len,
             items: self.blocks,
@@ -177,7 +179,11 @@ impl SegmentInfo {
     fn from_entry(e: &ManifestEntry) -> Self {
         Self {
             id: e.id,
-            first_height: if e.items == 0 { u64::MAX } else { e.first_height },
+            first_height: if e.items == 0 {
+                u64::MAX
+            } else {
+                e.first_height
+            },
             last_height: e.last_height,
             len: e.len,
             blocks: e.items,
@@ -261,8 +267,7 @@ impl SegmentShared {
         }
         while let Some((id, _)) = pending.pop() {
             let mut local = HashMap::new();
-            if let Err(e) =
-                SegmentStore::scan_segment(&segment_path(&self.dir, id), id, &mut local)
+            if let Err(e) = SegmentStore::scan_segment(&segment_path(&self.dir, id), id, &mut local)
             {
                 // The file passed the open-time existence/length check, so
                 // this is decode corruption discovered lazily. `get`
@@ -398,17 +403,17 @@ impl SegmentStore {
     /// Open against a valid manifest: GC strays, verify sealed files, scan
     /// only the active segment.
     fn open_from_manifest(dir: PathBuf, config: SegmentConfig, m: Manifest) -> io::Result<Self> {
-        let mut entries: Vec<ManifestEntry> = m
-            .of_kind(ManifestFileKind::Segment)
-            .cloned()
-            .collect();
+        let mut entries: Vec<ManifestEntry> =
+            m.of_kind(ManifestFileKind::Segment).cloned().collect();
         entries.sort_by_key(|e| e.id);
         // Anything seg-owned the manifest does not list is a dead crash
         // leftover: a rollover that created its file but never
         // committed. Deleting it is the whole point of the manifest — the
         // alternative is replaying orphans as if they were history.
         let live: HashSet<String> = entries.iter().map(|e| segment_name(e.id)).collect();
-        let removed = gc_strays(&dir, &live, |n| n.starts_with("seg-") && n.ends_with(".blk"))?;
+        let removed = gc_strays(&dir, &live, |n| {
+            n.starts_with("seg-") && n.ends_with(".blk")
+        })?;
         if !removed.is_empty() {
             eprintln!(
                 "ledger: removed {} stray segment file(s) not listed by MANIFEST epoch {}: {:?}",
@@ -430,7 +435,10 @@ impl SegmentStore {
             let meta = std::fs::metadata(segment_path(&dir, e.id)).map_err(|_| {
                 io::Error::new(
                     io::ErrorKind::InvalidData,
-                    format!("MANIFEST epoch {} lists {name} but the file is missing", m.epoch),
+                    format!(
+                        "MANIFEST epoch {} lists {name} but the file is missing",
+                        m.epoch
+                    ),
                 )
             })?;
             if meta.len() != e.len {
@@ -524,7 +532,9 @@ impl SegmentStore {
         }
         let shared = Arc::new(SegmentShared {
             dir: dir.to_path_buf(),
-            index: (0..INDEX_SHARDS).map(|_| RwLock::new(HashMap::new())).collect(),
+            index: (0..INDEX_SHARDS)
+                .map(|_| RwLock::new(HashMap::new()))
+                .collect(),
             unindexed: Mutex::new(unindexed),
             files: Published::new(files.clone()),
         });
@@ -615,7 +625,11 @@ impl SegmentStore {
                 entries: vec![info.to_entry()],
             },
         )?;
-        let writer = BufWriter::new(OpenOptions::new().append(true).open(segment_path(&dir, 0))?);
+        let writer = BufWriter::new(
+            OpenOptions::new()
+                .append(true)
+                .open(segment_path(&dir, 0))?,
+        );
         let infos = vec![info];
         let (files, shared) = Self::build_shared(&dir, &infos, HashMap::new(), Vec::new())?;
         Ok(Self {
@@ -791,8 +805,10 @@ impl SegmentStore {
         )?;
         self.epoch += 1;
         self.infos.push(new_info);
-        self.files
-            .push((new_id, Arc::new(File::open(segment_path(&self.dir, new_id))?)));
+        self.files.push((
+            new_id,
+            Arc::new(File::open(segment_path(&self.dir, new_id))?),
+        ));
         self.publish_files();
         self.writer = writer;
         self.bytes += header_len;
@@ -881,7 +897,11 @@ impl SegmentStore {
     /// nonzero right after a manifest-driven open, draining toward zero as
     /// cold reads touch history.
     pub fn unindexed_segments(&self) -> usize {
-        self.shared.unindexed.lock().expect("unindexed poisoned").len()
+        self.shared
+            .unindexed
+            .lock()
+            .expect("unindexed poisoned")
+            .len()
     }
 
     /// Current manifest epoch (bumps on rollover and growth commits).
@@ -1450,8 +1470,13 @@ mod tests {
         let dir = temp_dir("growth");
         let blocks = chain_blocks(1200);
         {
-            let mut s =
-                SegmentStore::open(&dir, SegmentConfig { segment_bytes: 1 << 20 }).unwrap();
+            let mut s = SegmentStore::open(
+                &dir,
+                SegmentConfig {
+                    segment_bytes: 1 << 20,
+                },
+            )
+            .unwrap();
             s.put_batch(blocks.clone()).unwrap();
             assert_eq!(s.segment_count(), 1, "everything must fit one segment");
             assert!(
@@ -1462,7 +1487,13 @@ mod tests {
         // The committed prefix is trusted on reopen: only the post-commit
         // delta is scanned eagerly, the prefix stays pending for lazy
         // indexing — and manifest item counts keep len() exact meanwhile.
-        let mut s = SegmentStore::open(&dir, SegmentConfig { segment_bytes: 1 << 20 }).unwrap();
+        let mut s = SegmentStore::open(
+            &dir,
+            SegmentConfig {
+                segment_bytes: 1 << 20,
+            },
+        )
+        .unwrap();
         assert_eq!(s.unindexed_segments(), 1, "committed prefix deferred");
         assert_eq!(s.len(), 1200);
         // Sparse height index: a tail scan above a high floor must enter
@@ -1512,8 +1543,20 @@ mod tests {
         let dir_a = temp_dir("batch-a");
         let dir_b = temp_dir("batch-b");
         let blocks = chain_blocks(20);
-        let mut a = SegmentStore::open(&dir_a, SegmentConfig { segment_bytes: 1024 }).unwrap();
-        let mut b = SegmentStore::open(&dir_b, SegmentConfig { segment_bytes: 1024 }).unwrap();
+        let mut a = SegmentStore::open(
+            &dir_a,
+            SegmentConfig {
+                segment_bytes: 1024,
+            },
+        )
+        .unwrap();
+        let mut b = SegmentStore::open(
+            &dir_b,
+            SegmentConfig {
+                segment_bytes: 1024,
+            },
+        )
+        .unwrap();
         for blk in &blocks {
             a.put(blk.clone()).unwrap();
         }
@@ -1596,7 +1639,9 @@ mod tests {
         let mut s = TieredStore::open(
             &dir,
             TieredConfig {
-                segment: SegmentConfig { segment_bytes: 2048 },
+                segment: SegmentConfig {
+                    segment_bytes: 2048,
+                },
                 hot_capacity: 8,
             },
         )
@@ -1652,7 +1697,9 @@ mod tests {
         let mut s = TieredStore::open(
             &dir,
             TieredConfig {
-                segment: SegmentConfig { segment_bytes: 2048 },
+                segment: SegmentConfig {
+                    segment_bytes: 2048,
+                },
                 hot_capacity: 8,
             },
         )

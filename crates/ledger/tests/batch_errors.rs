@@ -3,10 +3,10 @@
 //! would report, at the right batch index; blocks before it commit, blocks
 //! after it do not, and the chain's indexes stay consistent.
 
+use blockprov_crypto::sha256::sha256;
 use blockprov_ledger::block::Block;
 use blockprov_ledger::chain::{Chain, ChainConfig, SignaturePolicy, ValidationError};
 use blockprov_ledger::tx::{AccountId, Transaction};
-use blockprov_crypto::sha256::sha256;
 
 /// A linear stream of `n` blocks on top of `chain`'s tip. `tx_for` decides
 /// which blocks carry a transaction.
@@ -49,12 +49,11 @@ fn assert_stops_at(
     let err = chain
         .append_batch(blocks)
         .expect_err("the corrupted block must fail the batch");
-    assert_eq!(err.index, bad_index, "failure attributed to the wrong block");
-    assert!(
-        expect(&err.error),
-        "wrong validation error: {}",
-        err.error
+    assert_eq!(
+        err.index, bad_index,
+        "failure attributed to the wrong block"
     );
+    assert!(expect(&err.error), "wrong validation error: {}", err.error);
     assert_eq!(
         err.committed.len(),
         bad_index,
@@ -71,7 +70,10 @@ fn assert_stops_at(
             "block at or after the failure must not be committed"
         );
     }
-    assert!(chain.index_consistent(), "indexes diverged after a failed batch");
+    assert!(
+        chain.index_consistent(),
+        "indexes diverged after a failed batch"
+    );
     assert!(chain.verify_integrity().is_ok());
 }
 
@@ -106,9 +108,12 @@ fn bad_signature_mid_batch() {
     // unsigned transaction.
     let blocks = linear_stream(&chain, 5, |i| if i == 2 { one_tx(i) } else { vec![] });
     let bad_tx_id = blocks[2].txs[0].id();
-    assert_stops_at(chain, blocks, 2, |e| {
-        matches!(e, ValidationError::BadSignature(id) if *id == bad_tx_id)
-    });
+    assert_stops_at(
+        chain,
+        blocks,
+        2,
+        |e| matches!(e, ValidationError::BadSignature(id) if *id == bad_tx_id),
+    );
 }
 
 #[test]
@@ -149,7 +154,9 @@ fn batch_resumes_after_skipping_the_bad_block() {
     let mut chain = Chain::new(ChainConfig::default());
     let mut blocks = linear_stream(&chain, 5, one_tx);
     blocks[2].header.tx_root = sha256(b"forged root");
-    let err = chain.append_batch(blocks).expect_err("must fail at block 2");
+    let err = chain
+        .append_batch(blocks)
+        .expect_err("must fail at block 2");
     assert_eq!(err.index, 2);
     let repaired = linear_stream(&chain, 3, |i| one_tx(10 + i));
     let outcomes = chain

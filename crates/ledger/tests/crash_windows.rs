@@ -46,10 +46,7 @@ fn tx(author: &str, nonce: u64) -> Transaction {
 }
 
 fn temp_dir(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!(
-        "blockprov-crashwin-{tag}-{}",
-        std::process::id()
-    ));
+    let dir = std::env::temp_dir().join(format!("blockprov-crashwin-{tag}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     dir
 }
@@ -161,14 +158,7 @@ fn build_forky_segments(dir: &Path) -> (BlockHash, u64) {
 
 /// What a restart must reproduce of a chain: tip, height, canonical
 /// hashes, index consistency and the two-tier secondary queries.
-type Observed = (
-    BlockHash,
-    u64,
-    Vec<BlockHash>,
-    bool,
-    Vec<TxId>,
-    Vec<TxId>,
-);
+type Observed = (BlockHash, u64, Vec<BlockHash>, bool, Vec<TxId>, Vec<TxId>);
 
 fn observe(chain: &Chain) -> Observed {
     chain.verify_integrity().unwrap();
@@ -201,7 +191,10 @@ fn replay_over_fork_residue_reproduces_tip_and_indexes() {
         let mut chain =
             Chain::with_store_and_index(tiered(&blocks), small_index(&txindex), forky_config());
         let rivals = grow_forky(&mut chain);
-        assert!(chain.finalized_height() > 2, "finality must pass fork heights");
+        assert!(
+            chain.finalized_height() > 2,
+            "finality must pass fork heights"
+        );
         assert!(
             rivals.iter().all(|h| chain.block(h).is_some()),
             "finalized-away forks stay in the store"
@@ -231,7 +224,10 @@ fn stray_manifest_tmp_removed_on_reopen() {
         ..ChainConfig::default()
     };
     let chain = Chain::replay(tiered(&dir), config).unwrap();
-    assert!(!dir.join("MANIFEST.tmp").exists(), "stray tmp must be removed");
+    assert!(
+        !dir.join("MANIFEST.tmp").exists(),
+        "stray tmp must be removed"
+    );
     assert_eq!(chain.tip(), tip);
     assert_eq!(chain.height(), height);
     chain.verify_integrity().unwrap();
@@ -248,12 +244,14 @@ fn stale_manifest_garbage_collects_orphan_segments() {
     let stale_tip_hash = {
         let mut newest = None;
         let mut best = 0u64;
-        stale_store.scan_headers(&mut |h, hash| {
-            if h >= best {
-                best = h;
-                newest = Some(hash);
-            }
-        }).unwrap();
+        stale_store
+            .scan_headers(&mut |h, hash| {
+                if h >= best {
+                    best = h;
+                    newest = Some(hash);
+                }
+            })
+            .unwrap();
         newest.unwrap()
     };
     drop(stale_store);
@@ -268,7 +266,8 @@ fn stale_manifest_garbage_collects_orphan_segments() {
         let mut chain = Chain::replay(tiered(&dir), config).unwrap();
         for i in 20..40u64 {
             let ts = chain.tip_header().timestamp_ms + 10;
-            let block = chain.assemble_next(ts, AccountId::from_name("sealer"), 0, vec![tx("a", i)]);
+            let block =
+                chain.assemble_next(ts, AccountId::from_name("sealer"), 0, vec![tx("a", i)]);
             chain.append(block).unwrap();
         }
         (chain.tip(), chain.height())
@@ -281,7 +280,10 @@ fn stale_manifest_garbage_collects_orphan_segments() {
     // Open must trust the manifest: orphans are GC'd, not replayed.
     let store = SegmentStore::open(&dir, SegmentConfig { segment_bytes: 512 }).unwrap();
     for name in &orphans {
-        assert!(!dir.join(name).exists(), "orphan segment {name} must be GC'd");
+        assert!(
+            !dir.join(name).exists(),
+            "orphan segment {name} must be GC'd"
+        );
     }
     assert!(
         store.get(&stale_tip_hash).is_some(),
@@ -340,7 +342,8 @@ fn build_tiered_chain(dir: &Path, blocks: u64, sync: bool) -> (BlockHash, u64, u
     );
     for i in 0..blocks {
         let ts = chain.tip_header().timestamp_ms + 10;
-        let block = chain.assemble_next(ts, AccountId::from_name("sealer"), 0, vec![tx("alice", i)]);
+        let block =
+            chain.assemble_next(ts, AccountId::from_name("sealer"), 0, vec![tx("alice", i)]);
         chain.append(block).unwrap();
     }
     let out = (chain.tip(), chain.height(), blocks);
@@ -408,7 +411,10 @@ fn corrupt_snapshot_falls_back_to_full_replay() {
     // …and rewrote the snapshot, so the NEXT open fast-starts again.
     let chain = reopen(&dir).unwrap();
     assert_eq!(chain.tip(), tip);
-    assert!(chain.appended_blocks() <= 4, "snapshot restored: O(suffix) start");
+    assert!(
+        chain.appended_blocks() <= 4,
+        "snapshot restored: O(suffix) start"
+    );
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
@@ -419,7 +425,8 @@ fn linear_stream(config: &ChainConfig, range: std::ops::Range<u64>, base_ts: u64
     let mut stream = Vec::new();
     for i in 0..range.end {
         let ts = scratch.tip_header().timestamp_ms.max(base_ts) + 10;
-        let block = scratch.assemble_next(ts, AccountId::from_name("sealer"), 0, vec![tx("alice", i)]);
+        let block =
+            scratch.assemble_next(ts, AccountId::from_name("sealer"), 0, vec![tx("alice", i)]);
         scratch.append(block.clone()).unwrap();
         if i >= range.start {
             stream.push(block);
@@ -707,9 +714,15 @@ fn crash_with_torn_newest_slot(dir: &Path, blocks: u64) -> (Chain, PathBuf) {
     let [s0, s1] = slot_paths(&dir.join("meta"));
     let seq = |p: &Path| {
         let bytes = std::fs::read(p).unwrap();
-        decode_snapshot_slot(&bytes, slot_digest).expect("both slots written").0
+        decode_snapshot_slot(&bytes, slot_digest)
+            .expect("both slots written")
+            .0
     };
-    let (newest, older) = if seq(&s0) > seq(&s1) { (s0, s1) } else { (s1, s0) };
+    let (newest, older) = if seq(&s0) > seq(&s1) {
+        (s0, s1)
+    } else {
+        (s1, s0)
+    };
     let len = std::fs::metadata(&newest).unwrap().len();
     let mid_payload = SNAPSHOT_SLOT_HEADER_LEN as u64 + (len - SNAPSHOT_SLOT_HEADER_LEN as u64) / 2;
     std::fs::OpenOptions::new()
@@ -765,10 +778,17 @@ fn next_write_goes_over_the_torn_slot(blocks: u64) {
     let older_seq = decode_snapshot_slot(&intact, slot_digest).unwrap().0;
     {
         let mut meta = interval_meta(&dir.join("meta"), SLOT_INTERVAL);
-        let mut snap = meta.read_snapshot().unwrap().expect("the intact slot reads");
+        let mut snap = meta
+            .read_snapshot()
+            .unwrap()
+            .expect("the intact slot reads");
         snap.height_map_len += 1; // any change, so the write is visible
         meta.write_snapshot(&snap).unwrap();
-        assert_eq!(std::fs::read(&older).unwrap(), intact, "intact slot overwritten");
+        assert_eq!(
+            std::fs::read(&older).unwrap(),
+            intact,
+            "intact slot overwritten"
+        );
         assert_eq!(meta.read_snapshot().unwrap(), Some(snap));
     }
     let [s0, s1] = slot_paths(&dir.join("meta"));
@@ -798,7 +818,11 @@ fn nonce_enforcement_holds_through_finality_and_a_crash() {
         );
         for i in 0..20u64 {
             let ts = chain.tip_header().timestamp_ms + 10;
-            let t = if i < 12 { tx("alice", i) } else { tx("bob", i - 12) };
+            let t = if i < 12 {
+                tx("alice", i)
+            } else {
+                tx("bob", i - 12)
+            };
             let block = chain.assemble_next(ts, AccountId::from_name("sealer"), 0, vec![t]);
             chain.append(block).unwrap();
         }
@@ -807,7 +831,11 @@ fn nonce_enforcement_holds_through_finality_and_a_crash() {
     let live_dir = temp_dir("nonce-restart-live");
     let crash_dir = temp_dir("nonce-restart-crash");
     let mut live = build(&live_dir);
-    assert_eq!(live.resident_metadata().next_nonce, 1, "only bob is in the suffix");
+    assert_eq!(
+        live.resident_metadata().next_nonce,
+        1,
+        "only bob is in the suffix"
+    );
     // Hard crash: no Drop, no final sync — the last interval snapshot is
     // all the restart has.
     std::mem::forget(build(&crash_dir));
@@ -824,13 +852,40 @@ fn nonce_enforcement_holds_through_finality_and_a_crash() {
     let alice = AccountId::from_name("alice");
     let ts = live.tip_header().timestamp_ms + 10;
     for (nonce, expect) in [
-        (13, Err(ValidationError::BadNonce { author: alice, expected: 12, got: 13 })),
-        (11, Err(ValidationError::BadNonce { author: alice, expected: 12, got: 11 })),
+        (
+            13,
+            Err(ValidationError::BadNonce {
+                author: alice,
+                expected: 12,
+                got: 13,
+            }),
+        ),
+        (
+            11,
+            Err(ValidationError::BadNonce {
+                author: alice,
+                expected: 12,
+                got: 11,
+            }),
+        ),
         (12, Ok(())),
     ] {
-        let block = live.assemble_next(ts, AccountId::from_name("sealer"), 0, vec![tx("alice", nonce)]);
-        assert_eq!(live.append(block.clone()).map(|_| ()), expect, "live, nonce {nonce}");
-        assert_eq!(restarted.append(block).map(|_| ()), expect, "restarted, nonce {nonce}");
+        let block = live.assemble_next(
+            ts,
+            AccountId::from_name("sealer"),
+            0,
+            vec![tx("alice", nonce)],
+        );
+        assert_eq!(
+            live.append(block.clone()).map(|_| ()),
+            expect,
+            "live, nonce {nonce}"
+        );
+        assert_eq!(
+            restarted.append(block).map(|_| ()),
+            expect,
+            "restarted, nonce {nonce}"
+        );
     }
     assert_eq!(restarted.tip(), live.tip());
     assert_eq!(restarted.next_nonce_for(&alice), 13);

@@ -20,10 +20,7 @@ const KINDS: u16 = 3;
 
 #[test]
 fn spilled_index_stays_bounded_and_matches_full_rebuild() {
-    let dir = std::env::temp_dir().join(format!(
-        "blockprov-index-scale-{}",
-        std::process::id()
-    ));
+    let dir = std::env::temp_dir().join(format!("blockprov-index-scale-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let store = TieredStore::open(
         &dir,
@@ -51,7 +48,13 @@ fn spilled_index_stays_bounded_and_matches_full_rebuild() {
     for i in 0..BLOCKS {
         let author = AccountId::from_name(AUTHORS[(i % 4) as usize]);
         let nonce = nonces.entry(author).or_insert(0);
-        let tx = Transaction::new(author, *nonce, i, (i % u64::from(KINDS)) as u16, vec![0xAB; 24]);
+        let tx = Transaction::new(
+            author,
+            *nonce,
+            i,
+            (i % u64::from(KINDS)) as u16,
+            vec![0xAB; 24],
+        );
         *nonce += 1;
         let block = chain.assemble_next(i + 1, sealer, 0, vec![tx]);
         chain.append(block).unwrap();
@@ -101,7 +104,10 @@ fn spilled_index_stays_bounded_and_matches_full_rebuild() {
         );
     }
     // The genesis-adjacent oldest and the newest resolve too.
-    assert_eq!(chain.tx_by_id(&all_ids[0]), tx_loc.get(&all_ids[0]).copied());
+    assert_eq!(
+        chain.tx_by_id(&all_ids[0]),
+        tx_loc.get(&all_ids[0]).copied()
+    );
     let last = *all_ids.last().unwrap();
     assert_eq!(chain.tx_by_id(&last), tx_loc.get(&last).copied());
 

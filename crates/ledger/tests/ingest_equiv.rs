@@ -49,10 +49,7 @@ fn allowlisted(e: &ValidationError) -> bool {
 /// Drive a sequential reference chain through `ops`, recording every block
 /// that was *submitted* (including ones the chain rejected as stale) — the
 /// exact stream the batched chain must process identically.
-fn build_stream(
-    config: ChainConfig,
-    ops: &[Op],
-) -> Result<(Chain, Vec<Block>), TestCaseError> {
+fn build_stream(config: ChainConfig, ops: &[Op]) -> Result<(Chain, Vec<Block>), TestCaseError> {
     let mut chain = Chain::new(config);
     let mut pool: Vec<BlockHash> = vec![chain.genesis()];
     let mut stream: Vec<Block> = Vec::new();
@@ -137,7 +134,11 @@ fn assert_same_state(seq: &Chain, batched: &Chain) -> Result<(), TestCaseError> 
     prop_assert_eq!(batched.height(), seq.height(), "height diverged");
     let seq_canonical: Vec<BlockHash> = seq.canonical_hashes().collect();
     let batched_canonical: Vec<BlockHash> = batched.canonical_hashes().collect();
-    prop_assert_eq!(batched_canonical, seq_canonical, "canonical hashes diverged");
+    prop_assert_eq!(
+        batched_canonical,
+        seq_canonical,
+        "canonical hashes diverged"
+    );
     for name in ["alice", "bob", "carol", "sealer"] {
         let a = AccountId::from_name(name);
         prop_assert_eq!(
@@ -173,11 +174,7 @@ fn thread_axis() -> Vec<usize> {
     }
 }
 
-fn run_case(
-    base: ChainConfig,
-    ops: &[Op],
-    sizes: &[usize],
-) -> Result<(), TestCaseError> {
+fn run_case(base: ChainConfig, ops: &[Op], sizes: &[usize]) -> Result<(), TestCaseError> {
     let seq_config = ChainConfig {
         ingest_threads: 1,
         ..base.clone()
@@ -317,7 +314,9 @@ fn batched_ingest_equals_sequential_at_fixed_batch_sizes() {
                 let store = TieredStore::open(
                     dir.join("blocks"),
                     TieredConfig {
-                        segment: SegmentConfig { segment_bytes: 2048 },
+                        segment: SegmentConfig {
+                            segment_bytes: 2048,
+                        },
                         hot_capacity: 4,
                     },
                 )

@@ -113,7 +113,13 @@ fn run(case: &Case) {
     for i in 0..blocks {
         let author = AccountId::from_name(&authors[i as usize % authors.len()]);
         let nonce = nonces.entry(author).or_insert(0);
-        let tx = Transaction::new(author, *nonce, i, (i % u64::from(KINDS)) as u16, vec![0xAB; 24]);
+        let tx = Transaction::new(
+            author,
+            *nonce,
+            i,
+            (i % u64::from(KINDS)) as u16,
+            vec![0xAB; 24],
+        );
         *nonce += 1;
         let block = chain.assemble_next(i + 1, sealer, 0, vec![tx]);
         chain.append(block).unwrap();
@@ -137,7 +143,11 @@ fn run(case: &Case) {
         "canonical suffix holds {} entries",
         final_resident.canonical
     );
-    assert_eq!(final_resident.nonce_floor, authors.len(), "one floor per finalized author");
+    assert_eq!(
+        final_resident.nonce_floor,
+        authors.len(),
+        "one floor per finalized author"
+    );
 
     // Independent from-scratch rebuild: walk parent pointers from the tip
     // (authoritative block data, no height map involved).
@@ -182,7 +192,11 @@ fn run(case: &Case) {
     // Two-tier nonces equal the rebuild.
     for name in &authors {
         let author = AccountId::from_name(name);
-        assert_eq!(chain.next_nonce_for(&author), expected_nonce[&author], "{name}");
+        assert_eq!(
+            chain.next_nonce_for(&author),
+            expected_nonce[&author],
+            "{name}"
+        );
     }
     // Tx queries (sampled point lookups + full secondary scans).
     for id in all_ids.iter().step_by(97) {
@@ -200,8 +214,9 @@ fn run(case: &Case) {
     let tip = chain.tip();
     chain.sync_meta().unwrap();
     drop(chain);
-    let chain = Chain::replay_with_tiers(store(&dir), Some(index(&dir)), meta(&dir, case), config())
-        .expect("fast start");
+    let chain =
+        Chain::replay_with_tiers(store(&dir), Some(index(&dir)), meta(&dir, case), config())
+            .expect("fast start");
     assert_eq!(chain.tip(), tip);
     assert_eq!(chain.height(), blocks);
     assert!(

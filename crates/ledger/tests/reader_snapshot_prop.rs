@@ -49,7 +49,9 @@ fn tiered_chain(dir: &std::path::Path) -> Chain {
     let store = TieredStore::open(
         dir.join("blocks"),
         TieredConfig {
-            segment: SegmentConfig { segment_bytes: 2048 },
+            segment: SegmentConfig {
+                segment_bytes: 2048,
+            },
             hot_capacity: 8,
         },
     )
@@ -240,7 +242,15 @@ fn assemble_child(rng: &mut Rng, parent_block: &Block, parent: BlockHash, i: usi
     });
     let n_txs = (rng.next() % 3) as usize;
     let txs: Vec<Transaction> = (0..n_txs)
-        .map(|j| Transaction::new(author, j as u64, 2_000, (rng.next() % 2) as u16, vec![i as u8]))
+        .map(|j| {
+            Transaction::new(
+                author,
+                j as u64,
+                2_000,
+                (rng.next() % 2) as u16,
+                vec![i as u8],
+            )
+        })
         .collect();
     Block::assemble(
         parent_block.header.height + 1,

@@ -172,19 +172,28 @@ fn tiers(dir: &Path, case: u64) -> Chain {
     let store = TieredStore::open(
         dir.join("blocks"),
         TieredConfig {
-            segment: SegmentConfig { segment_bytes: 2048 },
+            segment: SegmentConfig {
+                segment_bytes: 2048,
+            },
             hot_capacity: 4,
         },
     )
     .expect("open tiered store");
     let index = TxIndex::open(
         dir.join("txindex"),
-        TxIndexConfig { partitions: 2, page_entries: 4, cached_pages: 4 },
+        TxIndexConfig {
+            partitions: 2,
+            page_entries: 4,
+            cached_pages: 4,
+        },
     )
     .expect("open tx index");
     let meta = MetaStore::open(
         dir.join("meta"),
-        MetaConfig { index_sync_interval: 8, snapshot_interval: 1 },
+        MetaConfig {
+            index_sync_interval: 8,
+            snapshot_interval: 1,
+        },
     )
     .expect("open meta store");
     Chain::replay_with_tiers(Box::new(store), Some(index), meta, config).expect("reopen tiers")
