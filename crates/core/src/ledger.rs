@@ -192,51 +192,22 @@ impl ProvenanceLedger {
         Self::assemble(config, log, RecordState::new())
     }
 
-    /// Open a ledger over a custom block store — typically a
-    /// [`blockprov_ledger::segment::TieredStore`] for bounded-memory
-    /// operation — replaying any history the store already holds.
-    ///
-    /// The chain (fork choice, canonical indexes, finality checkpoint) and
-    /// the provenance layer (graph, query indexes, record→tx anchoring,
-    /// author nonces, logical clock) are all reconstructed from the stored
-    /// canonical blocks. Off-chain payloads, agent registrations and
-    /// unsealed mempool contents are process state, not chain state, and do
-    /// not survive a restart.
-    pub fn open_with_store(
-        config: LedgerConfig,
-        store: Box<dyn blockprov_ledger::store::BlockStore>,
-    ) -> std::io::Result<Self> {
-        let chain = Chain::replay(store, config.chain_config())?;
-        Self::finish_open(config, chain)
-    }
-
-    /// [`ProvenanceLedger::open_with_store`] with a durable transaction
-    /// index (see [`blockprov_ledger::index::TxIndex`]).
-    ///
-    /// The chain's canonical tx indexes rehydrate from the index pages
-    /// instead of being rebuilt in RAM — the mutable in-memory index covers
-    /// only the non-finalized suffix. The provenance layer is rebuilt from
-    /// one sequential pass over the stored canonical blocks, as in
-    /// [`ProvenanceLedger::open_with_store`].
-    pub fn open_with_store_and_index(
-        config: LedgerConfig,
-        store: Box<dyn blockprov_ledger::store::BlockStore>,
-        index: blockprov_ledger::index::TxIndex,
-    ) -> std::io::Result<Self> {
-        let chain = Chain::replay_with_index(store, index, config.chain_config())?;
-        Self::finish_open(config, chain)
-    }
-
-    /// [`ProvenanceLedger::open_with_store_and_index`] plus the durable
-    /// metadata tier (see [`blockprov_ledger::meta::MetaStore`]).
+    /// Open a ledger over the three durable tiers — block store
+    /// (typically a [`blockprov_ledger::segment::TieredStore`] for
+    /// bounded-memory operation), transaction index and metadata tier —
+    /// replaying any history they already hold.
     ///
     /// The chain consumes the checkpoint snapshot and height map: when a
     /// snapshot is present, cold start re-validates only the non-finalized
     /// suffix (blocks above the checkpoint) instead of re-absorbing all of
     /// history, resident chain metadata stays O(finality window + live
     /// forks), and a snapshot that contradicts the block store fails the
-    /// open loudly. The provenance layer is still rebuilt from one
-    /// sequential pass over every stored canonical block.
+    /// open loudly; without one the whole store is replayed. The
+    /// provenance layer (graph, query indexes, record→tx anchoring, author
+    /// nonces, logical clock) is rebuilt from one sequential pass over
+    /// every stored canonical block. Off-chain payloads, agent
+    /// registrations and unsealed mempool contents are process state, not
+    /// chain state, and do not survive a restart.
     pub fn open_with_tiers(
         config: LedgerConfig,
         store: Box<dyn blockprov_ledger::store::BlockStore>,
@@ -768,19 +739,38 @@ mod tests {
     }
 
     fn tiered_store(dir: &std::path::Path) -> Box<dyn blockprov_ledger::store::BlockStore> {
-        use blockprov_ledger::segment::{SegmentConfig, TieredConfig, TieredStore};
+        use blockprov_ledger::segment::{TieredConfig, TieredStore};
         Box::new(
             TieredStore::open(
                 dir,
                 TieredConfig {
-                    segment: SegmentConfig {
-                        segment_bytes: 64 * 1024,
-                    },
+                    segment_bytes: 64 * 1024,
                     hot_capacity: 16,
                 },
             )
             .unwrap(),
         )
+    }
+
+    /// Open a ledger over the block store in `dir`, with the index and
+    /// metadata tiers in a fresh `dir/{tag}`: with no snapshot to start
+    /// from, the open replays the whole store.
+    fn open_over_store(
+        config: &LedgerConfig,
+        dir: &std::path::Path,
+        tag: &str,
+    ) -> ProvenanceLedger {
+        use blockprov_ledger::index::{TxIndex, TxIndexConfig};
+        use blockprov_ledger::meta::{MetaConfig, MetaStore};
+        let tiers = dir.join(tag);
+        let _ = std::fs::remove_dir_all(&tiers);
+        ProvenanceLedger::open_with_tiers(
+            config.clone(),
+            tiered_store(dir),
+            TxIndex::open(tiers.join("index"), TxIndexConfig::default()).unwrap(),
+            MetaStore::open(tiers.join("meta"), MetaConfig::default()).unwrap(),
+        )
+        .unwrap()
     }
 
     fn temp_dir(tag: &str) -> std::path::PathBuf {
@@ -798,8 +788,7 @@ mod tests {
         let config = LedgerConfig::private_default().with_finality(4);
         let (rid, tip, height);
         {
-            let mut l =
-                ProvenanceLedger::open_with_store(config.clone(), tiered_store(&dir)).unwrap();
+            let mut l = open_over_store(&config, &dir, "first");
             let alice = l.register_agent("alice").unwrap();
             l.register_entity("report.pdf", b"v1").unwrap();
             rid = l
@@ -826,7 +815,7 @@ mod tests {
         }
 
         // "Restart": replay the same segment directory.
-        let mut l = ProvenanceLedger::open_with_store(config, tiered_store(&dir)).unwrap();
+        let mut l = open_over_store(&config, &dir, "restart");
         assert_eq!(l.chain().tip(), tip);
         assert_eq!(l.chain().height(), height);
         l.verify_chain().unwrap();
@@ -845,25 +834,28 @@ mod tests {
     #[test]
     fn ledger_over_indexed_store_bounds_resident_index_and_replays() {
         use blockprov_ledger::index::{TxIndex, TxIndexConfig};
+        use blockprov_ledger::meta::{MetaConfig, MetaStore};
         let dir = temp_dir("indexed");
         let config = LedgerConfig::private_default().with_finality(4);
         let index_config = TxIndexConfig {
             partitions: 4,
             page_entries: 8,
             cached_pages: 8,
-            ..TxIndexConfig::default()
         };
-        let open = |config: &LedgerConfig| {
-            ProvenanceLedger::open_with_store_and_index(
+        // Each open gets a fresh metadata tier, so the restart replays the
+        // whole store over the durable index.
+        let open = |config: &LedgerConfig, meta: &str| {
+            ProvenanceLedger::open_with_tiers(
                 config.clone(),
                 tiered_store(&dir),
                 TxIndex::open(dir.join("txindex"), index_config).unwrap(),
+                MetaStore::open(dir.join(meta), MetaConfig::default()).unwrap(),
             )
             .unwrap()
         };
         let (rid, tip, height);
         {
-            let mut l = open(&config);
+            let mut l = open(&config, "meta-first");
             let alice = l.register_agent("alice").unwrap();
             l.register_entity("report.pdf", b"v1").unwrap();
             rid = l
@@ -892,7 +884,7 @@ mod tests {
 
         // Restart: chain queries rehydrate from index pages, and the
         // provenance layer is rebuilt from one pass over the block store.
-        let mut l = open(&config);
+        let mut l = open(&config, "meta-restart");
         assert_eq!(l.chain().tip(), tip);
         assert_eq!(l.chain().height(), height);
         l.verify_chain().unwrap();
@@ -919,7 +911,6 @@ mod tests {
             partitions: 4,
             page_entries: 8,
             cached_pages: 8,
-            ..TxIndexConfig::default()
         };
         let open = |config: &LedgerConfig| {
             ProvenanceLedger::open_with_tiers(
@@ -987,8 +978,7 @@ mod tests {
         let dir = temp_dir("nonces");
         let config = LedgerConfig::private_default();
         {
-            let mut l =
-                ProvenanceLedger::open_with_store(config.clone(), tiered_store(&dir)).unwrap();
+            let mut l = open_over_store(&config, &dir, "first");
             let a = l.register_agent("alice").unwrap();
             for i in 0..3 {
                 l.apply_operation(&a, &format!("f{i}"), Action::Create, b"x")
@@ -996,7 +986,7 @@ mod tests {
             }
             l.seal_block().unwrap();
         }
-        let mut l = ProvenanceLedger::open_with_store(config, tiered_store(&dir)).unwrap();
+        let mut l = open_over_store(&config, &dir, "restart");
         // A fresh operation must continue the nonce sequence, not restart it
         // (a restarted sequence would collide in the mempool).
         let a = l.register_agent("alice").unwrap();

@@ -7,7 +7,7 @@
 //! inside genuine hardware, (b) it ran the *expected query program*, and
 //! (c) the result bytes are exactly what that program produced.
 //!
-//! Since no enclave hardware is available (see DESIGN.md §Substitutions),
+//! Since no enclave hardware is available,
 //! this module simulates the attestation *trust chain*, which is the part
 //! the protocol depends on:
 //!

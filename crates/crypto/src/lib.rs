@@ -15,7 +15,7 @@
 //!   segment trees aggregated under a top tree, with compound proofs.
 //! * [`sig`] — hash-based signatures: Lamport and Winternitz one-time
 //!   signatures plus a Merkle (many-time) signature scheme. These substitute
-//!   ECDSA/EdDSA (see DESIGN.md §Substitutions): same API, unforgeability
+//!   ECDSA/EdDSA: same API, unforgeability
 //!   resting on SHA-256 preimage resistance.
 //! * [`groupsig`] — hash-based group signatures (anonymous sign, public
 //!   verify against a 32-byte group root, manager-only opening), the

@@ -16,7 +16,7 @@
 //!
 //! The revealed values are interior chain points: inverting them to recover
 //! `v` requires breaking SHA-256 preimage resistance. **Trust model** (same
-//! as HashWires, documented in DESIGN.md): soundness holds when the
+//! as HashWires): soundness holds when the
 //! commitment was formed honestly — e.g. by sensor firmware or the capture
 //! pathway at record time — because a malicious committer could bind the two
 //! chains to different values. Completeness and verifier cost match the

@@ -14,7 +14,7 @@
 //! * **privacy** — record payloads are hash-anchored off-chain and patients
 //!   appear on-chain only via pseudonymous subject ids. (Ciphertext-policy
 //!   attribute-based encryption from \[59\] is substituted by ABAC-gated
-//!   access to the off-chain store — see DESIGN.md §Substitutions.)
+//!   access to the off-chain store.)
 //!
 //! Beyond the EHR domain, this crate also owns the workspace's *service*
 //! health surface: [`metrics`] provides the `Send + Sync` counters, gauges

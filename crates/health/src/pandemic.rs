@@ -14,7 +14,7 @@
 //!   which one, and two submissions by the same patient cannot be linked;
 //! * deep-neural-network detector contract → [`DiagnosticContract`], a
 //!   fixed-point logistic scorer run under the deterministic contract
-//!   runtime (see DESIGN.md §Substitutions: it exercises the identical
+//!   runtime (it exercises the identical
 //!   model-as-contract execution path without an ML framework);
 //! * consortium data access → [`PandemicPlatform::aggregate_report`] for
 //!   registered healthcare entities (aggregates only — individual

@@ -5,7 +5,7 @@
 //! prevent\[ing\] unauthorized doctors from uploading false information".
 //! True searchable attribute-based encryption needs pairing-based crypto we
 //! may not import, so this module implements the hash-only equivalent with
-//! the same interface and security *shape* (documented in DESIGN.md):
+//! the same interface and security *shape*:
 //!
 //! * keywords are never stored in clear: the index maps **trapdoors**
 //!   `HMAC(index_key, keyword)` to record postings;

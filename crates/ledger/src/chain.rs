@@ -624,7 +624,7 @@ impl ChainSnapshot {
 struct ChainReadShared {
     snapshot: Published<ChainSnapshot>,
     readers: AtomicUsize,
-    blocks: Option<Arc<dyn BlockReader>>,
+    blocks: Arc<dyn BlockReader>,
     tx_index: Option<TxIndexReader>,
     heights: Option<HeightReader>,
 }
@@ -796,10 +796,9 @@ impl ChainView {
         }
     }
 
-    /// Fetch any stored block. `None` when absent *or* when the chain's
-    /// store has no concurrent reader (see [`BlockStore::reader`]).
+    /// Fetch any stored block.
     pub fn block(&self, hash: &BlockHash) -> Option<Arc<Block>> {
-        self.shared.blocks.as_ref()?.get(hash)
+        self.shared.blocks.get(hash)
     }
 
     /// Fetch the canonical block at `height`.
@@ -967,7 +966,7 @@ impl Chain {
     ///
     /// If the store already holds a genesis-compatible history it is *not*
     /// replayed — this constructor always starts a fresh lineage. Use
-    /// [`Chain::replay`] to resume from a durable store.
+    /// [`Chain::replay_with_tiers`] to resume from durable tiers.
     pub fn with_store(store: Box<dyn BlockStore>, config: ChainConfig) -> Self {
         Self::with_optional_tiers(store, None, None, config)
     }
@@ -978,8 +977,7 @@ impl Chain {
     /// bounding resident index memory by the finality window.
     ///
     /// The index must belong to this store's history (fresh, or reopened
-    /// alongside it). To resume both from disk use
-    /// [`Chain::replay_with_index`].
+    /// alongside it). To resume from disk use [`Chain::replay_with_tiers`].
     pub fn with_store_and_index(
         store: Box<dyn BlockStore>,
         index: TxIndex,
@@ -1012,7 +1010,13 @@ impl Chain {
     ) -> Self {
         let genesis_block = Self::genesis_block();
         let genesis = genesis_block.hash();
-        let arc = store.put(genesis_block).expect("store genesis");
+        // A reopened store already holds genesis. Storing it again would
+        // append a second frame of it wherever the store has not indexed
+        // the first, and the next canonical scan would meet height 0 twice.
+        let arc = match store.get(&genesis) {
+            Some(arc) => arc,
+            None => store.put(genesis_block).expect("store genesis"),
+        };
         let mut meta = HashMap::new();
         meta.insert(
             genesis,
@@ -1100,34 +1104,6 @@ impl Chain {
         })
     }
 
-    /// Rebuild a chain from the blocks already persisted in `store`.
-    ///
-    /// The store is scanned (parents before children), the deterministic
-    /// genesis is matched, and every other block is re-validated and
-    /// re-appended under `config` — fork choice, canonical indexes and the
-    /// finality checkpoint all land where the original process left them.
-    /// Resident memory stays bounded by the store's hot tier: the scan only
-    /// retains `(height, hash)` pairs, and bodies are fetched one at a time.
-    pub fn replay(store: Box<dyn BlockStore>, config: ChainConfig) -> std::io::Result<Self> {
-        Self::replay_inner(store, None, None, config)
-    }
-
-    /// [`Chain::replay`] with a durable transaction index.
-    ///
-    /// Re-appending the stored history re-derives every index entry, but
-    /// [`TxIndex::append`] drops entries already durable in a partition
-    /// (height at or below its durable watermark), so only the suffix lost
-    /// to a crash — if any — is actually rewritten. The net effect is that
-    /// a restart *rehydrates* full-history queries from the index pages
-    /// instead of rebuilding them all in RAM.
-    pub fn replay_with_index(
-        store: Box<dyn BlockStore>,
-        index: TxIndex,
-        config: ChainConfig,
-    ) -> std::io::Result<Self> {
-        Self::replay_inner(store, Some(index), None, config)
-    }
-
     /// Resume a chain from all three durable tiers.
     ///
     /// When the metadata tier holds a readable [`CheckpointSnapshot`], the
@@ -1137,42 +1113,35 @@ impl Chain {
     /// re-validated and re-absorbed — cold-start cost is O(suffix), not
     /// O(history). A torn height-map tail or a lost index tail is healed
     /// from blocks (blocks stay authoritative); a snapshot that contradicts
-    /// the block store fails loudly. Without a usable snapshot this falls
-    /// back to a full replay, which rebuilds and rewrites the tier.
+    /// the block store fails loudly.
+    ///
+    /// Without a usable snapshot this is a full replay: the store's headers
+    /// are scanned (parents before children), the deterministic genesis is
+    /// matched, and every other block is re-validated and re-appended under
+    /// `config` — fork choice, canonical indexes and the finality
+    /// checkpoint all land where the original process left them, and the
+    /// metadata tier is rebuilt and rewritten. [`TxIndex::append`] drops
+    /// entries already durable in a partition, so only an index suffix
+    /// lost to a crash is rewritten. Resident memory stays bounded by the
+    /// store's hot tier: the scan only retains `(height, hash)` pairs, and
+    /// bodies are fetched a chunk at a time.
     pub fn replay_with_tiers(
         store: Box<dyn BlockStore>,
         index: Option<TxIndex>,
         meta: MetaStore,
         config: ChainConfig,
     ) -> std::io::Result<Self> {
-        Self::replay_inner(store, index, Some(meta), config)
-    }
-
-    fn replay_inner(
-        store: Box<dyn BlockStore>,
-        index: Option<TxIndex>,
-        meta: Option<MetaStore>,
-        config: ChainConfig,
-    ) -> std::io::Result<Self> {
-        if let Some(meta_store) = &meta {
-            if let Some(snap) = meta_store.read_snapshot()? {
-                if snap.height > 0 {
-                    return Self::fast_start(
-                        store,
-                        index,
-                        meta.expect("checked above"),
-                        snap,
-                        config,
-                    );
-                }
+        if let Some(snap) = meta.read_snapshot()? {
+            if snap.height > 0 {
+                return Self::fast_start(store, index, meta, snap, config);
             }
         }
         let mut order: Vec<(u64, BlockHash)> = Vec::new();
-        store.scan_headers(&mut |h, hash| order.push((h, hash)))?;
+        store.scan_headers_from(0, &mut |h, hash| order.push((h, hash)))?;
         // Stable sort: parents (strictly lower height) come first, original
         // append order is preserved within a height.
         order.sort_by_key(|&(h, _)| h);
-        let mut chain = Self::with_optional_tiers(store, index, meta, config);
+        let mut chain = Self::with_optional_tiers(store, index, Some(meta), config);
         chain.replay_all(order)?;
         chain.sync_meta()?;
         Ok(chain)
@@ -2386,7 +2355,7 @@ impl Chain {
             }
         }
         for (author, n) in &self.index.next_nonce {
-            if rebuilt.next_nonce.get(author).map_or(true, |r| r < n) {
+            if rebuilt.next_nonce.get(author).is_none_or(|r| r < n) {
                 return false;
             }
         }
@@ -2416,7 +2385,7 @@ impl Chain {
                 return false;
             }
         }
-        for (author, _) in &self.index.by_author {
+        for author in self.index.by_author.keys() {
             if !rebuilt.by_author.contains_key(author) {
                 return false;
             }
@@ -2426,7 +2395,7 @@ impl Chain {
                 return false;
             }
         }
-        for (kind, _) in &self.index.by_kind {
+        for kind in self.index.by_kind.keys() {
             if !rebuilt.by_kind.contains_key(kind) {
                 return false;
             }
@@ -2917,7 +2886,6 @@ mod tests {
                 partitions: 2,
                 page_entries: 4,
                 cached_pages: 4,
-                ..Default::default()
             },
         )
         .unwrap();
@@ -2937,9 +2905,7 @@ mod tests {
             crate::segment::TieredStore::open(
                 dir.join("blocks"),
                 crate::segment::TieredConfig {
-                    segment: crate::segment::SegmentConfig {
-                        segment_bytes: 4096,
-                    },
+                    segment_bytes: 4096,
                     hot_capacity: 8,
                 },
             )
@@ -3072,7 +3038,10 @@ mod tests {
         for b in &blocks {
             store.put((**b).clone()).unwrap();
         }
-        let replayed = Chain::replay(Box::new(store), ChainConfig::default()).unwrap();
+        let dir = temp_dir("replay-scan");
+        let meta = crate::meta::MetaStore::open(dir.join("meta"), Default::default()).unwrap();
+        let replayed =
+            Chain::replay_with_tiers(Box::new(store), None, meta, ChainConfig::default()).unwrap();
         assert_eq!(replayed.tip(), c.tip());
         assert_eq!(replayed.height(), c.height());
         assert_eq!(
@@ -3086,6 +3055,28 @@ mod tests {
             "losing-branch tx not canonical"
         );
         assert_eq!(replayed.txs_by_author(&AccountId::from_name("r")).len(), 2);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn full_replay_stores_genesis_once() {
+        let dir = temp_dir("genesis-once");
+        let (tip, stored) = {
+            let mut c = Chain::with_store(durable_store(&dir), ChainConfig::default());
+            for i in 0..60 {
+                seal(&mut c, vec![tx("alice", i)]);
+            }
+            (c.tip(), c.stored_blocks())
+        };
+        // No snapshot, so a full replay, over a store whose genesis sits in
+        // a sealed segment the open has not indexed.
+        let meta = crate::meta::MetaStore::open(dir.join("meta"), Default::default()).unwrap();
+        let c = Chain::replay_with_tiers(durable_store(&dir), None, meta, ChainConfig::default())
+            .unwrap();
+        assert_eq!(c.tip(), tip);
+        assert_eq!(c.stored_blocks(), stored);
+        c.scan_canonical(&mut |_| {}).unwrap();
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

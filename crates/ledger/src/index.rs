@@ -25,7 +25,7 @@
 //!
 //! Crash safety: blocks are authoritative, the index is *derived*. A torn
 //! trailing page (crash mid-flush) is truncated on reopen rather than
-//! failing the open — contrast [`crate::segment::SegmentStore`], which fails
+//! failing the open — contrast [`crate::segment::TieredStore`], which fails
 //! loudly because block data cannot be rebuilt. Appends are idempotent per
 //! partition: entries at or below a partition's durable `last_height` are
 //! dropped, so a chain replay after a crash re-derives exactly the missing
@@ -831,7 +831,6 @@ mod tests {
             partitions: 4,
             page_entries: 8,
             cached_pages: 4,
-            ..TxIndexConfig::default()
         }
     }
 
@@ -957,7 +956,6 @@ mod tests {
             partitions: 1,
             page_entries: 8,
             cached_pages: 4,
-            ..TxIndexConfig::default()
         };
         let batch_a: Vec<IndexEntry> = (1..=5).map(|i| entry(i, "a", 1)).collect();
         let batch_b: Vec<IndexEntry> = (0..6)

@@ -39,8 +39,6 @@ pub use mempool::Mempool;
 pub use meta::{HeightMap, HeightReader, MetaConfig, MetaStore};
 pub use pool::ValidationPool;
 pub use readview::{Published, ShardedCache};
-pub use segment::{
-    SegmentConfig, SegmentReader, SegmentStore, TieredConfig, TieredReader, TieredStore,
-};
+pub use segment::{TieredConfig, TieredReader, TieredStore};
 pub use store::{BlockReader, BlockStore, MemReader, MemStore};
 pub use tx::{AccountId, SignatureEnvelope, Transaction, TxId};

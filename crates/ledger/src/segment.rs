@@ -1,13 +1,17 @@
 //! Tiered block storage: manifest-listed append segments under an LRU hot
-//! set.
+//! set, behind one [`BlockStore`] ([`TieredStore`]) and one reader type
+//! ([`TieredReader`]).
 //!
 //! The paper's storage-overhead experiments (E3) assume provenance history
-//! far larger than RAM. [`SegmentStore`] is the cold tier: blocks are framed
-//! into fixed-capacity append-only segment files (`seg-00000.blk`, …), each
-//! carrying a [`blockprov_wire::frame::SegmentHeader`] and indexed by an
-//! in-memory offset table. Reads go through one persistent reader handle
-//! instead of reopening a file per miss, and batched appends (`put_batch`)
-//! issue a single flush for the whole batch.
+//! far larger than RAM. Blocks are framed into fixed-capacity append-only
+//! segment files (`seg-00000.blk`, …), each opening with a
+//! [`blockprov_wire::frame::SegmentHeader`] and indexed by an in-memory
+//! offset table; point reads `pread` one shared handle per file. Writes
+//! have one path: `put_staged` assigns each frame its location, and
+//! `flush_staged` emits the group with one vectored write. Every read of a
+//! segment file — full scan, open-time tail scan, lazy indexing, fenced
+//! header scan — goes through one walker that checks the segment header
+//! (magic, version, id) before the first frame.
 //!
 //! # Storage epochs
 //!
@@ -18,9 +22,8 @@
 //!
 //! * **O(window) open.** Sealed segments are *verified* (present, exact
 //!   length) but not scanned on open; their offset indexes are built lazily
-//!   on first cold read, newest first. Combined with the height fences
-//!   consulted by [`BlockStore::scan_headers_from`], a snapshot fast-start
-//!   reads only the segments that can hold non-finalized blocks.
+//!   on first cold read, newest first, and the height fences let
+//!   [`BlockStore::scan_headers_from`] skip them.
 //! * **Crash-window GC.** Files the manifest does not list are dead by
 //!   definition (a rollover that created its file but never committed) and
 //!   are garbage-collected on open — never replayed as if they were
@@ -34,25 +37,24 @@
 //! means lost data — and then committed under a fresh epoch; the corrupt
 //! fallback deletes nothing.
 //!
-//! [`TieredStore`] stacks a real LRU cache of decoded blocks (the hot set)
-//! on top, giving bounded resident memory over unbounded history: every
-//! block is durable in the cold tier the moment `put` returns, and the hot
-//! set never exceeds its configured capacity.
+//! In front of the files sits a real LRU cache of decoded blocks (the hot
+//! set), shared with every reader, giving bounded resident memory over
+//! unbounded history: a block is on disk once the group flush returns,
+//! pinned in memory until then, and the hot set never exceeds its
+//! configured capacity.
 
-use crate::block::{Block, BlockHash};
+use crate::block::{Block, BlockHash, BlockHeader};
 use crate::manifest::{
     commit_manifest, gc_strays, read_manifest, ManifestEntry, ManifestFileKind, ManifestState,
 };
 use crate::readview::{Published, ShardedCache};
 use crate::store::{BlockReader, BlockStore};
-use blockprov_wire::frame::{
-    frame_len, read_frame_from, write_frame_to, SegmentHeader, FRAME_OVERHEAD,
-};
+use blockprov_wire::frame::{frame_len, read_frame_from, SegmentHeader, FRAME_OVERHEAD};
 use blockprov_wire::manifest::{Manifest, SparsePoint};
-use blockprov_wire::{Codec, FrameBatch};
+use blockprov_wire::{Codec, FrameBatch, Reader};
 use std::collections::{HashMap, HashSet};
 use std::fs::{File, OpenOptions};
-use std::io::{self, BufReader, BufWriter, Read, Seek, SeekFrom, Write};
+use std::io::{self, BufReader, Read, Seek, SeekFrom, Write};
 use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -69,19 +71,22 @@ pub struct BlockLocation {
     pub len: u32,
 }
 
-/// Tuning for the cold tier.
+/// Tuning for [`TieredStore`].
 #[derive(Debug, Clone, Copy)]
-pub struct SegmentConfig {
+pub struct TieredConfig {
     /// Target segment capacity in bytes; a segment rolls over once its next
     /// frame would push it past this size (a single oversized block still
     /// fits — segments are a rollover hint, not a hard frame limit).
     pub segment_bytes: u64,
+    /// Maximum decoded blocks held in the hot LRU set.
+    pub hot_capacity: usize,
 }
 
-impl Default for SegmentConfig {
+impl Default for TieredConfig {
     fn default() -> Self {
         Self {
             segment_bytes: 4 * 1024 * 1024,
+            hot_capacity: 1024,
         }
     }
 }
@@ -92,6 +97,58 @@ fn segment_name(id: u32) -> String {
 
 fn segment_path(dir: &Path, id: u32) -> PathBuf {
     dir.join(segment_name(id))
+}
+
+/// Bytes of the [`SegmentHeader`] opening every segment file.
+const HEADER_LEN: u64 = SegmentHeader::ENCODED_LEN as u64;
+
+fn invalid(msg: String) -> io::Error {
+    io::Error::new(io::ErrorKind::InvalidData, msg)
+}
+
+/// Walk segment `id`'s frames: open the file, decode and check its
+/// [`SegmentHeader`] (magic, version, id), seek to `start` (a frame
+/// boundary; at or below [`HEADER_LEN`] means the first frame) and hand
+/// `visit` each frame's `(offset of its length prefix, payload)`.
+///
+/// Any malformed byte — a bad header, a torn trailing frame — fails loudly
+/// rather than being silently truncated: without per-frame checksums a
+/// torn tail write is indistinguishable from tampering, and this is first
+/// a tamper-evidence substrate.
+fn walk_segment(
+    dir: &Path,
+    id: u32,
+    start: u64,
+    visit: &mut dyn FnMut(u64, &[u8]) -> io::Result<()>,
+) -> io::Result<()> {
+    let mut reader = BufReader::new(File::open(segment_path(dir, id))?);
+    let mut header = [0u8; SegmentHeader::ENCODED_LEN];
+    reader
+        .read_exact(&mut header)
+        .map_err(|_| invalid(format!("segment {id}: truncated header")))?;
+    let header =
+        SegmentHeader::from_wire(&header).map_err(|e| invalid(format!("segment {id}: {e}")))?;
+    if header.segment_id != id {
+        return Err(invalid(format!(
+            "segment {id}: header says segment {}",
+            header.segment_id
+        )));
+    }
+    let mut offset = start.max(HEADER_LEN);
+    if offset > HEADER_LEN {
+        reader.seek(SeekFrom::Start(offset))?;
+    }
+    while let Some(body) = read_frame_from(&mut reader)? {
+        visit(offset, &body)?;
+        offset += frame_len(body.len());
+    }
+    Ok(())
+}
+
+/// Decode the block in the frame at `offset` of segment `id`.
+fn decode_block(id: u32, offset: u64, body: &[u8]) -> io::Result<Block> {
+    Block::from_wire(body)
+        .map_err(|e| invalid(format!("corrupt block in segment {id} at {offset}: {e}")))
 }
 
 /// Frames between sparse height-index points: every `SPARSE_EVERY`-th
@@ -119,12 +176,12 @@ struct SegmentInfo {
 }
 
 impl SegmentInfo {
-    fn empty(id: u32, header_len: u64) -> Self {
+    fn empty(id: u32) -> Self {
         Self {
             id,
             first_height: u64::MAX,
             last_height: 0,
-            len: header_len,
+            len: HEADER_LEN,
             blocks: 0,
             sparse: Vec::new(),
         }
@@ -137,7 +194,7 @@ impl SegmentInfo {
         self.last_height = self.last_height.max(height);
         self.len += frame;
         self.blocks += 1;
-        if self.blocks % SPARSE_EVERY == 0 {
+        if self.blocks.is_multiple_of(SPARSE_EVERY) {
             // Every frame before `len` has height ≤ the running max, which
             // is exactly `last_height` (max-tracked).
             self.sparse.push(SparsePoint {
@@ -158,6 +215,29 @@ impl SegmentInfo {
         } else {
             self.sparse[n - 1].offset
         }
+    }
+
+    /// Validate and index this segment's frames from `self.len` onward,
+    /// folding them into `self`. From [`SegmentInfo::empty`] this is a full
+    /// scan; from a manifest entry it covers only the bytes appended since
+    /// that entry was committed (the trusted-prefix open path).
+    fn index_frames(
+        &mut self,
+        dir: &Path,
+        index: &mut HashMap<BlockHash, BlockLocation>,
+    ) -> io::Result<()> {
+        let id = self.id;
+        walk_segment(dir, id, self.len, &mut |offset, body| {
+            let block = decode_block(id, offset, body)?;
+            let loc = BlockLocation {
+                segment: id,
+                offset: offset + FRAME_OVERHEAD,
+                len: body.len() as u32,
+            };
+            index.insert(block.hash(), loc);
+            self.note(block.header.height, frame_len(body.len()));
+            Ok(())
+        })
     }
 
     fn to_entry(&self) -> ManifestEntry {
@@ -196,17 +276,25 @@ impl SegmentInfo {
 /// location map without splintering it into per-segment maps.
 const INDEX_SHARDS: usize = 8;
 
-/// State shared between the owning [`SegmentStore`] and its concurrent
-/// readers: the sharded offset index, the lazy-indexing work list, and the
-/// published set of per-segment read handles.
+/// Hot-set shard count (see [`ShardedCache`]).
+const HOT_SHARDS: usize = 8;
+
+/// State shared between the owning [`TieredStore`] and every
+/// [`TieredReader`]: the hot set with its hit/miss counters, the sharded
+/// offset index, the lazy-indexing work list, and the published set of
+/// per-segment read handles.
 ///
 /// The file set is [`Published`] rather than locked and only ever grows: a
 /// rollover publishes the new segment's handle before any location inside
 /// it is indexed, so a reader that resolves a location always finds its
 /// handle in the set it loads next.
 #[derive(Debug)]
-pub struct SegmentShared {
+struct Shared {
     dir: PathBuf,
+    /// Decoded blocks, LRU-bounded by `hot_capacity`.
+    hot: ShardedCache<BlockHash, Arc<Block>>,
+    hits: AtomicU64,
+    misses: AtomicU64,
     /// Global offset index: block hash → location, sharded by the same
     /// routing hash the tx index uses.
     index: Vec<RwLock<HashMap<BlockHash, BlockLocation>>>,
@@ -225,7 +313,7 @@ pub struct SegmentShared {
     files: Published<Vec<(u32, Arc<File>)>>,
 }
 
-impl SegmentShared {
+impl Shared {
     fn index_shard(&self, hash: &BlockHash) -> &RwLock<HashMap<BlockHash, BlockLocation>> {
         let n = crate::index::route_hash(hash.0.as_bytes()) % self.index.len() as u64;
         &self.index[n as usize]
@@ -267,8 +355,7 @@ impl SegmentShared {
         }
         while let Some((id, _)) = pending.pop() {
             let mut local = HashMap::new();
-            if let Err(e) = SegmentStore::scan_segment(&segment_path(&self.dir, id), id, &mut local)
-            {
+            if let Err(e) = SegmentInfo::empty(id).index_frames(&self.dir, &mut local) {
                 // The file passed the open-time existence/length check, so
                 // this is decode corruption discovered lazily. `get`
                 // returns Option; be loud on stderr at least.
@@ -299,45 +386,72 @@ impl SegmentShared {
         };
         let mut body = vec![0u8; loc.len as usize];
         file.read_exact_at(&mut body, loc.offset)?;
-        Block::from_wire(&body)
-            .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))
+        decode_block(loc.segment, loc.offset - FRAME_OVERHEAD, &body)
     }
 
-    /// Full point read: resolve, then read.
-    fn get_block(&self, hash: &BlockHash) -> Option<Arc<Block>> {
-        let loc = self.lookup(hash)?;
-        self.read_at(loc).ok().map(Arc::new)
-    }
-}
-
-/// Concurrent point-read handle over a [`SegmentStore`].
-#[derive(Debug, Clone)]
-pub struct SegmentReader {
-    shared: Arc<SegmentShared>,
-}
-
-impl BlockReader for SegmentReader {
+    /// Hot set first; a miss resolves and reads the frame, then promotes
+    /// the block.
     fn get(&self, hash: &BlockHash) -> Option<Arc<Block>> {
-        self.shared.get_block(hash)
+        if let Some(hit) = self.hot.get(hash) {
+            self.hits.fetch_add(1, Ordering::Relaxed);
+            return Some(hit);
+        }
+        let block = Arc::new(self.read_at(self.lookup(hash)?).ok()?);
+        self.misses.fetch_add(1, Ordering::Relaxed);
+        self.hot.insert(*hash, Arc::clone(&block));
+        Some(block)
+    }
+
+    fn tier_stats(&self) -> (u64, u64) {
+        (
+            self.hits.load(Ordering::Relaxed),
+            self.misses.load(Ordering::Relaxed),
+        )
     }
 }
 
-/// The cold tier: append-only segments listed by a `MANIFEST`, with lazily
-/// built per-segment offset indexes and shared `pread` handles.
-pub struct SegmentStore {
-    dir: PathBuf,
-    config: SegmentConfig,
+/// Concurrent read handle over a [`TieredStore`]: hot-set hits are
+/// lock-per-shard, cold misses promote into the shared hot set exactly like
+/// the writer path.
+#[derive(Debug, Clone)]
+pub struct TieredReader {
+    shared: Arc<Shared>,
+}
+
+impl TieredReader {
+    /// `(hot hits, cold misses)` counters, aggregated across the writer and
+    /// every reader handle.
+    pub fn tier_stats(&self) -> (u64, u64) {
+        self.shared.tier_stats()
+    }
+}
+
+impl BlockReader for TieredReader {
+    fn get(&self, hash: &BlockHash) -> Option<Arc<Block>> {
+        self.shared.get(hash)
+    }
+}
+
+/// The on-disk block store: append-only segments listed by a `MANIFEST`,
+/// lazily built offset indexes and shared `pread` handles, under an LRU
+/// hot set of decoded blocks.
+///
+/// Resident memory is bounded by `hot_capacity` (plus the blocks staged
+/// since the last flush) regardless of history length; eviction never
+/// loses data, and reads promote cold blocks back into the hot set.
+pub struct TieredStore {
+    config: TieredConfig,
     /// Live segments in id order (contiguous from 0); the last one is the
     /// active (append) segment.
     infos: Vec<SegmentInfo>,
-    /// Index, lazy-scan list and published read handles, shared with every
-    /// [`SegmentReader`].
-    shared: Arc<SegmentShared>,
+    /// Hot set, index, lazy-scan list and published read handles, shared
+    /// with every [`TieredReader`].
+    shared: Arc<Shared>,
     /// Writer-side copy of the live read handles, id-ascending; published
     /// wholesale after every rollover.
     files: Vec<(u32, Arc<File>)>,
     /// Open append handle for the active segment.
-    writer: BufWriter<File>,
+    writer: File,
     /// Bytes of the active segment covered by the manifest on disk. Grows
     /// are re-committed every [`Self::commit_stride`] bytes so a reopen
     /// only ever re-scans a bounded delta.
@@ -356,34 +470,35 @@ pub struct SegmentStore {
     pending_locs: Vec<(BlockHash, BlockLocation)>,
     /// Decoded copies of the pending blocks, pinned so the writer's own
     /// `get` (reorgs touching same-batch forks) resolves them before the
-    /// frames are readable from disk.
+    /// frames are readable from disk, even once the hot set evicted them.
     pending_arcs: HashMap<BlockHash, Arc<Block>>,
 }
 
-impl std::fmt::Debug for SegmentStore {
+impl std::fmt::Debug for TieredStore {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("SegmentStore")
-            .field("dir", &self.dir)
+        f.debug_struct("TieredStore")
+            .field("dir", &self.shared.dir)
             .field("segments", &self.infos.len())
             .field("epoch", &self.epoch)
             .field("bytes", &self.bytes)
+            .field("hot_blocks", &self.shared.hot.len())
             .finish_non_exhaustive()
     }
 }
 
-impl SegmentStore {
-    /// Open (or create) a segment store in directory `dir`.
+impl TieredStore {
+    /// Open (or create) a tiered store rooted at `dir`.
     ///
-    /// With a valid `MANIFEST`, only the active segment is scanned; sealed
-    /// segments are verified to exist at their recorded length and indexed
-    /// lazily on first read, and unlisted segment files (crash leftovers of
-    /// a rollover) are garbage-collected. Without a manifest the directory
-    /// is scanned in full — loudly rejecting gaps, torn frames and corrupt
-    /// blocks exactly as before manifests existed — and a manifest is
-    /// committed so the next open is cheap. A corrupt
-    /// manifest falls back to the same full scan, gap check included, with
-    /// a loud message, and deletes nothing.
-    pub fn open<P: AsRef<Path>>(dir: P, config: SegmentConfig) -> io::Result<Self> {
+    /// With a valid `MANIFEST`, only the active segment's tail past its
+    /// committed length is scanned; sealed segments are verified to exist
+    /// at their recorded length and indexed lazily on first read, and
+    /// unlisted segment files (crash leftovers of a rollover) are
+    /// garbage-collected. Without a manifest the directory is scanned in
+    /// full — loudly rejecting gaps, bad headers, torn frames and corrupt
+    /// blocks — and a manifest is committed so the next open is cheap. A
+    /// corrupt manifest falls back to the same full scan, gap check
+    /// included, with a loud message, and deletes nothing.
+    pub fn open<P: AsRef<Path>>(dir: P, config: TieredConfig) -> io::Result<Self> {
         let dir = dir.as_ref().to_path_buf();
         std::fs::create_dir_all(&dir)?;
         match read_manifest(&dir)? {
@@ -401,8 +516,8 @@ impl SegmentStore {
     }
 
     /// Open against a valid manifest: GC strays, verify sealed files, scan
-    /// only the active segment.
-    fn open_from_manifest(dir: PathBuf, config: SegmentConfig, m: Manifest) -> io::Result<Self> {
+    /// only the active segment's uncommitted tail.
+    fn open_from_manifest(dir: PathBuf, config: TieredConfig, m: Manifest) -> io::Result<Self> {
         let mut entries: Vec<ManifestEntry> =
             m.of_kind(ManifestFileKind::Segment).cloned().collect();
         entries.sort_by_key(|e| e.id);
@@ -422,116 +537,138 @@ impl SegmentStore {
                 removed
             );
         }
-        let Some((active_entry, sealed)) = entries.split_last() else {
+        let Some(active) = entries.last() else {
             // A manifest with no segments: fresh active under the next
             // epoch.
             return Self::create_fresh(dir, config, m.epoch + 1);
         };
+        let committed_len = active.len;
         let mut infos = Vec::with_capacity(entries.len());
         let mut unindexed = Vec::with_capacity(entries.len());
-        let mut bytes = 0u64;
-        for e in sealed {
+        let mut index = HashMap::new();
+        for (i, e) in entries.iter().enumerate() {
             let name = segment_name(e.id);
-            let meta = std::fs::metadata(segment_path(&dir, e.id)).map_err(|_| {
-                io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    format!(
+            let file_len = std::fs::metadata(segment_path(&dir, e.id))
+                .map_err(|_| {
+                    invalid(format!(
                         "MANIFEST epoch {} lists {name} but the file is missing",
                         m.epoch
-                    ),
-                )
-            })?;
-            if meta.len() != e.len {
-                return Err(io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    format!(
-                        "MANIFEST epoch {} lists {name} at {} bytes but the file has {}",
-                        m.epoch,
-                        e.len,
-                        meta.len()
-                    ),
-                ));
+                    ))
+                })?
+                .len();
+            // The active segment may have grown past its manifest entry
+            // (the manifest is committed on rollover and every
+            // `commit_stride` bytes of growth); a sealed one never does.
+            let is_active = i + 1 == entries.len();
+            if file_len < e.len || (!is_active && file_len != e.len) {
+                return Err(invalid(format!(
+                    "MANIFEST epoch {} lists {name} at {} bytes but the file has {file_len}",
+                    m.epoch, e.len
+                )));
             }
-            infos.push(SegmentInfo::from_entry(e));
-            unindexed.push((e.id, e.items));
-            bytes += e.len;
+            // The committed prefix is trusted like a sealed segment —
+            // indexed lazily — and only the delta past it is scanned
+            // eagerly: that bounds open-time I/O by the commit stride, not
+            // the segment size.
+            if !is_active || e.items > 0 {
+                unindexed.push((e.id, e.items));
+            }
+            let mut info = SegmentInfo::from_entry(e);
+            if is_active && file_len > e.len {
+                info.index_frames(&dir, &mut index)?;
+            }
+            infos.push(info);
         }
-        // The active segment may have grown past its manifest entry (the
-        // manifest is committed on rollover and every
-        // `commit_stride` bytes of growth). The committed prefix is trusted
-        // like a sealed segment — present at at least the recorded length,
-        // indexed lazily — and only the delta past it is scanned eagerly:
-        // that bounds open-time I/O by the commit stride, not the segment
-        // size.
-        let active_path = segment_path(&dir, active_entry.id);
-        let file_len = std::fs::metadata(&active_path)
-            .map_err(|_| {
-                io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    format!(
-                        "MANIFEST epoch {} lists {} but the file is missing",
-                        m.epoch,
-                        segment_name(active_entry.id)
-                    ),
-                )
-            })?
-            .len();
-        if file_len < active_entry.len {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!(
-                    "MANIFEST epoch {} lists {} at {} bytes but the file has {}",
-                    m.epoch,
-                    segment_name(active_entry.id),
-                    active_entry.len,
-                    file_len
-                ),
-            ));
-        }
-        let mut index = HashMap::new();
-        let base = SegmentInfo::from_entry(active_entry);
-        let info = if file_len > base.len {
-            Self::scan_segment_tail(&active_path, active_entry.id, base, &mut index)?
-        } else {
-            base
-        };
-        if active_entry.items > 0 {
-            unindexed.push((active_entry.id, active_entry.items));
-        }
-        bytes += info.len;
-        infos.push(info);
-        let writer = BufWriter::new(OpenOptions::new().append(true).open(&active_path)?);
-        let (files, shared) = Self::build_shared(&dir, &infos, index, unindexed)?;
+        let store = Self::assemble(dir, config, infos, index, unindexed)?;
         Ok(Self {
-            dir,
-            config,
-            infos,
-            shared,
-            files,
-            writer,
-            bytes,
             epoch: m.epoch,
-            committed_len: active_entry.len,
-            pending: FrameBatch::new(),
-            pending_locs: Vec::new(),
-            pending_arcs: HashMap::new(),
+            committed_len,
+            ..store
         })
     }
 
-    /// Open one read handle per live segment and assemble the shared state,
-    /// distributing an eagerly built index across the shards.
-    fn build_shared(
-        dir: &Path,
-        infos: &[SegmentInfo],
+    /// Open by scanning every segment file, then commit a manifest so the
+    /// next open is O(window). Segment ids are only ever assigned by the
+    /// fresh store and by rollover, so a gap in the sequence is lost data
+    /// and fails the open.
+    fn open_by_scan(dir: PathBuf, config: TieredConfig) -> io::Result<Self> {
+        let mut ids: Vec<u32> = Vec::new();
+        for entry in std::fs::read_dir(&dir)? {
+            let name = entry?.file_name();
+            let name = name.to_string_lossy();
+            if let Some(num) = name
+                .strip_prefix("seg-")
+                .and_then(|s| s.strip_suffix(".blk"))
+            {
+                let id = num
+                    .parse::<u32>()
+                    .map_err(|_| invalid(format!("unparseable segment file name {name:?}")))?;
+                ids.push(id);
+            }
+        }
+        ids.sort_unstable();
+        if let Some(&max) = ids.last() {
+            if ids.len() as u64 != u64::from(max) + 1 {
+                return Err(invalid(format!(
+                    "segment sequence has gaps: found {} files up to seg-{max:05}",
+                    ids.len()
+                )));
+            }
+        }
+        if ids.is_empty() {
+            return Self::create_fresh(dir, config, 1);
+        }
+        let mut index = HashMap::new();
+        let mut infos = Vec::with_capacity(ids.len());
+        for id in ids {
+            let mut info = SegmentInfo::empty(id);
+            info.index_frames(&dir, &mut index)?;
+            infos.push(info);
+        }
+        let mut store = Self::assemble(dir, config, infos, index, Vec::new())?;
+        store.commit_epoch()?;
+        Ok(store)
+    }
+
+    /// Fresh store: create segment 0 with its header and commit `epoch`.
+    fn create_fresh(dir: PathBuf, config: TieredConfig, epoch: u64) -> io::Result<Self> {
+        Self::create_segment_file(&dir, 0)?;
+        let mut store = Self::assemble(
+            dir,
+            config,
+            vec![SegmentInfo::empty(0)],
+            HashMap::new(),
+            Vec::new(),
+        )?;
+        // `commit_epoch` commits under the epoch after the current one.
+        store.epoch = epoch - 1;
+        store.commit_epoch()?;
+        Ok(store)
+    }
+
+    /// Open one read handle per live segment and the active segment's
+    /// append handle, and assemble a store at epoch 0 with nothing
+    /// committed, distributing an eagerly built index across the shards.
+    fn assemble(
+        dir: PathBuf,
+        config: TieredConfig,
+        infos: Vec<SegmentInfo>,
         index: HashMap<BlockHash, BlockLocation>,
         unindexed: Vec<(u32, u64)>,
-    ) -> io::Result<(Vec<(u32, Arc<File>)>, Arc<SegmentShared>)> {
+    ) -> io::Result<Self> {
         let mut files = Vec::with_capacity(infos.len());
-        for info in infos {
-            files.push((info.id, Arc::new(File::open(segment_path(dir, info.id))?)));
+        for info in &infos {
+            files.push((info.id, Arc::new(File::open(segment_path(&dir, info.id))?)));
         }
-        let shared = Arc::new(SegmentShared {
-            dir: dir.to_path_buf(),
+        let active = infos.last().expect("at least one segment").id;
+        let writer = OpenOptions::new()
+            .append(true)
+            .open(segment_path(&dir, active))?;
+        let shared = Arc::new(Shared {
+            dir,
+            hot: ShardedCache::new(config.hot_capacity, HOT_SHARDS),
+            hits: AtomicU64::new(0),
+            misses: AtomicU64::new(0),
             index: (0..INDEX_SHARDS)
                 .map(|_| RwLock::new(HashMap::new()))
                 .collect(),
@@ -541,128 +678,32 @@ impl SegmentStore {
         for (h, loc) in index {
             shared.index_insert(h, loc);
         }
-        Ok((files, shared))
-    }
-
-    /// Open by scanning every segment file, then commit a manifest so the
-    /// next open is O(window). Segment ids are only ever assigned by the
-    /// fresh store and by rollover, so a gap in the sequence is lost data
-    /// and fails the open.
-    fn open_by_scan(dir: PathBuf, config: SegmentConfig) -> io::Result<Self> {
-        let mut ids: Vec<u32> = Vec::new();
-        for entry in std::fs::read_dir(&dir)? {
-            let name = entry?.file_name();
-            let name = name.to_string_lossy();
-            if let Some(num) = name
-                .strip_prefix("seg-")
-                .and_then(|s| s.strip_suffix(".blk"))
-            {
-                let id = num.parse::<u32>().map_err(|_| {
-                    io::Error::new(
-                        io::ErrorKind::InvalidData,
-                        format!("unparseable segment file name {name:?}"),
-                    )
-                })?;
-                ids.push(id);
-            }
-        }
-        ids.sort_unstable();
-        if let Some(&max) = ids.last() {
-            if ids.len() as u64 != u64::from(max) + 1 {
-                return Err(io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    format!(
-                        "segment sequence has gaps: found {} files up to seg-{max:05}",
-                        ids.len()
-                    ),
-                ));
-            }
-        }
-        if ids.is_empty() {
-            return Self::create_fresh(dir, config, 1);
-        }
-        let mut index = HashMap::new();
-        let mut infos = Vec::with_capacity(ids.len());
-        let mut bytes = 0u64;
-        for &id in &ids {
-            let info = Self::scan_segment(&segment_path(&dir, id), id, &mut index)?;
-            bytes += info.len;
-            infos.push(info);
-        }
-        let active = infos.last().expect("ids nonempty").id;
-        let writer = BufWriter::new(
-            OpenOptions::new()
-                .append(true)
-                .open(segment_path(&dir, active))?,
-        );
-        let (files, shared) = Self::build_shared(&dir, &infos, index, Vec::new())?;
-        let mut store = Self {
-            dir,
-            config,
-            infos,
-            shared,
-            files,
-            writer,
-            bytes,
-            epoch: 0,
-            committed_len: 0,
-            pending: FrameBatch::new(),
-            pending_locs: Vec::new(),
-            pending_arcs: HashMap::new(),
-        };
-        store.commit_epoch()?;
-        Ok(store)
-    }
-
-    /// Fresh store: create segment 0 with its header and commit `epoch`.
-    fn create_fresh(dir: PathBuf, config: SegmentConfig, epoch: u64) -> io::Result<Self> {
-        let header_len = Self::create_segment_file(&dir, 0)?;
-        let info = SegmentInfo::empty(0, header_len);
-        commit_manifest(
-            &dir,
-            &Manifest {
-                epoch,
-                entries: vec![info.to_entry()],
-            },
-        )?;
-        let writer = BufWriter::new(
-            OpenOptions::new()
-                .append(true)
-                .open(segment_path(&dir, 0))?,
-        );
-        let infos = vec![info];
-        let (files, shared) = Self::build_shared(&dir, &infos, HashMap::new(), Vec::new())?;
         Ok(Self {
-            dir,
             config,
+            bytes: infos.iter().map(|i| i.len).sum(),
             infos,
             shared,
             files,
             writer,
-            bytes: header_len,
-            epoch,
-            committed_len: header_len,
+            committed_len: 0,
+            epoch: 0,
             pending: FrameBatch::new(),
             pending_locs: Vec::new(),
             pending_arcs: HashMap::new(),
         })
     }
 
-    /// Create a segment file with its header; returns the header length.
-    /// `File::create` truncates, so retrying over a stray from a crashed
-    /// earlier attempt starts clean.
-    fn create_segment_file(dir: &Path, id: u32) -> io::Result<u64> {
-        let mut file = File::create(segment_path(dir, id))?;
-        let header = SegmentHeader::new(id).to_wire();
-        file.write_all(&header)?;
-        file.flush()?;
-        Ok(header.len() as u64)
+    /// Create a segment file holding only its header. `File::create`
+    /// truncates, so retrying over a stray from a crashed earlier attempt
+    /// starts clean.
+    fn create_segment_file(dir: &Path, id: u32) -> io::Result<()> {
+        File::create(segment_path(dir, id))?.write_all(&SegmentHeader::new(id).to_wire())
     }
 
     /// Commit the current in-memory segment list under the next epoch.
     fn commit_epoch(&mut self) -> io::Result<()> {
         commit_manifest(
-            &self.dir,
+            &self.shared.dir,
             &Manifest {
                 epoch: self.epoch + 1,
                 entries: self.infos.iter().map(|i| i.to_entry()).collect(),
@@ -681,101 +722,18 @@ impl SegmentStore {
         (self.config.segment_bytes / 8).max(64 * 1024)
     }
 
-    /// Re-commit the manifest if the active segment has outgrown the last
-    /// committed length by at least one stride. Callers flush first.
-    fn maybe_commit_growth(&mut self) -> io::Result<()> {
-        let active_len = self.infos.last().expect("active segment").len;
-        if active_len.saturating_sub(self.committed_len) >= self.commit_stride() {
-            self.commit_epoch()?;
-        }
-        Ok(())
-    }
-
-    /// Validate one segment file and merge its frames into `index`.
-    /// Returns the segment's info (length, fence, block count).
-    ///
-    /// Any malformed byte — a corrupt header, an undecodable block, a torn
-    /// trailing frame — fails loudly rather than being silently truncated:
-    /// without per-frame checksums a torn tail write is indistinguishable
-    /// from tampering, and this is first a tamper-evidence substrate.
-    fn scan_segment(
-        path: &Path,
-        expect_id: u32,
-        index: &mut HashMap<BlockHash, BlockLocation>,
-    ) -> io::Result<SegmentInfo> {
-        Self::scan_segment_tail(
-            path,
-            expect_id,
-            SegmentInfo::empty(expect_id, SegmentHeader::ENCODED_LEN as u64),
-            index,
-        )
-    }
-
-    /// Validate and index the frames of one segment from `base.len`
-    /// onward, folding them into `base`. With an empty `base` this is a
-    /// full scan; with a manifest entry as `base` it scans only the bytes
-    /// appended since that entry was committed (the trusted-prefix open
-    /// path).
-    fn scan_segment_tail(
-        path: &Path,
-        expect_id: u32,
-        base: SegmentInfo,
-        index: &mut HashMap<BlockHash, BlockLocation>,
-    ) -> io::Result<SegmentInfo> {
-        let mut reader = BufReader::new(File::open(path)?);
-        let mut header_bytes = [0u8; SegmentHeader::ENCODED_LEN];
-        reader.read_exact(&mut header_bytes).map_err(|_| {
-            io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("segment {expect_id}: truncated header"),
-            )
-        })?;
-        let header = SegmentHeader::from_wire(&header_bytes)
-            .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
-        if header.segment_id != expect_id {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!(
-                    "segment file order mismatch: file says {}, sequence says {expect_id}",
-                    header.segment_id
-                ),
-            ));
-        }
-        let mut info = base;
-        if info.len > SegmentHeader::ENCODED_LEN as u64 {
-            reader.seek(SeekFrom::Start(info.len))?;
-        }
-        while let Some(body) = read_frame_from(&mut reader)? {
-            let block = Block::from_wire(&body).map_err(|e| {
-                io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    format!("corrupt block in segment {expect_id} at {}: {e}", info.len),
-                )
-            })?;
-            index.insert(
-                block.hash(),
-                BlockLocation {
-                    segment: expect_id,
-                    offset: info.len + FRAME_OVERHEAD,
-                    len: body.len() as u32,
-                },
-            );
-            info.note(block.header.height, frame_len(body.len()));
-        }
-        Ok(info)
-    }
-
-    /// A cloneable, `Send + Sync` point-read handle sharing this store's
-    /// index and published file set.
-    pub fn reader(&self) -> SegmentReader {
-        SegmentReader {
+    /// A cloneable, `Send + Sync` read handle sharing the hot set, the
+    /// index and the published file set.
+    pub fn tiered_reader(&self) -> TieredReader {
+        TieredReader {
             shared: Arc::clone(&self.shared),
         }
     }
 
-    /// Publish the writer-side file list for readers.
-    fn publish_files(&self) {
-        self.shared.files.store(Arc::new(self.files.clone()));
+    /// `(hot hits, cold misses)` counters for cache-efficiency experiments,
+    /// aggregated across the writer and every reader handle.
+    pub fn tier_stats(&self) -> (u64, u64) {
+        self.shared.tier_stats()
     }
 
     /// Roll the writer over to a fresh segment.
@@ -785,19 +743,18 @@ impl SegmentStore {
     /// in-memory state. A crash (or commit failure) after the create
     /// leaves an unlisted empty file that GC removes on the next open.
     fn roll_segment(&mut self) -> io::Result<()> {
-        self.writer.flush()?;
+        let dir = &self.shared.dir;
         let new_id = self.infos.last().expect("active segment").id + 1;
-        let header_len = Self::create_segment_file(&self.dir, new_id)?;
-        let writer = BufWriter::new(
-            OpenOptions::new()
-                .append(true)
-                .open(segment_path(&self.dir, new_id))?,
-        );
-        let new_info = SegmentInfo::empty(new_id, header_len);
+        Self::create_segment_file(dir, new_id)?;
+        let writer = OpenOptions::new()
+            .append(true)
+            .open(segment_path(dir, new_id))?;
+        let file = Arc::new(File::open(segment_path(dir, new_id))?);
+        let new_info = SegmentInfo::empty(new_id);
         let mut entries: Vec<ManifestEntry> = self.infos.iter().map(|i| i.to_entry()).collect();
         entries.push(new_info.to_entry());
         commit_manifest(
-            &self.dir,
+            dir,
             &Manifest {
                 epoch: self.epoch + 1,
                 entries,
@@ -805,14 +762,11 @@ impl SegmentStore {
         )?;
         self.epoch += 1;
         self.infos.push(new_info);
-        self.files.push((
-            new_id,
-            Arc::new(File::open(segment_path(&self.dir, new_id))?),
-        ));
-        self.publish_files();
+        self.files.push((new_id, file));
+        self.shared.files.store(Arc::new(self.files.clone()));
         self.writer = writer;
-        self.bytes += header_len;
-        self.committed_len = header_len;
+        self.bytes += HEADER_LEN;
+        self.committed_len = HEADER_LEN;
         Ok(())
     }
 
@@ -846,14 +800,12 @@ impl SegmentStore {
     }
 
     /// Write every staged frame into the active segment with one vectored
-    /// write, then publish their index entries. The buffered writer drains
-    /// first so a fresh segment's header bytes precede the batch on disk.
+    /// write, then publish their index entries.
     fn emit_pending(&mut self) -> io::Result<()> {
         if self.pending.is_empty() {
             return Ok(());
         }
-        self.writer.flush()?;
-        self.pending.write_to(self.writer.get_mut())?;
+        self.pending.write_to(&mut self.writer)?;
         // Index only after the write: a concurrent reader that finds a
         // location must find the frame's bytes on disk too.
         for (hash, loc) in self.pending_locs.drain(..) {
@@ -861,31 +813,6 @@ impl SegmentStore {
         }
         self.pending_arcs.clear();
         Ok(())
-    }
-
-    /// Append one encoded block without flushing; returns its location.
-    /// Any staged frames are emitted first: they were measured against the
-    /// active segment before this block, so their bytes must precede it.
-    fn append_frame(&mut self, body: &[u8], height: u64) -> io::Result<BlockLocation> {
-        self.emit_pending()?;
-        let need = frame_len(body.len());
-        let must_roll = {
-            let active = self.infos.last().expect("active segment");
-            active.len + need > self.config.segment_bytes && active.blocks > 0
-        };
-        if must_roll {
-            self.roll_segment()?;
-        }
-        let active = self.infos.last_mut().expect("active segment");
-        let loc = BlockLocation {
-            segment: active.id,
-            offset: active.len + FRAME_OVERHEAD,
-            len: body.len() as u32,
-        };
-        write_frame_to(&mut self.writer, body)?;
-        active.note(height, need);
-        self.bytes += need;
-        Ok(loc)
     }
 
     /// Number of live segment files (active one included).
@@ -908,84 +835,32 @@ impl SegmentStore {
     pub fn epoch(&self) -> u64 {
         self.epoch
     }
-
-    /// The store's directory.
-    pub fn dir(&self) -> &Path {
-        &self.dir
-    }
 }
 
-impl BlockStore for SegmentStore {
-    fn put(&mut self, block: Block) -> io::Result<Arc<Block>> {
-        let hash = block.hash();
-        // Dedupe against the *in-memory* index only: forcing lazy segment
-        // scans here would turn the first post-restart appends into a full
-        // history read. A duplicate slipping past (same block, unindexed
-        // sealed segment) appends an identical frame — benign for replay,
-        // and the chain layer never re-puts a block it already holds.
-        if self.shared.index_get(&hash).is_some() {
-            return Ok(Arc::new(block));
-        }
-        if let Some(arc) = self.pending_arcs.get(&hash) {
-            let arc = Arc::clone(arc);
-            self.flush_staged()?;
-            return Ok(arc);
-        }
-        let body = block.to_wire();
-        let loc = self.append_frame(&body, block.header.height)?;
-        self.writer.flush()?;
-        // Index only after the flush: a concurrent reader that finds the
-        // location must find the frame's bytes on disk too.
-        self.shared.index_insert(hash, loc);
-        self.maybe_commit_growth()?;
-        Ok(Arc::new(block))
-    }
-
-    fn put_batch(&mut self, blocks: Vec<Block>) -> io::Result<Vec<Arc<Block>>> {
-        let mut out = Vec::with_capacity(blocks.len());
-        // Stage index insertions until after the single end-of-batch flush:
-        // publishing a location whose frame is still in the writer's buffer
-        // would hand concurrent readers a short read. The staged set also
-        // dedupes duplicates *within* the batch.
-        let mut staged: Vec<(BlockHash, BlockLocation)> = Vec::new();
-        let mut staged_hashes: HashSet<BlockHash> = HashSet::new();
-        // Frames staged by `put_staged` precede this batch on disk; emit
-        // them so the index covers them for the dedupe below.
-        self.emit_pending()?;
-        for block in blocks {
-            let hash = block.hash();
-            if self.shared.index_get(&hash).is_none() && staged_hashes.insert(hash) {
-                let body = block.to_wire();
-                let loc = self.append_frame(&body, block.header.height)?;
-                staged.push((hash, loc));
-            }
-            out.push(Arc::new(block));
-        }
-        // One flush for the whole batch — the write-amplification win over
-        // per-block `put`.
-        self.writer.flush()?;
-        for (hash, loc) in staged {
-            self.shared.index_insert(hash, loc);
-        }
-        self.maybe_commit_growth()?;
-        Ok(out)
-    }
-
+impl BlockStore for TieredStore {
     fn put_staged(&mut self, block: Block) -> io::Result<Arc<Block>> {
         let hash = block.hash();
-        // Same dedupe stance as `put` (in-memory index only), extended to
-        // the pending set so a duplicate within one batch stages one frame.
-        if self.shared.index_get(&hash).is_some() {
-            return Ok(Arc::new(block));
-        }
-        if let Some(arc) = self.pending_arcs.get(&hash) {
-            return Ok(Arc::clone(arc));
-        }
-        let body = block.to_wire();
-        let loc = self.stage_frame(body, block.header.height)?;
-        let arc = Arc::new(block);
-        self.pending_locs.push((hash, loc));
-        self.pending_arcs.insert(hash, Arc::clone(&arc));
+        // Dedupe against the in-memory index and the pending set only:
+        // forcing lazy segment scans here would turn the first
+        // post-restart appends into a full history read. A duplicate
+        // slipping past (same block, unindexed sealed segment) appends an
+        // identical frame — benign for replay, and the chain layer never
+        // re-stores a block it already holds.
+        let arc = if self.shared.index_get(&hash).is_some() {
+            Arc::new(block)
+        } else if let Some(arc) = self.pending_arcs.get(&hash) {
+            Arc::clone(arc)
+        } else {
+            let loc = self.stage_frame(block.to_wire(), block.header.height)?;
+            let arc = Arc::new(block);
+            self.pending_locs.push((hash, loc));
+            self.pending_arcs.insert(hash, Arc::clone(&arc));
+            arc
+        };
+        // Hot insertion before the flush is safe: readers only look up
+        // hashes a published chain snapshot names, and publication happens
+        // after the group flush.
+        self.shared.hot.insert(hash, Arc::clone(&arc));
         Ok(arc)
     }
 
@@ -994,19 +869,22 @@ impl BlockStore for SegmentStore {
             return Ok(());
         }
         self.emit_pending()?;
-        self.maybe_commit_growth()?;
+        // Re-commit the manifest once the active segment has outgrown the
+        // last committed length by a stride.
+        let active_len = self.infos.last().expect("active segment").len;
+        if active_len.saturating_sub(self.committed_len) >= self.commit_stride() {
+            self.commit_epoch()?;
+        }
         Ok(())
     }
 
     fn get(&self, hash: &BlockHash) -> Option<Arc<Block>> {
-        if let Some(arc) = self.pending_arcs.get(hash) {
-            return Some(Arc::clone(arc));
-        }
-        self.shared.get_block(hash)
-    }
-
-    fn contains(&self, hash: &BlockHash) -> bool {
-        self.pending_arcs.contains_key(hash) || self.shared.lookup(hash).is_some()
+        // The shared path first (hot set, then indexed frames), then the
+        // pending set: a staged block evicted from the hot set mid-batch
+        // has no disk frame to read yet.
+        self.shared
+            .get(hash)
+            .or_else(|| self.pending_arcs.get(hash).map(Arc::clone))
     }
 
     fn len(&self) -> usize {
@@ -1025,305 +903,62 @@ impl BlockStore for SegmentStore {
         self.shared.index_len() + pending as usize + self.pending_locs.len()
     }
 
-    fn reader(&self) -> Option<Arc<dyn BlockReader>> {
-        Some(Arc::new(self.reader()))
-    }
-
     fn stored_bytes(&self) -> u64 {
         self.bytes
     }
 
     fn resident_blocks(&self) -> usize {
-        0 // cold tier holds no decoded blocks in memory
+        self.shared.hot.len()
+    }
+
+    fn demote(&mut self, hash: &BlockHash) {
+        // Safe to drop from the hot set: the block is on disk, or pinned in
+        // the pending set until the group flush lands it there.
+        self.shared.hot.remove(hash);
     }
 
     fn scan(&self, visit: &mut dyn FnMut(Arc<Block>)) -> io::Result<()> {
         for info in &self.infos {
-            let path = segment_path(&self.dir, info.id);
-            let mut reader = BufReader::new(File::open(&path)?);
-            let mut header = [0u8; SegmentHeader::ENCODED_LEN];
-            reader.read_exact(&mut header)?;
-            while let Some(body) = read_frame_from(&mut reader)? {
-                let block = Block::from_wire(&body)
-                    .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
-                visit(Arc::new(block));
-            }
+            walk_segment(&self.shared.dir, info.id, 0, &mut |offset, body| {
+                visit(Arc::new(decode_block(info.id, offset, body)?));
+                Ok(())
+            })?;
         }
         Ok(())
     }
 
-    fn scan_headers(&self, visit: &mut dyn FnMut(u64, BlockHash)) -> io::Result<()> {
-        // Header-only decode: a block frame opens with its fixed-layout
-        // header, so the transaction list (the bulk of the bytes) is never
-        // materialized.
-        for info in &self.infos {
-            Self::scan_segment_headers(&self.dir, info.id, 0, visit)?;
-        }
-        Ok(())
-    }
-
+    /// The manifest payoff: a sealed segment whose height fence tops out at
+    /// or below `min_height` cannot hold a header the caller wants, so it
+    /// is skipped without being opened, and snapshot fast-start reads
+    /// O(finality window) bytes instead of O(history). A segment that
+    /// straddles the fence (the active one, typically) is entered through
+    /// its sparse height index: seek to the deepest point whose running-max
+    /// height sits at or below the floor and scan only the tail from
+    /// there. Callers filter, so the over-visit is bounded by one sparse
+    /// stride plus whatever sits above the floor. Only block headers are
+    /// decoded, never the transaction lists.
     fn scan_headers_from(
         &self,
         min_height: u64,
         visit: &mut dyn FnMut(u64, BlockHash),
     ) -> io::Result<()> {
-        // The manifest payoff: a sealed segment whose height fence tops out
-        // at or below the floor cannot hold a header the caller wants, so
-        // it is skipped without being opened. A segment that straddles the
-        // fence (the active one, typically) is entered through its sparse
-        // height index: seek to the deepest point whose running-max height
-        // sits at or below the floor and scan only the tail from there.
-        // Callers filter, so the over-visit is bounded by one sparse stride
-        // plus whatever sits above the floor.
         for info in &self.infos {
             if info.blocks == 0 || info.last_height <= min_height {
                 continue;
             }
             let start = info.seek_floor(min_height);
-            Self::scan_segment_headers(&self.dir, info.id, start, visit)?;
+            walk_segment(&self.shared.dir, info.id, start, &mut |_, body| {
+                let header = BlockHeader::decode(&mut Reader::new(body))
+                    .map_err(|e| invalid(e.to_string()))?;
+                visit(header.height, header.hash());
+                Ok(())
+            })?;
         }
         Ok(())
     }
-}
 
-impl SegmentStore {
-    /// Header-only scan of one segment file from byte offset `start`
-    /// (0 means "just past the segment header"); `start` must fall on a
-    /// frame boundary — in practice a [`SparsePoint`] offset.
-    fn scan_segment_headers(
-        dir: &Path,
-        id: u32,
-        start: u64,
-        visit: &mut dyn FnMut(u64, BlockHash),
-    ) -> io::Result<()> {
-        let path = segment_path(dir, id);
-        let mut reader = BufReader::new(File::open(&path)?);
-        let mut header = [0u8; SegmentHeader::ENCODED_LEN];
-        reader.read_exact(&mut header)?;
-        if start > SegmentHeader::ENCODED_LEN as u64 {
-            reader.seek(SeekFrom::Start(start))?;
-        }
-        while let Some(body) = read_frame_from(&mut reader)? {
-            let mut r = blockprov_wire::Reader::new(&body);
-            let header = crate::block::BlockHeader::decode(&mut r)
-                .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
-            visit(header.height, header.hash());
-        }
-        Ok(())
-    }
-}
-
-/// Tuning for [`TieredStore`].
-#[derive(Debug, Clone, Copy)]
-pub struct TieredConfig {
-    /// Cold-tier segment capacity.
-    pub segment: SegmentConfig,
-    /// Maximum decoded blocks held in the hot LRU set.
-    pub hot_capacity: usize,
-}
-
-impl Default for TieredConfig {
-    fn default() -> Self {
-        Self {
-            segment: SegmentConfig::default(),
-            hot_capacity: 1024,
-        }
-    }
-}
-
-/// Hot-set shard count (see [`ShardedCache`]).
-const HOT_SHARDS: usize = 8;
-
-/// The shared hot tier: a sharded LRU of decoded blocks plus hit/miss
-/// counters, usable concurrently by the writer and every reader handle.
-#[derive(Debug)]
-struct HotTier {
-    cache: ShardedCache<BlockHash, Arc<Block>>,
-    hits: AtomicU64,
-    misses: AtomicU64,
-}
-
-impl HotTier {
-    fn get(&self, cold: &SegmentShared, hash: &BlockHash) -> Option<Arc<Block>> {
-        if let Some(hit) = self.cache.get(hash) {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            return Some(hit);
-        }
-        let block = cold.get_block(hash)?;
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        self.cache.insert(*hash, Arc::clone(&block));
-        Some(block)
-    }
-}
-
-/// Concurrent read handle over a [`TieredStore`]: hot-set hits are
-/// lock-per-shard, cold misses promote into the shared hot set exactly like
-/// the writer path.
-#[derive(Debug, Clone)]
-pub struct TieredReader {
-    cold: Arc<SegmentShared>,
-    hot: Arc<HotTier>,
-}
-
-impl TieredReader {
-    /// `(hot hits, cold misses)` counters, aggregated across the writer and
-    /// every reader handle (the counters live in the shared hot tier).
-    pub fn tier_stats(&self) -> (u64, u64) {
-        (
-            self.hot.hits.load(Ordering::Relaxed),
-            self.hot.misses.load(Ordering::Relaxed),
-        )
-    }
-}
-
-impl BlockReader for TieredReader {
-    fn get(&self, hash: &BlockHash) -> Option<Arc<Block>> {
-        self.hot.get(&self.cold, hash)
-    }
-
-    fn contains(&self, hash: &BlockHash) -> bool {
-        self.cold.lookup(hash).is_some()
-    }
-}
-
-/// Hot/cold tiered store: an LRU set of decoded blocks over a
-/// [`SegmentStore`].
-///
-/// Writes go through to the cold tier before the block enters the hot set,
-/// so eviction never loses data; reads promote cold blocks back into the hot
-/// set. Resident memory is bounded by `hot_capacity` regardless of history
-/// length.
-pub struct TieredStore {
-    cold: SegmentStore,
-    hot: Arc<HotTier>,
-}
-
-impl std::fmt::Debug for TieredStore {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("TieredStore")
-            .field("cold", &self.cold)
-            .field("hot_blocks", &self.hot.cache.len())
-            .finish_non_exhaustive()
-    }
-}
-
-impl TieredStore {
-    /// Open (or create) a tiered store rooted at `dir`.
-    pub fn open<P: AsRef<Path>>(dir: P, config: TieredConfig) -> io::Result<Self> {
-        Ok(Self {
-            cold: SegmentStore::open(dir, config.segment)?,
-            hot: Arc::new(HotTier {
-                cache: ShardedCache::new(config.hot_capacity, HOT_SHARDS),
-                hits: AtomicU64::new(0),
-                misses: AtomicU64::new(0),
-            }),
-        })
-    }
-
-    /// `(hot hits, cold misses)` counters for cache-efficiency experiments,
-    /// aggregated across the writer and every reader handle.
-    pub fn tier_stats(&self) -> (u64, u64) {
-        (
-            self.hot.hits.load(Ordering::Relaxed),
-            self.hot.misses.load(Ordering::Relaxed),
-        )
-    }
-
-    /// The cold tier (segment layout inspection).
-    pub fn cold(&self) -> &SegmentStore {
-        &self.cold
-    }
-
-    /// A cloneable, `Send + Sync` read handle sharing the hot set and the
-    /// cold tier's published state.
-    pub fn tiered_reader(&self) -> TieredReader {
-        TieredReader {
-            cold: Arc::clone(&self.cold.shared),
-            hot: Arc::clone(&self.hot),
-        }
-    }
-}
-
-impl BlockStore for TieredStore {
-    fn put(&mut self, block: Block) -> io::Result<Arc<Block>> {
-        let hash = block.hash();
-        let arc = self.cold.put(block)?;
-        self.hot.cache.insert(hash, Arc::clone(&arc));
-        Ok(arc)
-    }
-
-    fn put_batch(&mut self, blocks: Vec<Block>) -> io::Result<Vec<Arc<Block>>> {
-        let arcs = self.cold.put_batch(blocks)?;
-        for arc in &arcs {
-            self.hot.cache.insert(arc.hash(), Arc::clone(arc));
-        }
-        Ok(arcs)
-    }
-
-    fn put_staged(&mut self, block: Block) -> io::Result<Arc<Block>> {
-        let hash = block.hash();
-        let arc = self.cold.put_staged(block)?;
-        // Hot insertion before the flush is safe: readers only look up
-        // hashes a published chain snapshot names, and publication happens
-        // after the group flush.
-        self.hot.cache.insert(hash, Arc::clone(&arc));
-        Ok(arc)
-    }
-
-    fn flush_staged(&mut self) -> io::Result<()> {
-        self.cold.flush_staged()
-    }
-
-    fn get(&self, hash: &BlockHash) -> Option<Arc<Block>> {
-        // The shared path first (hot set, then indexed cold frames), then
-        // the cold writer's pending set: a staged block evicted from the
-        // hot cache mid-batch has no disk frame to read yet.
-        self.hot
-            .get(&self.cold.shared, hash)
-            .or_else(|| self.cold.pending_arcs.get(hash).map(Arc::clone))
-    }
-
-    fn contains(&self, hash: &BlockHash) -> bool {
-        self.cold.contains(hash)
-    }
-
-    fn len(&self) -> usize {
-        self.cold.len()
-    }
-
-    fn stored_bytes(&self) -> u64 {
-        self.cold.stored_bytes()
-    }
-
-    fn resident_blocks(&self) -> usize {
-        self.hot.cache.len()
-    }
-
-    fn demote(&mut self, hash: &BlockHash) {
-        // Safe to drop from the hot set: the cold tier holds the block —
-        // durably after `put`, or pinned in its pending set after
-        // `put_staged` until the group flush lands it on disk.
-        self.hot.cache.remove(hash);
-    }
-
-    fn reader(&self) -> Option<Arc<dyn BlockReader>> {
-        Some(Arc::new(self.tiered_reader()))
-    }
-
-    fn scan(&self, visit: &mut dyn FnMut(Arc<Block>)) -> io::Result<()> {
-        self.cold.scan(visit)
-    }
-
-    fn scan_headers(&self, visit: &mut dyn FnMut(u64, BlockHash)) -> io::Result<()> {
-        self.cold.scan_headers(visit)
-    }
-
-    fn scan_headers_from(
-        &self,
-        min_height: u64,
-        visit: &mut dyn FnMut(u64, BlockHash),
-    ) -> io::Result<()> {
-        self.cold.scan_headers_from(min_height, visit)
+    fn reader(&self) -> Arc<dyn BlockReader> {
+        Arc::new(self.tiered_reader())
     }
 }
 
@@ -1360,6 +995,21 @@ mod tests {
         dir
     }
 
+    fn cfg(segment_bytes: u64) -> TieredConfig {
+        TieredConfig {
+            segment_bytes,
+            ..TieredConfig::default()
+        }
+    }
+
+    /// Stage every block, then flush them as one group.
+    fn put_all(s: &mut TieredStore, blocks: &[Block]) {
+        for b in blocks {
+            s.put_staged(b.clone()).unwrap();
+        }
+        s.flush_staged().unwrap();
+    }
+
     fn chain_blocks(n: u64) -> Vec<Block> {
         let mut out = Vec::new();
         let mut parent = BlockHash::ZERO;
@@ -1376,7 +1026,7 @@ mod tests {
         let dir = temp_dir("rt");
         let blocks = chain_blocks(10);
         {
-            let mut s = SegmentStore::open(&dir, SegmentConfig { segment_bytes: 512 }).unwrap();
+            let mut s = TieredStore::open(&dir, cfg(512)).unwrap();
             for b in &blocks {
                 s.put(b.clone()).unwrap();
             }
@@ -1388,7 +1038,7 @@ mod tests {
         }
         // Reopen: sealed segments are indexed lazily, but every block must
         // still be reachable and the count exact.
-        let s = SegmentStore::open(&dir, SegmentConfig { segment_bytes: 512 }).unwrap();
+        let s = TieredStore::open(&dir, cfg(512)).unwrap();
         assert_eq!(s.len(), 10);
         for b in &blocks {
             assert_eq!(*s.get(&b.hash()).unwrap(), *b);
@@ -1401,11 +1051,11 @@ mod tests {
         let dir = temp_dir("lazy");
         let blocks = chain_blocks(10);
         {
-            let mut s = SegmentStore::open(&dir, SegmentConfig { segment_bytes: 512 }).unwrap();
-            s.put_batch(blocks.clone()).unwrap();
+            let mut s = TieredStore::open(&dir, cfg(512)).unwrap();
+            put_all(&mut s, &blocks);
             assert!(s.segment_count() >= 3, "need several sealed segments");
         }
-        let s = SegmentStore::open(&dir, SegmentConfig { segment_bytes: 512 }).unwrap();
+        let s = TieredStore::open(&dir, cfg(512)).unwrap();
         let sealed = s.segment_count() as usize - 1;
         assert_eq!(
             s.unindexed_segments(),
@@ -1428,13 +1078,13 @@ mod tests {
         let dir = temp_dir("gc");
         let blocks = chain_blocks(6);
         {
-            let mut s = SegmentStore::open(&dir, SegmentConfig { segment_bytes: 512 }).unwrap();
-            s.put_batch(blocks.clone()).unwrap();
+            let mut s = TieredStore::open(&dir, cfg(512)).unwrap();
+            put_all(&mut s, &blocks);
         }
         // Crash leftover: an orphan segment beyond the manifest. It is not
         // listed, so it must go.
         std::fs::write(segment_path(&dir, 999), b"orphan").unwrap();
-        let s = SegmentStore::open(&dir, SegmentConfig { segment_bytes: 512 }).unwrap();
+        let s = TieredStore::open(&dir, cfg(512)).unwrap();
         assert!(!segment_path(&dir, 999).exists(), "orphan segment GC'd");
         for b in &blocks {
             assert_eq!(*s.get(&b.hash()).unwrap(), *b);
@@ -1445,10 +1095,10 @@ mod tests {
     #[test]
     fn rollover_commits_manifest_epochs() {
         let dir = temp_dir("epoch");
-        let mut s = SegmentStore::open(&dir, SegmentConfig { segment_bytes: 512 }).unwrap();
+        let mut s = TieredStore::open(&dir, cfg(512)).unwrap();
         assert_eq!(s.epoch(), 1, "fresh store commits epoch 1");
         assert!(manifest_path(&dir).exists());
-        s.put_batch(chain_blocks(10)).unwrap();
+        put_all(&mut s, &chain_blocks(10));
         let rolled = s.segment_count() as u64 - 1;
         assert!(rolled > 0);
         assert_eq!(s.epoch(), 1 + rolled, "every rollover bumps the epoch");
@@ -1470,14 +1120,8 @@ mod tests {
         let dir = temp_dir("growth");
         let blocks = chain_blocks(1200);
         {
-            let mut s = SegmentStore::open(
-                &dir,
-                SegmentConfig {
-                    segment_bytes: 1 << 20,
-                },
-            )
-            .unwrap();
-            s.put_batch(blocks.clone()).unwrap();
+            let mut s = TieredStore::open(&dir, cfg(1 << 20)).unwrap();
+            put_all(&mut s, &blocks);
             assert_eq!(s.segment_count(), 1, "everything must fit one segment");
             assert!(
                 s.epoch() > 1,
@@ -1487,13 +1131,7 @@ mod tests {
         // The committed prefix is trusted on reopen: only the post-commit
         // delta is scanned eagerly, the prefix stays pending for lazy
         // indexing — and manifest item counts keep len() exact meanwhile.
-        let mut s = SegmentStore::open(
-            &dir,
-            SegmentConfig {
-                segment_bytes: 1 << 20,
-            },
-        )
-        .unwrap();
+        let mut s = TieredStore::open(&dir, cfg(1 << 20)).unwrap();
         assert_eq!(s.unindexed_segments(), 1, "committed prefix deferred");
         assert_eq!(s.len(), 1200);
         // Sparse height index: a tail scan above a high floor must enter
@@ -1517,11 +1155,11 @@ mod tests {
     fn scan_headers_from_skips_sealed_segments_below_fence() {
         let dir = temp_dir("fence");
         let blocks = chain_blocks(12);
-        let mut s = SegmentStore::open(&dir, SegmentConfig { segment_bytes: 600 }).unwrap();
-        s.put_batch(blocks.clone()).unwrap();
+        let mut s = TieredStore::open(&dir, cfg(600)).unwrap();
+        put_all(&mut s, &blocks);
         assert!(s.segment_count() >= 3, "need several sealed segments");
         let mut all = Vec::new();
-        s.scan_headers(&mut |h, _| all.push(h)).unwrap();
+        s.scan_headers_from(0, &mut |h, _| all.push(h)).unwrap();
         assert_eq!(all.len(), 12);
         // A floor near the tip: everything above it must be visited, and
         // whole sealed segments below it must be skipped (strictly fewer
@@ -1539,45 +1177,13 @@ mod tests {
     }
 
     #[test]
-    fn put_batch_matches_individual_puts() {
-        let dir_a = temp_dir("batch-a");
-        let dir_b = temp_dir("batch-b");
-        let blocks = chain_blocks(20);
-        let mut a = SegmentStore::open(
-            &dir_a,
-            SegmentConfig {
-                segment_bytes: 1024,
-            },
-        )
-        .unwrap();
-        let mut b = SegmentStore::open(
-            &dir_b,
-            SegmentConfig {
-                segment_bytes: 1024,
-            },
-        )
-        .unwrap();
-        for blk in &blocks {
-            a.put(blk.clone()).unwrap();
-        }
-        b.put_batch(blocks.clone()).unwrap();
-        assert_eq!(a.len(), b.len());
-        assert_eq!(a.stored_bytes(), b.stored_bytes());
-        for blk in &blocks {
-            assert_eq!(b.get(&blk.hash()).as_deref(), Some(blk));
-        }
-        std::fs::remove_dir_all(&dir_a).unwrap();
-        std::fs::remove_dir_all(&dir_b).unwrap();
-    }
-
-    #[test]
     fn put_staged_matches_individual_puts_and_survives_reopen() {
         let dir_a = temp_dir("staged-a");
         let dir_b = temp_dir("staged-b");
         // Small segments so the staged stream rolls mid-batch.
         let blocks = chain_blocks(20);
-        let mut a = SegmentStore::open(&dir_a, SegmentConfig { segment_bytes: 600 }).unwrap();
-        let mut b = SegmentStore::open(&dir_b, SegmentConfig { segment_bytes: 600 }).unwrap();
+        let mut a = TieredStore::open(&dir_a, cfg(600)).unwrap();
+        let mut b = TieredStore::open(&dir_b, cfg(600)).unwrap();
         for blk in &blocks {
             a.put(blk.clone()).unwrap();
         }
@@ -1585,7 +1191,6 @@ mod tests {
             b.put_staged(blk.clone()).unwrap();
             // Visible to the writer before the flush.
             assert_eq!(b.get(&blk.hash()).as_deref(), Some(blk));
-            assert!(b.contains(&blk.hash()));
         }
         assert_eq!(b.len(), 20, "staged blocks count");
         b.flush_staged().unwrap();
@@ -1597,7 +1202,7 @@ mod tests {
         }
         drop(b);
         // Reopen: the flushed frames scan back identically to per-put.
-        let reopened = SegmentStore::open(&dir_b, SegmentConfig { segment_bytes: 600 }).unwrap();
+        let reopened = TieredStore::open(&dir_b, cfg(600)).unwrap();
         let mut seen = Vec::new();
         reopened.scan(&mut |blk| seen.push(blk.hash())).unwrap();
         let expect: Vec<BlockHash> = blocks.iter().map(Block::hash).collect();
@@ -1609,7 +1214,7 @@ mod tests {
     #[test]
     fn put_staged_dedupes_and_interleaves_with_put() {
         let dir = temp_dir("staged-mix");
-        let mut s = SegmentStore::open(&dir, SegmentConfig::default()).unwrap();
+        let mut s = TieredStore::open(&dir, TieredConfig::default()).unwrap();
         let blocks = chain_blocks(3);
         s.put_staged(blocks[0].clone()).unwrap();
         // Duplicate stage: one frame only.
@@ -1639,9 +1244,7 @@ mod tests {
         let mut s = TieredStore::open(
             &dir,
             TieredConfig {
-                segment: SegmentConfig {
-                    segment_bytes: 2048,
-                },
+                segment_bytes: 2048,
                 hot_capacity: 8,
             },
         )
@@ -1668,8 +1271,8 @@ mod tests {
     fn scan_yields_blocks_in_append_order() {
         let dir = temp_dir("scan");
         let blocks = chain_blocks(12);
-        let mut s = SegmentStore::open(&dir, SegmentConfig { segment_bytes: 600 }).unwrap();
-        s.put_batch(blocks.clone()).unwrap();
+        let mut s = TieredStore::open(&dir, cfg(600)).unwrap();
+        put_all(&mut s, &blocks);
         let mut seen = Vec::new();
         s.scan(&mut |b| seen.push(b.hash())).unwrap();
         let expect: Vec<BlockHash> = blocks.iter().map(Block::hash).collect();
@@ -1680,7 +1283,7 @@ mod tests {
     #[test]
     fn duplicate_put_is_idempotent() {
         let dir = temp_dir("dup");
-        let mut s = SegmentStore::open(&dir, SegmentConfig::default()).unwrap();
+        let mut s = TieredStore::open(&dir, TieredConfig::default()).unwrap();
         let b = chain_blocks(1).pop().unwrap();
         s.put(b.clone()).unwrap();
         let bytes = s.stored_bytes();
@@ -1697,9 +1300,7 @@ mod tests {
         let mut s = TieredStore::open(
             &dir,
             TieredConfig {
-                segment: SegmentConfig {
-                    segment_bytes: 2048,
-                },
+                segment_bytes: 2048,
                 hot_capacity: 8,
             },
         )
@@ -1740,14 +1341,14 @@ mod tests {
     fn manifest_listed_segment_missing_rejected_on_reopen() {
         let dir = temp_dir("gap");
         {
-            let mut s = SegmentStore::open(&dir, SegmentConfig { segment_bytes: 512 }).unwrap();
-            s.put_batch(chain_blocks(10)).unwrap();
+            let mut s = TieredStore::open(&dir, cfg(512)).unwrap();
+            put_all(&mut s, &chain_blocks(10));
             assert!(s.segment_count() >= 3, "need several segments");
         }
         // Losing a manifest-listed segment must fail the open loudly —
         // silently indexing the survivors would hide lost history.
         std::fs::remove_file(segment_path(&dir, 1)).unwrap();
-        let err = SegmentStore::open(&dir, SegmentConfig { segment_bytes: 512 }).unwrap_err();
+        let err = TieredStore::open(&dir, cfg(512)).unwrap_err();
         assert!(
             err.to_string().contains("missing"),
             "unexpected error: {err}"
@@ -1759,42 +1360,25 @@ mod tests {
     fn pre_manifest_gapped_directory_rejected_on_open() {
         let dir = temp_dir("pre-gap");
         {
-            let mut s = SegmentStore::open(&dir, SegmentConfig { segment_bytes: 512 }).unwrap();
-            s.put_batch(chain_blocks(10)).unwrap();
+            let mut s = TieredStore::open(&dir, cfg(512)).unwrap();
+            put_all(&mut s, &chain_blocks(10));
             assert!(s.segment_count() >= 3, "need several segments");
         }
         // A pre-manifest store (no MANIFEST) with a gap in its sequence is
         // lost data: the full-scan path keeps the original loud rejection.
         std::fs::remove_file(manifest_path(&dir)).unwrap();
         std::fs::remove_file(segment_path(&dir, 1)).unwrap();
-        let err = SegmentStore::open(&dir, SegmentConfig { segment_bytes: 512 }).unwrap_err();
+        let err = TieredStore::open(&dir, cfg(512)).unwrap_err();
         assert!(err.to_string().contains("gap"), "unexpected error: {err}");
         std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn put_batch_dedupes_within_one_batch() {
-        let dir = temp_dir("batch-dup");
-        let mut s = SegmentStore::open(&dir, SegmentConfig::default()).unwrap();
-        let b = chain_blocks(1).pop().unwrap();
-        s.put_batch(vec![b.clone(), b.clone()]).unwrap();
-        let bytes = s.stored_bytes();
-        assert_eq!(s.len(), 1);
-        // Same as storing it exactly once.
-        let dir2 = temp_dir("batch-dup-ref");
-        let mut reference = SegmentStore::open(&dir2, SegmentConfig::default()).unwrap();
-        reference.put(b).unwrap();
-        assert_eq!(bytes, reference.stored_bytes());
-        std::fs::remove_dir_all(&dir).unwrap();
-        std::fs::remove_dir_all(&dir2).unwrap();
     }
 
     #[test]
     fn truncated_trailing_frame_rejected_on_reopen() {
         let dir = temp_dir("torn");
         {
-            let mut s = SegmentStore::open(&dir, SegmentConfig::default()).unwrap();
-            s.put_batch(chain_blocks(3)).unwrap();
+            let mut s = TieredStore::open(&dir, TieredConfig::default()).unwrap();
+            put_all(&mut s, &chain_blocks(3));
         }
         // Simulate a torn tail write in the *active* segment: a length
         // prefix promising 200 bytes followed by only a handful. Blocks are
@@ -1809,7 +1393,7 @@ mod tests {
             f.write_all(&(200u32).to_le_bytes()).unwrap();
             f.write_all(b"torn").unwrap();
         }
-        let err = SegmentStore::open(&dir, SegmentConfig::default()).unwrap_err();
+        let err = TieredStore::open(&dir, TieredConfig::default()).unwrap_err();
         assert_eq!(err.kind(), std::io::ErrorKind::UnexpectedEof);
         std::fs::remove_dir_all(&dir).unwrap();
     }
@@ -1818,7 +1402,7 @@ mod tests {
     fn corrupt_segment_rejected_on_reopen() {
         let dir = temp_dir("corrupt");
         {
-            let mut s = SegmentStore::open(&dir, SegmentConfig::default()).unwrap();
+            let mut s = TieredStore::open(&dir, TieredConfig::default()).unwrap();
             s.put(chain_blocks(1).pop().unwrap()).unwrap();
         }
         {
@@ -1830,7 +1414,7 @@ mod tests {
             f.write_all(&[0xFF, 0xFF, 0x00, 0x00]).unwrap();
             f.write_all(&[0xAB; 16]).unwrap();
         }
-        assert!(SegmentStore::open(&dir, SegmentConfig::default()).is_err());
+        assert!(TieredStore::open(&dir, TieredConfig::default()).is_err());
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -1841,12 +1425,12 @@ mod tests {
         let mut s = TieredStore::open(
             &dir,
             TieredConfig {
-                segment: SegmentConfig { segment_bytes: 512 },
+                segment_bytes: 512,
                 hot_capacity: 8,
             },
         )
         .unwrap();
-        s.put_batch(blocks[..30].to_vec()).unwrap();
+        put_all(&mut s, &blocks[..30]);
 
         let reader = s.tiered_reader();
         let hashes: Vec<BlockHash> = blocks.iter().map(|b| b.hash()).collect();

@@ -1,5 +1,5 @@
-//! Pluggable block storage: in-memory, and (in [`crate::segment`]) tiered
-//! segment storage with a bounded hot set.
+//! Pluggable block storage: [`MemStore`] in memory, and
+//! [`crate::segment::TieredStore`] on disk.
 
 use crate::block::{Block, BlockHash};
 use std::collections::HashMap;
@@ -14,10 +14,6 @@ use std::sync::{Arc, RwLock};
 pub trait BlockReader: Send + Sync {
     /// Fetch a block by hash.
     fn get(&self, hash: &BlockHash) -> Option<Arc<Block>>;
-    /// Whether a block exists.
-    fn contains(&self, hash: &BlockHash) -> bool {
-        self.get(hash).is_some()
-    }
 }
 
 /// Backing storage for blocks (forks included).
@@ -30,23 +26,11 @@ pub trait BlockReader: Send + Sync {
 /// memory, `resident_blocks`) — the tiered store keeps the latter bounded by
 /// its hot-set capacity while the former grows without limit.
 pub trait BlockStore: Send {
-    /// Persist a block.
-    fn put(&mut self, block: Block) -> std::io::Result<Arc<Block>>;
-
-    /// Persist a batch of blocks. Durable implementations override this to
-    /// issue a single flush for the whole batch.
-    fn put_batch(&mut self, blocks: Vec<Block>) -> std::io::Result<Vec<Arc<Block>>> {
-        blocks.into_iter().map(|b| self.put(b)).collect()
-    }
-
     /// Stage a block for a group commit: the block becomes visible to this
-    /// store's own `get`/`contains` immediately but need not be durable
-    /// until [`BlockStore::flush_staged`] returns. Durable implementations
-    /// override this to defer the per-block flush; the default is plain
-    /// `put` (immediately durable), which keeps `flush_staged` a no-op.
-    fn put_staged(&mut self, block: Block) -> std::io::Result<Arc<Block>> {
-        self.put(block)
-    }
+    /// store's own `get` immediately but need not be durable until
+    /// [`BlockStore::flush_staged`] returns. The one write path; a store
+    /// with nothing to defer stores the block right away.
+    fn put_staged(&mut self, block: Block) -> std::io::Result<Arc<Block>>;
 
     /// Make every block staged since the last flush durable, with one write
     /// barrier for the whole group. Idempotent when nothing is staged.
@@ -54,10 +38,15 @@ pub trait BlockStore: Send {
         Ok(())
     }
 
+    /// Store one block durably: stage it, then flush the group it closes.
+    fn put(&mut self, block: Block) -> std::io::Result<Arc<Block>> {
+        let arc = self.put_staged(block)?;
+        self.flush_staged()?;
+        Ok(arc)
+    }
+
     /// Fetch a block by hash.
     fn get(&self, hash: &BlockHash) -> Option<Arc<Block>>;
-    /// Whether a block exists.
-    fn contains(&self, hash: &BlockHash) -> bool;
     /// Number of stored blocks.
     fn len(&self) -> usize;
     /// True if no blocks are stored.
@@ -82,46 +71,28 @@ pub trait BlockStore: Send {
     /// Visit every stored block, parents before children.
     ///
     /// Durable stores stream from disk in append order (a block is only ever
-    /// appended after its parent); `MemStore` sorts by height. Used by
-    /// chain replay after restart.
+    /// appended after its parent); `MemStore` follows insertion order. Used
+    /// by the postings rebuild on open ([`crate::Chain::scan_canonical`]).
     fn scan(&self, visit: &mut dyn FnMut(Arc<Block>)) -> std::io::Result<()>;
 
-    /// Visit every stored block's `(height, hash)` in [`BlockStore::scan`]
-    /// order, without the obligation to decode transaction bodies.
-    ///
-    /// Snapshot fast-start uses this to find the non-finalized suffix: the
-    /// durable backends override it to decode headers only, so a restart
-    /// pays header-decode cost over history instead of full block decode +
-    /// re-validation. Default delegates to `scan`.
-    fn scan_headers(&self, visit: &mut dyn FnMut(u64, BlockHash)) -> std::io::Result<()> {
-        self.scan(&mut |b| visit(b.header.height, b.hash()))
-    }
-
-    /// Visit at least every stored header with height strictly greater than
-    /// `min_height`, in [`BlockStore::scan`] order. Implementations may
-    /// over-visit (headers at or below the fence may appear); callers
-    /// filter.
-    ///
-    /// This is the manifest payoff: the segment store skips whole sealed
-    /// files whose height fence sits at or below `min_height`, so snapshot
-    /// fast-start reads O(finality window) bytes instead of O(history).
-    /// The default delegates to `scan_headers` (no skipping).
+    /// Visit at least every stored block's `(height, hash)` with height
+    /// strictly greater than `min_height`, in [`BlockStore::scan`] order.
+    /// Implementations may over-visit (headers at or below the floor may
+    /// appear); callers filter. Chain replay reads its work list from here:
+    /// floor 0 for a full replay (genesis is rebuilt, not replayed), the
+    /// checkpoint height for a snapshot fast-start. The default decodes
+    /// whole blocks through `scan`; the tiered store decodes headers only
+    /// and skips segments below the floor.
     fn scan_headers_from(
         &self,
         _min_height: u64,
         visit: &mut dyn FnMut(u64, BlockHash),
     ) -> std::io::Result<()> {
-        self.scan_headers(visit)
+        self.scan(&mut |b| visit(b.header.height, b.hash()))
     }
 
-    /// A concurrent read handle, when the backend supports one.
-    ///
-    /// `None` means reads must go through the owning store (callers fall
-    /// back to the writer-owned path). Tiered segment storage and
-    /// [`MemStore`] return shared handles.
-    fn reader(&self) -> Option<Arc<dyn BlockReader>> {
-        None
-    }
+    /// A concurrent read handle sharing this store's state.
+    fn reader(&self) -> Arc<dyn BlockReader>;
 }
 
 /// Shard count for [`MemStore`]'s concurrent map.
@@ -134,7 +105,15 @@ fn mem_shard(shards: &MemShards, hash: &BlockHash) -> usize {
     (crate::index::route_hash(hash.0.as_bytes()) % shards.len() as u64) as usize
 }
 
-/// Volatile in-memory store, sharded so [`MemStore::reader`] handles can
+fn mem_get(shards: &MemShards, hash: &BlockHash) -> Option<Arc<Block>> {
+    shards[mem_shard(shards, hash)]
+        .read()
+        .expect("mem shard poisoned")
+        .get(hash)
+        .map(|(b, _)| Arc::clone(b))
+}
+
+/// Volatile in-memory store, sharded so [`BlockStore::reader`] handles can
 /// fetch blocks concurrently with the writer.
 #[derive(Debug)]
 pub struct MemStore {
@@ -175,16 +154,12 @@ pub struct MemReader {
 
 impl BlockReader for MemReader {
     fn get(&self, hash: &BlockHash) -> Option<Arc<Block>> {
-        self.blocks[mem_shard(&self.blocks, hash)]
-            .read()
-            .expect("mem shard poisoned")
-            .get(hash)
-            .map(|(b, _)| Arc::clone(b))
+        mem_get(&self.blocks, hash)
     }
 }
 
 impl BlockStore for MemStore {
-    fn put(&mut self, block: Block) -> std::io::Result<Arc<Block>> {
+    fn put_staged(&mut self, block: Block) -> std::io::Result<Arc<Block>> {
         let hash = block.hash();
         let shard = mem_shard(&self.blocks, &hash);
         let mut map = self.blocks[shard].write().expect("mem shard poisoned");
@@ -199,17 +174,7 @@ impl BlockStore for MemStore {
         Ok(arc)
     }
     fn get(&self, hash: &BlockHash) -> Option<Arc<Block>> {
-        self.blocks[mem_shard(&self.blocks, hash)]
-            .read()
-            .expect("mem shard poisoned")
-            .get(hash)
-            .map(|(b, _)| Arc::clone(b))
-    }
-    fn contains(&self, hash: &BlockHash) -> bool {
-        self.blocks[mem_shard(&self.blocks, hash)]
-            .read()
-            .expect("mem shard poisoned")
-            .contains_key(hash)
+        mem_get(&self.blocks, hash)
     }
     fn len(&self) -> usize {
         self.blocks
@@ -240,10 +205,10 @@ impl BlockStore for MemStore {
         }
         Ok(())
     }
-    fn reader(&self) -> Option<Arc<dyn BlockReader>> {
-        Some(Arc::new(MemReader {
+    fn reader(&self) -> Arc<dyn BlockReader> {
+        Arc::new(MemReader {
             blocks: Arc::clone(&self.blocks),
-        }))
+        })
     }
 }
 
@@ -275,7 +240,6 @@ mod tests {
         let b = block(1);
         let h = b.hash();
         s.put(b.clone()).unwrap();
-        assert!(s.contains(&h));
         assert_eq!(*s.get(&h).unwrap(), b);
         assert_eq!(s.len(), 1);
         assert!(s.stored_bytes() > 0);
@@ -305,13 +269,12 @@ mod tests {
     #[test]
     fn mem_store_reader_sees_writer_inserts() {
         let mut s = MemStore::new();
-        let reader = s.reader().expect("MemStore supports concurrent reads");
+        let reader = s.reader();
         let b = block(1);
         let h = b.hash();
         assert!(reader.get(&h).is_none());
         s.put(b.clone()).unwrap();
         assert_eq!(*reader.get(&h).unwrap(), b);
-        assert!(reader.contains(&h));
         // The handle keeps working while the writer continues from another
         // thread (it shares the sharded map, not a snapshot).
         let writer = std::thread::spawn(move || {

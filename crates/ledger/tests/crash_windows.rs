@@ -28,7 +28,7 @@ use blockprov_ledger::block::{Block, BlockHash};
 use blockprov_ledger::chain::{Chain, ChainConfig, ValidationError};
 use blockprov_ledger::index::{TxIndex, TxIndexConfig};
 use blockprov_ledger::meta::{MetaConfig, MetaStore};
-use blockprov_ledger::segment::{SegmentConfig, SegmentStore, TieredConfig, TieredStore};
+use blockprov_ledger::segment::{TieredConfig, TieredStore};
 use blockprov_ledger::store::BlockStore;
 use blockprov_ledger::tx::{AccountId, Transaction, TxId};
 use blockprov_wire::meta::{decode_snapshot_slot, encode_snapshot_slot, SNAPSHOT_SLOT_HEADER_LEN};
@@ -64,17 +64,26 @@ fn copy_dir(from: &Path, to: &Path) {
     }
 }
 
-fn tiered(dir: &Path) -> Box<dyn BlockStore> {
-    Box::new(
-        TieredStore::open(
-            dir,
-            TieredConfig {
-                segment: SegmentConfig { segment_bytes: 512 },
-                hot_capacity: 8,
-            },
-        )
-        .unwrap(),
+fn open_store(dir: &Path) -> TieredStore {
+    TieredStore::open(
+        dir,
+        TieredConfig {
+            segment_bytes: 512,
+            hot_capacity: 8,
+        },
     )
+    .unwrap()
+}
+
+fn tiered(dir: &Path) -> Box<dyn BlockStore> {
+    Box::new(open_store(dir))
+}
+
+/// A metadata tier in a fresh directory: with no snapshot to start from,
+/// `Chain::replay_with_tiers` replays the whole store.
+fn fresh_meta(dir: &Path) -> MetaStore {
+    let _ = std::fs::remove_dir_all(dir);
+    MetaStore::open(dir, MetaConfig::default()).unwrap()
 }
 
 fn small_index(dir: &Path) -> TxIndex {
@@ -84,7 +93,6 @@ fn small_index(dir: &Path) -> TxIndex {
             partitions: 2,
             page_entries: 4,
             cached_pages: 4,
-            ..TxIndexConfig::default()
         },
     )
     .unwrap()
@@ -202,11 +210,22 @@ fn replay_over_fork_residue_reproduces_tip_and_indexes() {
         observe(&chain)
     };
     assert!(expected.3, "live chain indexes consistent");
-    let replayed = Chain::replay(tiered(&blocks), forky_config()).unwrap();
+    let replayed = Chain::replay_with_tiers(
+        tiered(&blocks),
+        None,
+        fresh_meta(&dir.join("meta-store")),
+        forky_config(),
+    )
+    .unwrap();
     assert_eq!(observe(&replayed), expected, "replay over the store alone");
     drop(replayed);
-    let replayed =
-        Chain::replay_with_index(tiered(&blocks), small_index(&txindex), forky_config()).unwrap();
+    let replayed = Chain::replay_with_tiers(
+        tiered(&blocks),
+        Some(small_index(&txindex)),
+        fresh_meta(&dir.join("meta-index")),
+        forky_config(),
+    )
+    .unwrap();
     assert_eq!(observe(&replayed), expected, "replay over store and index");
     drop(replayed);
     std::fs::remove_dir_all(&dir).unwrap();
@@ -223,7 +242,8 @@ fn stray_manifest_tmp_removed_on_reopen() {
         finality_depth: Some(2),
         ..ChainConfig::default()
     };
-    let chain = Chain::replay(tiered(&dir), config).unwrap();
+    let meta = temp_dir("manifest-tmp-meta");
+    let chain = Chain::replay_with_tiers(tiered(&dir), None, fresh_meta(&meta), config).unwrap();
     assert!(
         !dir.join("MANIFEST.tmp").exists(),
         "stray tmp must be removed"
@@ -232,6 +252,7 @@ fn stray_manifest_tmp_removed_on_reopen() {
     assert_eq!(chain.height(), height);
     chain.verify_integrity().unwrap();
     std::fs::remove_dir_all(&dir).unwrap();
+    std::fs::remove_dir_all(&meta).unwrap();
 }
 
 #[test]
@@ -240,12 +261,13 @@ fn stale_manifest_garbage_collects_orphan_segments() {
     build_forky_segments(&dir);
     let stale = std::fs::read(dir.join("MANIFEST")).unwrap();
     let before = names_in(&dir);
-    let stale_store = SegmentStore::open(&dir, SegmentConfig { segment_bytes: 512 }).unwrap();
+    let meta = temp_dir("manifest-stale-meta");
+    let stale_store = open_store(&dir);
     let stale_tip_hash = {
         let mut newest = None;
         let mut best = 0u64;
         stale_store
-            .scan_headers(&mut |h, hash| {
+            .scan_headers_from(0, &mut |h, hash| {
                 if h >= best {
                     best = h;
                     newest = Some(hash);
@@ -263,7 +285,8 @@ fn stale_manifest_garbage_collects_orphan_segments() {
             finality_depth: Some(2),
             ..ChainConfig::default()
         };
-        let mut chain = Chain::replay(tiered(&dir), config).unwrap();
+        let mut chain =
+            Chain::replay_with_tiers(tiered(&dir), None, fresh_meta(&meta), config).unwrap();
         for i in 20..40u64 {
             let ts = chain.tip_header().timestamp_ms + 10;
             let block =
@@ -278,7 +301,7 @@ fn stale_manifest_garbage_collects_orphan_segments() {
     std::fs::write(dir.join("MANIFEST"), &stale).unwrap();
 
     // Open must trust the manifest: orphans are GC'd, not replayed.
-    let store = SegmentStore::open(&dir, SegmentConfig { segment_bytes: 512 }).unwrap();
+    let store = open_store(&dir);
     for name in &orphans {
         assert!(
             !dir.join(name).exists(),
@@ -290,6 +313,7 @@ fn stale_manifest_garbage_collects_orphan_segments() {
         "blocks the stale manifest covers still resolve"
     );
     std::fs::remove_dir_all(&dir).unwrap();
+    std::fs::remove_dir_all(&meta).unwrap();
 }
 
 #[test]
@@ -303,12 +327,13 @@ fn corrupt_manifest_falls_back_to_full_scan() {
         finality_depth: Some(2),
         ..ChainConfig::default()
     };
-    let chain = Chain::replay(tiered(&dir), config).unwrap();
+    let meta = temp_dir("manifest-corrupt-meta");
+    let chain = Chain::replay_with_tiers(tiered(&dir), None, fresh_meta(&meta), config).unwrap();
     assert_eq!(chain.tip(), tip);
     assert_eq!(chain.height(), height);
     chain.verify_integrity().unwrap();
     drop(chain);
-    let store = SegmentStore::open(&dir, SegmentConfig { segment_bytes: 512 }).unwrap();
+    let store = open_store(&dir);
     assert_eq!(store.epoch(), 1, "scan fallback recommits from epoch 1");
     assert_eq!(
         store.unindexed_segments(),
@@ -320,12 +345,20 @@ fn corrupt_manifest_falls_back_to_full_scan() {
     // under a corrupt manifest is lost data: the fallback scan rejects it.
     std::fs::write(dir.join("MANIFEST"), b"\xDE\xAD\xBE\xEFnot a manifest").unwrap();
     std::fs::remove_file(dir.join("seg-00001.blk")).unwrap();
-    let err = SegmentStore::open(&dir, SegmentConfig { segment_bytes: 512 }).unwrap_err();
+    let err = TieredStore::open(
+        &dir,
+        TieredConfig {
+            segment_bytes: 512,
+            hot_capacity: 8,
+        },
+    )
+    .unwrap_err();
     assert!(
         err.to_string().contains("segment sequence has gaps"),
         "unexpected error: {err}"
     );
     std::fs::remove_dir_all(&dir).unwrap();
+    std::fs::remove_dir_all(&meta).unwrap();
 }
 
 /// Build a three-tier chain, returning (tip, height, expected alice nonce).

@@ -20,7 +20,7 @@ use blockprov_ledger::block::Block;
 use blockprov_ledger::chain::{Chain, ChainConfig};
 use blockprov_ledger::index::{TxIndex, TxIndexConfig};
 use blockprov_ledger::meta::{MetaConfig, MetaStore};
-use blockprov_ledger::segment::{SegmentConfig, TieredConfig, TieredStore};
+use blockprov_ledger::segment::{TieredConfig, TieredStore};
 use blockprov_ledger::tx::{AccountId, Transaction};
 use blockprov_wire::meta::{decode_snapshot_slot, CheckpointSnapshot};
 use blockprov_wire::Codec;
@@ -111,9 +111,7 @@ fn tiers(dir: &Path) -> (Box<TieredStore>, TxIndex, MetaStore) {
     let store = TieredStore::open(
         dir.join("blocks"),
         TieredConfig {
-            segment: SegmentConfig {
-                segment_bytes: 2048,
-            },
+            segment_bytes: 2048,
             hot_capacity: 8,
         },
     )

@@ -9,7 +9,7 @@
 use blockprov_ledger::block::BlockHash;
 use blockprov_ledger::chain::{Chain, ChainConfig};
 use blockprov_ledger::index::{TxIndex, TxIndexConfig};
-use blockprov_ledger::segment::{SegmentConfig, TieredConfig, TieredStore};
+use blockprov_ledger::segment::{TieredConfig, TieredStore};
 use blockprov_ledger::tx::{AccountId, Transaction, TxId};
 use std::collections::HashMap;
 
@@ -25,9 +25,7 @@ fn spilled_index_stays_bounded_and_matches_full_rebuild() {
     let store = TieredStore::open(
         &dir,
         TieredConfig {
-            segment: SegmentConfig {
-                segment_bytes: 8 * 1024 * 1024,
-            },
+            segment_bytes: 8 * 1024 * 1024,
             hot_capacity: 256,
         },
     )

@@ -12,7 +12,7 @@ use blockprov_ledger::block::{Block, BlockHash};
 use blockprov_ledger::chain::{Chain, ChainConfig, ValidationError};
 use blockprov_ledger::index::{TxIndex, TxIndexConfig};
 use blockprov_ledger::meta::{MetaConfig, MetaStore};
-use blockprov_ledger::segment::{SegmentConfig, TieredConfig, TieredStore};
+use blockprov_ledger::segment::{TieredConfig, TieredStore};
 use blockprov_ledger::tx::{AccountId, Transaction};
 use proptest::prelude::*;
 use std::collections::VecDeque;
@@ -314,9 +314,7 @@ fn batched_ingest_equals_sequential_at_fixed_batch_sizes() {
                 let store = TieredStore::open(
                     dir.join("blocks"),
                     TieredConfig {
-                        segment: SegmentConfig {
-                            segment_bytes: 2048,
-                        },
+                        segment_bytes: 2048,
                         hot_capacity: 4,
                     },
                 )
@@ -383,7 +381,7 @@ proptest! {
                 let store = TieredStore::open(
                     dir.join("blocks"),
                     TieredConfig {
-                        segment: SegmentConfig { segment_bytes: 2048 },
+                        segment_bytes: 2048,
                         hot_capacity: 4,
                     },
                 )

@@ -16,7 +16,7 @@ use blockprov_ledger::block::BlockHash;
 use blockprov_ledger::chain::{Chain, ChainConfig};
 use blockprov_ledger::index::{TxIndex, TxIndexConfig};
 use blockprov_ledger::meta::{MetaConfig, MetaStore};
-use blockprov_ledger::segment::{SegmentConfig, TieredConfig, TieredStore};
+use blockprov_ledger::segment::{TieredConfig, TieredStore};
 use blockprov_ledger::store::BlockStore;
 use blockprov_ledger::tx::{AccountId, Transaction, TxId};
 use std::collections::HashMap;
@@ -57,9 +57,7 @@ fn store(dir: &Path) -> Box<dyn BlockStore> {
         TieredStore::open(
             dir.join("blocks"),
             TieredConfig {
-                segment: SegmentConfig {
-                    segment_bytes: 8 * 1024 * 1024,
-                },
+                segment_bytes: 8 * 1024 * 1024,
                 hot_capacity: 256,
             },
         )

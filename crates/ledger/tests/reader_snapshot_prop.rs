@@ -19,7 +19,7 @@ use blockprov_ledger::block::{Block, BlockHash};
 use blockprov_ledger::chain::{Chain, ChainConfig, ChainReader, ValidationError};
 use blockprov_ledger::index::{TxIndex, TxIndexConfig};
 use blockprov_ledger::meta::{MetaConfig, MetaStore};
-use blockprov_ledger::segment::{SegmentConfig, TieredConfig, TieredStore};
+use blockprov_ledger::segment::{TieredConfig, TieredStore};
 use blockprov_ledger::tx::{AccountId, Transaction};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -49,9 +49,7 @@ fn tiered_chain(dir: &std::path::Path) -> Chain {
     let store = TieredStore::open(
         dir.join("blocks"),
         TieredConfig {
-            segment: SegmentConfig {
-                segment_bytes: 2048,
-            },
+            segment_bytes: 2048,
             hot_capacity: 8,
         },
     )

@@ -138,7 +138,7 @@ proptest! {
         let _ = std::fs::remove_dir_all(&dir);
         let index = TxIndex::open(
             &dir,
-            TxIndexConfig { partitions: 4, page_entries: 4, cached_pages: 4, ..TxIndexConfig::default() },
+            TxIndexConfig { partitions: 4, page_entries: 4, cached_pages: 4 },
         )
         .expect("open tx index");
         let config = ChainConfig { finality_depth: Some(depth), ..ChainConfig::default() };
@@ -159,7 +159,7 @@ proptest! {
 // ---------------------------------------------------------------------------
 
 use blockprov_ledger::meta::{MetaConfig, MetaStore};
-use blockprov_ledger::segment::{SegmentConfig, TieredConfig, TieredStore};
+use blockprov_ledger::segment::{TieredConfig, TieredStore};
 use blockprov_ledger::tx::AccountId as Acct;
 use std::collections::HashMap;
 use std::path::Path;
@@ -172,9 +172,7 @@ fn tiers(dir: &Path, case: u64) -> Chain {
     let store = TieredStore::open(
         dir.join("blocks"),
         TieredConfig {
-            segment: SegmentConfig {
-                segment_bytes: 2048,
-            },
+            segment_bytes: 2048,
             hot_capacity: 4,
         },
     )

@@ -6,7 +6,7 @@
 //! cold tier and inclusion proofs still verify.
 
 use blockprov_ledger::chain::{Chain, ChainConfig};
-use blockprov_ledger::segment::{SegmentConfig, TieredConfig, TieredStore};
+use blockprov_ledger::segment::{TieredConfig, TieredStore};
 use blockprov_ledger::tx::{AccountId, Transaction};
 
 const BLOCKS: u64 = 100_000;
@@ -19,9 +19,7 @@ fn appending_100k_blocks_stays_within_hot_cache_bounds() {
     let store = TieredStore::open(
         &dir,
         TieredConfig {
-            segment: SegmentConfig {
-                segment_bytes: 8 * 1024 * 1024,
-            },
+            segment_bytes: 8 * 1024 * 1024,
             hot_capacity: HOT_CAPACITY,
         },
     )

@@ -563,7 +563,7 @@ mod tests {
     use crate::model::{Action, Domain};
     use blockprov_ledger::chain::ChainConfig;
     use blockprov_ledger::{
-        MetaConfig, MetaStore, SegmentConfig, TieredConfig, TieredReader, TieredStore, TxIndex,
+        BlockStore, MetaConfig, MetaStore, TieredConfig, TieredReader, TieredStore, TxIndex,
         TxIndexConfig,
     };
 
@@ -635,19 +635,22 @@ mod tests {
         dir
     }
 
-    /// The three durable tiers under `dir`, with segments of about three
-    /// blocks each.
-    fn open_tiers(dir: &std::path::Path) -> (TieredStore, TxIndex, MetaStore) {
-        let store = TieredStore::open(
+    /// The block store under `dir`, with segments of about three blocks
+    /// each.
+    fn open_store(dir: &std::path::Path) -> TieredStore {
+        TieredStore::open(
             dir.join("blocks"),
             TieredConfig {
-                segment: SegmentConfig {
-                    segment_bytes: 1024,
-                },
+                segment_bytes: 1024,
                 hot_capacity: 4,
             },
         )
-        .unwrap();
+        .unwrap()
+    }
+
+    /// The three durable tiers under `dir`.
+    fn open_tiers(dir: &std::path::Path) -> (TieredStore, TxIndex, MetaStore) {
+        let store = open_store(dir);
         let index = TxIndex::open(dir.join("index"), TxIndexConfig::default()).unwrap();
         let meta = MetaStore::open(dir.join("meta"), MetaConfig::default()).unwrap();
         (store, index, meta)
@@ -655,7 +658,7 @@ mod tests {
 
     fn replay(dir: &std::path::Path) -> io::Result<(Chain, TieredReader)> {
         let (store, index, meta) = open_tiers(dir);
-        assert!(store.cold().segment_count() >= 2);
+        assert!(store.segment_count() >= 2);
         let tiers = store.tiered_reader();
         let chain = Chain::replay_with_tiers(Box::new(store), Some(index), meta, chain_config())?;
         Ok((chain, tiers))
@@ -748,6 +751,34 @@ mod tests {
         let (chain, _) = replay(&dir).unwrap();
         let err = ProvenanceLog::new(chain).err().expect("the reopen must fail");
         assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_bad_segment_header_fails_every_scan_of_the_store() {
+        let dir = temp_dir("bad-magic");
+        write_forked_history(&dir);
+        // Overwrite a sealed segment's magic bytes. Its length is unchanged,
+        // so the MANIFEST check passes and the store opens.
+        let path = dir.join("blocks").join("seg-00001.blk");
+        let mut bytes = std::fs::read(&path).unwrap();
+        bytes[..4].copy_from_slice(b"XXXX");
+        std::fs::write(&path, bytes).unwrap();
+        let names_the_segment = |err: io::Error| {
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
+            assert!(err.to_string().contains("segment 1"), "{err}");
+        };
+
+        let store = open_store(&dir);
+        names_the_segment(store.scan(&mut |_| {}).unwrap_err());
+        names_the_segment(store.scan_headers_from(0, &mut |_, _| {}).unwrap_err());
+        drop(store);
+        // The fast-start replay reads nothing that far below the
+        // checkpoint; the canonical pass and the postings rebuild read it.
+        let (chain, _) = replay(&dir).unwrap();
+        names_the_segment(chain.scan_canonical(&mut |_| {}).unwrap_err());
+        let err = ProvenanceLog::new(chain).err();
+        names_the_segment(err.expect("the reopen must fail"));
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -2,7 +2,7 @@
 //!
 //! The paper's §6.1 evaluation axes (throughput, latency, load, network
 //! size) were measured by the surveyed systems on physical testbeds we do
-//! not have. This simulator is the substitute (see DESIGN.md): it reproduces
+//! not have. This simulator is the substitute: it reproduces
 //! the *message complexity and timing structure* of a protocol — which is
 //! what produces the throughput/latency shapes — without real sockets.
 //!

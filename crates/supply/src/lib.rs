@@ -5,7 +5,7 @@
 //!
 //! * **unique device identity + PUF authentication** — [`PufDevice`]
 //!   simulates a physically unclonable function (seeded noisy
-//!   challenge-response; see DESIGN.md §Substitutions) so genuine devices
+//!   challenge-response) so genuine devices
 //!   authenticate and clones fail;
 //! * **legitimate registration & confirmation-based ownership transfer** —
 //!   via the `RegistryContract` from `blockprov-contracts`, with every

@@ -1,7 +1,7 @@
 //! Length-delimited record framing for append-only storage files.
 //!
-//! The ledger's append-only tiers (`SegmentStore`, the tx index and the
-//! height map) lay records out as a sequence of frames —
+//! The ledger's append-only tiers (the block store's segments and the tx
+//! index) lay records out as a sequence of frames —
 //! `[u32 le length][payload]` — inside append-only files. The framing lives
 //! here, next to the rest of the wire format, so the on-disk layout is
 //! specified in exactly one place and every tier (plus any future

@@ -2,7 +2,8 @@
 # The single verification entrypoint shared by CI and local builds.
 #
 # Runs the tier-1 command from ROADMAP.md (release build + every suite in
-# the workspace: the root manifest's `default-members` covers it), smoke-runs
+# the workspace: the root manifest's `default-members` covers it), gates the
+# ledger crate on clippy (warnings are errors) and rustfmt, smoke-runs
 # the repo benchmark (benchmarks/run.sh --smoke: the real node on every
 # BENCHMARK.json workload, every answer oracle-checked), builds the API docs
 # with warnings as errors, re-runs the ingest-pipeline equivalence property
@@ -35,6 +36,15 @@ cargo build --release
 
 echo "== tier-1: cargo test -q =="
 cargo test -q
+
+echo "== ledger lint: cargo clippy -p blockprov-ledger (warnings are errors) =="
+# The storage crate carries the tamper-evidence substrate; its lints and
+# formatting are gated so drift cannot pile up there. The other crates'
+# drift is not gated yet.
+cargo clippy -p blockprov-ledger --all-targets --no-deps -- -D warnings
+
+echo "== ledger format: cargo fmt -p blockprov-ledger -- --check =="
+cargo fmt -p blockprov-ledger -- --check
 
 echo "== repo benchmark smoke: bash benchmarks/run.sh --smoke =="
 # Builds the release node and the benchmark harness, runs all four

@@ -24,9 +24,9 @@
 //! the IPFS substitute), [`contracts`] (deterministic smart contracts) and
 //! [`access`] (RBAC/ABAC/ledger views).
 //!
-//! See `DESIGN.md` for the full system inventory and `EXPERIMENTS.md` for the
-//! experiment index mapping every table and figure of the paper to a
-//! regenerating bench target.
+//! See the README's "Workspace layout" for the crate inventory; the
+//! `tables` binary of `blockprov-bench` regenerates the paper's tables and
+//! figures.
 //!
 //! ## Quickstart
 //!

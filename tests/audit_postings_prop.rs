@@ -19,8 +19,8 @@ use blockprov::core::{
     decode_record_prefix, txkind, CoreError, LedgerConfig, LedgerReader, ProvenanceLedger,
 };
 use blockprov::ledger::{
-    AccountId, Block, BlockHash, Chain, ChainView, MetaConfig, MetaStore, SegmentConfig,
-    TieredConfig, TieredStore, Transaction, TxId, TxIndex, TxIndexConfig,
+    AccountId, Block, BlockHash, Chain, ChainView, MetaConfig, MetaStore, TieredConfig,
+    TieredStore, Transaction, TxId, TxIndex, TxIndexConfig,
 };
 use blockprov::provenance::{Action, Domain, ProvenanceLog, ProvenanceRecord, RecordId};
 use blockprov::wire::Codec;
@@ -276,9 +276,7 @@ fn open_tiers(dir: &Path) -> (TieredStore, TxIndex, MetaStore) {
     let store = TieredStore::open(
         dir.join("blocks"),
         TieredConfig {
-            segment: SegmentConfig {
-                segment_bytes: 4096,
-            },
+            segment_bytes: 4096,
             hot_capacity: 8,
         },
     )
