@@ -109,6 +109,9 @@ pub struct TxIndexConfig {
     /// Entries staged in memory per partition before a page is cut. Staged
     /// entries are queryable immediately and re-derived from blocks after a
     /// crash, so this bounds only the *non-durable* window, not correctness.
+    /// It does not bound the publish cost: readers share the staged tail's
+    /// sealed chunks of 64 entries, so a publish copies only each
+    /// partition's open chunk.
     pub page_entries: usize,
     /// Decoded pages held in the LRU page cache.
     pub cached_pages: usize,
@@ -134,15 +137,79 @@ struct PageMeta {
     header: IndexPageHeader,
 }
 
+/// Entries per sealed chunk of a partition's staged tail. A publish copies
+/// at most one open chunk per partition (64 × 112 B = 7 KiB), and a lookup
+/// walks about `page_entries / STAGED_CHUNK` chunks of a partition.
+const STAGED_CHUNK: usize = 64;
+
+/// A partition's staged (not yet paged) tail in arrival order: sealed
+/// chunks of [`STAGED_CHUNK`] entries, shared with published views by
+/// `Arc`, then the open chunk.
+///
+/// The list of sealed chunks is `Arc`-shared too, so a clone (a publish)
+/// bumps one count instead of one per chunk; a seal while a view holds the
+/// list copies its pointers first, as [`Arc::make_mut`] does for the page
+/// directory.
+#[derive(Debug, Clone, Default)]
+struct Staged {
+    sealed: Arc<Vec<Arc<[IndexEntry]>>>,
+    open: Vec<IndexEntry>,
+}
+
+impl Staged {
+    fn len(&self) -> usize {
+        self.sealed.len() * STAGED_CHUNK + self.open.len()
+    }
+
+    fn is_empty(&self) -> bool {
+        self.sealed.is_empty() && self.open.is_empty()
+    }
+
+    fn push(&mut self, e: IndexEntry) {
+        self.open.push(e);
+        if self.open.len() == STAGED_CHUNK {
+            Arc::make_mut(&mut self.sealed).push(Arc::from(self.open.as_slice()));
+            self.open.clear();
+        }
+    }
+
+    /// The chunks, oldest first.
+    fn chunks(&self) -> impl DoubleEndedIterator<Item = &[IndexEntry]> {
+        self.sealed
+            .iter()
+            .map(|chunk| &chunk[..])
+            .chain(std::iter::once(self.open.as_slice()))
+    }
+
+    /// The newest entry matching `pred`: later arrivals win.
+    fn newest(&self, pred: impl Fn(&IndexEntry) -> bool) -> Option<&IndexEntry> {
+        self.chunks()
+            .rev()
+            .find_map(|chunk| chunk.iter().rev().find(|e| pred(e)))
+    }
+
+    /// Every entry, in arrival order, leaving the tail empty.
+    fn take(&mut self) -> Vec<IndexEntry> {
+        let mut all = Vec::with_capacity(self.len());
+        for chunk in self.chunks() {
+            all.extend_from_slice(chunk);
+        }
+        self.sealed = Arc::default();
+        self.open.clear();
+        all
+    }
+}
+
 /// One partition: durable pages plus the staged (not yet paged) tail.
 ///
-/// The page directory is `Arc`-shared with published reader states;
-/// [`Arc::make_mut`] gives the writer copy-on-write appends that clone the
-/// directory at most once per publish cycle.
+/// The page directory and the staged tail's sealed chunks are `Arc`-shared
+/// with published reader states: [`Arc::make_mut`] gives the writer
+/// copy-on-write page appends that clone the directory at most once per
+/// publish cycle, and a sealed chunk is never written again.
 #[derive(Debug)]
 struct Partition {
     pages: Arc<Vec<PageMeta>>,
-    staged: Vec<IndexEntry>,
+    staged: Staged,
     /// Bytes currently in the partition file.
     file_len: u64,
     /// Largest height durably paged (0 = nothing paged yet).
@@ -181,7 +248,7 @@ struct TxIndexState {
 #[derive(Debug)]
 struct TxPartView {
     pages: Arc<Vec<PageMeta>>,
-    staged: Vec<IndexEntry>,
+    staged: Staged,
 }
 
 /// A cloneable, `Send + Sync` read handle over the last published index
@@ -238,9 +305,7 @@ impl TxIndexReader {
         let part = &state.partitions[p];
         if let Some(e) = part
             .staged
-            .iter()
-            .rev()
-            .find(|e| e.id == *id && e.height <= max_height)
+            .newest(|e| e.id == *id && e.height <= max_height)
         {
             return Ok(Some((e.block, e.pos)));
         }
@@ -287,11 +352,13 @@ impl TxIndexReader {
                         .filter(|e| e.height <= max_height && entry_matches(e)),
                 );
             }
-            found.extend(
-                part.staged
-                    .iter()
-                    .filter(|e| e.height <= max_height && entry_matches(e)),
-            );
+            for chunk in part.staged.chunks() {
+                found.extend(
+                    chunk
+                        .iter()
+                        .filter(|e| e.height <= max_height && entry_matches(e)),
+                );
+            }
         }
         found.sort_unstable_by_key(|e| (e.height, e.pos));
         Ok(found)
@@ -411,7 +478,7 @@ impl TxIndex {
                 File::create(&path)?;
                 Partition {
                     pages: Arc::new(Vec::new()),
-                    staged: Vec::new(),
+                    staged: Staged::default(),
                     file_len: 0,
                     last_height: 0,
                 }
@@ -451,9 +518,10 @@ impl TxIndex {
     /// Publish the current durable + staged view for readers, who pin it
     /// under a mutex held for one `Arc` copy.
     ///
-    /// Costs one clone of each partition's staged tail (bounded by
-    /// `page_entries`) plus `Arc` bumps for the page directories; the
-    /// caller gates it on readers existing.
+    /// Costs one copy of each partition's open staged chunk (under 64
+    /// entries) plus `Arc` bumps for the page directory and the sealed
+    /// chunks — O(batch + chunk) per group commit, however large
+    /// `page_entries` is. The caller gates it on readers existing.
     pub fn publish(&self) {
         let partitions = self
             .partitions
@@ -526,7 +594,7 @@ impl TxIndex {
         }
         Ok(Partition {
             pages: Arc::new(pages),
-            staged: Vec::new(),
+            staged: Staged::default(),
             file_len: pos,
             last_height,
         })
@@ -625,7 +693,7 @@ impl TxIndex {
     /// Cut the staged tail of partition `p` into one durable page.
     fn cut_page(&mut self, p: usize) -> io::Result<()> {
         let part = &mut self.partitions[p];
-        let mut staged = std::mem::take(&mut part.staged);
+        let mut staged = part.staged.take();
         // Pages are sorted by id so point lookups binary-search; canonical
         // order is recovered from (height, pos) at query time.
         staged.sort_by_key(|e| e.id);
@@ -670,7 +738,7 @@ impl TxIndex {
         let p = self.route(id);
         let part = &self.partitions[p as usize];
         // Staged tail first: strictly newer than any durable page.
-        if let Some(e) = part.staged.iter().rev().find(|e| e.id == *id) {
+        if let Some(e) = part.staged.newest(|e| e.id == *id) {
             return Ok(Some((e.block, e.pos)));
         }
         let (h1, h2) = bloom_hashes(id.0.as_bytes());
@@ -709,7 +777,9 @@ impl TxIndex {
                 let entries = self.page_entries(p, seq)?;
                 found.extend(entries.iter().filter(|e| entry_matches(e)));
             }
-            found.extend(part.staged.iter().filter(|e| entry_matches(e)));
+            for chunk in part.staged.chunks() {
+                found.extend(chunk.iter().filter(|e| entry_matches(e)));
+            }
         }
         found.sort_unstable_by_key(|e| (e.height, e.pos));
         Ok(found)
@@ -1066,6 +1136,149 @@ mod tests {
             10
         );
         assert_eq!(reader.entries_by_kind(1, 25).unwrap().len(), 25);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// One partition whose page holds four sealed staged chunks.
+    fn chunked_config() -> TxIndexConfig {
+        TxIndexConfig {
+            partitions: 1,
+            page_entries: 4 * STAGED_CHUNK,
+            cached_pages: 4,
+        }
+    }
+
+    #[test]
+    fn publishes_around_a_chunk_seal_share_the_sealed_chunk() {
+        let dir = temp_dir("chunk-share");
+        let mut ix = TxIndex::open(&dir, chunked_config()).unwrap();
+        let n = STAGED_CHUNK as u64;
+        ix.append((1..=n - 1).map(|i| entry(i, "a", 1)).collect())
+            .unwrap();
+        ix.publish();
+        let before = ix.shared.state.load();
+        assert!(before.partitions[0].staged.sealed.is_empty());
+        // The next entry seals the first chunk.
+        ix.append((n..=n + 1).map(|i| entry(i, "a", 1)).collect())
+            .unwrap();
+        ix.publish();
+        let sealed = ix.shared.state.load();
+        ix.append((n + 2..=n + 9).map(|i| entry(i, "a", 1)).collect())
+            .unwrap();
+        ix.publish();
+        let after = ix.shared.state.load();
+        let (s, a) = (&sealed.partitions[0].staged, &after.partitions[0].staged);
+        assert_eq!((s.sealed.len(), s.open.len()), (1, 1));
+        assert_eq!((a.sealed.len(), a.open.len()), (1, 9));
+        assert!(Arc::ptr_eq(&s.sealed[0], &a.sealed[0]));
+        // No seal since the last publish: the list itself is shared.
+        assert!(Arc::ptr_eq(&a.sealed, &ix.partitions[0].staged.sealed));
+        assert!(Arc::ptr_eq(
+            &a.sealed[0],
+            &ix.partitions[0].staged.sealed[0]
+        ));
+        assert_eq!(ix.staged_entries(), STAGED_CHUNK + 9);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn reader_lookup_takes_newest_duplicate_across_chunks() {
+        let dir = temp_dir("chunk-dup");
+        let mut ix = TxIndex::open(&dir, chunked_config()).unwrap();
+        let reader = ix.reader();
+        let n = STAGED_CHUNK as u64;
+        // The same id in the first sealed chunk, the second sealed chunk
+        // and the open chunk.
+        let mut entries: Vec<IndexEntry> = (1..=2 * n + 2).map(|i| entry(i, "a", 1)).collect();
+        let (first, second, third) = (10, n + 10, 2 * n + 1);
+        let id = entries[first as usize - 1].id;
+        entries[second as usize - 1].id = id;
+        entries[third as usize - 1].id = id;
+        ix.append(entries.clone()).unwrap();
+        ix.publish();
+        assert_eq!(ix.partitions[0].staged.sealed.len(), 2);
+        let at = |h: u64| {
+            let e = &entries[h as usize - 1];
+            Some((e.block, e.pos))
+        };
+        assert_eq!(ix.lookup(&id).unwrap(), at(third));
+        assert_eq!(reader.lookup(&id, u64::MAX).unwrap(), at(third));
+        assert_eq!(reader.lookup(&id, third - 1).unwrap(), at(second));
+        assert_eq!(reader.lookup(&id, second - 1).unwrap(), at(first));
+        assert_eq!(reader.lookup(&id, first - 1).unwrap(), None);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn entries_by_kind_keep_canonical_order_across_chunks() {
+        let dir = temp_dir("chunk-kind");
+        let mut ix = TxIndex::open(&dir, chunked_config()).unwrap();
+        let reader = ix.reader();
+        let entries: Vec<IndexEntry> = (1..=3 * STAGED_CHUNK as u64 + 5)
+            .map(|i| entry(i, "a", (i % 3) as u16))
+            .collect();
+        ix.append(entries.clone()).unwrap();
+        ix.publish();
+        assert_eq!(ix.partitions[0].staged.sealed.len(), 3);
+        let ceiling = 2 * STAGED_CHUNK as u64 + 7;
+        let expect: Vec<IndexEntry> = entries
+            .iter()
+            .filter(|e| e.kind == 1 && e.height <= ceiling)
+            .copied()
+            .collect();
+        assert_eq!(reader.entries_by_kind(1, ceiling).unwrap(), expect);
+        let all: Vec<TxId> = entries
+            .iter()
+            .filter(|e| e.kind == 1)
+            .map(|e| e.id)
+            .collect();
+        assert_eq!(ix.txs_by_kind(1).unwrap(), all);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn page_cut_over_chunks_matches_one_flat_tail() {
+        let dir = temp_dir("chunk-cut");
+        let mut ix = TxIndex::open(&dir, chunked_config()).unwrap();
+        let reader = ix.reader();
+        let mut entries: Vec<IndexEntry> = (1..=300).map(|i| entry(i, "a", 1)).collect();
+        // A duplicate id in different chunks: the id sort must keep
+        // arrival order, as it did over one flat tail.
+        entries[250].id = entries[20].id;
+        // Batches of 50 seal chunks across appends; the sixth crosses
+        // `page_entries` and cuts the whole tail into one page.
+        for batch in entries.chunks(50) {
+            ix.append(batch.to_vec()).unwrap();
+            ix.publish();
+        }
+        assert_eq!(ix.page_count(), 1);
+        assert_eq!(ix.staged_entries(), 0);
+        let mut flat = entries.clone();
+        flat.sort_by_key(|e| e.id);
+        let (header, entry_bytes) = TxIndex::build_page(0, 0, &flat);
+        let mut expect = Vec::new();
+        write_page_to(&mut expect, &header, &entry_bytes).unwrap();
+        assert_eq!(std::fs::read(partition_path(&dir, 0)).unwrap(), expect);
+        for e in &entries {
+            if e.id == entries[20].id {
+                continue;
+            }
+            assert_eq!(
+                reader.lookup(&e.id, u64::MAX).unwrap(),
+                Some((e.block, e.pos))
+            );
+        }
+        let dup = &entries[250];
+        assert_eq!(
+            reader.lookup(&dup.id, u64::MAX).unwrap(),
+            Some((dup.block, dup.pos))
+        );
+        assert_eq!(
+            reader
+                .entries_by_author(&AccountId::from_name("a"), u64::MAX)
+                .unwrap(),
+            entries
+        );
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -9,10 +9,10 @@
 //!   the current value wholesale ([`Published::store`]); readers take a
 //!   reference-counted copy ([`Published::load`]) whose critical section is
 //!   one `Arc` clone under an uncontended mutex. Readers therefore never
-//!   block behind a writer's *build* of the next value — only behind the
-//!   pointer swap itself, which is a few instructions. A reader that loaded
-//!   the previous value keeps a fully consistent (merely stale) view for as
-//!   long as it holds the `Arc`.
+//!   block behind a writer's *build* of the next value, nor behind the free
+//!   of the value it replaced — only behind the pointer swap itself, which
+//!   is a few instructions. A reader that loaded the previous value keeps a
+//!   fully consistent (merely stale) view for as long as it holds the `Arc`.
 //! * [`ShardedCache<K, V>`] — N independently locked [`LruCache`] shards,
 //!   keyed by the hash of the key. Concurrent readers populating a page
 //!   cache contend only when they collide on a shard, instead of convoying
@@ -33,7 +33,8 @@ use std::sync::{Arc, Mutex};
 /// the mutex is held only for the duration of an `Arc` pointer copy (load) or
 /// swap (store), so readers cannot observe a torn value and cannot be blocked
 /// for longer than that copy by any writer — the writer constructs the next
-/// `T` entirely *outside* the critical section.
+/// `T`, and frees the one it replaced, entirely *outside* the critical
+/// section.
 #[derive(Debug)]
 pub struct Published<T> {
     slot: Mutex<Arc<T>>,
@@ -54,9 +55,13 @@ impl<T> Published<T> {
     }
 
     /// Replace the current value. Readers holding the previous `Arc` keep
-    /// it alive and consistent; new loads see `next`.
+    /// it alive and consistent; new loads see `next`. When this was the
+    /// last handle, the previous value is freed after the lock is released,
+    /// so no load waits behind the drop.
     pub fn store(&self, next: Arc<T>) {
-        *self.slot.lock().expect("publish slot poisoned") = next;
+        let previous =
+            std::mem::replace(&mut *self.slot.lock().expect("publish slot poisoned"), next);
+        drop(previous);
     }
 }
 
@@ -136,6 +141,7 @@ impl<K: Eq + Hash + Copy, V: Clone> ShardedCache<K, V> {
 mod tests {
     use super::*;
     use std::sync::atomic::{AtomicBool, Ordering};
+    use std::sync::Weak;
     use std::thread;
 
     #[test]
@@ -149,6 +155,39 @@ mod tests {
         p.store(Arc::new(3));
         assert_eq!(*old, 2);
         assert_eq!(*p.load(), 3);
+    }
+
+    #[test]
+    fn published_store_frees_the_previous_value_outside_the_lock() {
+        /// Asserts on drop that its cell's slot is unlocked.
+        struct Probe {
+            cell: Weak<Published<Probe>>,
+            dropped: Arc<AtomicBool>,
+        }
+        impl Drop for Probe {
+            fn drop(&mut self) {
+                if let Some(cell) = self.cell.upgrade() {
+                    assert!(
+                        cell.slot.try_lock().is_ok(),
+                        "previous value freed while the slot is locked"
+                    );
+                    self.dropped.store(true, Ordering::SeqCst);
+                }
+            }
+        }
+        let dropped = Arc::new(AtomicBool::new(false));
+        let cell = Arc::new_cyclic(|weak| {
+            Published::new(Probe {
+                cell: weak.clone(),
+                dropped: Arc::clone(&dropped),
+            })
+        });
+        // The cell holds the only handle, so `store` frees the old value.
+        cell.store(Arc::new(Probe {
+            cell: Weak::new(),
+            dropped: Arc::new(AtomicBool::new(false)),
+        }));
+        assert!(dropped.load(Ordering::SeqCst), "previous value was freed");
     }
 
     #[test]

@@ -343,6 +343,11 @@ impl Shared {
 
     /// Find a block's location, lazily indexing sealed segments (newest
     /// first) until the hash is found or everything is indexed.
+    ///
+    /// A segment that fails to index is skipped, not dropped: the search
+    /// goes on into older segments, and the failed entry returns to the
+    /// back of the work list (every id still pending is older), so `len()`
+    /// keeps counting its blocks.
     fn lookup(&self, hash: &BlockHash) -> Option<BlockLocation> {
         if let Some(loc) = self.index_get(hash) {
             return Some(loc);
@@ -353,24 +358,29 @@ impl Shared {
         if let Some(loc) = self.index_get(hash) {
             return Some(loc);
         }
-        while let Some((id, _)) = pending.pop() {
+        // Newest first, as popped.
+        let mut failed = Vec::new();
+        let mut found = None;
+        while let Some((id, blocks)) = pending.pop() {
             let mut local = HashMap::new();
             if let Err(e) = SegmentInfo::empty(id).index_frames(&self.dir, &mut local) {
                 // The file passed the open-time existence/length check, so
                 // this is decode corruption discovered lazily. `get`
                 // returns Option; be loud on stderr at least.
                 eprintln!("ledger: lazy index of segment {id} failed: {e}");
-                return None;
+                failed.push((id, blocks));
+                continue;
             }
-            let found = local.get(hash).copied();
+            found = local.get(hash).copied();
             for (h, loc) in local {
                 self.index_insert(h, loc);
             }
-            if let Some(loc) = found {
-                return Some(loc);
+            if found.is_some() {
+                break;
             }
         }
-        None
+        pending.extend(failed.into_iter().rev());
+        found
     }
 
     /// Read a block at `loc` via `pread` on the published handle for its
@@ -1395,6 +1405,32 @@ mod tests {
         }
         let err = TieredStore::open(&dir, TieredConfig::default()).unwrap_err();
         assert_eq!(err.kind(), std::io::ErrorKind::UnexpectedEof);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn damaged_sealed_segment_hides_neither_older_blocks_nor_its_count() {
+        let dir = temp_dir("damaged-sealed");
+        let blocks = chain_blocks(10);
+        {
+            let mut s = TieredStore::open(&dir, cfg(512)).unwrap();
+            put_all(&mut s, &blocks);
+            assert!(s.segment_count() >= 3, "segment 1 must be sealed");
+        }
+        // Same length, so the manifest check still passes on reopen.
+        {
+            let f = OpenOptions::new()
+                .write(true)
+                .open(segment_path(&dir, 1))
+                .unwrap();
+            f.write_all_at(b"XXXX", 0).unwrap();
+        }
+        let s = TieredStore::open(&dir, cfg(512)).unwrap();
+        assert_eq!(s.len(), 10);
+        // Indexing walks past the damaged segment 1 into segment 0.
+        assert_eq!(*s.get(&blocks[0].hash()).unwrap(), blocks[0]);
+        assert_eq!(s.len(), 10, "the damaged segment's blocks still count");
+        assert_eq!(s.unindexed_segments(), 1, "only the damaged one pending");
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

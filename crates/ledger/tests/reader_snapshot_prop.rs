@@ -14,6 +14,11 @@
 //!
 //! Readers never take the writer's locks, so this also serves as a
 //! deadlock / torn-commit smoke test for the epoch-published read path.
+//!
+//! One more case runs wide blocks into index pages of 256 entries, so the
+//! staged tail seals shared chunks, keeps an open one and cuts pages while
+//! readers are pinned; its readers also resolve every transaction of a
+//! finalized block through the index.
 
 use blockprov_ledger::block::{Block, BlockHash};
 use blockprov_ledger::chain::{Chain, ChainConfig, ChainReader, ValidationError};
@@ -41,7 +46,37 @@ impl Rng {
     }
 }
 
-fn tiered_chain(dir: &std::path::Path) -> Chain {
+/// What a stress case varies.
+#[derive(Clone, Copy)]
+struct Shape {
+    /// `TxIndexConfig::page_entries`.
+    page_entries: usize,
+    /// `MetaConfig::index_sync_interval`.
+    index_sync_interval: u64,
+    /// Transactions per block are drawn from `0..max_txs`.
+    max_txs: u64,
+    /// Readers also look up a finalized block's transactions.
+    check_txs: bool,
+}
+
+/// Pages of 4 entries, synced every 8 heights, blocks of 0–2 transactions.
+const SMALL_PAGES: Shape = Shape {
+    page_entries: 4,
+    index_sync_interval: 8,
+    max_txs: 3,
+    check_txs: false,
+};
+
+/// Pages of 256 entries (four sealed staged chunks), cut by size alone,
+/// from blocks of 0–23 transactions.
+const WIDE_PAGES: Shape = Shape {
+    page_entries: 256,
+    index_sync_interval: 1 << 20,
+    max_txs: 24,
+    check_txs: true,
+};
+
+fn tiered_chain(dir: &std::path::Path, shape: Shape) -> Chain {
     let config = ChainConfig {
         finality_depth: Some(3),
         ..ChainConfig::default()
@@ -58,7 +93,7 @@ fn tiered_chain(dir: &std::path::Path) -> Chain {
         dir.join("txindex"),
         TxIndexConfig {
             partitions: 2,
-            page_entries: 4,
+            page_entries: shape.page_entries,
             cached_pages: 4,
         },
     )
@@ -66,7 +101,7 @@ fn tiered_chain(dir: &std::path::Path) -> Chain {
     let meta = MetaStore::open(
         dir.join("meta"),
         MetaConfig {
-            index_sync_interval: 8,
+            index_sync_interval: shape.index_sync_interval,
             snapshot_interval: 4,
         },
     )
@@ -75,8 +110,10 @@ fn tiered_chain(dir: &std::path::Path) -> Chain {
 }
 
 /// One reader thread: pin views in a tight loop until the writer signals
-/// done, asserting the four prefix-consistency properties on every pin.
-fn reader_loop(reader: ChainReader, done: Arc<AtomicBool>) -> u64 {
+/// done, asserting the four prefix-consistency properties on every pin
+/// and, with `check_txs`, that the finalized block at the checkpoint
+/// resolves every transaction it holds.
+fn reader_loop(reader: ChainReader, done: Arc<AtomicBool>, check_txs: bool) -> u64 {
     // Finalized prefix observed so far: height -> hash. Property 4 says
     // entries here may only be extended, never rewritten.
     let mut finalized_seen: HashMap<u64, BlockHash> = HashMap::new();
@@ -128,6 +165,21 @@ fn reader_loop(reader: ChainReader, done: Arc<AtomicBool>) -> u64 {
             }
         }
 
+        if check_txs {
+            let block = v
+                .block_at(v.finalized_height())
+                .expect("finalized block readable");
+            for tx in &block.txs {
+                let id = tx.id();
+                assert_eq!(
+                    v.get_tx(&id).map(|t| t.id()),
+                    Some(id),
+                    "pin {pins}: finalized tx at height {} not found",
+                    v.finalized_height()
+                );
+            }
+        }
+
         if finished {
             return pins;
         }
@@ -138,12 +190,16 @@ fn reader_loop(reader: ChainReader, done: Arc<AtomicBool>) -> u64 {
 /// Drive ~`ops` randomized writer operations against `chain` while
 /// `n_readers` threads hammer the published read path.
 fn stress(n_readers: usize, ops: usize, seed: u64) {
+    stress_shaped(n_readers, ops, seed, SMALL_PAGES, "small");
+}
+
+fn stress_shaped(n_readers: usize, ops: usize, seed: u64, shape: Shape, tag: &str) {
     let dir = std::env::temp_dir().join(format!(
-        "blockprov-reader-prop-{}-{n_readers}",
+        "blockprov-reader-prop-{}-{n_readers}-{tag}",
         std::process::id()
     ));
     let _ = std::fs::remove_dir_all(&dir);
-    let mut chain = tiered_chain(&dir);
+    let mut chain = tiered_chain(&dir, shape);
 
     let done = Arc::new(AtomicBool::new(false));
     let first = chain.reader();
@@ -151,7 +207,7 @@ fn stress(n_readers: usize, ops: usize, seed: u64) {
         .map(|_| {
             let r = first.clone();
             let d = Arc::clone(&done);
-            std::thread::spawn(move || reader_loop(r, d))
+            std::thread::spawn(move || reader_loop(r, d, shape.check_txs))
         })
         .collect();
     drop(first);
@@ -170,7 +226,7 @@ fn stress(n_readers: usize, ops: usize, seed: u64) {
             let mut parent_block = chain.block(&parent).expect("tip readable");
             let mut batch = Vec::new();
             for _ in 0..3 {
-                let block = assemble_child(&mut rng, &parent_block, parent, i);
+                let block = assemble_child(&mut rng, &parent_block, parent, i, shape);
                 parent = block.hash();
                 batch.push(block.clone());
                 parent_block = Arc::new(block);
@@ -190,7 +246,7 @@ fn stress(n_readers: usize, ops: usize, seed: u64) {
             i += 1;
             continue; // parent pruned by finality
         };
-        let block = assemble_child(&mut rng, &parent_block, parent, i);
+        let block = assemble_child(&mut rng, &parent_block, parent, i, shape);
         match chain.append(block) {
             Ok(out) => {
                 pool.push(out.hash);
@@ -211,6 +267,7 @@ fn stress(n_readers: usize, ops: usize, seed: u64) {
     }
 
     done.store(true, Ordering::Release);
+    let pages_cut = chain.tx_index().expect("index attached").page_count();
     let mut total_pins = 0u64;
     for h in handles {
         total_pins += h.join().expect("reader thread panicked");
@@ -222,23 +279,42 @@ fn stress(n_readers: usize, ops: usize, seed: u64) {
     // rejected — that's the point (readers see real reorg/finality churn).
     // Just require the writer made real forward progress.
     assert!(appended >= ops / 5, "writer made no progress: {appended}");
+    if shape.check_txs {
+        assert!(
+            pages_cut >= 2,
+            "the index cut {pages_cut} pages while readers were pinned"
+        );
+    }
     assert!(
         total_pins >= n_readers as u64,
         "readers never pinned a view"
     );
     eprintln!(
-        "reader_snapshot_prop[{n_readers} readers]: {appended} appends \
-         ({reorgs} reorgs), {total_pins} view pins"
+        "reader_snapshot_prop[{n_readers} readers, {tag}]: {appended} appends \
+         ({reorgs} reorgs), {total_pins} view pins, {pages_cut} index pages"
     );
 }
 
-fn assemble_child(rng: &mut Rng, parent_block: &Block, parent: BlockHash, i: usize) -> Block {
+fn assemble_child(
+    rng: &mut Rng,
+    parent_block: &Block,
+    parent: BlockHash,
+    i: usize,
+    shape: Shape,
+) -> Block {
     let author = AccountId::from_name(match rng.next() % 3 {
         0 => "alice",
         1 => "bob",
         _ => "carol",
     });
-    let n_txs = (rng.next() % 3) as usize;
+    let n_txs = (rng.next() % shape.max_txs) as usize;
+    // Small cases keep their one-byte payloads; wide ones need every op's
+    // transactions distinct past 256 ops.
+    let payload = if shape.check_txs {
+        (i as u64).to_le_bytes().to_vec()
+    } else {
+        vec![i as u8]
+    };
     let txs: Vec<Transaction> = (0..n_txs)
         .map(|j| {
             Transaction::new(
@@ -246,7 +322,7 @@ fn assemble_child(rng: &mut Rng, parent_block: &Block, parent: BlockHash, i: usi
                 j as u64,
                 2_000,
                 (rng.next() % 2) as u16,
-                vec![i as u8],
+                payload.clone(),
             )
         })
         .collect();
@@ -273,4 +349,9 @@ fn snapshots_stay_prefix_consistent_under_two_readers() {
 #[test]
 fn snapshots_stay_prefix_consistent_under_eight_readers() {
     stress(8, 300, 0x2545f4914f6cdd1d);
+}
+
+#[test]
+fn snapshots_stay_prefix_consistent_while_index_chunks_seal_and_pages_cut() {
+    stress_shaped(2, 400, 0x94d049bb133111eb, WIDE_PAGES, "wide");
 }

@@ -3,14 +3,15 @@
 #
 # Runs the tier-1 command from ROADMAP.md (release build + every suite in
 # the workspace: the root manifest's `default-members` covers it), gates the
-# ledger crate on clippy (warnings are errors) and rustfmt, smoke-runs
-# the repo benchmark (benchmarks/run.sh --smoke: the real node on every
-# BENCHMARK.json workload, every answer oracle-checked), builds the API docs
-# with warnings as errors, re-runs the ingest-pipeline equivalence property
-# on both the inline and the pooled validation paths and the crypto crate's
-# tests under --release, and compiles every criterion bench target so a
-# bench-only breakage cannot slip past review. Performance numbers come from
-# benchmarks/ alone; nothing here writes a tracked file.
+# whole workspace on clippy (warnings are errors) and the ledger crate on
+# rustfmt, smoke-runs the repo benchmark (benchmarks/run.sh --smoke: the
+# real node on every BENCHMARK.json workload, every answer oracle-checked),
+# builds the API docs with warnings as errors, re-runs the ingest-pipeline
+# equivalence property on both the inline and the pooled validation paths
+# and the crypto crate's tests under --release, and compiles every
+# criterion bench target so a bench-only breakage cannot slip past review.
+# Performance numbers come from benchmarks/ alone; nothing here writes a
+# tracked file.
 #
 # Flags:
 #   --dist   additionally build the bench crate under the fat-LTO `dist`
@@ -37,13 +38,16 @@ cargo build --release
 echo "== tier-1: cargo test -q =="
 cargo test -q
 
-echo "== ledger lint: cargo clippy -p blockprov-ledger (warnings are errors) =="
-# The storage crate carries the tamper-evidence substrate; its lints and
-# formatting are gated so drift cannot pile up there. The other crates'
-# drift is not gated yet.
-cargo clippy -p blockprov-ledger --all-targets --no-deps -- -D warnings
+echo "== workspace lint: cargo clippy --workspace (warnings are errors) =="
+# Every crate, test and example is gated so lint drift cannot pile up. The
+# vendored proptest and criterion stand-ins are left out: clippy stops on a
+# deny-level lint in proptest's own tests.
+cargo clippy --workspace --exclude proptest --exclude criterion --all-targets --no-deps -- -D warnings
 
 echo "== ledger format: cargo fmt -p blockprov-ledger -- --check =="
+# The storage crate carries the tamper-evidence substrate; its formatting
+# is gated so drift cannot pile up there. The other crates' rustfmt drift
+# is not gated yet.
 cargo fmt -p blockprov-ledger -- --check
 
 echo "== repo benchmark smoke: bash benchmarks/run.sh --smoke =="

@@ -287,7 +287,6 @@ fn open_tiers(dir: &Path) -> (TieredStore, TxIndex, MetaStore) {
             partitions: 2,
             page_entries: 8,
             cached_pages: 4,
-            ..TxIndexConfig::default()
         },
     )
     .expect("open index");

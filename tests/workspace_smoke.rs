@@ -11,7 +11,7 @@ use blockprov::ledger::mempool::Mempool;
 use blockprov::ledger::tx::{AccountId, Transaction};
 
 fn make_tx(author: &AccountId, nonce: u64, payload: &[u8]) -> Transaction {
-    Transaction::new(author.clone(), nonce, 1_700_000_000_000 + nonce, 1, payload.to_vec())
+    Transaction::new(*author, nonce, 1_700_000_000_000 + nonce, 1, payload.to_vec())
 }
 
 #[test]
@@ -36,7 +36,7 @@ fn mempool_to_chain_to_proof_to_tamper_evidence() {
         assert_eq!(batch.len(), 8, "mempool hands back the whole batch");
         let block = chain.assemble_next(
             1_700_000_100_000 + block_no,
-            sealer.clone(),
+            sealer,
             0,
             batch,
         );
@@ -58,7 +58,7 @@ fn mempool_to_chain_to_proof_to_tamper_evidence() {
     // A proof does not transfer to a different transaction.
     let other = &committed[11];
     let mut wrong = proof.clone();
-    wrong.tx_id = other.clone();
+    wrong.tx_id = *other;
     assert!(!wrong.verify(), "proof is bound to its transaction id");
 
     // Tamper evidence: mutate a historical transaction and re-derive.
