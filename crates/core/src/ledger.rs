@@ -774,10 +774,7 @@ mod tests {
     }
 
     fn temp_dir(tag: &str) -> std::path::PathBuf {
-        let dir = std::env::temp_dir().join(format!(
-            "blockprov-core-{tag}-{}",
-            std::process::id()
-        ));
+        let dir = std::env::temp_dir().join(format!("blockprov-core-{tag}-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         dir
     }
@@ -990,7 +987,8 @@ mod tests {
         // A fresh operation must continue the nonce sequence, not restart it
         // (a restarted sequence would collide in the mempool).
         let a = l.register_agent("alice").unwrap();
-        l.apply_operation(&a, "f-new", Action::Create, b"y").unwrap();
+        l.apply_operation(&a, "f-new", Action::Create, b"y")
+            .unwrap();
         l.seal_block().unwrap();
         l.verify_chain().unwrap();
         assert_eq!(l.chain().height(), 2);
@@ -1001,7 +999,8 @@ mod tests {
     fn ledger_reader_serves_concurrent_queries_while_sealing() {
         let mut l = ProvenanceLedger::open(LedgerConfig::private_default().with_finality(4));
         let alice = l.register_agent("alice").unwrap();
-        l.apply_operation(&alice, "f0", Action::Create, b"x").unwrap();
+        l.apply_operation(&alice, "f0", Action::Create, b"x")
+            .unwrap();
         l.seal_block().unwrap();
         let reader = l.reader();
         let poller = {

@@ -164,9 +164,8 @@ impl Node {
         let (tx, rx) = mpsc::sync_channel::<IngestJob>(config.queue_capacity);
 
         let writer_metrics = Arc::clone(&metrics);
-        let writer = thread::Builder::new()
-            .name("node-writer".into())
-            .spawn(move || -> io::Result<()> {
+        let writer = thread::Builder::new().name("node-writer".into()).spawn(
+            move || -> io::Result<()> {
                 for job in rx {
                     writer_metrics.queue_depth.dec();
                     let txs: usize = job.blocks.iter().map(|b| b.txs.len()).sum();
@@ -182,14 +181,13 @@ impl Node {
                             let _ = job.reply.send(Err(describe_ingest_error(&e)));
                         }
                     }
-                    writer_metrics
-                        .ingest_latency
-                        .record(job.received.elapsed());
+                    writer_metrics.ingest_latency.record(job.received.elapsed());
                 }
                 // All senders gone: the queue is drained. Write the
                 // clean-shutdown snapshot so the next open fast-starts.
                 log.sync()
-            })?;
+            },
+        )?;
 
         let shared = Arc::new(Shared {
             reader,

@@ -9,16 +9,20 @@
 //! The HTTP-ingested node and the test's direct-ledger oracle both ingest
 //! streams built here, which is what lets them agree block-for-block.
 
+use blockprov_core::txkind;
 use blockprov_ledger::block::{Block, BlockHash};
 use blockprov_ledger::tx::{AccountId, Transaction};
-use blockprov_core::txkind;
 use blockprov_provenance::model::{Action, Domain, ProvenanceRecord};
 use blockprov_wire::Codec;
 
 /// One survey scenario: acting agent, artifact name prefix, domain tag.
 const SCENARIOS: [(&str, &str, Domain); 4] = [
     ("supply-manufacturer", "pallet", Domain::SupplyChain),
-    ("forensics-investigator", "evidence", Domain::DigitalForensics),
+    (
+        "forensics-investigator",
+        "evidence",
+        Domain::DigitalForensics,
+    ),
     ("mlprov-trainer", "model", Domain::MachineLearning),
     ("sciwork-engine", "dataset", Domain::ScientificCollaboration),
 ];

@@ -330,10 +330,7 @@ fn node_agrees_with_direct_ledger_oracle_and_fast_starts() {
         json_str(&tip_body, "hash"),
         Some(oracle_reader.tip().0.to_hex())
     );
-    let (status, body) = get(
-        &addr2,
-        &format!("/tx/{}", stream[0].txs[0].id().0.to_hex()),
-    );
+    let (status, body) = get(&addr2, &format!("/tx/{}", stream[0].txs[0].id().0.to_hex()));
     assert_eq!(status, 200);
     assert_eq!(json_u64(&body, "block_height"), Some(1));
     // The reopen rebuilt every posting, and `/metrics` splits its startup
@@ -357,9 +354,11 @@ fn node_agrees_with_direct_ledger_oracle_and_fast_starts() {
         blockprov_ledger::TxIndexConfig::default(),
     )
     .expect("reopen index");
-    let meta =
-        blockprov_ledger::MetaStore::open(dir.join("meta"), blockprov_ledger::MetaConfig::default())
-            .expect("reopen meta");
+    let meta = blockprov_ledger::MetaStore::open(
+        dir.join("meta"),
+        blockprov_ledger::MetaConfig::default(),
+    )
+    .expect("reopen meta");
     let reopened = ProvenanceLedger::open_with_tiers(
         LedgerConfig::private_default().with_finality(FINALITY),
         Box::new(store),
@@ -399,8 +398,7 @@ fn backpressure_surfaces_as_429_with_retry_after() {
 
     let post_addr = addr.clone();
     let head_blocks = head.to_vec();
-    let head_thread =
-        std::thread::spawn(move || post_blocks(&post_addr, &head_blocks));
+    let head_thread = std::thread::spawn(move || post_blocks(&post_addr, &head_blocks));
     // Give the head time to reach the writer; it commits 512 blocks x
     // 8 txs, far longer than these margins.
     std::thread::sleep(std::time::Duration::from_millis(50));
