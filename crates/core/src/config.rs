@@ -72,9 +72,10 @@ pub struct LedgerConfig {
     /// demoted to the block store's cold tier. `None` keeps every fork
     /// replayable forever (the seed behaviour).
     pub finality_depth: Option<u64>,
-    /// Worker threads for the stateless stage of batched block ingest.
-    /// `0` = one per available core, `1` = inline (no worker threads).
-    /// Chain state is byte-identical at any setting.
+    /// Ignored, and passed through to [`ChainConfig::ingest_threads`]:
+    /// batched ingest validates inline on the committing thread at every
+    /// setting. Kept only so the benchmark harness keeps compiling
+    /// (ROADMAP item 15).
     pub ingest_threads: usize,
 }
 
@@ -164,8 +165,9 @@ impl LedgerConfig {
         self
     }
 
-    /// Builder: set the worker-thread count for the stateless stage of
-    /// batched ingest (`0` = one per core, `1` = inline).
+    /// Builder: set [`LedgerConfig::ingest_threads`], which is ignored.
+    /// A no-op kept only so the benchmark harness, which calls it, keeps
+    /// compiling (ROADMAP item 15).
     pub fn with_ingest_threads(mut self, threads: usize) -> Self {
         self.ingest_threads = threads;
         self

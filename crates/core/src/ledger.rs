@@ -523,9 +523,9 @@ impl ProvenanceLedger {
     }
 
     /// Ingest a batch of externally produced blocks (e.g. replicated from
-    /// a peer) through the two-stage pipeline: stateless validation fans
-    /// out across [`LedgerConfig::ingest_threads`] workers, the serialized
-    /// commit section applies fork choice and finality, and the ledger's
+    /// a peer) through the two-stage pipeline: each block's stateless
+    /// validation runs on this thread just before the commit section
+    /// applies fork choice and finality, and the ledger's
     /// [`ProvenanceLog`] walks each committed block once, posting every
     /// record's subject and handing the record to the graph and query
     /// indexes. Durability is batch-granular: the chain group-flushes every

@@ -13,7 +13,6 @@
 use crate::block::{Block, BlockHash, BlockHeader, Checkpoint};
 use crate::index::{IndexEntry, TxIndex, TxIndexReader};
 use crate::meta::{HeightReader, MetaStore};
-use crate::pool::ValidationPool;
 use crate::readview::Published;
 use crate::store::{BlockReader, BlockStore, MemStore};
 use crate::tx::{AccountId, Transaction, TxId};
@@ -56,11 +55,9 @@ pub struct ChainConfig {
     /// are demoted from the store's hot tier. `None` disables finality
     /// (every historical fork stays replayable forever).
     pub finality_depth: Option<u64>,
-    /// Worker threads for the stateless ingest stage used by
-    /// [`Chain::append_batch`] and replay (hashing, Merkle recomputation,
-    /// signature and PoW checks). `0` = one per available core; `1` runs
-    /// the stage inline with no worker threads. The serialized commit
-    /// stage is unaffected — chain state is byte-identical at any setting.
+    /// Ignored. The stateless ingest stage runs inline on the committing
+    /// thread at every setting; the field is kept only so the benchmark
+    /// harness, which sets it, keeps compiling (ROADMAP item 15).
     pub ingest_threads: usize,
 }
 
@@ -229,8 +226,9 @@ impl PrevalidatedBlock {
     /// Run every stateless check for `block` under `config`: header hash,
     /// version, transaction count, per-tx id derivation, in-block duplicate
     /// ids, Merkle root recomputation, PoW/difficulty and signature policy.
-    /// No chain state is consulted — this is the work
-    /// [`crate::pool::ValidationPool`] fans out across cores.
+    /// No chain state is consulted — this is stage 1 of the ingest
+    /// pipeline, run on the committing thread just before
+    /// [`Chain::append_batch`] commits the block.
     pub fn compute(block: Block, config: &ChainConfig) -> Self {
         let hash = block.hash();
         let work = block.header.work();
@@ -938,9 +936,6 @@ pub struct Chain {
     /// Blocks validated and appended since this instance was constructed —
     /// a snapshot fast-start re-appends only the non-finalized suffix.
     appended: u64,
-    /// Worker pool for the stateless ingest stage, spun up lazily on the
-    /// first batched append (and never for `ingest_threads == 1`).
-    pool: Option<ValidationPool>,
     /// Snapshot slot + reader census shared with every [`ChainReader`].
     read_shared: Arc<ChainReadShared>,
     /// Group-commit staging: durable-index entries gathered by finality
@@ -1080,7 +1075,6 @@ impl Chain {
             index_synced_height: 0,
             last_snapshot_height: 0,
             appended: 0,
-            pool: None,
             read_shared,
             staged_spill: Vec::new(),
             nonce_floors: HashMap::new(),
@@ -1151,8 +1145,8 @@ impl Chain {
     /// orphans did not silently truncate the canonical chain.
     ///
     /// Replay runs through the same two-stage pipeline as live ingest:
-    /// bodies are fetched a chunk at a time (bounding resident memory),
-    /// prevalidated concurrently, and committed serially. Blocks that are
+    /// each stored body is fetched, prevalidated and committed in turn,
+    /// with a group flush every chunk of blocks. Blocks that are
     /// provably stale — duplicates, forks at or below the advancing
     /// checkpoint, and blocks whose fork parents were pruned by finality
     /// during this very replay — are skipped: the store is append-only, so
@@ -1162,8 +1156,6 @@ impl Chain {
         const REPLAY_CHUNK: usize = 256;
         let mut max_orphan_height = 0u64;
         for chunk in order.chunks(REPLAY_CHUNK) {
-            let mut pending: Vec<(u64, BlockHash)> = Vec::with_capacity(chunk.len());
-            let mut bodies: Vec<Block> = Vec::with_capacity(chunk.len());
             for &(h, hash) in chunk {
                 if self.meta.contains_key(&hash) {
                     continue; // genesis (or a duplicate frame)
@@ -1174,11 +1166,7 @@ impl Chain {
                         format!("replay: scanned block {hash} missing from store"),
                     )
                 })?;
-                pending.push((h, hash));
-                bodies.push((*block).clone());
-            }
-            let pres = self.prevalidate_batch(bodies);
-            for ((h, hash), pre) in pending.into_iter().zip(pres) {
+                let pre = PrevalidatedBlock::compute((*block).clone(), &self.config);
                 match self.commit_prevalidated(pre) {
                     Ok(_)
                     | Err(ValidationError::Duplicate(_) | ValidationError::BelowFinality { .. }) => {
@@ -1329,7 +1317,6 @@ impl Chain {
             index_synced_height: snap.index_durable_height,
             last_snapshot_height: snap.height,
             appended: 0,
-            pool: None,
             read_shared,
             staged_spill: Vec::new(),
             nonce_floors: snap
@@ -1955,10 +1942,11 @@ impl Chain {
     }
 
     /// Validate and insert a batch of blocks through the two-stage ingest
-    /// pipeline: stage 1 runs every stateless check concurrently on the
-    /// [`ValidationPool`] (sized by [`ChainConfig::ingest_threads`]), stage
-    /// 2 commits serially in batch order — stateful checks, fork choice,
-    /// index absorption and finality, unchanged from [`Chain::append`].
+    /// pipeline, one block at a time on the calling thread: stage 1
+    /// ([`PrevalidatedBlock::compute`]) runs every stateless check, stage 2
+    /// commits in batch order — stateful checks, fork choice, index
+    /// absorption and finality, unchanged from [`Chain::append`]. Only the
+    /// group flush and the snapshot publish are shared by the batch.
     ///
     /// Commit stops at the first invalid block: earlier blocks are in and
     /// their outcomes returned inside the error, the failing block and all
@@ -1966,9 +1954,9 @@ impl Chain {
     /// hashes, indexes, nonces — is byte-identical to appending the same
     /// blocks one at a time.
     pub fn append_batch(&mut self, blocks: Vec<Block>) -> Result<Vec<AppendOutcome>, BatchError> {
-        let pres = self.prevalidate_batch(blocks);
-        let mut committed = Vec::with_capacity(pres.len());
-        for (index, pre) in pres.into_iter().enumerate() {
+        let mut committed = Vec::with_capacity(blocks.len());
+        for (index, block) in blocks.into_iter().enumerate() {
+            let pre = PrevalidatedBlock::compute(block, &self.config);
             match self.commit_prevalidated(pre) {
                 Ok(outcome) => committed.push(outcome),
                 Err(error) => {
@@ -2012,19 +2000,6 @@ impl Chain {
         // and the per-block suffix clone is amortized across the batch.
         self.publish_read_state();
         Ok(committed)
-    }
-
-    /// Stage 1 of the ingest pipeline: fan the stateless work for a batch
-    /// out across the validation pool (spun up lazily; inline when the
-    /// resolved thread count is 1). Results come back in batch order.
-    fn prevalidate_batch(&mut self, blocks: Vec<Block>) -> Vec<PrevalidatedBlock> {
-        if self.pool.is_none() {
-            self.pool = Some(ValidationPool::new(self.config.ingest_threads));
-        }
-        self.pool
-            .as_ref()
-            .expect("pool initialized above")
-            .prevalidate(blocks, &self.config)
     }
 
     /// Stage 2 of the ingest pipeline: the serialized commit section.

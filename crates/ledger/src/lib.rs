@@ -19,7 +19,6 @@ pub mod index;
 pub mod manifest;
 pub mod mempool;
 pub mod meta;
-pub mod pool;
 pub mod readview;
 pub mod segment;
 pub mod store;
@@ -37,7 +36,6 @@ pub use manifest::{
 };
 pub use mempool::Mempool;
 pub use meta::{HeightMap, HeightReader, MetaConfig, MetaStore};
-pub use pool::ValidationPool;
 pub use readview::{Published, ShardedCache};
 pub use segment::{TieredConfig, TieredReader, TieredStore};
 pub use store::{BlockReader, BlockStore, MemReader, MemStore};

@@ -1,12 +1,7 @@
-//! Pipeline-equivalence property: batched, multi-threaded ingest through
+//! Pipeline-equivalence property: batched ingest through
 //! `Chain::append_batch` must leave *byte-identical* chain state — tip,
 //! canonical hashes, tx indexes, nonces — to one-at-a-time `Chain::append`,
-//! across random fork/reorg/finality sequences, random batch boundaries and
-//! several worker-thread counts.
-//!
-//! `INGEST_THREADS=<n>` pins the thread axis to one value (used by
-//! `scripts/verify.sh` to exercise the inline and the pooled paths
-//! separately); unset, each case sweeps threads 1, 2 and 8.
+//! across random fork/reorg/finality sequences and random batch boundaries.
 
 use blockprov_ledger::block::{Block, BlockHash};
 use blockprov_ledger::chain::{Chain, ChainConfig, ValidationError};
@@ -166,30 +161,11 @@ fn assert_same_state(seq: &Chain, batched: &Chain) -> Result<(), TestCaseError> 
     Ok(())
 }
 
-/// The thread counts to sweep: the `INGEST_THREADS` override wins.
-fn thread_axis() -> Vec<usize> {
-    match std::env::var("INGEST_THREADS") {
-        Ok(v) => vec![v.parse().expect("INGEST_THREADS must be a number")],
-        Err(_) => vec![1, 2, 8],
-    }
-}
-
-fn run_case(base: ChainConfig, ops: &[Op], sizes: &[usize]) -> Result<(), TestCaseError> {
-    let seq_config = ChainConfig {
-        ingest_threads: 1,
-        ..base.clone()
-    };
-    let (seq, stream) = build_stream(seq_config, ops)?;
-    for threads in thread_axis() {
-        let config = ChainConfig {
-            ingest_threads: threads,
-            ..base.clone()
-        };
-        let mut batched = Chain::new(config);
-        replay_batched(&mut batched, &stream, sizes)?;
-        assert_same_state(&seq, &batched)?;
-    }
-    Ok(())
+fn run_case(config: ChainConfig, ops: &[Op], sizes: &[usize]) -> Result<(), TestCaseError> {
+    let (seq, stream) = build_stream(config.clone(), ops)?;
+    let mut batched = Chain::new(config);
+    replay_batched(&mut batched, &stream, sizes)?;
+    assert_same_state(&seq, &batched)
 }
 
 proptest! {
@@ -282,6 +258,37 @@ fn build_long_stream(config: ChainConfig, len: usize) -> (Chain, Vec<Block>) {
     (chain, stream)
 }
 
+/// Open a fresh chain in `dir` over the full durable tier stack with
+/// deliberately tiny pages.
+fn open_tiny_tiers(dir: &std::path::Path, config: ChainConfig) -> Chain {
+    let store = TieredStore::open(
+        dir.join("blocks"),
+        TieredConfig {
+            segment_bytes: 2048,
+            hot_capacity: 4,
+        },
+    )
+    .expect("open tiered store");
+    let index = TxIndex::open(
+        dir.join("txindex"),
+        TxIndexConfig {
+            partitions: 2,
+            page_entries: 4,
+            cached_pages: 4,
+        },
+    )
+    .expect("open tx index");
+    let meta = MetaStore::open(
+        dir.join("meta"),
+        MetaConfig {
+            index_sync_interval: 8,
+            snapshot_interval: 1,
+        },
+    )
+    .expect("open meta store");
+    Chain::replay_with_tiers(Box::new(store), Some(index), meta, config).expect("open tiers")
+}
+
 /// Group-commit pin at fixed batch sizes: a 600-block deterministic stream
 /// over the full durable tier stack must leave state byte-identical to the
 /// sequential reference at batch sizes 1, 7 and 256 — size 1 degenerates to
@@ -290,67 +297,28 @@ fn build_long_stream(config: ChainConfig, len: usize) -> (Chain, Vec<Block>) {
 #[test]
 fn batched_ingest_equals_sequential_at_fixed_batch_sizes() {
     static CASE: AtomicU64 = AtomicU64::new(0);
-    let base = ChainConfig {
+    let config = ChainConfig {
         finality_depth: Some(8),
         ..ChainConfig::default()
     };
-    let (seq, stream) = build_long_stream(
-        ChainConfig {
-            ingest_threads: 1,
-            ..base.clone()
-        },
-        600,
-    );
+    let (seq, stream) = build_long_stream(config.clone(), 600);
     assert!(stream.len() >= 600, "stream too short for a full 256 batch");
     for &size in &[1usize, 7, 256] {
-        for threads in thread_axis() {
-            let dir = std::env::temp_dir().join(format!(
-                "blockprov-ingest-fixed-{}-{}",
-                std::process::id(),
-                CASE.fetch_add(1, Ordering::Relaxed)
-            ));
-            let _ = std::fs::remove_dir_all(&dir);
-            let result = (|| -> Result<(), TestCaseError> {
-                let store = TieredStore::open(
-                    dir.join("blocks"),
-                    TieredConfig {
-                        segment_bytes: 2048,
-                        hot_capacity: 4,
-                    },
-                )
-                .expect("open tiered store");
-                let index = TxIndex::open(
-                    dir.join("txindex"),
-                    TxIndexConfig {
-                        partitions: 2,
-                        page_entries: 4,
-                        cached_pages: 4,
-                    },
-                )
-                .expect("open tx index");
-                let meta = MetaStore::open(
-                    dir.join("meta"),
-                    MetaConfig {
-                        index_sync_interval: 8,
-                        snapshot_interval: 1,
-                    },
-                )
-                .expect("open meta store");
-                let config = ChainConfig {
-                    ingest_threads: threads,
-                    ..base.clone()
-                };
-                let mut batched =
-                    Chain::replay_with_tiers(Box::new(store), Some(index), meta, config)
-                        .expect("open tiers");
-                replay_batched(&mut batched, &stream, &[size])?;
-                assert_same_state(&seq, &batched)?;
-                Ok(())
-            })();
-            let _ = std::fs::remove_dir_all(&dir);
-            if let Err(e) = result {
-                panic!("size {size} threads {threads}: {e}");
-            }
+        let dir = std::env::temp_dir().join(format!(
+            "blockprov-ingest-fixed-{}-{}",
+            std::process::id(),
+            CASE.fetch_add(1, Ordering::Relaxed)
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        let result = (|| -> Result<(), TestCaseError> {
+            let mut batched = open_tiny_tiers(&dir, config.clone());
+            replay_batched(&mut batched, &stream, &[size])?;
+            assert_same_state(&seq, &batched)?;
+            Ok(())
+        })();
+        let _ = std::fs::remove_dir_all(&dir);
+        if let Err(e) = result {
+            panic!("size {size}: {e}");
         }
     }
 }
@@ -365,58 +333,21 @@ proptest! {
         depth in 1u64..5,
     ) {
         static CASE: AtomicU64 = AtomicU64::new(0);
-        let base = ChainConfig { finality_depth: Some(depth), ..ChainConfig::default() };
-        let (seq, stream) = build_stream(
-            ChainConfig { ingest_threads: 1, ..base.clone() },
-            &ops,
-        )?;
-        for threads in thread_axis() {
-            let dir = std::env::temp_dir().join(format!(
-                "blockprov-ingest-equiv-{}-{}",
-                std::process::id(),
-                CASE.fetch_add(1, Ordering::Relaxed)
-            ));
-            let _ = std::fs::remove_dir_all(&dir);
-            let result = (|| -> Result<(), TestCaseError> {
-                let store = TieredStore::open(
-                    dir.join("blocks"),
-                    TieredConfig {
-                        segment_bytes: 2048,
-                        hot_capacity: 4,
-                    },
-                )
-                .expect("open tiered store");
-                let index = TxIndex::open(
-                    dir.join("txindex"),
-                    TxIndexConfig {
-                        partitions: 2,
-                        page_entries: 4,
-                        cached_pages: 4,
-                    },
-                )
-                .expect("open tx index");
-                let meta = MetaStore::open(
-                    dir.join("meta"),
-                    MetaConfig {
-                        index_sync_interval: 8,
-                        snapshot_interval: 1,
-                    },
-                )
-                .expect("open meta store");
-                let config = ChainConfig { ingest_threads: threads, ..base.clone() };
-                let mut batched = Chain::replay_with_tiers(
-                    Box::new(store),
-                    Some(index),
-                    meta,
-                    config,
-                )
-                .expect("open tiers");
-                replay_batched(&mut batched, &stream, &sizes)?;
-                assert_same_state(&seq, &batched)?;
-                Ok(())
-            })();
-            let _ = std::fs::remove_dir_all(&dir);
-            result?;
-        }
+        let config = ChainConfig { finality_depth: Some(depth), ..ChainConfig::default() };
+        let (seq, stream) = build_stream(config.clone(), &ops)?;
+        let dir = std::env::temp_dir().join(format!(
+            "blockprov-ingest-equiv-{}-{}",
+            std::process::id(),
+            CASE.fetch_add(1, Ordering::Relaxed)
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        let result = (|| -> Result<(), TestCaseError> {
+            let mut batched = open_tiny_tiers(&dir, config);
+            replay_batched(&mut batched, &stream, &sizes)?;
+            assert_same_state(&seq, &batched)?;
+            Ok(())
+        })();
+        let _ = std::fs::remove_dir_all(&dir);
+        result?;
     }
 }

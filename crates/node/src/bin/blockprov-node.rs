@@ -76,13 +76,12 @@ fn wait_for_signal(read_fd: i32) {
 fn usage() -> ! {
     eprintln!(
         "usage: blockprov-node [--addr HOST:PORT] [--data-dir DIR] [--queue N] \
-         [--finality N] [--ingest-threads N] [--hot-capacity N]\n\
+         [--finality N] [--hot-capacity N]\n\
          \n\
          --addr           listen address (default 127.0.0.1:7341)\n\
          --data-dir       durable tier root; omit for an in-memory ledger\n\
          --queue          ingest queue bound before 429s (default 64)\n\
          --finality       finality checkpoint depth (default 16)\n\
-         --ingest-threads stateless-validation workers (default 4)\n\
          --hot-capacity   hot block-cache capacity (default 1024)"
     );
     std::process::exit(2);
@@ -103,7 +102,6 @@ fn main() -> ExitCode {
             "--data-dir" => config.data_dir = Some(PathBuf::from(value(&mut args))),
             "--queue" => config.queue_capacity = parse(&value(&mut args)),
             "--finality" => config.finality_depth = parse(&value(&mut args)),
-            "--ingest-threads" => config.ingest_threads = parse(&value(&mut args)),
             "--hot-capacity" => config.hot_capacity = parse(&value(&mut args)),
             "--help" | "-h" => usage(),
             _ => usage(),

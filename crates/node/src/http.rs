@@ -1,25 +1,29 @@
-//! A minimal HTTP/1.1 server-side codec over [`std::net::TcpStream`].
+//! A minimal HTTP/1.1 server-side codec over any byte stream (the node
+//! passes a [`std::net::TcpStream`]).
 //!
 //! The workspace has no registry access, so there is no axum/hyper/tokio —
-//! this module hand-rolls exactly the subset the node needs, in the same
-//! spirit as [`blockprov_ledger::ValidationPool`] hand-rolls its thread
-//! pool: blocking reads on a per-connection thread, persistent connections
-//! by default (HTTP/1.1 keep-alive), `Content-Length`-framed bodies, and
-//! nothing else (no chunked transfer, no TLS, no compression).
+//! this module hand-rolls exactly the subset the node needs: blocking
+//! reads on a per-connection thread, persistent connections by default
+//! (HTTP/1.1 keep-alive), `Content-Length`-framed bodies, and nothing else
+//! (no chunked transfer, no TLS, no compression). A response goes out in
+//! one `write`, and no allocation is sized by a length the client claims.
 //!
 //! [`read_request`] returns `Ok(None)` on a clean end-of-stream so
 //! connection loops can distinguish "client hung up between requests" from
 //! a malformed request (an `Err`), which the caller answers with `400` and
 //! a close.
 
-use std::io::{self, BufRead, BufReader, Read, Write};
-use std::net::TcpStream;
+use std::io::{self, BufRead, Read, Write};
 
 /// Largest accepted request head (request line + headers).
 const MAX_HEAD_BYTES: usize = 16 * 1024;
 
 /// Largest accepted request body (one ingest batch of blocks).
 pub const MAX_BODY_BYTES: usize = 64 * 1024 * 1024;
+
+/// Most body memory reserved before any of the body arrives: a larger
+/// body grows its buffer as its bytes come in.
+const BODY_RESERVE_BYTES: usize = 64 * 1024;
 
 /// One parsed request.
 #[derive(Debug)]
@@ -58,7 +62,7 @@ impl Request {
 /// `Ok(None)` means the peer closed the connection cleanly before sending
 /// another request; `Err` means the bytes on the wire were not a request
 /// this codec accepts (answer 400 and close).
-pub fn read_request(reader: &mut BufReader<TcpStream>) -> io::Result<Option<Request>> {
+pub fn read_request(reader: &mut impl BufRead) -> io::Result<Option<Request>> {
     let mut line = String::new();
     if reader.read_line(&mut line)? == 0 {
         return Ok(None); // clean EOF between requests
@@ -100,8 +104,14 @@ pub fn read_request(reader: &mut BufReader<TcpStream>) -> io::Result<Option<Requ
     if content_length > MAX_BODY_BYTES {
         return Err(bad("body too large"));
     }
-    let mut body = vec![0u8; content_length];
-    reader.read_exact(&mut body)?;
+    let mut body = Vec::with_capacity(content_length.min(BODY_RESERVE_BYTES));
+    reader.take(content_length as u64).read_to_end(&mut body)?;
+    if body.len() < content_length {
+        return Err(io::Error::new(
+            io::ErrorKind::UnexpectedEof,
+            "eof inside body",
+        ));
+    }
 
     Ok(Some(Request {
         method,
@@ -167,24 +177,24 @@ fn reason(status: u16) -> &'static str {
 }
 
 /// Serialize a response onto the stream (keep-alive framing via
-/// `Content-Length`; the caller decides whether to close).
-pub fn write_response(stream: &mut TcpStream, resp: &Response) -> io::Result<()> {
-    let mut head = format!(
+/// `Content-Length`; the caller decides whether to close). Head and body
+/// are gathered into one buffer and handed over in a single `write_all`.
+pub fn write_response(stream: &mut impl Write, resp: &Response) -> io::Result<()> {
+    let mut out = Vec::with_capacity(128 + resp.body.len());
+    write!(
+        out,
         "HTTP/1.1 {} {}\r\ncontent-type: {}\r\ncontent-length: {}\r\n",
         resp.status,
         reason(resp.status),
         resp.content_type,
         resp.body.len()
-    );
+    )?;
     for (name, value) in &resp.extra {
-        head.push_str(name);
-        head.push_str(": ");
-        head.push_str(value);
-        head.push_str("\r\n");
+        write!(out, "{name}: {value}\r\n")?;
     }
-    head.push_str("\r\n");
-    stream.write_all(head.as_bytes())?;
-    stream.write_all(&resp.body)?;
+    out.extend_from_slice(b"\r\n");
+    out.extend_from_slice(&resp.body);
+    stream.write_all(&out)?;
     stream.flush()
 }
 
@@ -231,6 +241,67 @@ fn bad(msg: &str) -> io::Error {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// A sink that records every `write` call it receives.
+    #[derive(Default)]
+    struct CountingSink {
+        writes: usize,
+        bytes: Vec<u8>,
+    }
+
+    impl Write for CountingSink {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.writes += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn response_goes_out_in_one_write() {
+        let resp =
+            Response::json(429, "{\"busy\":true}".into()).with_header("retry-after", "1".into());
+        let mut sink = CountingSink::default();
+        write_response(&mut sink, &resp).expect("write to sink");
+        assert_eq!(sink.writes, 1);
+        let head = "HTTP/1.1 429 Too Many Requests\r\ncontent-type: application/json\r\n\
+                    content-length: 13\r\nretry-after: 1\r\n\r\n";
+        assert_eq!(sink.bytes, [head.as_bytes(), &resp.body].concat());
+    }
+
+    #[test]
+    fn request_body_round_trips() {
+        let wire =
+            b"POST /blocks?x=1 HTTP/1.1\r\nContent-Length: 5\r\nConnection: close\r\n\r\nhelloGET";
+        let mut reader = &wire[..];
+        let req = read_request(&mut reader)
+            .expect("well-formed request")
+            .expect("not eof");
+        assert_eq!(req.method, "POST");
+        assert_eq!(req.path, "/blocks");
+        assert_eq!(req.body, b"hello");
+        assert!(req.wants_close());
+        assert_eq!(reader, b"GET", "the next request's bytes stay unread");
+    }
+
+    #[test]
+    fn short_body_errors_whatever_length_it_claims() {
+        let wire =
+            format!("POST /blocks HTTP/1.1\r\ncontent-length: {MAX_BODY_BYTES}\r\n\r\n0123456789");
+        let err = read_request(&mut wire.as_bytes()).expect_err("10 of 64 MiB sent");
+        assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof);
+
+        let wire = format!(
+            "POST /blocks HTTP/1.1\r\ncontent-length: {}\r\n\r\n",
+            MAX_BODY_BYTES + 1
+        );
+        let err = read_request(&mut wire.as_bytes()).expect_err("over the cap");
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+    }
 
     #[test]
     fn percent_decoding() {

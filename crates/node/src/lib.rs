@@ -27,8 +27,7 @@
 //!
 //! There is no web framework in the workspace (no registry access), so
 //! [`http`] hand-rolls the HTTP/1.1 subset the node needs over
-//! [`std::net`] threads, the same way the ledger hand-rolls its
-//! validation pool. [`server`] holds the threading model: exactly one
+//! [`std::net`] threads. [`server`] holds the threading model: exactly one
 //! writer thread owns the log, every read is answered from a cloneable
 //! [`blockprov_provenance::LedgerReader`] pinned view, and the two meet
 //! only at a bounded ingest queue. [`json`] is the tiny response

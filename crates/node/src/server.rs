@@ -69,8 +69,6 @@ pub struct NodeConfig {
     pub data_dir: Option<PathBuf>,
     /// Finality depth (PR 6 checkpoint cadence).
     pub finality_depth: u64,
-    /// Stateless-validation worker threads inside the chain.
-    pub ingest_threads: usize,
     /// Ingest queue bound: batches that may wait for the writer before
     /// handlers start answering `429`.
     pub queue_capacity: usize,
@@ -83,7 +81,6 @@ impl Default for NodeConfig {
         Self {
             data_dir: None,
             finality_depth: 16,
-            ingest_threads: 4,
             queue_capacity: 64,
             hot_capacity: 1024,
         }
@@ -131,7 +128,6 @@ impl Node {
         // blocks (block size, timestamp tolerance, signature policy).
         let chain_config = LedgerConfig::private_default()
             .with_finality(config.finality_depth)
-            .with_ingest_threads(config.ingest_threads)
             .chain_config();
 
         let metrics = Arc::new(NodeMetrics::new());

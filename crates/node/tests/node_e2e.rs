@@ -145,7 +145,6 @@ fn node_agrees_with_direct_ledger_oracle_and_fast_starts() {
     let config = NodeConfig {
         data_dir: Some(dir.clone()),
         finality_depth: FINALITY,
-        ingest_threads: 2,
         queue_capacity: 8,
         hot_capacity: 64,
     };
@@ -158,11 +157,8 @@ fn node_agrees_with_direct_ledger_oracle_and_fast_starts() {
     assert_eq!(json_u64(&tip_body, "height"), Some(0));
     let (genesis_hash, genesis_ts) = genesis_info(&addr);
 
-    let mut oracle = ProvenanceLedger::open(
-        LedgerConfig::private_default()
-            .with_finality(FINALITY)
-            .with_ingest_threads(1),
-    );
+    let mut oracle =
+        ProvenanceLedger::open(LedgerConfig::private_default().with_finality(FINALITY));
     let oracle_reader = oracle.reader();
     assert_eq!(
         oracle_reader.tip().0,
@@ -384,7 +380,6 @@ fn backpressure_surfaces_as_429_with_retry_after() {
     let config = NodeConfig {
         data_dir: None,
         finality_depth: 4,
-        ingest_threads: 1,
         queue_capacity: 0,
         hot_capacity: 16,
     };

@@ -3,13 +3,12 @@
 #
 # Runs the tier-1 command from ROADMAP.md (release build + every suite in
 # the workspace: the root manifest's `default-members` covers it), gates the
-# whole workspace on clippy (warnings are errors) and the ledger crate on
-# rustfmt, smoke-runs the repo benchmark (benchmarks/run.sh --smoke: the
-# real node on every BENCHMARK.json workload, every answer oracle-checked),
-# builds the API docs with warnings as errors, re-runs the ingest-pipeline
-# equivalence property on both the inline and the pooled validation paths
-# and the crypto crate's tests under --release, and compiles every
-# criterion bench target so a bench-only breakage cannot slip past review.
+# whole workspace on clippy (warnings are errors) and the ledger, node and
+# core crates on rustfmt, smoke-runs the repo benchmark (benchmarks/run.sh
+# --smoke: the real node on every BENCHMARK.json workload, every answer
+# oracle-checked), builds the API docs with warnings as errors, re-runs the
+# crypto crate's tests under --release, and compiles every criterion bench
+# target so a bench-only breakage cannot slip past review.
 # Performance numbers come from benchmarks/ alone; nothing here writes a
 # tracked file.
 #
@@ -44,11 +43,11 @@ echo "== workspace lint: cargo clippy --workspace (warnings are errors) =="
 # deny-level lint in proptest's own tests.
 cargo clippy --workspace --exclude proptest --exclude criterion --all-targets --no-deps -- -D warnings
 
-echo "== ledger format: cargo fmt -p blockprov-ledger -- --check =="
-# The storage crate carries the tamper-evidence substrate; its formatting
-# is gated so drift cannot pile up there. The other crates' rustfmt drift
-# is not gated yet.
-cargo fmt -p blockprov-ledger -- --check
+echo "== format: cargo fmt -p blockprov-ledger -p blockprov-node -p blockprov-core -- --check =="
+# The storage crate, the node that serves it and the framework crate
+# between them are gated so drift cannot pile up there. The other crates'
+# rustfmt drift is not gated yet.
+cargo fmt -p blockprov-ledger -p blockprov-node -p blockprov-core -- --check
 
 echo "== repo benchmark smoke: bash benchmarks/run.sh --smoke =="
 # Builds the release node and the benchmark harness, runs all four
@@ -63,12 +62,6 @@ echo "== docs: cargo doc --no-deps (warnings are errors) =="
 # broken intra-doc link or malformed doc comment is a CI failure, not a
 # nightly surprise.
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --quiet
-
-echo "== ingest pipeline equivalence: INGEST_THREADS=1 (inline commit path) =="
-INGEST_THREADS=1 cargo test -q -p blockprov-ledger --test ingest_equiv
-
-echo "== ingest pipeline equivalence: INGEST_THREADS=4 (pooled stateless stage) =="
-INGEST_THREADS=4 cargo test -q -p blockprov-ledger --test ingest_equiv
 
 echo "== blockprov-crypto unit tests, --release =="
 # The #[target_feature] kernel inlines and schedules differently under
