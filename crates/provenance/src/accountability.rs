@@ -272,7 +272,9 @@ impl AccountabilityLedger {
                 continue;
             }
             if p.consent_withdrawn {
-                due.push(Obligation::EraseWithdrawn { data_key: key.clone() });
+                due.push(Obligation::EraseWithdrawn {
+                    data_key: key.clone(),
+                });
             } else if self.day > p.retention_until_day {
                 due.push(Obligation::EraseExpired {
                     data_key: key.clone(),
@@ -386,7 +388,11 @@ mod tests {
         let mut l = ledger_with_policy();
         let v = l.record_usage("ehr/alice/visit-1", "dr-bob", "marketing");
         assert_eq!(v, Verdict::Violation(Violation::PurposeMismatch));
-        assert_eq!(l.violations().len(), 1, "violations are evidence, not dropped");
+        assert_eq!(
+            l.violations().len(),
+            1,
+            "violations are evidence, not dropped"
+        );
     }
 
     #[test]
@@ -407,7 +413,10 @@ mod tests {
     #[test]
     fn consent_withdrawal_blocks_future_use() {
         let mut l = ledger_with_policy();
-        assert_eq!(l.record_usage("ehr/alice/visit-1", "dr-bob", "treatment"), Verdict::Compliant);
+        assert_eq!(
+            l.record_usage("ehr/alice/visit-1", "dr-bob", "treatment"),
+            Verdict::Compliant
+        );
         l.withdraw_consent("ehr/alice/visit-1").unwrap();
         assert_eq!(
             l.record_usage("ehr/alice/visit-1", "dr-bob", "treatment"),
@@ -461,15 +470,24 @@ mod tests {
         l.withdraw_consent("ehr/alice/visit-1").unwrap();
         assert_eq!(
             l.due_obligations(),
-            vec![Obligation::EraseWithdrawn { data_key: "ehr/alice/visit-1".into() }]
+            vec![Obligation::EraseWithdrawn {
+                data_key: "ehr/alice/visit-1".into()
+            }]
         );
     }
 
     #[test]
     fn subject_report_covers_only_their_data() {
         let mut l = ledger_with_policy();
-        l.declare_policy("ehr/bob/visit-9", "bob", "clinic", &["treatment"], &["dr-bob"], 30)
-            .unwrap();
+        l.declare_policy(
+            "ehr/bob/visit-9",
+            "bob",
+            "clinic",
+            &["treatment"],
+            &["dr-bob"],
+            30,
+        )
+        .unwrap();
         l.record_usage("ehr/alice/visit-1", "dr-bob", "treatment");
         l.record_usage("ehr/bob/visit-9", "dr-bob", "treatment");
         l.record_usage("ehr/alice/visit-1", "billing-svc", "billing");

@@ -573,7 +573,12 @@ mod tests {
 
     /// `n` chained single-record blocks about `subject` on the log's tip.
     fn record_blocks(log: &ProvenanceLog, subject: &str, n: usize) -> Vec<Block> {
-        branch(log.chain.tip(), log.chain.height() + 1, &vec![subject; n], 0)
+        branch(
+            log.chain.tip(),
+            log.chain.height() + 1,
+            &vec![subject; n],
+            0,
+        )
     }
 
     /// Chained blocks from `prev` (at `height - 1`), one record per block
@@ -627,10 +632,7 @@ mod tests {
     }
 
     fn temp_dir(tag: &str) -> std::path::PathBuf {
-        let dir = std::env::temp_dir().join(format!(
-            "blockprov-log-{tag}-{}",
-            std::process::id()
-        ));
+        let dir = std::env::temp_dir().join(format!("blockprov-log-{tag}-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         dir
     }
@@ -714,7 +716,10 @@ mod tests {
         let (reopened, oracle) = (reopened.reader(), log_of(&canonical).reader());
         assert_eq!(reopened.postings_len(), oracle.postings_len());
         for subject in ["a", "b", "c", "y", "z", "unknown"] {
-            let (got, want) = (reopened.provenance_of(subject), oracle.provenance_of(subject));
+            let (got, want) = (
+                reopened.provenance_of(subject),
+                oracle.provenance_of(subject),
+            );
             assert_eq!(got.records, want.records, "{subject}");
             assert_eq!(got.candidates, want.candidates, "{subject}");
         }
@@ -749,7 +754,9 @@ mod tests {
         // The fast-start replay reads no frame that far below the
         // checkpoint; the postings pass decodes every one.
         let (chain, _) = replay(&dir).unwrap();
-        let err = ProvenanceLog::new(chain).err().expect("the reopen must fail");
+        let err = ProvenanceLog::new(chain)
+            .err()
+            .expect("the reopen must fail");
         assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
         std::fs::remove_dir_all(&dir).unwrap();
     }

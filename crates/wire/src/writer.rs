@@ -288,7 +288,9 @@ mod tests {
         let mut cursor = std::io::Cursor::new(batched);
         for f in &frames {
             assert_eq!(
-                crate::frame::read_frame_from(&mut cursor).unwrap().as_deref(),
+                crate::frame::read_frame_from(&mut cursor)
+                    .unwrap()
+                    .as_deref(),
                 Some(f.as_slice())
             );
         }
