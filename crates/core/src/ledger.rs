@@ -294,9 +294,9 @@ impl ProvenanceLedger {
     /// never block the sealing/ingest path and never observe torn commit
     /// state. While at least one handle is alive the chain re-publishes a
     /// snapshot at every commit point; queries then lag live state by at
-    /// most one commit. This is the chain-level view — id/author/kind
-    /// lookups, height/hash resolution, block fetch and Merkle inclusion
-    /// proofs — plus the per-subject audit
+    /// most one commit. This is the chain-level view, pinned through
+    /// [`LedgerReader::view`] — id/kind lookups, height/hash resolution,
+    /// block fetch and Merkle inclusion proofs — plus the per-subject audit
     /// ([`LedgerReader::provenance_of`]), which answers as of the last
     /// batch this ledger finished absorbing. The provenance graph (DAG
     /// edges, invalidation) is not covered.
@@ -1023,11 +1023,12 @@ mod tests {
             l.seal_block().unwrap();
         }
         poller.join().unwrap();
-        assert_eq!(reader.height(), l.chain().height());
-        assert_eq!(reader.tip(), l.chain().tip());
-        assert_eq!(reader.provenance_txs().len(), 13);
-        let some_id = reader.provenance_txs()[4];
-        let proof = reader.prove_tx(&some_id).expect("proof through reader");
+        let view = reader.view();
+        assert_eq!(view.height(), l.chain().height());
+        assert_eq!(view.tip(), l.chain().tip());
+        assert_eq!(view.txs_by_kind(txkind::PROVENANCE).len(), 13);
+        let some_id = view.txs_by_kind(txkind::PROVENANCE)[4];
+        let proof = view.prove_tx(&some_id).expect("proof through reader");
         assert!(proof.verify());
     }
 

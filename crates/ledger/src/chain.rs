@@ -390,38 +390,46 @@ struct BlockUndo {
 /// When the chain runs with a [`TxIndex`], this mutable tier covers only the
 /// *non-finalized suffix*: finality spills a block's entries to the durable
 /// index and pops them here, so resident entries stay O(finality window)
-/// over unbounded history. Author/kind lists are deques because absorb
-/// appends at the back, reorg undo pops from the back, and finality spill
-/// pops from the front.
+/// over unbounded history. Kind lists are deques because absorb appends at
+/// the back, reorg undo pops from the back, and finality spill pops from
+/// the front.
+///
+/// This is what every published [`ChainSnapshot`] clones. The per-author
+/// `next_nonce` map that absorb and undo also maintain is writer-only and
+/// lives on [`Chain`], beside the nonce floors.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 struct ChainIndex {
     tx_loc: HashMap<TxId, (BlockHash, u32)>,
-    by_author: HashMap<AccountId, VecDeque<TxId>>,
     by_kind: HashMap<u16, VecDeque<TxId>>,
-    next_nonce: HashMap<AccountId, u64>,
 }
 
 impl ChainIndex {
-    /// Index a block that just became canonical; returns the undo record
-    /// that exactly reverses this call.
-    fn absorb(&mut self, block: &Block) -> BlockUndo {
+    /// Index a block that just became canonical, raising its authors'
+    /// entries in `next_nonce`; returns the undo record that exactly
+    /// reverses this call.
+    fn absorb(&mut self, block: &Block, next_nonce: &mut HashMap<AccountId, u64>) -> BlockUndo {
         let hash = block.hash();
         let tx_ids: Vec<TxId> = block.txs.iter().map(Transaction::id).collect();
-        self.absorb_with(block, hash, &tx_ids)
+        self.absorb_with(block, hash, &tx_ids, next_nonce)
     }
 
     /// [`ChainIndex::absorb`] with the hash and transaction ids already
     /// derived — the batched ingest path hands these in from the parallel
     /// stateless stage so the serialized commit never re-hashes.
-    fn absorb_with(&mut self, block: &Block, hash: BlockHash, tx_ids: &[TxId]) -> BlockUndo {
+    fn absorb_with(
+        &mut self,
+        block: &Block,
+        hash: BlockHash,
+        tx_ids: &[TxId],
+        next_nonce: &mut HashMap<AccountId, u64>,
+    ) -> BlockUndo {
         let mut undo = Vec::with_capacity(block.txs.len());
         for (i, tx) in block.txs.iter().enumerate() {
             let id = tx_ids[i];
             let prev_loc = self.tx_loc.insert(id, (hash, i as u32));
-            self.by_author.entry(tx.author).or_default().push_back(id);
             self.by_kind.entry(tx.kind).or_default().push_back(id);
-            let prev_nonce = self.next_nonce.get(&tx.author).copied();
-            let next = self.next_nonce.entry(tx.author).or_insert(0);
+            let prev_nonce = next_nonce.get(&tx.author).copied();
+            let next = next_nonce.entry(tx.author).or_insert(0);
             *next = (*next).max(tx.nonce + 1);
             undo.push(TxUndo {
                 id,
@@ -437,8 +445,8 @@ impl ChainIndex {
 
     /// Reverse one [`ChainIndex::absorb`]. Must be applied in reverse
     /// canonical order (newest un-absorbed first), which makes each
-    /// transaction the current tail of its author/kind lists.
-    fn unabsorb(&mut self, undo: BlockUndo) {
+    /// transaction the current tail of its kind list.
+    fn unabsorb(&mut self, undo: BlockUndo, next_nonce: &mut HashMap<AccountId, u64>) {
         for u in undo.txs.into_iter().rev() {
             match u.prev_loc {
                 Some(loc) => {
@@ -446,13 +454,6 @@ impl ChainIndex {
                 }
                 None => {
                     self.tx_loc.remove(&u.id);
-                }
-            }
-            if let Some(list) = self.by_author.get_mut(&u.author) {
-                debug_assert_eq!(list.back(), Some(&u.id), "undo out of order");
-                list.pop_back();
-                if list.is_empty() {
-                    self.by_author.remove(&u.author);
                 }
             }
             if let Some(list) = self.by_kind.get_mut(&u.kind) {
@@ -464,10 +465,10 @@ impl ChainIndex {
             }
             match u.prev_nonce {
                 Some(n) => {
-                    self.next_nonce.insert(u.author, n);
+                    next_nonce.insert(u.author, n);
                 }
                 None => {
-                    self.next_nonce.remove(&u.author);
+                    next_nonce.remove(&u.author);
                 }
             }
         }
@@ -476,26 +477,13 @@ impl ChainIndex {
     /// Drop one *finalized* block's entries from the mutable tier after they
     /// were flushed to the durable [`TxIndex`]. Spilling runs in canonical
     /// order (oldest block first), so each transaction is the current front
-    /// of its author/kind deques.
-    ///
-    /// An author whose last suffix transaction just spilled also loses
-    /// their mutable `next_nonce` entry: the chain's nonce floor was raised
-    /// by this block's transactions and covers every finalized transaction,
-    /// so for an author with no suffix transactions left the floor is at
-    /// least the mutable value.
+    /// of its kind deque.
     fn spill(&mut self, hash: BlockHash, undo: &BlockUndo) {
         for (i, u) in undo.txs.iter().enumerate() {
             // A later canonical block may have re-sealed the same id and
             // overwritten `tx_loc`; only remove the entry this block owns.
             if self.tx_loc.get(&u.id) == Some(&(hash, i as u32)) {
                 self.tx_loc.remove(&u.id);
-            }
-            if let Some(list) = self.by_author.get_mut(&u.author) {
-                debug_assert_eq!(list.front(), Some(&u.id), "spill out of order");
-                list.pop_front();
-                if list.is_empty() {
-                    self.by_author.remove(&u.author);
-                }
             }
             if let Some(list) = self.by_kind.get_mut(&u.kind) {
                 debug_assert_eq!(list.front(), Some(&u.id), "spill out of order");
@@ -505,16 +493,11 @@ impl ChainIndex {
                 }
             }
         }
-        for u in &undo.txs {
-            if !self.by_author.contains_key(&u.author) {
-                self.next_nonce.remove(&u.author);
-            }
-        }
     }
 
-    /// Occurrence count across the author lists (one per canonical tx).
+    /// Occurrence count across the kind lists (one per canonical tx).
     fn resident_entries(&self) -> usize {
-        self.by_author.values().map(VecDeque::len).sum()
+        self.by_kind.values().map(VecDeque::len).sum()
     }
 }
 
@@ -639,9 +622,8 @@ impl fmt::Debug for ChainReadShared {
 /// snapshots. Obtained from [`Chain::reader`]; cloning and dropping handles
 /// maintains the reader census that gates the writer's publish work.
 ///
-/// Each convenience method pins one fresh snapshot; use [`ChainReader::view`]
-/// to pin a snapshot across *several* queries that must agree with each
-/// other.
+/// Every query goes through [`ChainReader::view`], which pins one snapshot:
+/// pin one per request, and its answers agree with each other.
 #[derive(Debug)]
 pub struct ChainReader {
     shared: Arc<ChainReadShared>,
@@ -669,66 +651,6 @@ impl ChainReader {
             snap: self.shared.snapshot.load(),
             shared: Arc::clone(&self.shared),
         }
-    }
-
-    /// Current published tip hash.
-    pub fn tip(&self) -> BlockHash {
-        self.view().tip()
-    }
-
-    /// Current published tip height.
-    pub fn height(&self) -> u64 {
-        self.view().height()
-    }
-
-    /// Current published finality checkpoint height.
-    pub fn finalized_height(&self) -> u64 {
-        self.view().finalized_height()
-    }
-
-    /// Canonical block hash at `height` in the latest published view.
-    pub fn hash_at(&self, height: u64) -> Option<BlockHash> {
-        self.view().hash_at(height)
-    }
-
-    /// Fetch any stored block (requires a store with a concurrent reader).
-    pub fn block(&self, hash: &BlockHash) -> Option<Arc<Block>> {
-        self.view().block(hash)
-    }
-
-    /// Fetch the canonical block at `height`.
-    pub fn block_at(&self, height: u64) -> Option<Arc<Block>> {
-        self.view().block_at(height)
-    }
-
-    /// Locate a canonical transaction: `(containing block hash, position)`.
-    pub fn tx_by_id(&self, id: &TxId) -> Option<(BlockHash, u32)> {
-        self.view().tx_by_id(id)
-    }
-
-    /// Fetch a canonical transaction by id.
-    pub fn get_tx(&self, id: &TxId) -> Option<Transaction> {
-        self.view().get_tx(id)
-    }
-
-    /// All canonical transaction ids by author, oldest first.
-    pub fn txs_by_author(&self, author: &AccountId) -> Vec<TxId> {
-        self.view().txs_by_author(author)
-    }
-
-    /// All canonical transaction ids with the given kind tag, oldest first.
-    pub fn txs_by_kind(&self, kind: u16) -> Vec<TxId> {
-        self.view().txs_by_kind(kind)
-    }
-
-    /// Produce a self-contained inclusion proof for a canonical transaction.
-    pub fn prove_tx(&self, id: &TxId) -> Option<TxInclusionProof> {
-        self.view().prove_tx(id)
-    }
-
-    /// Whether `hash` lies on the canonical chain of the latest snapshot.
-    pub fn is_canonical(&self, hash: &BlockHash) -> bool {
-        self.view().is_canonical(hash)
     }
 }
 
@@ -833,27 +755,9 @@ impl ChainView {
         block.txs.get(pos as usize).cloned()
     }
 
-    /// All canonical transaction ids by author, oldest first: durable
-    /// entries capped at the snapshot's checkpoint, then the snapshot's
-    /// suffix list.
-    pub fn txs_by_author(&self, author: &AccountId) -> Vec<TxId> {
-        let mut out = match &self.shared.tx_index {
-            Some(ix) => ix
-                .entries_by_author(author, self.snap.finalized_height)
-                .map(|es| es.into_iter().map(|e| e.id).collect())
-                .unwrap_or_else(|e| {
-                    eprintln!("ledger: reader author sweep failed: {e}");
-                    Vec::new()
-                }),
-            None => Vec::new(),
-        };
-        if let Some(list) = self.snap.index.by_author.get(author) {
-            out.extend(list.iter().copied());
-        }
-        out
-    }
-
-    /// All canonical transaction ids with the given kind tag, oldest first.
+    /// All canonical transaction ids with the given kind tag, oldest first:
+    /// durable entries capped at the snapshot's checkpoint, then the
+    /// snapshot's suffix list.
     pub fn txs_by_kind(&self, kind: u16) -> Vec<TxId> {
         let mut out = match &self.shared.tx_index {
             Some(ix) => ix
@@ -942,11 +846,16 @@ pub struct Chain {
     /// advances since the last [`Chain::flush_commits`], appended to the
     /// [`TxIndex`] in one call per batch instead of one per advance.
     staged_spill: Vec<IndexEntry>,
+    /// Mutable per-author next nonce, raised by absorb and restored by
+    /// reorg undo. With a durable index attached, finality drops an entry
+    /// once the author's nonce floor covers it, so it holds suffix authors
+    /// only. Writer-side only, like the floors.
+    next_nonce: HashMap<AccountId, u64>,
     /// Nonce floors: `author → next nonce` over every finalized
     /// transaction, raised (max wins) as blocks finalize. Consulted by
     /// [`Chain::next_nonce_for`] because the resident nonce entry is pruned
-    /// the moment its author finalizes out of the suffix. Writer-side only
-    /// — never cloned into a [`ChainSnapshot`] — and carried whole in every
+    /// once the floor covers it. Writer-side only — never cloned into a
+    /// [`ChainSnapshot`] — and carried whole in every
     /// [`CheckpointSnapshot`], so a fast-start resumes from it.
     nonce_floors: HashMap<AccountId, u64>,
 }
@@ -1023,7 +932,8 @@ impl Chain {
             },
         );
         let mut index = ChainIndex::default();
-        index.absorb(&arc);
+        let mut next_nonce = HashMap::new();
+        index.absorb(&arc, &mut next_nonce);
         let mut at_height = HashMap::new();
         at_height.insert(0u64, vec![genesis]);
         if let Some(meta_store) = &mut meta_tier {
@@ -1077,6 +987,7 @@ impl Chain {
             appended: 0,
             read_shared,
             staged_spill: Vec::new(),
+            next_nonce,
             nonce_floors: HashMap::new(),
         }
     }
@@ -1319,6 +1230,7 @@ impl Chain {
             appended: 0,
             read_shared,
             staged_spill: Vec::new(),
+            next_nonce: HashMap::new(),
             nonce_floors: snap
                 .nonce_floors
                 .iter()
@@ -1392,7 +1304,6 @@ impl Chain {
             })?;
             entries.extend(block.txs.iter().enumerate().map(|(pos, tx)| IndexEntry {
                 id: tx.id(),
-                author: tx.author,
                 kind: tx.kind,
                 block: hash,
                 height: h,
@@ -1547,7 +1458,7 @@ impl Chain {
     /// advance) cover finalized history. The maximum of the two is the
     /// full-history value.
     pub fn next_nonce_for(&self, author: &AccountId) -> u64 {
-        let mutable = self.index.next_nonce.get(author).copied().unwrap_or(0);
+        let mutable = self.next_nonce.get(author).copied().unwrap_or(0);
         let floor = self.nonce_floors.get(author).copied().unwrap_or(0);
         mutable.max(floor)
     }
@@ -1586,30 +1497,12 @@ impl Chain {
         block.txs.get(pos as usize).cloned()
     }
 
-    /// All canonical transaction ids by author, oldest first.
+    /// All canonical transaction ids with the given kind tag, oldest first.
     ///
     /// Owned result: finalized ids come from the durable index tier,
     /// suffix ids from the mutable one, merged in canonical order. An
     /// unreadable durable index reads as an empty finalized tier; see
-    /// [`Chain::try_txs_by_author`] for the error-surfacing variant.
-    pub fn txs_by_author(&self, author: &AccountId) -> Vec<TxId> {
-        self.try_txs_by_author(author).unwrap_or_default()
-    }
-
-    /// [`Chain::txs_by_author`], surfacing durable-index read errors.
-    pub fn try_txs_by_author(&self, author: &AccountId) -> std::io::Result<Vec<TxId>> {
-        let mut out = match &self.tx_index {
-            Some(ix) => ix.txs_by_author(author)?,
-            None => Vec::new(),
-        };
-        if let Some(list) = self.index.by_author.get(author) {
-            out.extend(list.iter().copied());
-        }
-        Ok(out)
-    }
-
-    /// All canonical transaction ids with the given kind tag, oldest first.
-    /// Owned, two-tier merged — see [`Chain::txs_by_author`].
+    /// [`Chain::try_txs_by_kind`] for the error-surfacing variant.
     pub fn txs_by_kind(&self, kind: u16) -> Vec<TxId> {
         self.try_txs_by_kind(kind).unwrap_or_default()
     }
@@ -1716,7 +1609,7 @@ impl Chain {
         ResidentMetadata {
             meta: self.meta.len(),
             canonical: self.canonical.len(),
-            next_nonce: self.index.next_nonce.len(),
+            next_nonce: self.next_nonce.len(),
             nonce_floor: self.nonce_floors.len(),
             undo: self.undo.len(),
             at_height: self.at_height.values().map(Vec::len).sum(),
@@ -2046,7 +1939,9 @@ impl Chain {
             // Fast path: extend canonical chain incrementally.
             self.tip = hash;
             self.canonical.push_back(hash);
-            let undo = self.index.absorb_with(&arc, hash, &tx_ids);
+            let undo = self
+                .index
+                .absorb_with(&arc, hash, &tx_ids, &mut self.next_nonce);
             self.undo.insert(hash, undo);
             self.advance_finality();
             Ok(AppendOutcome {
@@ -2094,11 +1989,11 @@ impl Chain {
                 .undo
                 .remove(&old)
                 .expect("non-finalized canonical block has an undo record");
-            self.index.unabsorb(undo);
+            self.index.unabsorb(undo, &mut self.next_nonce);
         }
         for hash in branch.iter().rev() {
             let block = self.store.get(hash).expect("branch block stored");
-            let undo = self.index.absorb(&block);
+            let undo = self.index.absorb(&block, &mut self.next_nonce);
             self.undo.insert(*hash, undo);
             self.canonical.push_back(*hash);
         }
@@ -2136,14 +2031,20 @@ impl Chain {
                 .suffix_hash(h)
                 .expect("suffix covers finalizing heights");
             if let Some(undo) = self.undo.remove(&canon) {
+                let spilling = self.tx_index.is_some();
                 for u in &undo.txs {
                     let floor = self.nonce_floors.entry(u.author).or_insert(0);
                     *floor = (*floor).max(u.nonce + 1);
+                    // With the durable tier attached the mutable nonce map
+                    // keeps an author only while it says more than the
+                    // raised floor, so it holds suffix authors alone.
+                    if spilling && self.next_nonce.get(&u.author).is_some_and(|&n| n <= *floor) {
+                        self.next_nonce.remove(&u.author);
+                    }
                 }
-                if self.tx_index.is_some() {
+                if spilling {
                     spill.extend(undo.txs.iter().enumerate().map(|(i, u)| IndexEntry {
                         id: u.id,
-                        author: u.author,
                         kind: u.kind,
                         block: canon,
                         height: h,
@@ -2312,34 +2213,33 @@ impl Chain {
     /// rebuild, entry by entry.
     pub fn index_consistent(&self) -> bool {
         let mut rebuilt = ChainIndex::default();
+        let mut rebuilt_nonces = HashMap::new();
         for h in 0..=self.height() {
             let block = match self.hash_at(h).and_then(|hash| self.store.get(&hash)) {
                 Some(b) => b,
                 None => return false,
             };
-            rebuilt.absorb(&block);
+            rebuilt.absorb(&block, &mut rebuilt_nonces);
         }
         if self.tx_index.is_none() && self.meta_tier.is_none() {
-            return rebuilt == self.index;
+            return rebuilt == self.index && rebuilt_nonces == self.next_nonce;
         }
         // Nonces: the merged two-tier view must equal the full-history
         // rebuild, and neither resident tier may exceed it (no phantoms).
-        for (author, expect) in &rebuilt.next_nonce {
+        for (author, expect) in &rebuilt_nonces {
             if self.next_nonce_for(author) != *expect {
                 return false;
             }
         }
-        for (author, n) in &self.index.next_nonce {
-            if rebuilt.next_nonce.get(author).is_none_or(|r| r < n) {
+        for (author, n) in &self.next_nonce {
+            if rebuilt_nonces.get(author).is_none_or(|r| r < n) {
                 return false;
             }
         }
         if self.tx_index.is_none() {
             // Metadata tier only: the mutable tx indexes still cover all of
             // history and must match the rebuild structurally.
-            return rebuilt.tx_loc == self.index.tx_loc
-                && rebuilt.by_author == self.index.by_author
-                && rebuilt.by_kind == self.index.by_kind;
+            return rebuilt == self.index;
         }
         // Every canonical location resolves through the merged lookup, and
         // the mutable tier holds no phantom entries.
@@ -2353,18 +2253,8 @@ impl Chain {
                 return false;
             }
         }
-        // Secondary lists match the rebuild in full, including order; the
-        // merged result must also cover no extra authors/kinds.
-        for (author, list) in &rebuilt.by_author {
-            if self.txs_by_author(author).iter().ne(list.iter()) {
-                return false;
-            }
-        }
-        for author in self.index.by_author.keys() {
-            if !rebuilt.by_author.contains_key(author) {
-                return false;
-            }
-        }
+        // Kind lists match the rebuild in full, including order; the
+        // merged result must also cover no extra kinds.
         for (kind, list) in &rebuilt.by_kind {
             if self.txs_by_kind(*kind).iter().ne(list.iter()) {
                 return false;
@@ -2473,7 +2363,6 @@ mod tests {
             c.get_tx(&id0).unwrap().author,
             AccountId::from_name("alice")
         );
-        assert_eq!(c.txs_by_author(&AccountId::from_name("alice")).len(), 2);
         assert_eq!(c.txs_by_kind(1).len(), 3);
         assert_eq!(c.next_nonce_for(&AccountId::from_name("alice")), 2);
     }
@@ -2597,8 +2486,8 @@ mod tests {
         assert!(out.new_tip && out.reorged);
         assert_eq!(c.height(), 2);
         // Index now reflects the rival branch only.
-        assert_eq!(c.txs_by_author(&AccountId::from_name("r")).len(), 2);
-        assert!(c.txs_by_author(&AccountId::from_name("a")).is_empty());
+        assert_eq!(c.txs_by_kind(1), vec![tx("r", 0).id(), tx("r", 1).id()]);
+        assert_eq!(c.tx_by_id(&tx("a", 0).id()), None);
         assert!(c.is_canonical(&b1h));
         assert!(!c.is_canonical(&a1));
         assert!(c.index_consistent());
@@ -2676,7 +2565,9 @@ mod tests {
         }
         assert_eq!(c.tip(), last);
         assert!(c.index_consistent());
-        assert!(c.txs_by_author(&AccountId::from_name("a")).is_empty());
+        let ids = |author: &str, n: u64| (0..n).map(|i| tx(author, i).id()).collect::<Vec<_>>();
+        assert_eq!(c.txs_by_kind(1), ids("r", 3));
+        assert_eq!(c.tx_by_id(&tx("a", 1).id()), None);
         // Original branch strikes back: a3, a4 on top of a2.
         let a3 = Block::assemble(3, a2, 900, AccountId::from_name("s"), 0, vec![tx("a", 2)]);
         let a3h = a3.hash();
@@ -2686,9 +2577,10 @@ mod tests {
         assert!(out.reorged);
         assert_eq!(c.height(), 4);
         assert!(c.index_consistent());
-        assert_eq!(c.txs_by_author(&AccountId::from_name("a")).len(), 4);
+        assert_eq!(c.txs_by_kind(1), ids("a", 4));
         assert_eq!(c.next_nonce_for(&AccountId::from_name("a")), 4);
-        assert!(c.txs_by_author(&AccountId::from_name("r")).is_empty());
+        assert_eq!(c.next_nonce_for(&AccountId::from_name("r")), 0);
+        assert_eq!(c.tx_by_id(&tx("r", 2).id()), None);
     }
 
     #[test]
@@ -3029,7 +2921,10 @@ mod tests {
             None,
             "losing-branch tx not canonical"
         );
-        assert_eq!(replayed.txs_by_author(&AccountId::from_name("r")).len(), 2);
+        assert_eq!(
+            replayed.txs_by_kind(1),
+            vec![tx("r", 0).id(), tx("r", 1).id()]
+        );
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -3068,7 +2963,7 @@ mod tests {
             },
         );
         let reader = c.reader();
-        assert_eq!(reader.tip(), c.genesis());
+        assert_eq!(reader.view().tip(), c.genesis());
         let mut hashes = vec![c.genesis()];
         for i in 0..30 {
             let author = ["alice", "bob"][(i % 2) as usize];
@@ -3076,21 +2971,23 @@ mod tests {
         }
         // Every commit re-published: the reader's view matches the writer
         // across both tiers.
-        assert_eq!(reader.tip(), c.tip());
-        assert_eq!(reader.height(), 30);
-        assert_eq!(reader.finalized_height(), 27);
+        let view = reader.view();
+        assert_eq!(view.tip(), c.tip());
+        assert_eq!(view.height(), 30);
+        assert_eq!(view.finalized_height(), 27);
         for (h, hash) in hashes.iter().enumerate() {
-            assert_eq!(reader.hash_at(h as u64), Some(*hash), "height {h}");
-            assert!(reader.is_canonical(hash), "height {h} canonical");
-            assert_eq!(reader.block_at(h as u64).unwrap().hash(), *hash);
+            assert_eq!(view.hash_at(h as u64), Some(*hash), "height {h}");
+            assert!(view.is_canonical(hash), "height {h} canonical");
+            assert_eq!(view.block_at(h as u64).unwrap().hash(), *hash);
         }
-        assert_eq!(reader.hash_at(31), None);
-        let alice = AccountId::from_name("alice");
-        assert_eq!(reader.txs_by_author(&alice), c.txs_by_author(&alice));
-        assert_eq!(reader.txs_by_kind(1), c.txs_by_kind(1));
-        let some_id = reader.txs_by_author(&alice)[2];
-        assert_eq!(reader.tx_by_id(&some_id), c.tx_by_id(&some_id));
-        let proof = reader.prove_tx(&some_id).expect("proof through reader");
+        assert_eq!(view.hash_at(31), None);
+        assert_eq!(view.txs_by_kind(1), c.txs_by_kind(1));
+        // Alice's third transaction, finalized deep in the durable tier.
+        let some_id = tx("alice", 2).id();
+        assert_eq!(view.txs_by_kind(1)[4], some_id);
+        assert_eq!(view.tx_by_id(&some_id), c.tx_by_id(&some_id));
+        assert_eq!(view.tx_by_id(&some_id).unwrap().0, hashes[5]);
+        let proof = view.prove_tx(&some_id).expect("proof through reader");
         assert!(proof.verify());
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -3129,6 +3026,6 @@ mod tests {
         drop(counted);
         seal(&mut c, vec![tx("a", 1)]);
         let reattached = c.reader();
-        assert_eq!(reattached.tip(), c.tip());
+        assert_eq!(reattached.view().tip(), c.tip());
     }
 }

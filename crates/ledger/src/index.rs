@@ -5,16 +5,15 @@
 //! memory. Once a block finalizes, the chain flushes its index entries here
 //! and drops them from the mutable in-memory index, so the in-memory tier
 //! covers only the non-finalized suffix while full-history queries
-//! (`tx_by_id`, `txs_by_author`, `txs_by_kind` — the provenance-audit access
-//! pattern the SoK paper centers) are served from durable pages.
+//! (`tx_by_id`, `txs_by_kind` — the provenance-audit access pattern the SoK
+//! paper centers) are served from durable pages.
 //!
 //! Layout: entries are hash-partitioned by transaction id across `P`
 //! append-only partition files (`idx-00.pages`, …), each a sequence of
 //! [`blockprov_wire::index`] pages framed with the shared `wire::frame`
-//! framing. Every page carries Bloom filters over its primary keys and
-//! authors plus a kind bitmask, so point lookups and secondary scans skip
-//! pages without decoding them; decoded pages are cached in the shared
-//! [`crate::cache::LruCache`].
+//! framing. Every page carries a Bloom filter over its transaction ids plus a
+//! kind bitmask, so point lookups and kind scans skip pages without decoding
+//! them; decoded pages are cached in the shared [`crate::cache::LruCache`].
 //!
 //! Partition files are append-only: a page, once written, is never
 //! rewritten or merged, so readers pin nothing but the page directory they
@@ -30,10 +29,14 @@
 //! partition: entries at or below a partition's durable `last_height` are
 //! dropped, so a chain replay after a crash re-derives exactly the missing
 //! suffix.
+//!
+//! A page of another format version fails [`TxIndex::open`] with both
+//! versions named, instead of being truncated as a torn tail: silently
+//! dropping a whole partition would hide the mismatch.
 
 use crate::block::BlockHash;
 use crate::readview::{Published, ShardedCache};
-use crate::tx::{AccountId, TxId};
+use crate::tx::TxId;
 use blockprov_wire::index::{
     read_page_from, write_page_to, BloomFilter, IndexPageHeader, INDEX_VERSION,
 };
@@ -50,8 +53,6 @@ use std::sync::Arc;
 pub struct IndexEntry {
     /// Transaction id (primary key).
     pub id: TxId,
-    /// Author account (secondary key).
-    pub author: AccountId,
     /// Application kind tag.
     pub kind: u16,
     /// Containing canonical block.
@@ -65,7 +66,6 @@ pub struct IndexEntry {
 impl Codec for IndexEntry {
     fn encode(&self, w: &mut Writer) {
         self.id.encode(w);
-        self.author.encode(w);
         w.put_u16(self.kind);
         self.block.encode(w);
         w.put_u64(self.height);
@@ -74,7 +74,6 @@ impl Codec for IndexEntry {
     fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
         Ok(Self {
             id: TxId::decode(r)?,
-            author: AccountId::decode(r)?,
             kind: r.get_u16()?,
             block: BlockHash::decode(r)?,
             height: r.get_u64()?,
@@ -138,7 +137,7 @@ struct PageMeta {
 }
 
 /// Entries per sealed chunk of a partition's staged tail. A publish copies
-/// at most one open chunk per partition (64 × 112 B = 7 KiB), and a lookup
+/// at most one open chunk per partition (64 × 80 B = 5 KiB), and a lookup
 /// walks about `page_entries / STAGED_CHUNK` chunks of a partition.
 const STAGED_CHUNK: usize = 64;
 
@@ -329,64 +328,29 @@ impl TxIndexReader {
         Ok(None)
     }
 
-    /// Collect matching entries at or below `max_height` across every
-    /// partition, canonical `(height, pos)` order.
-    fn collect(
-        &self,
-        page_may_match: impl Fn(&IndexPageHeader) -> bool,
-        entry_matches: impl Fn(&IndexEntry) -> bool,
-        max_height: u64,
-    ) -> io::Result<Vec<IndexEntry>> {
+    /// Finalized entries with the given kind tag at or below `max_height`,
+    /// across every partition, oldest first: canonical `(height, pos)`
+    /// order.
+    pub fn entries_by_kind(&self, kind: u16, max_height: u64) -> io::Result<Vec<IndexEntry>> {
+        let bit = 1u64 << (kind % 64);
+        let matches = |e: &&IndexEntry| e.height <= max_height && e.kind == kind;
         let state = self.shared.state.load();
         let mut found: Vec<IndexEntry> = Vec::new();
         for (p, part) in state.partitions.iter().enumerate() {
             for seq in 0..part.pages.len() as u32 {
                 let meta = &part.pages[seq as usize];
-                if meta.header.first_height > max_height || !page_may_match(&meta.header) {
+                if meta.header.first_height > max_height || meta.header.tag_mask & bit == 0 {
                     continue;
                 }
                 let entries = read_index_page(&self.shared, p as u16, seq, meta)?;
-                found.extend(
-                    entries
-                        .iter()
-                        .filter(|e| e.height <= max_height && entry_matches(e)),
-                );
+                found.extend(entries.iter().filter(matches));
             }
             for chunk in part.staged.chunks() {
-                found.extend(
-                    chunk
-                        .iter()
-                        .filter(|e| e.height <= max_height && entry_matches(e)),
-                );
+                found.extend(chunk.iter().filter(matches));
             }
         }
         found.sort_unstable_by_key(|e| (e.height, e.pos));
         Ok(found)
-    }
-
-    /// Finalized entries by author at or below `max_height`, oldest first.
-    pub fn entries_by_author(
-        &self,
-        author: &AccountId,
-        max_height: u64,
-    ) -> io::Result<Vec<IndexEntry>> {
-        let (h1, h2) = bloom_hashes(author.0.as_bytes());
-        self.collect(
-            |header| header.secondary_bloom.contains(h1, h2),
-            |e| e.author == *author,
-            max_height,
-        )
-    }
-
-    /// Finalized entries with the given kind tag at or below `max_height`,
-    /// oldest first.
-    pub fn entries_by_kind(&self, kind: u16, max_height: u64) -> io::Result<Vec<IndexEntry>> {
-        let bit = 1u64 << (kind % 64);
-        self.collect(
-            |header| header.tag_mask & bit != 0,
-            |e| e.kind == kind,
-            max_height,
-        )
     }
 }
 
@@ -543,7 +507,8 @@ impl TxIndex {
         }
     }
 
-    /// Scan one partition file's page headers, truncating a torn tail.
+    /// Scan one partition file's page headers, truncating a torn tail and
+    /// refusing a page of another format version.
     fn scan_partition(path: &Path, p: u16) -> io::Result<Partition> {
         let mut reader = BufReader::new(File::open(path)?);
         let mut pages = Vec::new();
@@ -580,6 +545,16 @@ impl TxIndex {
                         header,
                     });
                     pos += blockprov_wire::frame::frame_len(len as usize);
+                }
+                Err(e) if e.kind() == io::ErrorKind::Unsupported => {
+                    return Err(io::Error::new(
+                        io::ErrorKind::InvalidData,
+                        format!(
+                            "{} holds {e}: delete the index directory to rebuild it \
+                             from blocks",
+                            path.display()
+                        ),
+                    ));
                 }
                 // Torn or corrupt tail: the index is derived data, so
                 // recover by truncation — the chain re-spills the suffix.
@@ -656,14 +631,6 @@ impl TxIndex {
         entries: &[IndexEntry],
     ) -> (IndexPageHeader, Vec<u8>) {
         let mut key_bloom = BloomFilter::with_capacity(entries.len());
-        let mut authors: Vec<AccountId> = entries.iter().map(|e| e.author).collect();
-        authors.sort_unstable();
-        authors.dedup();
-        let mut secondary_bloom = BloomFilter::with_capacity(authors.len());
-        for a in &authors {
-            let (h1, h2) = bloom_hashes(a.0.as_bytes());
-            secondary_bloom.insert(h1, h2);
-        }
         let mut tag_mask = 0u64;
         let mut first_height = u64::MAX;
         let mut last_height = 0u64;
@@ -684,7 +651,6 @@ impl TxIndex {
             first_height,
             last_height,
             key_bloom,
-            secondary_bloom,
             tag_mask,
         };
         (header, entry_bytes.into_bytes())
@@ -760,57 +726,26 @@ impl TxIndex {
         Ok(None)
     }
 
-    /// Collect matching entries across every partition, canonical
-    /// `(height, pos)` order.
-    fn collect<F: Fn(&IndexEntry) -> bool, G: Fn(&IndexPageHeader) -> bool>(
-        &self,
-        page_may_match: G,
-        entry_matches: F,
-    ) -> io::Result<Vec<IndexEntry>> {
+    /// Finalized transaction ids with the given kind tag, oldest first:
+    /// canonical `(height, pos)` order across every partition.
+    pub fn txs_by_kind(&self, kind: u16) -> io::Result<Vec<TxId>> {
+        let bit = 1u64 << (kind % 64);
         let mut found: Vec<IndexEntry> = Vec::new();
         for p in 0..self.partitions.len() as u16 {
             let part = &self.partitions[p as usize];
             for seq in 0..part.pages.len() as u32 {
-                if !page_may_match(&part.pages[seq as usize].header) {
+                if part.pages[seq as usize].header.tag_mask & bit == 0 {
                     continue;
                 }
                 let entries = self.page_entries(p, seq)?;
-                found.extend(entries.iter().filter(|e| entry_matches(e)));
+                found.extend(entries.iter().filter(|e| e.kind == kind));
             }
             for chunk in part.staged.chunks() {
-                found.extend(chunk.iter().filter(|e| entry_matches(e)));
+                found.extend(chunk.iter().filter(|e| e.kind == kind));
             }
         }
         found.sort_unstable_by_key(|e| (e.height, e.pos));
-        Ok(found)
-    }
-
-    /// Finalized transaction ids by author, oldest first.
-    pub fn txs_by_author(&self, author: &AccountId) -> io::Result<Vec<TxId>> {
-        Ok(self
-            .entries_by_author(author)?
-            .into_iter()
-            .map(|e| e.id)
-            .collect())
-    }
-
-    /// Finalized entries by author, oldest first, with their locations.
-    pub fn entries_by_author(&self, author: &AccountId) -> io::Result<Vec<IndexEntry>> {
-        let (h1, h2) = bloom_hashes(author.0.as_bytes());
-        self.collect(
-            |header| header.secondary_bloom.contains(h1, h2),
-            |e| e.author == *author,
-        )
-    }
-
-    /// Finalized transaction ids with the given kind tag, oldest first.
-    pub fn txs_by_kind(&self, kind: u16) -> io::Result<Vec<TxId>> {
-        let bit = 1u64 << (kind % 64);
-        Ok(self
-            .collect(|header| header.tag_mask & bit != 0, |e| e.kind == kind)?
-            .into_iter()
-            .map(|e| e.id)
-            .collect())
+        Ok(found.into_iter().map(|e| e.id).collect())
     }
 
     /// Total entries held (durable pages + staged tail).
@@ -875,10 +810,9 @@ mod tests {
     use super::*;
     use blockprov_crypto::sha256::sha256;
 
-    fn entry(i: u64, author: &str, kind: u16) -> IndexEntry {
+    fn entry(i: u64, kind: u16) -> IndexEntry {
         IndexEntry {
             id: TxId(sha256(format!("tx-{i}").as_bytes())),
-            author: AccountId::from_name(author),
             kind,
             block: BlockHash(sha256(format!("blk-{i}").as_bytes())),
             height: i,
@@ -906,7 +840,7 @@ mod tests {
 
     #[test]
     fn entry_codec_round_trip() {
-        let e = entry(42, "alice", 7);
+        let e = entry(42, 7);
         assert_eq!(IndexEntry::from_wire(&e.to_wire()).unwrap(), e);
     }
 
@@ -914,9 +848,7 @@ mod tests {
     fn lookup_and_secondary_queries_across_pages() {
         let dir = temp_dir("basic");
         let mut ix = TxIndex::open(&dir, small_config()).unwrap();
-        let entries: Vec<IndexEntry> = (1..=100)
-            .map(|i| entry(i, if i % 2 == 0 { "alice" } else { "bob" }, (i % 3) as u16))
-            .collect();
+        let entries: Vec<IndexEntry> = (1..=100).map(|i| entry(i, (i % 3) as u16)).collect();
         ix.append(entries.clone()).unwrap();
         assert_eq!(ix.entries(), 100);
         assert!(ix.page_count() > 0, "pages must have been cut");
@@ -924,17 +856,13 @@ mod tests {
             assert_eq!(ix.lookup(&e.id).unwrap(), Some((e.block, e.pos)));
         }
         assert_eq!(ix.lookup(&TxId(sha256(b"missing"))).unwrap(), None);
-        let alice = ix.txs_by_author(&AccountId::from_name("alice")).unwrap();
-        assert_eq!(alice.len(), 50);
         // Canonical (height) order.
-        let expect: Vec<TxId> = entries
+        let kind0: Vec<TxId> = entries
             .iter()
-            .filter(|e| e.author == AccountId::from_name("alice"))
+            .filter(|e| e.kind == 0)
             .map(|e| e.id)
             .collect();
-        assert_eq!(alice, expect);
-        let kind0 = ix.txs_by_kind(0).unwrap();
-        assert_eq!(kind0.len(), entries.iter().filter(|e| e.kind == 0).count());
+        assert_eq!(ix.txs_by_kind(0).unwrap(), kind0);
         assert!(ix.txs_by_kind(9).unwrap().is_empty());
         std::fs::remove_dir_all(&dir).unwrap();
     }
@@ -942,7 +870,7 @@ mod tests {
     #[test]
     fn reopen_rebuilds_page_directory() {
         let dir = temp_dir("reopen");
-        let entries: Vec<IndexEntry> = (1..=60).map(|i| entry(i, "a", 1)).collect();
+        let entries: Vec<IndexEntry> = (1..=60).map(|i| entry(i, 1)).collect();
         {
             let mut ix = TxIndex::open(&dir, small_config()).unwrap();
             ix.append(entries.clone()).unwrap();
@@ -959,7 +887,7 @@ mod tests {
     #[test]
     fn staged_tail_is_queryable_and_flushed_on_drop() {
         let dir = temp_dir("staged");
-        let e = entry(5, "a", 2);
+        let e = entry(5, 2);
         {
             let mut ix = TxIndex::open(&dir, small_config()).unwrap();
             ix.append(vec![e]).unwrap();
@@ -967,7 +895,7 @@ mod tests {
             assert_eq!(ix.page_count(), 0);
             // Visible before any page exists.
             assert_eq!(ix.lookup(&e.id).unwrap(), Some((e.block, e.pos)));
-            assert_eq!(ix.txs_by_author(&e.author).unwrap(), vec![e.id]);
+            assert_eq!(ix.txs_by_kind(e.kind).unwrap(), vec![e.id]);
         }
         // Drop synced the staged tail.
         let ix = TxIndex::open(&dir, small_config()).unwrap();
@@ -978,7 +906,7 @@ mod tests {
     #[test]
     fn append_is_idempotent_per_partition_height() {
         let dir = temp_dir("idem");
-        let entries: Vec<IndexEntry> = (1..=40).map(|i| entry(i, "a", 1)).collect();
+        let entries: Vec<IndexEntry> = (1..=40).map(|i| entry(i, 1)).collect();
         let mut ix = TxIndex::open(&dir, small_config()).unwrap();
         ix.append(entries.clone()).unwrap();
         ix.sync().unwrap();
@@ -990,10 +918,7 @@ mod tests {
         assert_eq!(accepted, 0);
         assert_eq!(ix.entries(), total);
         assert_eq!(ix.stored_bytes(), bytes);
-        assert_eq!(
-            ix.txs_by_author(&AccountId::from_name("a")).unwrap().len(),
-            40
-        );
+        assert_eq!(ix.txs_by_kind(1).unwrap().len(), 40);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -1001,8 +926,8 @@ mod tests {
     fn duplicate_id_resolves_to_latest_height() {
         let dir = temp_dir("dup");
         let mut ix = TxIndex::open(&dir, small_config()).unwrap();
-        let mut e1 = entry(1, "a", 1);
-        let mut e2 = entry(2, "a", 1);
+        let mut e1 = entry(1, 1);
+        let mut e2 = entry(2, 1);
         e2.id = e1.id; // same tx id sealed twice
         e1.pos = 0;
         e2.pos = 3;
@@ -1027,10 +952,10 @@ mod tests {
             page_entries: 8,
             cached_pages: 4,
         };
-        let batch_a: Vec<IndexEntry> = (1..=5).map(|i| entry(i, "a", 1)).collect();
+        let batch_a: Vec<IndexEntry> = (1..=5).map(|i| entry(i, 1)).collect();
         let batch_b: Vec<IndexEntry> = (0..6)
             .map(|j| {
-                let mut e = entry(100 + j, "a", 1);
+                let mut e = entry(100 + j, 1);
                 e.height = 6;
                 e.pos = j as u32;
                 e
@@ -1057,7 +982,7 @@ mod tests {
             );
         }
         assert_eq!(
-            ix.txs_by_author(&AccountId::from_name("a")).unwrap().len(),
+            ix.txs_by_kind(1).unwrap().len(),
             11,
             "no duplicates and no losses after replay"
         );
@@ -1067,7 +992,7 @@ mod tests {
     #[test]
     fn torn_trailing_page_truncated_on_reopen() {
         let dir = temp_dir("torn");
-        let entries: Vec<IndexEntry> = (1..=40).map(|i| entry(i, "a", 1)).collect();
+        let entries: Vec<IndexEntry> = (1..=40).map(|i| entry(i, 1)).collect();
         {
             let mut ix = TxIndex::open(&dir, small_config()).unwrap();
             ix.append(entries.clone()).unwrap();
@@ -1099,8 +1024,7 @@ mod tests {
         let dir = temp_dir("gap");
         {
             let mut ix = TxIndex::open(&dir, small_config()).unwrap();
-            ix.append((1..=10).map(|i| entry(i, "a", 1)).collect())
-                .unwrap();
+            ix.append((1..=10).map(|i| entry(i, 1)).collect()).unwrap();
             ix.sync().unwrap();
         }
         std::fs::remove_file(partition_path(&dir, 1)).unwrap();
@@ -1113,7 +1037,7 @@ mod tests {
         let dir = temp_dir("reader");
         let mut ix = TxIndex::open(&dir, small_config()).unwrap();
         let reader = ix.reader();
-        let entries: Vec<IndexEntry> = (1..=40).map(|i| entry(i, "a", 1)).collect();
+        let entries: Vec<IndexEntry> = (1..=40).map(|i| entry(i, 1)).collect();
         ix.append(entries.clone()).unwrap();
         // Pages were cut (and cached), but nothing republished yet: the
         // reader still answers from the open-time (empty) state.
@@ -1128,13 +1052,6 @@ mod tests {
         // The height ceiling hides entries above it — the prefix-consistency
         // hook the chain snapshot relies on.
         assert_eq!(reader.lookup(&entries[39].id, 39).unwrap(), None);
-        assert_eq!(
-            reader
-                .entries_by_author(&AccountId::from_name("a"), 10)
-                .unwrap()
-                .len(),
-            10
-        );
         assert_eq!(reader.entries_by_kind(1, 25).unwrap().len(), 25);
         std::fs::remove_dir_all(&dir).unwrap();
     }
@@ -1153,17 +1070,17 @@ mod tests {
         let dir = temp_dir("chunk-share");
         let mut ix = TxIndex::open(&dir, chunked_config()).unwrap();
         let n = STAGED_CHUNK as u64;
-        ix.append((1..=n - 1).map(|i| entry(i, "a", 1)).collect())
+        ix.append((1..=n - 1).map(|i| entry(i, 1)).collect())
             .unwrap();
         ix.publish();
         let before = ix.shared.state.load();
         assert!(before.partitions[0].staged.sealed.is_empty());
         // The next entry seals the first chunk.
-        ix.append((n..=n + 1).map(|i| entry(i, "a", 1)).collect())
+        ix.append((n..=n + 1).map(|i| entry(i, 1)).collect())
             .unwrap();
         ix.publish();
         let sealed = ix.shared.state.load();
-        ix.append((n + 2..=n + 9).map(|i| entry(i, "a", 1)).collect())
+        ix.append((n + 2..=n + 9).map(|i| entry(i, 1)).collect())
             .unwrap();
         ix.publish();
         let after = ix.shared.state.load();
@@ -1189,7 +1106,7 @@ mod tests {
         let n = STAGED_CHUNK as u64;
         // The same id in the first sealed chunk, the second sealed chunk
         // and the open chunk.
-        let mut entries: Vec<IndexEntry> = (1..=2 * n + 2).map(|i| entry(i, "a", 1)).collect();
+        let mut entries: Vec<IndexEntry> = (1..=2 * n + 2).map(|i| entry(i, 1)).collect();
         let (first, second, third) = (10, n + 10, 2 * n + 1);
         let id = entries[first as usize - 1].id;
         entries[second as usize - 1].id = id;
@@ -1215,7 +1132,7 @@ mod tests {
         let mut ix = TxIndex::open(&dir, chunked_config()).unwrap();
         let reader = ix.reader();
         let entries: Vec<IndexEntry> = (1..=3 * STAGED_CHUNK as u64 + 5)
-            .map(|i| entry(i, "a", (i % 3) as u16))
+            .map(|i| entry(i, (i % 3) as u16))
             .collect();
         ix.append(entries.clone()).unwrap();
         ix.publish();
@@ -1241,7 +1158,7 @@ mod tests {
         let dir = temp_dir("chunk-cut");
         let mut ix = TxIndex::open(&dir, chunked_config()).unwrap();
         let reader = ix.reader();
-        let mut entries: Vec<IndexEntry> = (1..=300).map(|i| entry(i, "a", 1)).collect();
+        let mut entries: Vec<IndexEntry> = (1..=300).map(|i| entry(i, 1)).collect();
         // A duplicate id in different chunks: the id sort must keep
         // arrival order, as it did over one flat tail.
         entries[250].id = entries[20].id;
@@ -1273,12 +1190,28 @@ mod tests {
             reader.lookup(&dup.id, u64::MAX).unwrap(),
             Some((dup.block, dup.pos))
         );
-        assert_eq!(
-            reader
-                .entries_by_author(&AccountId::from_name("a"), u64::MAX)
-                .unwrap(),
-            entries
+        assert_eq!(reader.entries_by_kind(1, u64::MAX).unwrap(), entries);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn open_refuses_a_page_of_another_version() {
+        let dir = temp_dir("version");
+        std::fs::create_dir_all(&dir).unwrap();
+        let (mut header, entry_bytes) = TxIndex::build_page(0, 0, &[entry(1, 1)]);
+        header.version = 1;
+        let mut file = Vec::new();
+        write_page_to(&mut file, &header, &entry_bytes).unwrap();
+        let path = partition_path(&dir, 0);
+        std::fs::write(&path, &file).unwrap();
+        let err = TxIndex::open(&dir, small_config()).unwrap_err();
+        let msg = err.to_string();
+        assert!(
+            msg.contains("version 1") && msg.contains("version 2"),
+            "{msg}"
         );
+        // Refused, not truncated away as a torn tail.
+        assert_eq!(std::fs::read(&path).unwrap(), file);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -1294,8 +1227,7 @@ mod tests {
                 },
             )
             .unwrap();
-            ix.append((1..=20).map(|i| entry(i, "a", 1)).collect())
-                .unwrap();
+            ix.append((1..=20).map(|i| entry(i, 1)).collect()).unwrap();
             ix.sync().unwrap();
         }
         // Config says 8, disk says 4: disk wins (routing is layout-bound).

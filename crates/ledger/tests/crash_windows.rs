@@ -31,7 +31,9 @@ use blockprov_ledger::meta::{MetaConfig, MetaStore};
 use blockprov_ledger::segment::{TieredConfig, TieredStore};
 use blockprov_ledger::store::BlockStore;
 use blockprov_ledger::tx::{AccountId, Transaction, TxId};
-use blockprov_wire::meta::{decode_snapshot_slot, encode_snapshot_slot, SNAPSHOT_SLOT_HEADER_LEN};
+use blockprov_wire::meta::{
+    decode_snapshot_slot, encode_snapshot_slot, SNAPSHOT_SLOT_HEADER_LEN, SNAPSHOT_VERSION,
+};
 use std::io::Write;
 use std::path::{Path, PathBuf};
 
@@ -165,8 +167,9 @@ fn build_forky_segments(dir: &Path) -> (BlockHash, u64) {
 }
 
 /// What a restart must reproduce of a chain: tip, height, canonical
-/// hashes, index consistency and the two-tier secondary queries.
-type Observed = (BlockHash, u64, Vec<BlockHash>, bool, Vec<TxId>, Vec<TxId>);
+/// hashes, index consistency, the two-tier kind query and the merged next
+/// nonce of the canonical author.
+type Observed = (BlockHash, u64, Vec<BlockHash>, bool, Vec<TxId>, u64);
 
 fn observe(chain: &Chain) -> Observed {
     chain.verify_integrity().unwrap();
@@ -175,8 +178,8 @@ fn observe(chain: &Chain) -> Observed {
         chain.height(),
         chain.canonical_hashes().collect(),
         chain.index_consistent(),
-        chain.txs_by_author(&AccountId::from_name("a")),
         chain.txs_by_kind(1),
+        chain.next_nonce_for(&AccountId::from_name("a")),
     )
 }
 
@@ -704,7 +707,7 @@ fn other_format_version_is_refused() {
     .unwrap_err();
     let msg = err.to_string();
     assert!(
-        msg.contains("version 3") && msg.contains("version 4"),
+        msg.contains("version 3") && msg.contains(&format!("version {SNAPSHOT_VERSION}")),
         "unexpected error: {msg}"
     );
     std::fs::remove_dir_all(&dir).unwrap();

@@ -1,6 +1,6 @@
 //! Golden data dir: pins the on-disk format of every durable tier.
 //!
-//! `tests/golden/v4/` holds the data dir a fixed 40-block stream leaves
+//! `tests/golden/v5/` holds the data dir a fixed 40-block stream leaves
 //! behind — unsigned transactions, fixed timestamps, finality depth 3, two
 //! authors and one fork — written through `Chain::with_tiers` and closed
 //! cleanly. One test opens a copy of it and queries it against an
@@ -30,7 +30,7 @@ use std::path::{Path, PathBuf};
 const FORK_HEIGHT: u64 = 20;
 
 fn golden_dir() -> PathBuf {
-    Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden/v4")
+    Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden/v5")
 }
 
 fn temp_dir(tag: &str) -> PathBuf {
@@ -251,7 +251,7 @@ fn rewriting_the_stream_reproduces_every_file() {
 }
 
 #[test]
-#[ignore = "rewrites tests/golden/v4; run on purpose after a format change"]
+#[ignore = "rewrites tests/golden/v5; run on purpose after a format change"]
 fn regenerate_golden() {
     let golden = golden_dir();
     let _ = std::fs::remove_dir_all(&golden);

@@ -3,7 +3,7 @@
 //! Appending 100k single-transaction blocks through a tiered store plus a
 //! durable [`TxIndex`] with a small finality depth must keep the mutable
 //! in-memory index sized O(non-finalized suffix) — not O(history) — while
-//! `tx_by_id` / `txs_by_author` / `txs_by_kind` return exactly what a
+//! `tx_by_id` / `txs_by_kind` return exactly what a
 //! from-scratch in-memory rebuild over the canonical chain would.
 
 use blockprov_ledger::block::BlockHash;
@@ -77,7 +77,6 @@ fn spilled_index_stays_bounded_and_matches_full_rebuild() {
 
     // From-scratch in-memory rebuild over the canonical chain.
     let mut tx_loc: HashMap<TxId, (BlockHash, u32)> = HashMap::new();
-    let mut by_author: HashMap<AccountId, Vec<TxId>> = HashMap::new();
     let mut by_kind: HashMap<u16, Vec<TxId>> = HashMap::new();
     let mut all_ids: Vec<TxId> = Vec::new();
     for h in 0..=chain.height() {
@@ -86,7 +85,6 @@ fn spilled_index_stays_bounded_and_matches_full_rebuild() {
         for (pos, tx) in block.txs.iter().enumerate() {
             let id = tx.id();
             tx_loc.insert(id, (hash, pos as u32));
-            by_author.entry(tx.author).or_default().push(id);
             by_kind.entry(tx.kind).or_default().push(id);
             all_ids.push(id);
         }
@@ -109,15 +107,7 @@ fn spilled_index_stays_bounded_and_matches_full_rebuild() {
     let last = *all_ids.last().unwrap();
     assert_eq!(chain.tx_by_id(&last), tx_loc.get(&last).copied());
 
-    // Secondary queries: full equality, order included.
-    for name in AUTHORS {
-        let author = AccountId::from_name(name);
-        assert_eq!(
-            chain.txs_by_author(&author),
-            by_author[&author],
-            "merged by-author query diverged for {name}"
-        );
-    }
+    // Kind queries: full equality, order included.
     for kind in 0..KINDS {
         assert_eq!(
             chain.txs_by_kind(kind),

@@ -151,7 +151,6 @@ fn run(case: &Case) {
     // (authoritative block data, no height map involved).
     let mut canonical = vec![BlockHash::ZERO; (blocks + 1) as usize];
     let mut tx_loc: HashMap<TxId, (BlockHash, u32)> = HashMap::new();
-    let mut by_author: HashMap<AccountId, Vec<TxId>> = HashMap::new();
     let mut by_kind: HashMap<u16, Vec<TxId>> = HashMap::new();
     let mut expected_nonce: HashMap<AccountId, u64> = HashMap::new();
     let mut all_ids: Vec<TxId> = Vec::new();
@@ -173,7 +172,6 @@ fn run(case: &Case) {
             for (pos, tx) in block.txs.iter().enumerate() {
                 let id = tx.id();
                 tx_loc.insert(id, (hash, pos as u32));
-                by_author.entry(tx.author).or_default().push(id);
                 by_kind.entry(tx.kind).or_default().push(id);
                 let e = expected_nonce.entry(tx.author).or_insert(0);
                 *e = (*e).max(tx.nonce + 1);
@@ -196,13 +194,9 @@ fn run(case: &Case) {
             "{name}"
         );
     }
-    // Tx queries (sampled point lookups + full secondary scans).
+    // Tx queries (sampled point lookups + full kind scans).
     for id in all_ids.iter().step_by(97) {
         assert_eq!(chain.tx_by_id(id), tx_loc.get(id).copied());
-    }
-    for name in &authors {
-        let author = AccountId::from_name(name);
-        assert_eq!(chain.txs_by_author(&author), by_author[&author], "{name}");
     }
     for kind in 0..KINDS {
         assert_eq!(chain.txs_by_kind(kind), by_kind[&kind], "kind {kind}");
@@ -228,15 +222,10 @@ fn run(case: &Case) {
     for name in &authors {
         let author = AccountId::from_name(name);
         assert_eq!(chain.next_nonce_for(&author), expected_nonce[&author]);
-        assert_eq!(chain.txs_by_author(&author), by_author[&author]);
     }
 
     for id in all_ids.iter().step_by(97) {
         assert_eq!(chain.tx_by_id(id), tx_loc.get(id).copied());
-    }
-    for name in &authors {
-        let author = AccountId::from_name(name);
-        assert_eq!(chain.txs_by_author(&author), by_author[&author]);
     }
     for kind in 0..KINDS {
         assert_eq!(chain.txs_by_kind(kind), by_kind[&kind]);

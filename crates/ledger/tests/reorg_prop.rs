@@ -309,8 +309,7 @@ proptest! {
             // Final restart lands in the same state; every query must be
             // unchanged across it.
             let authors = ["alice", "bob", "carol"].map(Acct::from_name);
-            let by_author_before: Vec<_> =
-                authors.iter().map(|a| chain.txs_by_author(a)).collect();
+            let nonces_before: Vec<_> = authors.iter().map(|a| chain.next_nonce_for(a)).collect();
             let by_kind_before: Vec<_> = (0..2u16).map(|k| chain.txs_by_kind(k)).collect();
             assert_two_tier_matches(&chain)?;
             let tip = chain.tip();
@@ -319,8 +318,8 @@ proptest! {
             let chain = tiers(&dir, case);
             prop_assert_eq!(chain.tip(), tip);
             prop_assert_eq!(chain.height(), height);
-            for (a, before) in authors.iter().zip(&by_author_before) {
-                prop_assert_eq!(&chain.txs_by_author(a), before, "by_author changed over restart");
+            for (a, before) in authors.iter().zip(&nonces_before) {
+                prop_assert_eq!(&chain.next_nonce_for(a), before, "next nonce changed over restart");
             }
             for (k, before) in (0..2u16).zip(&by_kind_before) {
                 prop_assert_eq!(&chain.txs_by_kind(k), before, "by_kind changed over restart");

@@ -406,7 +406,7 @@ fn ingest(req: &Request, shared: &Shared) -> Response {
             200,
             Obj::new()
                 .num("committed", committed)
-                .num("height", shared.reader.height())
+                .num("height", shared.reader.view().height())
                 .build(),
         ),
         Ok(Err(msg)) => error_body(409, &msg),

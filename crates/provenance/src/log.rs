@@ -17,7 +17,7 @@ use blockprov_ledger::chain::{
     AppendOutcome, BatchError, Chain, ChainReader, ChainView, TxInclusionProof, ValidationError,
 };
 use blockprov_ledger::readview::Published;
-use blockprov_ledger::tx::{AccountId, Transaction, TxId};
+use blockprov_ledger::tx::{Transaction, TxId};
 use blockprov_wire::Codec;
 use std::collections::HashMap;
 use std::io;
@@ -113,9 +113,10 @@ pub struct SubjectAudit {
 /// obtained from [`ProvenanceLog::reader`].
 ///
 /// Backed by the chain's epoch-published snapshots and the durable tiers'
-/// published states: every method answers without blocking the writer, and
-/// multi-step queries that must agree with each other can pin one snapshot
-/// via [`LedgerReader::view`].
+/// published states: every query answers without blocking the writer.
+/// Chain queries go through [`LedgerReader::view`], which pins one
+/// snapshot, so the answers a request reads off one view agree with each
+/// other.
 ///
 /// One piece of provenance state is covered too: the per-subject audit,
 /// [`LedgerReader::provenance_of`], served from subject postings the log
@@ -139,76 +140,11 @@ impl LedgerReader {
         self.chain.view()
     }
 
-    /// Current published tip hash.
-    pub fn tip(&self) -> BlockHash {
-        self.chain.tip()
-    }
-
-    /// Current published tip height.
-    pub fn height(&self) -> u64 {
-        self.chain.height()
-    }
-
-    /// Current published finality checkpoint height.
-    pub fn finalized_height(&self) -> u64 {
-        self.chain.finalized_height()
-    }
-
-    /// Canonical block hash at `height`.
-    pub fn hash_at(&self, height: u64) -> Option<BlockHash> {
-        self.chain.hash_at(height)
-    }
-
-    /// Fetch a stored block by hash.
-    pub fn block(&self, hash: &BlockHash) -> Option<Arc<Block>> {
-        self.chain.block(hash)
-    }
-
-    /// Fetch the canonical block at `height`.
-    pub fn block_at(&self, height: u64) -> Option<Arc<Block>> {
-        self.chain.block_at(height)
-    }
-
-    /// Locate a canonical transaction: `(containing block hash, position)`.
-    pub fn tx_by_id(&self, id: &TxId) -> Option<(BlockHash, u32)> {
-        self.chain.tx_by_id(id)
-    }
-
-    /// Fetch a canonical transaction by id.
-    pub fn get_tx(&self, id: &TxId) -> Option<Transaction> {
-        self.chain.get_tx(id)
-    }
-
-    /// All canonical transaction ids by author, oldest first.
-    pub fn txs_by_author(&self, author: &AccountId) -> Vec<TxId> {
-        self.chain.txs_by_author(author)
-    }
-
-    /// All canonical transaction ids with the given kind tag, oldest first.
-    pub fn txs_by_kind(&self, kind: u16) -> Vec<TxId> {
-        self.chain.txs_by_kind(kind)
-    }
-
-    /// All canonical provenance-carrying transaction ids, oldest first.
-    pub fn provenance_txs(&self) -> Vec<TxId> {
-        self.chain.txs_by_kind(txkind::PROVENANCE)
-    }
-
-    /// Whether `hash` lies on the canonical chain.
-    pub fn is_canonical(&self, hash: &BlockHash) -> bool {
-        self.chain.is_canonical(hash)
-    }
-
-    /// Produce a Merkle inclusion proof for a canonical transaction.
-    pub fn prove_tx(&self, id: &TxId) -> Option<TxInclusionProof> {
-        self.chain.prove_tx(id)
-    }
-
     /// Produce a user-verifiable anchoring proof for a sealed record whose
     /// carrying transaction id is known (e.g. from the ledger's record → tx
     /// mapping at seal time).
     pub fn prove_record_tx(&self, record_id: RecordId, tx_id: TxId) -> Option<RecordProof> {
-        let inclusion = self.chain.prove_tx(&tx_id)?;
+        let inclusion = self.view().prove_tx(&tx_id)?;
         Some(RecordProof {
             record_id,
             tx_id,
@@ -477,9 +413,9 @@ impl ProvenanceLog {
     /// never block the ingest path and never observe torn commit state.
     /// While at least one handle is alive the chain re-publishes a snapshot
     /// at every commit point; queries then lag live state by at most one
-    /// commit. This is the chain-level view — id/author/kind lookups,
-    /// height/hash resolution, block fetch and Merkle inclusion proofs —
-    /// plus the per-subject audit ([`LedgerReader::provenance_of`]), which
+    /// commit. This is the chain-level view, pinned through
+    /// [`LedgerReader::view`] — id/kind lookups, height/hash resolution,
+    /// block fetch and Merkle inclusion proofs — plus the per-subject audit ([`LedgerReader::provenance_of`]), which
     /// answers as of the last batch this log finished absorbing.
     pub fn reader(&mut self) -> LedgerReader {
         let (chain, covered) = match &self.covered {
@@ -562,6 +498,7 @@ mod tests {
     use super::*;
     use crate::model::{Action, Domain};
     use blockprov_ledger::chain::ChainConfig;
+    use blockprov_ledger::tx::AccountId;
     use blockprov_ledger::{
         BlockStore, MetaConfig, MetaStore, TieredConfig, TieredReader, TieredStore, TxIndex,
         TxIndexConfig,

@@ -5,17 +5,19 @@
 //! specified here, next to the rest of the wire format, and reuses the
 //! [`crate::frame`] framing: each page is one `[u32 le len][payload]` frame
 //! whose payload opens with an [`IndexPageHeader`] followed by the page's
-//! entries. Entry encoding is the *caller's* business — at this layer a page
-//! body is opaque bytes — so the same page machinery can carry any keyed
-//! index (transaction locations today, record anchors or contract events
-//! tomorrow).
+//! entries. Entry encoding is the *caller's* business: at this layer a page
+//! body is opaque bytes.
 //!
 //! The header carries everything a reader needs to skip a page without
-//! decoding its entries: the height range the page covers and two
-//! [`BloomFilter`]s (primary key and secondary key) plus a 64-bit tag mask.
-//! Keys are uniformly-distributed hashes, so min/max fences are useless —
-//! per-page Blooms are the standard answer (≈10 bits/key keeps the false
-//! positive rate around 1%).
+//! decoding its entries: the height range the page covers, a
+//! [`BloomFilter`] over the entries' keys and a 64-bit tag mask. Keys are
+//! uniformly-distributed hashes, so min/max fences are useless — per-page
+//! Blooms are the standard answer (≈10 bits/key keeps the false positive
+//! rate around 1%).
+//!
+//! A page of another format version is refused, never reinterpreted:
+//! [`read_page_from`] reports it as [`io::ErrorKind::Unsupported`], naming
+//! both versions, so an opener can tell it from a torn tail.
 
 use crate::frame::{read_frame_from, write_frame_to};
 use crate::{Codec, Reader, WireError, Writer};
@@ -24,8 +26,9 @@ use std::io::{self, Read, Write};
 /// Magic bytes opening every index page (`BPIX` = BlockProv IndeX).
 pub const INDEX_MAGIC: [u8; 4] = *b"BPIX";
 
-/// Current index page format version.
-pub const INDEX_VERSION: u16 = 1;
+/// Current index page format version. Version 2 dropped the secondary
+/// (author) Bloom filter from the header.
+pub const INDEX_VERSION: u16 = 2;
 
 /// Number of hash probes per Bloom insertion/query.
 const BLOOM_PROBES: u64 = 6;
@@ -131,8 +134,6 @@ pub struct IndexPageHeader {
     pub last_height: u64,
     /// Bloom over the entries' primary keys.
     pub key_bloom: BloomFilter,
-    /// Bloom over the entries' secondary keys (e.g. authors).
-    pub secondary_bloom: BloomFilter,
     /// Bitmask over the entries' small tags (`tag % 64`, e.g. tx kinds).
     pub tag_mask: u64,
 }
@@ -147,7 +148,6 @@ impl Codec for IndexPageHeader {
         w.put_u64(self.first_height);
         w.put_u64(self.last_height);
         self.key_bloom.encode(w);
-        self.secondary_bloom.encode(w);
         w.put_u64(self.tag_mask);
     }
     fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
@@ -167,7 +167,6 @@ impl Codec for IndexPageHeader {
             first_height: r.get_u64()?,
             last_height: r.get_u64()?,
             key_bloom: BloomFilter::decode(r)?,
-            secondary_bloom: BloomFilter::decode(r)?,
             tag_mask: r.get_u64()?,
         })
     }
@@ -185,15 +184,34 @@ pub fn write_page_to<W: Write>(
     write_frame_to(w, &body)
 }
 
+/// The format version an encoded page declares, read without decoding the
+/// rest; `None` when the bytes do not open with [`INDEX_MAGIC`].
+fn index_page_version(payload: &[u8]) -> Option<u16> {
+    let mut r = Reader::new(payload);
+    (r.get_raw(4).ok()? == INDEX_MAGIC).then_some(())?;
+    r.get_u16().ok()
+}
+
 /// Read the next index page, returning its header and the raw entry bytes.
 ///
-/// `Ok(None)` on clean end-of-stream; a torn trailing frame or an
-/// undecodable header is an error (callers decide whether that means
+/// `Ok(None)` on clean end-of-stream. A whole page of another format
+/// version is an [`io::ErrorKind::Unsupported`] error naming both
+/// versions; a torn trailing frame or an otherwise undecodable header is
+/// an error of another kind (callers decide whether that means
 /// tamper-failure or crash-recovery truncation).
 pub fn read_page_from<R: Read>(r: &mut R) -> io::Result<Option<(IndexPageHeader, Vec<u8>)>> {
     let Some(body) = read_frame_from(r)? else {
         return Ok(None);
     };
+    if let Some(version) = index_page_version(&body).filter(|&v| v != INDEX_VERSION) {
+        return Err(io::Error::new(
+            io::ErrorKind::Unsupported,
+            format!(
+                "index page format version {version}, this build reads only \
+                 version {INDEX_VERSION}"
+            ),
+        ));
+    }
     let mut reader = Reader::new(&body);
     let header = IndexPageHeader::decode(&mut reader)
         .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
@@ -220,7 +238,6 @@ mod tests {
             first_height: 10,
             last_height: 12,
             key_bloom,
-            secondary_bloom: BloomFilter::with_capacity(2),
             tag_mask: 0b1010,
         }
     }

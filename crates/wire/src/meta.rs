@@ -24,10 +24,12 @@ use crate::{decode_seq, encode_seq, Codec, Reader, WireError, Writer};
 pub const SNAPSHOT_MAGIC: [u8; 4] = *b"BPCS";
 
 /// Checkpoint-snapshot format version, which is also the format version of
-/// the whole metadata directory. Version 4 vouches for a prefix of the flat
-/// height array, where version 3 sat beside a paged height map. Readers
-/// refuse any other version; there is no migration path.
-pub const SNAPSHOT_VERSION: u16 = 4;
+/// the whole metadata directory. Version 5 sits beside index pages of
+/// version 2, which dropped the author dimension; version 4 vouches for a
+/// prefix of the flat height array, where version 3 sat beside a paged
+/// height map. Readers refuse any other version; there is no migration
+/// path.
+pub const SNAPSHOT_VERSION: u16 = 5;
 
 /// Width in bytes of one height-array entry (a block hash).
 pub const HEIGHT_ENTRY_LEN: usize = 32;
