@@ -70,7 +70,10 @@ impl Codec for GroupPublicKey {
         w.put_u64(self.leaves);
     }
     fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        Ok(Self { root: Hash256::decode(r)?, leaves: r.get_u64()? })
+        Ok(Self {
+            root: Hash256::decode(r)?,
+            leaves: r.get_u64()?,
+        })
     }
 }
 
@@ -198,9 +201,7 @@ impl GroupManager {
         // Per-member seeds (stand-in for member-generated entropy).
         let member_seeds: Vec<[u8; 32]> = members
             .iter()
-            .map(|m| {
-                hmac_sha256_parts(group_seed, &[b"groupsig-member-seed", m.as_bytes()]).0
-            })
+            .map(|m| hmac_sha256_parts(group_seed, &[b"groupsig-member-seed", m.as_bytes()]).0)
             .collect();
 
         // Every (member, slot) pair contributes one leaf public key.
@@ -213,15 +214,19 @@ impl GroupManager {
 
         // Secret shuffle: leaf order must not group members together,
         // otherwise leaf_index ranges would leak identity.
-        let mut drbg = HmacDrbg::new(
-            hmac_sha256_parts(group_seed, &[b"groupsig-shuffle"]).as_bytes(),
-        );
+        let mut drbg =
+            HmacDrbg::new(hmac_sha256_parts(group_seed, &[b"groupsig-shuffle"]).as_bytes());
         drbg.shuffle(&mut slots);
 
-        let leaf_hashes: Vec<Hash256> =
-            slots.iter().map(|(_, _, pk)| leaf_hash(pk.as_bytes())).collect();
+        let leaf_hashes: Vec<Hash256> = slots
+            .iter()
+            .map(|(_, _, pk)| leaf_hash(pk.as_bytes()))
+            .collect();
         let tree = MerkleTree::from_leaf_hashes(leaf_hashes);
-        let group_pk = GroupPublicKey { root: tree.root(), leaves: slots.len() as u64 };
+        let group_pk = GroupPublicKey {
+            root: tree.root(),
+            leaves: slots.len() as u64,
+        };
 
         let mut opening = HashMap::with_capacity(slots.len());
         let mut credentials: Vec<Vec<Credential>> = vec![Vec::new(); members.len()];
@@ -267,7 +272,10 @@ impl GroupManager {
 
 /// Domain-separated digest for group signing.
 fn group_digest(msg: &[u8]) -> Hash256 {
-    Sha256::new().chain(b"blockprov-groupsig-v1").chain(msg).finalize()
+    Sha256::new()
+        .chain(b"blockprov-groupsig-v1")
+        .chain(msg)
+        .finalize()
 }
 
 /// Verify an anonymous signature against the group public key.
@@ -279,7 +287,8 @@ pub fn verify_group(pk: &GroupPublicKey, msg: &[u8], sig: &GroupSignature) -> bo
     let Some(leaf_pk) = wots_recover_pk(&digest, &sig.ots) else {
         return false;
     };
-    sig.auth_path.verify_leaf_hash(&pk.root, &leaf_hash(leaf_pk.as_bytes()))
+    sig.auth_path
+        .verify_leaf_hash(&pk.root, &leaf_hash(leaf_pk.as_bytes()))
 }
 
 #[cfg(test)]
@@ -310,8 +319,7 @@ mod tests {
     #[test]
     fn non_member_cannot_forge() {
         let (mgr, _) = small_group();
-        let (_, mut outsiders) =
-            GroupManager::setup(b"another-group", &["mallory"], 2).unwrap();
+        let (_, mut outsiders) = GroupManager::setup(b"another-group", &["mallory"], 2).unwrap();
         let sig = outsiders[0].sign(b"let me in").unwrap();
         assert!(!verify_group(&mgr.group_public_key(), b"let me in", &sig));
     }
@@ -355,18 +363,23 @@ mod tests {
         // With a secret shuffle, a member's first credential should not
         // simply be `member_index * per_member`.
         let (_, members) = small_group();
-        let firsts: Vec<u64> = members.iter().map(|m| m.credentials[0].leaf_index).collect();
+        let firsts: Vec<u64> = members
+            .iter()
+            .map(|m| m.credentials[0].leaf_index)
+            .collect();
         assert_ne!(firsts, vec![0, 4, 8], "shuffle must break enrollment order");
     }
 
     #[test]
     fn capacity_is_enforced() {
-        let (_, mut members) =
-            GroupManager::setup(b"tiny", &["solo"], 2).unwrap();
+        let (_, mut members) = GroupManager::setup(b"tiny", &["solo"], 2).unwrap();
         members[0].sign(b"a").unwrap();
         members[0].sign(b"b").unwrap();
         assert_eq!(members[0].remaining(), 0);
-        assert_eq!(members[0].sign(b"c"), Err(GroupSigError::CredentialsExhausted));
+        assert_eq!(
+            members[0].sign(b"c"),
+            Err(GroupSigError::CredentialsExhausted)
+        );
     }
 
     #[test]
