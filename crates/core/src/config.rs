@@ -68,9 +68,10 @@ pub struct LedgerConfig {
     /// Enforce Table 1 required fields on submit.
     pub enforce_schema: bool,
     /// Checkpoint finality depth: blocks this far behind the tip become
-    /// irreversible, their fork metadata is pruned and their bodies may be
-    /// demoted to the block store's cold tier. `None` keeps every fork
-    /// replayable forever (the seed behaviour).
+    /// irreversible, their fork metadata is pruned and their bodies are
+    /// demoted to the block store's cold tier, unless the batch that
+    /// finalized them also wrote them (those stay hot). `None` keeps every
+    /// fork replayable forever (the seed behaviour).
     pub finality_depth: Option<u64>,
     /// Ignored, and passed through to [`ChainConfig::ingest_threads`]:
     /// batched ingest validates inline on the committing thread at every

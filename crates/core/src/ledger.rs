@@ -530,8 +530,9 @@ impl ProvenanceLedger {
     /// record's subject and handing the record to the graph and query
     /// indexes. Durability is batch-granular: the chain group-flushes every
     /// tier once per call, on the error path too (written to the OS, not
-    /// fsynced), so the committed prefix's bodies can be read back for
-    /// provenance absorption before the error surfaces. Blocks before
+    /// fsynced), before the error surfaces. The log absorbs each committed
+    /// block from its outcome, which carries the block itself, so no body
+    /// is read back from the store. Blocks before
     /// the first invalid one commit, and the error reports which block
     /// failed and why (a `StoreIo` error with `index == committed.len()`
     /// means the group flush itself failed; reopen and replay). A record

@@ -34,8 +34,9 @@ impl Codec for BlockHash {
 /// irreversible.
 ///
 /// Once a block is checkpointed, fork choice never reorgs across it, its
-/// fork-path undo metadata is dropped, and its decoded body may be demoted
-/// from the hot tier to cold storage. Checkpoints are `Codec` so header
+/// fork-path undo metadata is dropped, and its decoded body is demoted from
+/// the hot tier to cold storage unless it is still staged in the group
+/// commit that checkpointed it. Checkpoints are `Codec` so header
 /// relays and light verifiers can ship them as trusted anchors (the
 /// "trusted checkpoint" a [`crate::chain::TxInclusionProof`] verifier
 /// starts from).

@@ -6,9 +6,12 @@
 //! *incrementally* across reorgs (undo back to the fork point, redo along
 //! the winning branch) instead of rebuilt from scratch, and a configured
 //! finality depth turns old blocks into checkpoints: their fork metadata is
-//! pruned and their decoded bodies are demoted to the store's cold tier. The
-//! combination gives bounded resident memory over unbounded history when
-//! paired with [`crate::segment::TieredStore`].
+//! pruned and their decoded bodies are demoted to the store's cold tier,
+//! except a block still staged in the group commit that finalized it, which
+//! stays hot. The combination gives bounded resident memory over unbounded
+//! history when paired with [`crate::segment::TieredStore`]. Each
+//! [`AppendOutcome`] carries the block the store holds, so a caller folding
+//! committed blocks into its own state reads none back.
 
 use crate::block::{Block, BlockHash, BlockHeader, Checkpoint};
 use crate::index::{IndexEntry, TxIndex, TxIndexReader};
@@ -52,8 +55,10 @@ pub struct ChainConfig {
     /// Checkpoint finality depth: blocks this far behind the tip become
     /// irreversible — fork choice refuses to reorg across them, stale fork
     /// metadata at or below the checkpoint is pruned, and finalized blocks
-    /// are demoted from the store's hot tier. `None` disables finality
-    /// (every historical fork stays replayable forever).
+    /// are demoted from the store's hot tier — unless the batch being
+    /// committed wrote them, in which case they stay hot until the cache
+    /// evicts them. `None` disables finality (every historical fork stays
+    /// replayable forever).
     pub finality_depth: Option<u64>,
     /// Ignored. The stateless ingest stage runs inline on the committing
     /// thread at every setting; the field is kept only so the benchmark
@@ -155,7 +160,7 @@ impl fmt::Display for ValidationError {
 impl std::error::Error for ValidationError {}
 
 /// Result of appending a block.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Clone, PartialEq, Eq)]
 pub struct AppendOutcome {
     /// Hash of the appended block.
     pub hash: BlockHash,
@@ -163,6 +168,21 @@ pub struct AppendOutcome {
     pub new_tip: bool,
     /// Whether a reorganization occurred (tip moved to a different branch).
     pub reorged: bool,
+    /// The block as the store holds it, so a caller folding the committed
+    /// blocks into its own state reads nothing back.
+    pub block: Arc<Block>,
+}
+
+impl fmt::Debug for AppendOutcome {
+    /// The block by its hash only: a batch's outcomes end up in error
+    /// messages, and a body there is noise.
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("AppendOutcome")
+            .field("hash", &self.hash)
+            .field("new_tip", &self.new_tip)
+            .field("reorged", &self.reorged)
+            .finish_non_exhaustive()
+    }
 }
 
 #[derive(Debug, Clone, Copy)]
@@ -210,8 +230,8 @@ fn check_rank(e: &ValidationError) -> u8 {
 /// ingest reports the exact error sequential [`Chain::append`] would.
 #[derive(Debug, Clone)]
 pub struct PrevalidatedBlock {
-    /// The block, ready to commit.
-    pub block: Block,
+    /// The block, ready to commit; the store keeps this very `Arc`.
+    pub block: Arc<Block>,
     /// Header hash (the block identity), computed once.
     pub hash: BlockHash,
     /// Transaction ids in block order, computed once.
@@ -229,7 +249,8 @@ impl PrevalidatedBlock {
     /// No chain state is consulted — this is stage 1 of the ingest
     /// pipeline, run on the committing thread just before
     /// [`Chain::append_batch`] commits the block.
-    pub fn compute(block: Block, config: &ChainConfig) -> Self {
+    pub fn compute(block: impl Into<Arc<Block>>, config: &ChainConfig) -> Self {
+        let block = block.into();
         let hash = block.hash();
         let work = block.header.work();
         let tx_ids: Vec<TxId> = block.txs.iter().map(Transaction::id).collect();
@@ -1077,7 +1098,7 @@ impl Chain {
                         format!("replay: scanned block {hash} missing from store"),
                     )
                 })?;
-                let pre = PrevalidatedBlock::compute((*block).clone(), &self.config);
+                let pre = PrevalidatedBlock::compute(block, &self.config);
                 match self.commit_prevalidated(pre) {
                     Ok(_)
                     | Err(ValidationError::Duplicate(_) | ValidationError::BelowFinality { .. }) => {
@@ -1925,9 +1946,9 @@ impl Chain {
         // the whole batch with one write. A failure here — full disk, I/O
         // error — propagates instead of aborting the process; nothing of
         // this block entered the chain state yet.
-        let arc = self
+        let block = self
             .store
-            .put_staged(block)
+            .put_staged(block, hash)
             .map_err(|e| ValidationError::StoreIo(e.to_string()))?;
         self.meta.insert(hash, meta);
         self.at_height.entry(meta.height).or_default().push(hash);
@@ -1941,13 +1962,14 @@ impl Chain {
             self.canonical.push_back(hash);
             let undo = self
                 .index
-                .absorb_with(&arc, hash, &tx_ids, &mut self.next_nonce);
+                .absorb_with(&block, hash, &tx_ids, &mut self.next_nonce);
             self.undo.insert(hash, undo);
             self.advance_finality();
             Ok(AppendOutcome {
                 hash,
                 new_tip: true,
                 reorged: false,
+                block,
             })
         } else if wins {
             // Reorg: undo the losing suffix, redo along the winning branch.
@@ -1957,12 +1979,14 @@ impl Chain {
                 hash,
                 new_tip: true,
                 reorged: true,
+                block,
             })
         } else {
             Ok(AppendOutcome {
                 hash,
                 new_tip: false,
                 reorged: false,
+                block,
             })
         }
     }
@@ -2003,7 +2027,8 @@ impl Chain {
     /// Advance the finality checkpoint to `height - depth`, pruning stale
     /// fork metadata at newly-final heights (plus any fork descendants that
     /// become orphaned) and demoting finalized canonical blocks to the
-    /// store's cold tier.
+    /// store's cold tier (the store keeps a block of the current group
+    /// commit hot).
     ///
     /// The per-author nonce floors absorb the newly-final transactions'
     /// nonces. With a metadata tier attached this is also where the chain's

@@ -478,9 +478,10 @@ pub struct TieredStore {
     pending: FrameBatch,
     /// `(hash, location)` for each pending frame, in stage order.
     pending_locs: Vec<(BlockHash, BlockLocation)>,
-    /// Decoded copies of the pending blocks, pinned so the writer's own
-    /// `get` (reorgs touching same-batch forks) resolves them before the
-    /// frames are readable from disk, even once the hot set evicted them.
+    /// Decoded copies of the blocks staged since the last `flush_staged`,
+    /// pinned so the writer's own `get` (reorgs touching same-batch forks)
+    /// resolves them before the frames are readable from disk, even once
+    /// the hot set evicted them, and so `demote` can tell them apart.
     pending_arcs: HashMap<BlockHash, Arc<Block>>,
 }
 
@@ -821,7 +822,6 @@ impl TieredStore {
         for (hash, loc) in self.pending_locs.drain(..) {
             self.shared.index_insert(hash, loc);
         }
-        self.pending_arcs.clear();
         Ok(())
     }
 
@@ -848,8 +848,7 @@ impl TieredStore {
 }
 
 impl BlockStore for TieredStore {
-    fn put_staged(&mut self, block: Block) -> io::Result<Arc<Block>> {
-        let hash = block.hash();
+    fn put_staged(&mut self, block: Arc<Block>, hash: BlockHash) -> io::Result<Arc<Block>> {
         // Dedupe against the in-memory index and the pending set only:
         // forcing lazy segment scans here would turn the first
         // post-restart appends into a full history read. A duplicate
@@ -857,15 +856,14 @@ impl BlockStore for TieredStore {
         // identical frame — benign for replay, and the chain layer never
         // re-stores a block it already holds.
         let arc = if self.shared.index_get(&hash).is_some() {
-            Arc::new(block)
+            block
         } else if let Some(arc) = self.pending_arcs.get(&hash) {
             Arc::clone(arc)
         } else {
             let loc = self.stage_frame(block.to_wire(), block.header.height)?;
-            let arc = Arc::new(block);
             self.pending_locs.push((hash, loc));
-            self.pending_arcs.insert(hash, Arc::clone(&arc));
-            arc
+            self.pending_arcs.insert(hash, Arc::clone(&block));
+            block
         };
         // Hot insertion before the flush is safe: readers only look up
         // hashes a published chain snapshot names, and publication happens
@@ -875,10 +873,10 @@ impl BlockStore for TieredStore {
     }
 
     fn flush_staged(&mut self) -> io::Result<()> {
-        if self.pending.is_empty() {
-            return Ok(());
-        }
         self.emit_pending()?;
+        // Unpinned here, not when a rollover emits mid-group, so `demote`
+        // keeps every block of the group hot until the group has landed.
+        self.pending_arcs.clear();
         // Re-commit the manifest once the active segment has outgrown the
         // last committed length by a stride.
         let active_len = self.infos.last().expect("active segment").len;
@@ -922,9 +920,13 @@ impl BlockStore for TieredStore {
     }
 
     fn demote(&mut self, hash: &BlockHash) {
-        // Safe to drop from the hot set: the block is on disk, or pinned in
-        // the pending set until the group flush lands it there.
-        self.shared.hot.remove(hash);
+        // A block of the group being committed stays hot: its batch just
+        // wrote it, so it is the history readers ask for next, and it is
+        // pinned in memory until the flush anyway. Any other block is on
+        // disk and safe to drop from the hot set.
+        if !self.pending_arcs.contains_key(hash) {
+            self.shared.hot.remove(hash);
+        }
     }
 
     fn scan(&self, visit: &mut dyn FnMut(Arc<Block>)) -> io::Result<()> {
@@ -1012,10 +1014,15 @@ mod tests {
         }
     }
 
+    /// Stage one block under its header hash.
+    fn stage(s: &mut TieredStore, b: &Block) {
+        s.put_staged(Arc::new(b.clone()), b.hash()).unwrap();
+    }
+
     /// Stage every block, then flush them as one group.
     fn put_all(s: &mut TieredStore, blocks: &[Block]) {
         for b in blocks {
-            s.put_staged(b.clone()).unwrap();
+            stage(s, b);
         }
         s.flush_staged().unwrap();
     }
@@ -1198,7 +1205,7 @@ mod tests {
             a.put(blk.clone()).unwrap();
         }
         for blk in &blocks {
-            b.put_staged(blk.clone()).unwrap();
+            stage(&mut b, blk);
             // Visible to the writer before the flush.
             assert_eq!(b.get(&blk.hash()).as_deref(), Some(blk));
         }
@@ -1226,15 +1233,15 @@ mod tests {
         let dir = temp_dir("staged-mix");
         let mut s = TieredStore::open(&dir, TieredConfig::default()).unwrap();
         let blocks = chain_blocks(3);
-        s.put_staged(blocks[0].clone()).unwrap();
+        stage(&mut s, &blocks[0]);
         // Duplicate stage: one frame only.
-        s.put_staged(blocks[0].clone()).unwrap();
+        stage(&mut s, &blocks[0]);
         // A plain `put` while frames are pending keeps disk order: the
         // staged frame is emitted first, then the new one, and a `put` of
         // an already-staged block flushes rather than re-appending.
         s.put(blocks[1].clone()).unwrap();
         s.put(blocks[0].clone()).unwrap();
-        s.put_staged(blocks[2].clone()).unwrap();
+        stage(&mut s, &blocks[2]);
         s.flush_staged().unwrap();
         s.flush_staged().unwrap(); // idempotent when nothing is staged
         assert_eq!(s.len(), 3);
@@ -1260,7 +1267,7 @@ mod tests {
         )
         .unwrap();
         for b in &blocks {
-            s.put_staged(b.clone()).unwrap();
+            stage(&mut s, b);
             assert!(s.resident_blocks() <= 8, "hot set must stay bounded");
         }
         // Mid-batch, every block resolves — hot, or pinned in the cold
@@ -1344,6 +1351,33 @@ mod tests {
         assert_eq!(s.resident_blocks(), 3);
         // Still durable and readable from cold.
         assert_eq!(*s.get(&h).unwrap(), blocks[0]);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn demote_keeps_a_staged_block_hot_until_the_flush() {
+        let dir = temp_dir("demote-staged");
+        let blocks = chain_blocks(12);
+        // Segments of a few frames, so the group rolls over mid-way and
+        // the rollover emits the first frames before the flush.
+        let mut s = TieredStore::open(&dir, cfg(600)).unwrap();
+        put_all(&mut s, &blocks[..4]);
+        for b in &blocks[4..] {
+            stage(&mut s, b);
+        }
+        assert!(s.segment_count() >= 2, "the group must roll over");
+        // A block flushed by an earlier group leaves the hot set; a block
+        // of the group in progress stays, even one a rollover emitted.
+        s.demote(&blocks[3].hash());
+        s.demote(&blocks[4].hash());
+        assert_eq!(s.resident_blocks(), 11);
+        s.flush_staged().unwrap();
+        let (hits, misses) = s.tier_stats();
+        assert_eq!(*s.get(&blocks[4].hash()).unwrap(), blocks[4]);
+        assert_eq!(s.tier_stats(), (hits + 1, misses), "staged block read hot");
+        // Once the group has landed, the same hint demotes it.
+        s.demote(&blocks[4].hash());
+        assert_eq!(s.resident_blocks(), 10);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

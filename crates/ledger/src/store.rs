@@ -29,8 +29,10 @@ pub trait BlockStore: Send {
     /// Stage a block for a group commit: the block becomes visible to this
     /// store's own `get` immediately but need not be durable until
     /// [`BlockStore::flush_staged`] returns. The one write path; a store
-    /// with nothing to defer stores the block right away.
-    fn put_staged(&mut self, block: Block) -> std::io::Result<Arc<Block>>;
+    /// with nothing to defer stores the block right away. `hash` is the
+    /// block's header hash, which the caller has already computed; the
+    /// returned `Arc` is the copy the store serves.
+    fn put_staged(&mut self, block: Arc<Block>, hash: BlockHash) -> std::io::Result<Arc<Block>>;
 
     /// Make every block staged since the last flush durable, with one write
     /// barrier for the whole group. Idempotent when nothing is staged.
@@ -40,7 +42,8 @@ pub trait BlockStore: Send {
 
     /// Store one block durably: stage it, then flush the group it closes.
     fn put(&mut self, block: Block) -> std::io::Result<Arc<Block>> {
-        let arc = self.put_staged(block)?;
+        let hash = block.hash();
+        let arc = self.put_staged(Arc::new(block), hash)?;
         self.flush_staged()?;
         Ok(arc)
     }
@@ -63,7 +66,8 @@ pub trait BlockStore: Send {
     }
 
     /// Hint that `hash` no longer needs to be hot (e.g. the chain finalized
-    /// it). Stores with a memory tier evict the decoded copy; stores where
+    /// it). Stores with a memory tier evict the decoded copy unless the
+    /// block is still staged for the group commit in progress; stores where
     /// memory *is* the only tier ignore the hint — dropping the block would
     /// lose it.
     fn demote(&mut self, _hash: &BlockHash) {}
@@ -159,19 +163,17 @@ impl BlockReader for MemReader {
 }
 
 impl BlockStore for MemStore {
-    fn put_staged(&mut self, block: Block) -> std::io::Result<Arc<Block>> {
-        let hash = block.hash();
+    fn put_staged(&mut self, block: Arc<Block>, hash: BlockHash) -> std::io::Result<Arc<Block>> {
         let shard = mem_shard(&self.blocks, &hash);
         let mut map = self.blocks[shard].write().expect("mem shard poisoned");
         if let Some((existing, _)) = map.get(&hash) {
             return Ok(Arc::clone(existing));
         }
-        let arc = Arc::new(block);
-        map.insert(hash, (Arc::clone(&arc), self.next_seq));
+        map.insert(hash, (Arc::clone(&block), self.next_seq));
         drop(map);
         self.next_seq += 1;
-        self.bytes += arc.encoded_len() as u64;
-        Ok(arc)
+        self.bytes += block.encoded_len() as u64;
+        Ok(block)
     }
     fn get(&self, hash: &BlockHash) -> Option<Arc<Block>> {
         mem_get(&self.blocks, hash)

@@ -39,7 +39,7 @@
 
 use std::io::{self, BufReader};
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{self, SyncSender, TrySendError};
 use std::sync::{Arc, Mutex};
@@ -142,8 +142,7 @@ impl Node {
                     },
                 )?;
                 let tier_reader = store.tiered_reader();
-                let index = TxIndex::open(dir.join("index"), TxIndexConfig::default())?;
-                let meta = MetaStore::open(dir.join("meta"), MetaConfig::default())?;
+                let (index, meta) = open_derived_tiers(dir)?;
                 let chain =
                     Chain::replay_with_tiers(Box::new(store), Some(index), meta, chain_config)?;
                 (chain, Some(tier_reader))
@@ -265,6 +264,31 @@ impl Drop for Node {
 /// Flatten a chain refusal into the stable one-line form `409` replies
 /// carry: `ingest: ` and the batch error, the same text the core crate's
 /// ledger reports for it.
+/// Open the transaction index (`index/`) and the metadata tier (`meta/`)
+/// under `dir`, trying both before failing: a data directory written by a
+/// build of another format is stale in both, and one error naming every
+/// refused directory spares the operator a second failed start.
+fn open_derived_tiers(dir: &Path) -> io::Result<(TxIndex, MetaStore)> {
+    let index = TxIndex::open(dir.join("index"), TxIndexConfig::default());
+    let meta = MetaStore::open(dir.join("meta"), MetaConfig::default());
+    let (index, meta) = match (index, meta) {
+        (Ok(index), Ok(meta)) => return Ok((index, meta)),
+        (index, meta) => (index.err(), meta.err()),
+    };
+    let refused: Vec<(&str, io::Error)> = [("index/", index), ("meta/", meta)]
+        .into_iter()
+        .filter_map(|(name, e)| Some((name, e?)))
+        .collect();
+    let reasons: Vec<String> = refused
+        .iter()
+        .map(|(name, e)| format!("{name}: {e}"))
+        .collect();
+    Err(io::Error::new(
+        refused[0].1.kind(),
+        format!("{} refused: {}", dir.display(), reasons.join("; ")),
+    ))
+}
+
 fn describe_ingest_error(e: &BatchError) -> String {
     format!("ingest: {e}")
 }

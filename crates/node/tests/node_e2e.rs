@@ -538,3 +538,52 @@ fn a_record_naming_an_unknown_parent_is_committed_and_served() {
     assert_eq!(oracle.chain().height(), 1, "the ledger committed it too");
     node.shutdown().expect("shutdown");
 }
+
+#[test]
+fn a_data_dir_of_another_format_is_refused_once_naming_index_and_meta() {
+    use blockprov_wire::index::{write_page_to, BloomFilter, IndexPageHeader};
+    use blockprov_wire::meta::{encode_snapshot_slot, CheckpointSnapshot, SNAPSHOT_VERSION};
+
+    let dir = temp_dir("stale");
+    // One index page of version 1 and one intact snapshot of version 4,
+    // as an older build would have left them.
+    std::fs::create_dir_all(dir.join("index")).unwrap();
+    let page = IndexPageHeader {
+        version: 1,
+        partition: 0,
+        sequence: 0,
+        entry_count: 0,
+        first_height: 1,
+        last_height: 1,
+        key_bloom: BloomFilter::with_capacity(0),
+        tag_mask: 0,
+    };
+    let mut pages = Vec::new();
+    write_page_to(&mut pages, &page, &[]).unwrap();
+    std::fs::write(dir.join("index").join("idx-00.pages"), pages).unwrap();
+    std::fs::create_dir_all(dir.join("meta")).unwrap();
+    let snapshot = CheckpointSnapshot {
+        version: SNAPSHOT_VERSION - 1,
+        height: 1,
+        hash: [7; 32],
+        index_watermarks: Vec::new(),
+        index_durable_height: 0,
+        nonce_floors: Vec::new(),
+        height_map_len: 0,
+    };
+    let slot = encode_snapshot_slot(1, &snapshot.to_wire(), |b| sha256(b).0);
+    std::fs::write(dir.join("meta").join("snapshot.0"), slot).unwrap();
+
+    let config = NodeConfig {
+        data_dir: Some(dir.clone()),
+        ..NodeConfig::default()
+    };
+    let Err(err) = Node::start("127.0.0.1:0", config) else {
+        panic!("a stale data directory must be refused");
+    };
+    let msg = err.to_string();
+    for part in ["index/", "version 1", "meta/", "version 4"] {
+        assert!(msg.contains(part), "{part:?} missing from: {msg}");
+    }
+    std::fs::remove_dir_all(&dir).unwrap();
+}

@@ -349,6 +349,10 @@ impl ProvenanceLog {
     /// one held, since audits rely on the postings covering every stored
     /// block — then walk the winning branch of any reorg, then publish a
     /// covered view.
+    ///
+    /// Each outcome carries the block the commit stored, so nothing is
+    /// read back: a block the batch already finalized would otherwise cost
+    /// a `pread` and a decode on this, the one writer thread.
     fn absorb(
         &mut self,
         old_tip: BlockHash,
@@ -358,10 +362,7 @@ impl ProvenanceLog {
         {
             let mut postings = self.postings.write().expect("postings lock poisoned");
             for outcome in outcomes {
-                // A block already pruned by finality has nothing to absorb.
-                if let Some(block) = self.chain.block(&outcome.hash) {
-                    absorb_block(&block, &mut postings, visitor);
-                }
+                absorb_block(&outcome.block, &mut postings, visitor);
             }
             if outcomes.iter().any(|o| o.reorged) {
                 self.absorb_winning_branch(old_tip, &mut postings, visitor);
@@ -500,8 +501,8 @@ mod tests {
     use blockprov_ledger::chain::ChainConfig;
     use blockprov_ledger::tx::AccountId;
     use blockprov_ledger::{
-        BlockStore, MetaConfig, MetaStore, TieredConfig, TieredReader, TieredStore, TxIndex,
-        TxIndexConfig,
+        BlockReader, BlockStore, MetaConfig, MetaStore, TieredConfig, TieredReader, TieredStore,
+        TxIndex, TxIndexConfig,
     };
 
     fn log() -> ProvenanceLog {
@@ -738,5 +739,69 @@ mod tests {
         // A later reader starts from a view covering everything absorbed.
         let reader = l.reader();
         assert_eq!(reader.provenance_of("f").records.len(), 2);
+    }
+
+    /// Absorbing a batch folds the blocks the commit holds: the writer
+    /// reads nothing back from the store, and the hot set ends up as if it
+    /// had — a block the batch wrote and finalized stays hot, a block a
+    /// later batch finalizes goes cold.
+    #[test]
+    fn absorbing_a_batch_reads_no_block_back() {
+        const BATCH: usize = 64;
+        const FINALITY: u64 = 16;
+        let dir = temp_dir("no-read-back");
+        // The tiers as the node opens them, with its finality depth.
+        let store = TieredStore::open(
+            dir.join("blocks"),
+            TieredConfig {
+                hot_capacity: 256,
+                ..TieredConfig::default()
+            },
+        )
+        .unwrap();
+        let tiers = store.tiered_reader();
+        let index = TxIndex::open(dir.join("index"), TxIndexConfig::default()).unwrap();
+        let meta = MetaStore::open(dir.join("meta"), MetaConfig::default()).unwrap();
+        let config = ChainConfig {
+            finality_depth: Some(FINALITY),
+            ..ChainConfig::default()
+        };
+        let chain = Chain::replay_with_tiers(Box::new(store), Some(index), meta, config).unwrap();
+        let mut log = ProvenanceLog::new(chain).unwrap();
+        let reader = log.reader();
+
+        let mut batches = Vec::new();
+        for _ in 0..2 {
+            let batch = record_blocks(&log, "s", BATCH);
+            let before = tiers.tier_stats();
+            log.ingest_blocks(batch.clone()).unwrap();
+            assert_eq!(tiers.tier_stats(), before, "the ingest read a block");
+            batches.push(batch);
+        }
+        assert_eq!(log.chain.finalized_height(), 2 * BATCH as u64 - FINALITY);
+
+        let (hits, misses) = tiers.tier_stats();
+        for block in &batches[1] {
+            assert!(tiers.get(&block.hash()).is_some());
+        }
+        assert_eq!(
+            tiers.tier_stats(),
+            (hits + BATCH as u64, misses),
+            "the second batch must read hot"
+        );
+        let (hits, misses) = tiers.tier_stats();
+        for block in &batches[0][BATCH - FINALITY as usize..] {
+            assert!(tiers.get(&block.hash()).is_some());
+        }
+        assert_eq!(
+            tiers.tier_stats(),
+            (hits, misses + FINALITY),
+            "the first batch's unfinalized tail was demoted by the second"
+        );
+        // Audits (which read blocks, so they come last) see every record.
+        assert_eq!(reader.provenance_of("s").records.len(), 2 * BATCH);
+        drop(reader);
+        drop(log);
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 }
