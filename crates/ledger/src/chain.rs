@@ -372,6 +372,18 @@ pub struct TxInclusionProof {
 }
 
 impl TxInclusionProof {
+    /// The proof for the transaction at `pos` in `block`: the one place a
+    /// proof is built, for [`Chain::prove_tx`] and [`ChainView::prove_tx`].
+    fn at(block: &Block, pos: u32) -> Option<Self> {
+        let (tx_id, proof) = block.prove_tx(pos as usize)?;
+        Some(Self {
+            tx_id,
+            block_hash: block.hash(),
+            header: block.header.clone(),
+            proof,
+        })
+    }
+
     /// Verify internal consistency: header hashes to `block_hash` and the
     /// Merkle path binds `tx_id` to the header's root.
     pub fn verify(&self) -> bool {
@@ -576,7 +588,6 @@ impl ResidentMetadata {
 #[derive(Debug, Clone)]
 pub struct ChainSnapshot {
     tip: BlockHash,
-    genesis: BlockHash,
     canonical_base: u64,
     canonical: VecDeque<BlockHash>,
     finalized_height: u64,
@@ -585,29 +596,9 @@ pub struct ChainSnapshot {
 }
 
 impl ChainSnapshot {
-    /// Canonical tip hash at the captured commit point.
-    pub fn tip(&self) -> BlockHash {
-        self.tip
-    }
-
-    /// Genesis hash (lineage identity).
-    pub fn genesis(&self) -> BlockHash {
-        self.genesis
-    }
-
     /// Height of the tip at the captured commit point.
-    pub fn height(&self) -> u64 {
+    fn height(&self) -> u64 {
         self.canonical_base + self.canonical.len() as u64 - 1
-    }
-
-    /// Finality checkpoint height at the captured commit point.
-    pub fn finalized_height(&self) -> u64 {
-        self.finalized_height
-    }
-
-    /// The finality checkpoint, when a finality depth is configured.
-    pub fn checkpoint(&self) -> Option<Checkpoint> {
-        self.checkpoint
     }
 
     /// Canonical hash at `height` from the snapshot's in-memory suffix.
@@ -682,8 +673,8 @@ impl ChainReader {
 /// Durable-tier results are filtered to `height <= finalized_height` of the
 /// pinned snapshot, which is what keeps a tier that has advanced past the
 /// snapshot from leaking newer entries into the view. Durable read *errors*
-/// surface as absence (`None` / empty), matching [`Chain::tx_by_id`]'s
-/// convention on the writer side.
+/// are logged and surface as absence (`None` / empty), as
+/// [`BlockStore::get`]'s `Option` contract does for blocks.
 #[derive(Debug, Clone)]
 pub struct ChainView {
     snap: Arc<ChainSnapshot>,
@@ -691,11 +682,6 @@ pub struct ChainView {
 }
 
 impl ChainView {
-    /// The pinned snapshot itself.
-    pub fn snapshot(&self) -> &ChainSnapshot {
-        &self.snap
-    }
-
     /// Tip hash of the pinned snapshot.
     pub fn tip(&self) -> BlockHash {
         self.snap.tip
@@ -749,9 +735,9 @@ impl ChainView {
     }
 
     /// Locate a canonical transaction: `(containing block hash, position)`.
-    /// Two-tier merged, exactly like [`Chain::tx_by_id`]: the snapshot's
-    /// suffix index first, then the durable index capped at the snapshot's
-    /// checkpoint.
+    /// Two-tier merged: the snapshot's suffix index first, then the durable
+    /// index capped at the snapshot's checkpoint. When the same id was
+    /// sealed into several canonical blocks, the latest occurrence wins.
     pub fn tx_by_id(&self, id: &TxId) -> Option<(BlockHash, u32)> {
         if let Some(loc) = self.snap.index.tx_loc.get(id) {
             return Some(*loc);
@@ -799,13 +785,7 @@ impl ChainView {
     /// Produce a self-contained inclusion proof for a canonical transaction.
     pub fn prove_tx(&self, id: &TxId) -> Option<TxInclusionProof> {
         let (block, pos) = self.find_tx(id)?;
-        let (tx_id, proof) = block.prove_tx(pos as usize)?;
-        Some(TxInclusionProof {
-            tx_id,
-            block_hash: block.hash(),
-            header: block.header.clone(),
-            proof,
-        })
+        TxInclusionProof::at(&block, pos)
     }
 
     /// Whether `hash` lies on the canonical chain of the pinned snapshot.
@@ -978,7 +958,6 @@ impl Chain {
             &meta_tier,
             ChainSnapshot {
                 tip: genesis,
-                genesis,
                 canonical_base: 0,
                 canonical: VecDeque::from([genesis]),
                 finalized_height: 0,
@@ -1221,7 +1200,6 @@ impl Chain {
             &meta_tier,
             ChainSnapshot {
                 tip: cp_hash,
-                genesis,
                 canonical_base: snap.height,
                 canonical: VecDeque::from([cp_hash]),
                 finalized_height: snap.height,
@@ -1397,14 +1375,13 @@ impl Chain {
     /// The in-memory suffix covers heights above the checkpoint; the
     /// durable height map (when a metadata tier is attached) serves
     /// finalized history. An unreadable durable tier reads as absent here,
-    /// matching [`BlockStore::get`]; error-aware callers use
-    /// [`Chain::try_hash_at`].
+    /// matching [`BlockStore::get`].
     pub fn hash_at(&self, height: u64) -> Option<BlockHash> {
         self.try_hash_at(height).unwrap_or(None)
     }
 
     /// [`Chain::hash_at`], surfacing durable-tier read errors.
-    pub fn try_hash_at(&self, height: u64) -> std::io::Result<Option<BlockHash>> {
+    fn try_hash_at(&self, height: u64) -> std::io::Result<Option<BlockHash>> {
         if let Some(hash) = self.suffix_hash(height) {
             return Ok(Some(hash));
         }
@@ -1484,60 +1461,17 @@ impl Chain {
         mutable.max(floor)
     }
 
-    /// Locate a canonical transaction: `(containing block hash, position)`.
-    ///
-    /// Two-tier lookup: the mutable index covers the non-finalized suffix,
-    /// the durable [`TxIndex`] (when attached) covers finalized history.
-    /// An unreadable durable index reads as absent here, matching
-    /// [`BlockStore::get`]'s `Option` contract; error-aware callers use
-    /// [`Chain::try_tx_by_id`].
-    pub fn tx_by_id(&self, id: &TxId) -> Option<(BlockHash, u32)> {
-        self.try_tx_by_id(id).unwrap_or(None)
-    }
-
-    /// [`Chain::tx_by_id`], surfacing durable-index read errors.
-    pub fn try_tx_by_id(&self, id: &TxId) -> std::io::Result<Option<(BlockHash, u32)>> {
+    /// Locate a canonical transaction in the writer's state: the same
+    /// two-tier merge as [`ChainView::tx_by_id`], over the suffix index and
+    /// the durable index capped at the checkpoint.
+    fn locate_tx(&self, id: &TxId) -> std::io::Result<Option<(BlockHash, u32)>> {
         if let Some(loc) = self.index.tx_loc.get(id) {
             return Ok(Some(*loc));
         }
         match &self.tx_index {
-            Some(ix) => ix.lookup(id),
+            Some(ix) => ix.lookup(id, self.finalized_height),
             None => Ok(None),
         }
-    }
-
-    /// Locate a transaction on the canonical chain, fetching its block.
-    pub fn find_tx(&self, id: &TxId) -> Option<(Arc<Block>, u32)> {
-        let (hash, pos) = self.tx_by_id(id)?;
-        Some((self.store.get(&hash)?, pos))
-    }
-
-    /// Fetch a transaction by id from the canonical chain.
-    pub fn get_tx(&self, id: &TxId) -> Option<Transaction> {
-        let (block, pos) = self.find_tx(id)?;
-        block.txs.get(pos as usize).cloned()
-    }
-
-    /// All canonical transaction ids with the given kind tag, oldest first.
-    ///
-    /// Owned result: finalized ids come from the durable index tier,
-    /// suffix ids from the mutable one, merged in canonical order. An
-    /// unreadable durable index reads as an empty finalized tier; see
-    /// [`Chain::try_txs_by_kind`] for the error-surfacing variant.
-    pub fn txs_by_kind(&self, kind: u16) -> Vec<TxId> {
-        self.try_txs_by_kind(kind).unwrap_or_default()
-    }
-
-    /// [`Chain::txs_by_kind`], surfacing durable-index read errors.
-    pub fn try_txs_by_kind(&self, kind: u16) -> std::io::Result<Vec<TxId>> {
-        let mut out = match &self.tx_index {
-            Some(ix) => ix.txs_by_kind(kind)?,
-            None => Vec::new(),
-        };
-        if let Some(list) = self.index.by_kind.get(&kind) {
-            out.extend(list.iter().copied());
-        }
-        Ok(out)
     }
 
     /// Visit every canonical block, genesis to tip, in one sequential pass
@@ -1686,7 +1620,6 @@ impl Chain {
         }
         self.read_shared.snapshot.store(Arc::new(ChainSnapshot {
             tip: self.tip,
-            genesis: self.genesis,
             canonical_base: self.canonical_base,
             canonical: self.canonical.clone(),
             finalized_height: self.finalized_height,
@@ -1748,14 +1681,8 @@ impl Chain {
 
     /// Produce a self-contained inclusion proof for a canonical transaction.
     pub fn prove_tx(&self, id: &TxId) -> Option<TxInclusionProof> {
-        let (block, pos) = self.find_tx(id)?;
-        let (tx_id, proof) = block.prove_tx(pos as usize)?;
-        Some(TxInclusionProof {
-            tx_id,
-            block_hash: block.hash(),
-            header: block.header.clone(),
-            proof,
-        })
+        let (hash, pos) = self.locate_tx(id).unwrap_or(None)?;
+        TxInclusionProof::at(&*self.store.get(&hash)?, pos)
     }
 
     /// Validate a block against its parent without inserting it.
@@ -2261,15 +2188,15 @@ impl Chain {
                 return false;
             }
         }
-        if self.tx_index.is_none() {
+        let Some(ix) = &self.tx_index else {
             // Metadata tier only: the mutable tx indexes still cover all of
             // history and must match the rebuild structurally.
             return rebuilt == self.index;
-        }
+        };
         // Every canonical location resolves through the merged lookup, and
         // the mutable tier holds no phantom entries.
         for (id, loc) in &rebuilt.tx_loc {
-            if self.tx_by_id(id) != Some(*loc) {
+            if self.locate_tx(id).unwrap_or(None) != Some(*loc) {
                 return false;
             }
         }
@@ -2281,7 +2208,11 @@ impl Chain {
         // Kind lists match the rebuild in full, including order; the
         // merged result must also cover no extra kinds.
         for (kind, list) in &rebuilt.by_kind {
-            if self.txs_by_kind(*kind).iter().ne(list.iter()) {
+            let Ok(durable) = ix.entries_by_kind(*kind, self.finalized_height) else {
+                return false;
+            };
+            let suffix = self.index.by_kind.get(kind).into_iter().flatten();
+            if durable.iter().map(|e| &e.id).chain(suffix).ne(list) {
                 return false;
             }
         }
@@ -2384,11 +2315,12 @@ mod tests {
         seal(&mut c, vec![t0, tx("bob", 0)]);
         seal(&mut c, vec![tx("alice", 1)]);
         assert_eq!(c.height(), 2);
+        let view = c.reader().view();
         assert_eq!(
-            c.get_tx(&id0).unwrap().author,
+            view.get_tx(&id0).unwrap().author,
             AccountId::from_name("alice")
         );
-        assert_eq!(c.txs_by_kind(1).len(), 3);
+        assert_eq!(view.txs_by_kind(1).len(), 3);
         assert_eq!(c.next_nonce_for(&AccountId::from_name("alice")), 2);
     }
 
@@ -2511,8 +2443,9 @@ mod tests {
         assert!(out.new_tip && out.reorged);
         assert_eq!(c.height(), 2);
         // Index now reflects the rival branch only.
-        assert_eq!(c.txs_by_kind(1), vec![tx("r", 0).id(), tx("r", 1).id()]);
-        assert_eq!(c.tx_by_id(&tx("a", 0).id()), None);
+        let view = c.reader().view();
+        assert_eq!(view.txs_by_kind(1), vec![tx("r", 0).id(), tx("r", 1).id()]);
+        assert_eq!(view.tx_by_id(&tx("a", 0).id()), None);
         assert!(c.is_canonical(&b1h));
         assert!(!c.is_canonical(&a1));
         assert!(c.index_consistent());
@@ -2591,8 +2524,9 @@ mod tests {
         assert_eq!(c.tip(), last);
         assert!(c.index_consistent());
         let ids = |author: &str, n: u64| (0..n).map(|i| tx(author, i).id()).collect::<Vec<_>>();
-        assert_eq!(c.txs_by_kind(1), ids("r", 3));
-        assert_eq!(c.tx_by_id(&tx("a", 1).id()), None);
+        let view = c.reader().view();
+        assert_eq!(view.txs_by_kind(1), ids("r", 3));
+        assert_eq!(view.tx_by_id(&tx("a", 1).id()), None);
         // Original branch strikes back: a3, a4 on top of a2.
         let a3 = Block::assemble(3, a2, 900, AccountId::from_name("s"), 0, vec![tx("a", 2)]);
         let a3h = a3.hash();
@@ -2602,10 +2536,11 @@ mod tests {
         assert!(out.reorged);
         assert_eq!(c.height(), 4);
         assert!(c.index_consistent());
-        assert_eq!(c.txs_by_kind(1), ids("a", 4));
+        let view = c.reader().view();
+        assert_eq!(view.txs_by_kind(1), ids("a", 4));
         assert_eq!(c.next_nonce_for(&AccountId::from_name("a")), 4);
         assert_eq!(c.next_nonce_for(&AccountId::from_name("r")), 0);
-        assert_eq!(c.tx_by_id(&tx("r", 2).id()), None);
+        assert_eq!(view.tx_by_id(&tx("r", 2).id()), None);
     }
 
     #[test]
@@ -2932,7 +2867,7 @@ mod tests {
         }
         let dir = temp_dir("replay-scan");
         let meta = crate::meta::MetaStore::open(dir.join("meta"), Default::default()).unwrap();
-        let replayed =
+        let mut replayed =
             Chain::replay_with_tiers(Box::new(store), None, meta, ChainConfig::default()).unwrap();
         assert_eq!(replayed.tip(), c.tip());
         assert_eq!(replayed.height(), c.height());
@@ -2941,15 +2876,9 @@ mod tests {
             c.canonical_hashes().collect::<Vec<_>>()
         );
         assert!(replayed.index_consistent());
-        assert_eq!(
-            replayed.get_tx(&id0),
-            None,
-            "losing-branch tx not canonical"
-        );
-        assert_eq!(
-            replayed.txs_by_kind(1),
-            vec![tx("r", 0).id(), tx("r", 1).id()]
-        );
+        let view = replayed.reader().view();
+        assert_eq!(view.get_tx(&id0), None, "losing-branch tx not canonical");
+        assert_eq!(view.txs_by_kind(1), vec![tx("r", 0).id(), tx("r", 1).id()]);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -2989,11 +2918,39 @@ mod tests {
         );
         let reader = c.reader();
         assert_eq!(reader.view().tip(), c.genesis());
+        // One id sealed three times: by the end its first occurrence sits in
+        // a durable page, its second in the staged tail, its third in the
+        // suffix, and the latest canonical occurrence must win.
+        let dup = tx("dup", 0);
+        let dup_heights = [7, 26, 29];
         let mut hashes = vec![c.genesis()];
+        // Oracle from the sealed txs: latest location per id, and every
+        // kind-1 occurrence in canonical order.
+        let mut loc: HashMap<TxId, (BlockHash, u32)> = HashMap::new();
+        let mut by_kind: Vec<TxId> = Vec::new();
+        // A view pinned at every commit, with the writer's proof of the
+        // duplicate at that commit.
+        let mut pinned = Vec::new();
         for i in 0..30 {
             let author = ["alice", "bob"][(i % 2) as usize];
-            hashes.push(seal(&mut c, vec![tx(author, i / 2)]));
+            let mut txs = vec![tx(author, i / 2)];
+            if dup_heights.contains(&(i + 1)) {
+                txs.push(dup.clone());
+            }
+            let ids: Vec<TxId> = txs.iter().map(Transaction::id).collect();
+            let hash = seal(&mut c, txs);
+            hashes.push(hash);
+            for (pos, id) in ids.into_iter().enumerate() {
+                loc.insert(id, (hash, pos as u32));
+                by_kind.push(id);
+            }
+            pinned.push((reader.view(), c.prove_tx(&dup.id())));
         }
+        let ix = c.tx_index().unwrap();
+        let p = crate::index::route_hash(dup.id().0.as_bytes()) % u64::from(ix.partition_count());
+        let paged = ix.partition_watermarks()[p as usize];
+        assert!(dup_heights[0] <= paged && paged < dup_heights[1]);
+        assert!(dup_heights[1] <= c.finalized_height() && c.finalized_height() < dup_heights[2]);
         // Every commit re-published: the reader's view matches the writer
         // across both tiers.
         let view = reader.view();
@@ -3006,14 +2963,24 @@ mod tests {
             assert_eq!(view.block_at(h as u64).unwrap().hash(), *hash);
         }
         assert_eq!(view.hash_at(31), None);
-        assert_eq!(view.txs_by_kind(1), c.txs_by_kind(1));
+        assert_eq!(view.txs_by_kind(1), by_kind);
+        for (id, at) in &loc {
+            assert_eq!(view.tx_by_id(id), Some(*at));
+            let proof = c.prove_tx(id).expect("proof through writer");
+            assert!(proof.verify());
+            assert_eq!(proof.block_hash, at.0);
+            assert_eq!(view.prove_tx(id), Some(proof));
+        }
         // Alice's third transaction, finalized deep in the durable tier.
         let some_id = tx("alice", 2).id();
         assert_eq!(view.txs_by_kind(1)[4], some_id);
-        assert_eq!(view.tx_by_id(&some_id), c.tx_by_id(&some_id));
         assert_eq!(view.tx_by_id(&some_id).unwrap().0, hashes[5]);
-        let proof = view.prove_tx(&some_id).expect("proof through reader");
-        assert!(proof.verify());
+        assert_eq!(view.tx_by_id(&dup.id()).unwrap().0, hashes[29]);
+        // A pinned view still answers what the writer answered at its
+        // commit, though the durable tiers have since moved past it.
+        for (h, (view, proof)) in pinned.iter().enumerate() {
+            assert_eq!(view.prove_tx(&dup.id()), *proof, "view at height {}", h + 1);
+        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -5,8 +5,9 @@
 //! memory. Once a block finalizes, the chain flushes its index entries here
 //! and drops them from the mutable in-memory index, so the in-memory tier
 //! covers only the non-finalized suffix while full-history queries
-//! (`tx_by_id`, `txs_by_kind` — the provenance-audit access pattern the SoK
-//! paper centers) are served from durable pages.
+//! ([`crate::ChainView::tx_by_id`], [`crate::ChainView::txs_by_kind`] — the
+//! provenance-audit access pattern the SoK paper centers) are served from
+//! durable pages.
 //!
 //! Layout: entries are hash-partitioned by transaction id across `P`
 //! append-only partition files (`idx-00.pages`, …), each a sequence of
@@ -199,16 +200,25 @@ impl Staged {
     }
 }
 
-/// One partition: durable pages plus the staged (not yet paged) tail.
+/// One partition's queryable state: durable pages plus the staged (not yet
+/// paged) tail. The writer's [`Partition`] owns one, and a publish clones
+/// it into a [`TxIndexState`].
 ///
 /// The page directory and the staged tail's sealed chunks are `Arc`-shared
 /// with published reader states: [`Arc::make_mut`] gives the writer
 /// copy-on-write page appends that clone the directory at most once per
 /// publish cycle, and a sealed chunk is never written again.
-#[derive(Debug)]
-struct Partition {
+#[derive(Debug, Clone, Default)]
+struct PartState {
     pages: Arc<Vec<PageMeta>>,
     staged: Staged,
+}
+
+/// One partition of the writer: its queryable state plus its file's
+/// length and durable watermark.
+#[derive(Debug)]
+struct Partition {
+    state: PartState,
     /// Bytes currently in the partition file.
     file_len: u64,
     /// Largest height durably paged (0 = nothing paged yet).
@@ -240,14 +250,7 @@ pub struct TxIndexShared {
 /// One published, immutable view of the whole index.
 #[derive(Debug)]
 struct TxIndexState {
-    partitions: Vec<TxPartView>,
-}
-
-/// One partition inside a published state.
-#[derive(Debug)]
-struct TxPartView {
-    pages: Arc<Vec<PageMeta>>,
-    staged: Staged,
+    partitions: Vec<PartState>,
 }
 
 /// A cloneable, `Send + Sync` read handle over the last published index
@@ -294,63 +297,98 @@ fn read_index_page(
     Ok(arc)
 }
 
-impl TxIndexReader {
-    /// Locate a finalized transaction by id at or below `max_height`:
-    /// `(block, position)`. Latest occurrence wins, as in
-    /// [`TxIndex::lookup`].
-    pub fn lookup(&self, id: &TxId, max_height: u64) -> io::Result<Option<(BlockHash, u32)>> {
-        let state = self.shared.state.load();
-        let p = (route_hash(id.0.as_bytes()) % state.partitions.len() as u64) as usize;
-        let part = &state.partitions[p];
-        if let Some(e) = part
-            .staged
-            .newest(|e| e.id == *id && e.height <= max_height)
-        {
+/// The partition a transaction id routes to among `partitions`.
+fn route(id: &TxId, partitions: usize) -> usize {
+    (route_hash(id.0.as_bytes()) % partitions as u64) as usize
+}
+
+/// Locate `id` at or below `max_height` in partition `p`: `(block,
+/// position)`. The staged tail is strictly newer than any page, and pages
+/// are swept newest first behind their Bloom filters, so the latest
+/// occurrence wins, as later absorbs overwrite the chain's suffix index.
+///
+/// The one lookup body: [`TxIndexReader::lookup`] runs it on the published
+/// state, [`TxIndex::lookup`] on the writer's.
+fn lookup(
+    shared: &TxIndexShared,
+    p: usize,
+    part: &PartState,
+    id: &TxId,
+    max_height: u64,
+) -> io::Result<Option<(BlockHash, u32)>> {
+    if let Some(e) = part
+        .staged
+        .newest(|e| e.id == *id && e.height <= max_height)
+    {
+        return Ok(Some((e.block, e.pos)));
+    }
+    let (h1, h2) = bloom_hashes(id.0.as_bytes());
+    for seq in (0..part.pages.len() as u32).rev() {
+        let meta = &part.pages[seq as usize];
+        if meta.header.first_height > max_height || !meta.header.key_bloom.contains(h1, h2) {
+            continue;
+        }
+        let entries = read_index_page(shared, p as u16, seq, meta)?;
+        let start = entries.partition_point(|e| e.id < *id);
+        let hit = entries[start..]
+            .iter()
+            .take_while(|e| e.id == *id)
+            .filter(|e| e.height <= max_height)
+            .max_by_key(|e| (e.height, e.pos));
+        if let Some(e) = hit {
             return Ok(Some((e.block, e.pos)));
         }
-        let (h1, h2) = bloom_hashes(id.0.as_bytes());
-        for seq in (0..part.pages.len() as u32).rev() {
+    }
+    Ok(None)
+}
+
+/// Entries with the given kind tag at or below `max_height` across every
+/// partition, oldest first: canonical `(height, pos)` order. Pages whose
+/// kind mask lacks the tag are skipped unread.
+///
+/// The one kind-sweep body, behind [`TxIndexReader::entries_by_kind`] and
+/// [`TxIndex::entries_by_kind`].
+fn entries_by_kind<'a>(
+    shared: &TxIndexShared,
+    parts: impl Iterator<Item = &'a PartState>,
+    kind: u16,
+    max_height: u64,
+) -> io::Result<Vec<IndexEntry>> {
+    let bit = 1u64 << (kind % 64);
+    let matches = |e: &&IndexEntry| e.height <= max_height && e.kind == kind;
+    let mut found: Vec<IndexEntry> = Vec::new();
+    for (p, part) in parts.enumerate() {
+        for seq in 0..part.pages.len() as u32 {
             let meta = &part.pages[seq as usize];
-            if meta.header.first_height > max_height || !meta.header.key_bloom.contains(h1, h2) {
+            if meta.header.first_height > max_height || meta.header.tag_mask & bit == 0 {
                 continue;
             }
-            let entries = read_index_page(&self.shared, p as u16, seq, meta)?;
-            let start = entries.partition_point(|e| e.id < *id);
-            let hit = entries[start..]
-                .iter()
-                .take_while(|e| e.id == *id)
-                .filter(|e| e.height <= max_height)
-                .max_by_key(|e| (e.height, e.pos));
-            if let Some(e) = hit {
-                return Ok(Some((e.block, e.pos)));
-            }
+            let entries = read_index_page(shared, p as u16, seq, meta)?;
+            found.extend(entries.iter().filter(matches));
         }
-        Ok(None)
+        for chunk in part.staged.chunks() {
+            found.extend(chunk.iter().filter(matches));
+        }
+    }
+    found.sort_unstable_by_key(|e| (e.height, e.pos));
+    Ok(found)
+}
+
+impl TxIndexReader {
+    /// Locate a finalized transaction by id at or below `max_height` in the
+    /// published state: `(block, position)`. The latest occurrence wins.
+    pub fn lookup(&self, id: &TxId, max_height: u64) -> io::Result<Option<(BlockHash, u32)>> {
+        let state = self.shared.state.load();
+        let p = route(id, state.partitions.len());
+        lookup(&self.shared, p, &state.partitions[p], id, max_height)
     }
 
-    /// Finalized entries with the given kind tag at or below `max_height`,
-    /// across every partition, oldest first: canonical `(height, pos)`
-    /// order.
+    /// Finalized entries with the given kind tag at or below `max_height`
+    /// in the published state, across every partition, oldest first:
+    /// canonical `(height, pos)` order.
     pub fn entries_by_kind(&self, kind: u16, max_height: u64) -> io::Result<Vec<IndexEntry>> {
-        let bit = 1u64 << (kind % 64);
-        let matches = |e: &&IndexEntry| e.height <= max_height && e.kind == kind;
         let state = self.shared.state.load();
-        let mut found: Vec<IndexEntry> = Vec::new();
-        for (p, part) in state.partitions.iter().enumerate() {
-            for seq in 0..part.pages.len() as u32 {
-                let meta = &part.pages[seq as usize];
-                if meta.header.first_height > max_height || meta.header.tag_mask & bit == 0 {
-                    continue;
-                }
-                let entries = read_index_page(&self.shared, p as u16, seq, meta)?;
-                found.extend(entries.iter().filter(matches));
-            }
-            for chunk in part.staged.chunks() {
-                found.extend(chunk.iter().filter(matches));
-            }
-        }
-        found.sort_unstable_by_key(|e| (e.height, e.pos));
-        Ok(found)
+        entries_by_kind(&self.shared, state.partitions.iter(), kind, max_height)
     }
 }
 
@@ -441,13 +479,13 @@ impl TxIndex {
             } else {
                 File::create(&path)?;
                 Partition {
-                    pages: Arc::new(Vec::new()),
-                    staged: Staged::default(),
+                    state: PartState::default(),
                     file_len: 0,
                     last_height: 0,
                 }
             };
             entries += part
+                .state
                 .pages
                 .iter()
                 .map(|m| u64::from(m.header.entry_count))
@@ -487,14 +525,7 @@ impl TxIndex {
     /// chunks — O(batch + chunk) per group commit, however large
     /// `page_entries` is. The caller gates it on readers existing.
     pub fn publish(&self) {
-        let partitions = self
-            .partitions
-            .iter()
-            .map(|part| TxPartView {
-                pages: Arc::clone(&part.pages),
-                staged: part.staged.clone(),
-            })
-            .collect();
+        let partitions = self.partitions.iter().map(|p| p.state.clone()).collect();
         self.shared
             .state
             .store(Arc::new(TxIndexState { partitions }));
@@ -568,16 +599,13 @@ impl TxIndex {
             f.sync_all()?;
         }
         Ok(Partition {
-            pages: Arc::new(pages),
-            staged: Staged::default(),
+            state: PartState {
+                pages: Arc::new(pages),
+                staged: Staged::default(),
+            },
             file_len: pos,
             last_height,
         })
-    }
-
-    /// Route a transaction id to its partition.
-    fn route(&self, id: &TxId) -> u16 {
-        (route_hash(id.0.as_bytes()) % self.partitions.len() as u64) as u16
     }
 
     /// Append spilled entries. Entries at or below a partition's durable
@@ -595,17 +623,17 @@ impl TxIndex {
     pub fn append(&mut self, entries: Vec<IndexEntry>) -> io::Result<u64> {
         let mut accepted = 0u64;
         for e in entries {
-            let p = self.route(&e.id) as usize;
+            let p = route(&e.id, self.partitions.len());
             let part = &mut self.partitions[p];
             if e.height <= part.last_height {
                 continue; // already durable (crash-replay overlap)
             }
-            part.staged.push(e);
+            part.state.staged.push(e);
             accepted += 1;
         }
         self.entries += accepted;
         for p in 0..self.partitions.len() {
-            if self.partitions[p].staged.len() >= self.config.page_entries {
+            if self.partitions[p].state.staged.len() >= self.config.page_entries {
                 self.cut_page(p)?;
             }
         }
@@ -615,7 +643,7 @@ impl TxIndex {
     /// Force every staged entry into durable pages (checkpoint/shutdown).
     pub fn sync(&mut self) -> io::Result<()> {
         for p in 0..self.partitions.len() {
-            if !self.partitions[p].staged.is_empty() {
+            if !self.partitions[p].state.staged.is_empty() {
                 self.cut_page(p)?;
             }
         }
@@ -659,11 +687,12 @@ impl TxIndex {
     /// Cut the staged tail of partition `p` into one durable page.
     fn cut_page(&mut self, p: usize) -> io::Result<()> {
         let part = &mut self.partitions[p];
-        let mut staged = part.staged.take();
+        let mut staged = part.state.staged.take();
         // Pages are sorted by id so point lookups binary-search; canonical
         // order is recovered from (height, pos) at query time.
         staged.sort_by_key(|e| e.id);
-        let (header, entry_bytes) = Self::build_page(p as u16, part.pages.len() as u32, &staged);
+        let (header, entry_bytes) =
+            Self::build_page(p as u16, part.state.pages.len() as u32, &staged);
         let payload_len = (header.to_wire().len() + entry_bytes.len()) as u32;
         let writer = &mut self.writers[p];
         write_page_to(writer, &header, &entry_bytes)?;
@@ -680,7 +709,7 @@ impl TxIndex {
         self.shared
             .cache
             .insert((p as u16, meta.header.sequence), Arc::new(staged));
-        Arc::make_mut(&mut part.pages).push(meta);
+        Arc::make_mut(&mut part.state.pages).push(meta);
         Ok(())
     }
 
@@ -689,63 +718,18 @@ impl TxIndex {
         self.partitions.iter().map(|p| p.last_height).collect()
     }
 
-    /// Load (or fetch from cache) the decoded entries of one page.
-    fn page_entries(&self, p: u16, seq: u32) -> io::Result<Arc<Vec<IndexEntry>>> {
-        let meta = &self.partitions[p as usize].pages[seq as usize];
-        read_index_page(&self.shared, p, seq, meta)
+    /// [`TxIndexReader::lookup`] on the writer's current state, published or
+    /// not.
+    pub fn lookup(&self, id: &TxId, max_height: u64) -> io::Result<Option<(BlockHash, u32)>> {
+        let p = route(id, self.partitions.len());
+        lookup(&self.shared, p, &self.partitions[p].state, id, max_height)
     }
 
-    /// Locate a finalized transaction by id: `(block, position)`.
-    ///
-    /// When the same id was sealed into several finalized blocks, the
-    /// latest canonical occurrence wins (matching the in-memory index,
-    /// where later absorbs overwrite `tx_loc`).
-    pub fn lookup(&self, id: &TxId) -> io::Result<Option<(BlockHash, u32)>> {
-        let p = self.route(id);
-        let part = &self.partitions[p as usize];
-        // Staged tail first: strictly newer than any durable page.
-        if let Some(e) = part.staged.newest(|e| e.id == *id) {
-            return Ok(Some((e.block, e.pos)));
-        }
-        let (h1, h2) = bloom_hashes(id.0.as_bytes());
-        for seq in (0..part.pages.len() as u32).rev() {
-            let meta = &part.pages[seq as usize];
-            if !meta.header.key_bloom.contains(h1, h2) {
-                continue;
-            }
-            let entries = self.page_entries(p, seq)?;
-            let start = entries.partition_point(|e| e.id < *id);
-            let hit = entries[start..]
-                .iter()
-                .take_while(|e| e.id == *id)
-                .max_by_key(|e| (e.height, e.pos));
-            if let Some(e) = hit {
-                return Ok(Some((e.block, e.pos)));
-            }
-        }
-        Ok(None)
-    }
-
-    /// Finalized transaction ids with the given kind tag, oldest first:
-    /// canonical `(height, pos)` order across every partition.
-    pub fn txs_by_kind(&self, kind: u16) -> io::Result<Vec<TxId>> {
-        let bit = 1u64 << (kind % 64);
-        let mut found: Vec<IndexEntry> = Vec::new();
-        for p in 0..self.partitions.len() as u16 {
-            let part = &self.partitions[p as usize];
-            for seq in 0..part.pages.len() as u32 {
-                if part.pages[seq as usize].header.tag_mask & bit == 0 {
-                    continue;
-                }
-                let entries = self.page_entries(p, seq)?;
-                found.extend(entries.iter().filter(|e| e.kind == kind));
-            }
-            for chunk in part.staged.chunks() {
-                found.extend(chunk.iter().filter(|e| e.kind == kind));
-            }
-        }
-        found.sort_unstable_by_key(|e| (e.height, e.pos));
-        Ok(found.into_iter().map(|e| e.id).collect())
+    /// [`TxIndexReader::entries_by_kind`] on the writer's current state,
+    /// published or not.
+    pub fn entries_by_kind(&self, kind: u16, max_height: u64) -> io::Result<Vec<IndexEntry>> {
+        let parts = self.partitions.iter().map(|p| &p.state);
+        entries_by_kind(&self.shared, parts, kind, max_height)
     }
 
     /// Total entries held (durable pages + staged tail).
@@ -755,12 +739,12 @@ impl TxIndex {
 
     /// Entries staged in memory, not yet cut into a durable page.
     pub fn staged_entries(&self) -> usize {
-        self.partitions.iter().map(|p| p.staged.len()).sum()
+        self.partitions.iter().map(|p| p.state.staged.len()).sum()
     }
 
     /// Total durable pages across all partitions.
     pub fn page_count(&self) -> usize {
-        self.partitions.iter().map(|p| p.pages.len()).sum()
+        self.partitions.iter().map(|p| p.state.pages.len()).sum()
     }
 
     /// Number of hash partitions.
@@ -773,27 +757,12 @@ impl TxIndex {
         self.bytes
     }
 
-    /// Largest height covered by any durable page (diagnostic; the
-    /// idempotence guard is per-partition).
-    pub fn flushed_height(&self) -> u64 {
-        self.partitions
-            .iter()
-            .map(|p| p.last_height)
-            .max()
-            .unwrap_or(0)
-    }
-
     /// `(page cache hits, misses)`, across the writer and every reader.
     pub fn cache_stats(&self) -> (u64, u64) {
         (
             self.shared.hits.load(Ordering::Relaxed),
             self.shared.misses.load(Ordering::Relaxed),
         )
-    }
-
-    /// The index directory.
-    pub fn dir(&self) -> &Path {
-        &self.dir
     }
 }
 
@@ -830,6 +799,12 @@ mod tests {
         dir
     }
 
+    /// Ids of `kind` in the writer's current state, oldest first.
+    fn kind_ids(ix: &TxIndex, kind: u16) -> Vec<TxId> {
+        let entries = ix.entries_by_kind(kind, u64::MAX).unwrap();
+        entries.into_iter().map(|e| e.id).collect()
+    }
+
     fn small_config() -> TxIndexConfig {
         TxIndexConfig {
             partitions: 4,
@@ -853,17 +828,20 @@ mod tests {
         assert_eq!(ix.entries(), 100);
         assert!(ix.page_count() > 0, "pages must have been cut");
         for e in &entries {
-            assert_eq!(ix.lookup(&e.id).unwrap(), Some((e.block, e.pos)));
+            assert_eq!(ix.lookup(&e.id, u64::MAX).unwrap(), Some((e.block, e.pos)));
         }
-        assert_eq!(ix.lookup(&TxId(sha256(b"missing"))).unwrap(), None);
+        assert_eq!(
+            ix.lookup(&TxId(sha256(b"missing")), u64::MAX).unwrap(),
+            None
+        );
         // Canonical (height) order.
         let kind0: Vec<TxId> = entries
             .iter()
             .filter(|e| e.kind == 0)
             .map(|e| e.id)
             .collect();
-        assert_eq!(ix.txs_by_kind(0).unwrap(), kind0);
-        assert!(ix.txs_by_kind(9).unwrap().is_empty());
+        assert_eq!(kind_ids(&ix, 0), kind0);
+        assert!(kind_ids(&ix, 9).is_empty());
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -879,7 +857,7 @@ mod tests {
         let ix = TxIndex::open(&dir, small_config()).unwrap();
         assert_eq!(ix.entries(), 60);
         for e in &entries {
-            assert_eq!(ix.lookup(&e.id).unwrap(), Some((e.block, e.pos)));
+            assert_eq!(ix.lookup(&e.id, u64::MAX).unwrap(), Some((e.block, e.pos)));
         }
         std::fs::remove_dir_all(&dir).unwrap();
     }
@@ -894,12 +872,12 @@ mod tests {
             assert_eq!(ix.staged_entries(), 1);
             assert_eq!(ix.page_count(), 0);
             // Visible before any page exists.
-            assert_eq!(ix.lookup(&e.id).unwrap(), Some((e.block, e.pos)));
-            assert_eq!(ix.txs_by_kind(e.kind).unwrap(), vec![e.id]);
+            assert_eq!(ix.lookup(&e.id, u64::MAX).unwrap(), Some((e.block, e.pos)));
+            assert_eq!(kind_ids(&ix, e.kind), vec![e.id]);
         }
         // Drop synced the staged tail.
         let ix = TxIndex::open(&dir, small_config()).unwrap();
-        assert_eq!(ix.lookup(&e.id).unwrap(), Some((e.block, e.pos)));
+        assert_eq!(ix.lookup(&e.id, u64::MAX).unwrap(), Some((e.block, e.pos)));
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -918,7 +896,7 @@ mod tests {
         assert_eq!(accepted, 0);
         assert_eq!(ix.entries(), total);
         assert_eq!(ix.stored_bytes(), bytes);
-        assert_eq!(ix.txs_by_kind(1).unwrap().len(), 40);
+        assert_eq!(kind_ids(&ix, 1).len(), 40);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -933,7 +911,10 @@ mod tests {
         e2.pos = 3;
         ix.append(vec![e1, e2]).unwrap();
         ix.sync().unwrap();
-        assert_eq!(ix.lookup(&e1.id).unwrap(), Some((e2.block, e2.pos)));
+        assert_eq!(
+            ix.lookup(&e1.id, u64::MAX).unwrap(),
+            Some((e2.block, e2.pos))
+        );
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -975,14 +956,14 @@ mod tests {
         ix.sync().unwrap();
         for e in batch_a.iter().chain(batch_b.iter()) {
             assert_eq!(
-                ix.lookup(&e.id).unwrap(),
+                ix.lookup(&e.id, u64::MAX).unwrap(),
                 Some((e.block, e.pos)),
                 "entry at height {} lost across crash-replay",
                 e.height
             );
         }
         assert_eq!(
-            ix.txs_by_kind(1).unwrap().len(),
+            kind_ids(&ix, 1).len(),
             11,
             "no duplicates and no losses after replay"
         );
@@ -1014,7 +995,7 @@ mod tests {
         let ix = TxIndex::open(&dir, small_config()).unwrap();
         assert_eq!(std::fs::metadata(&path).unwrap().len(), whole);
         for e in &entries {
-            assert_eq!(ix.lookup(&e.id).unwrap(), Some((e.block, e.pos)));
+            assert_eq!(ix.lookup(&e.id, u64::MAX).unwrap(), Some((e.block, e.pos)));
         }
         std::fs::remove_dir_all(&dir).unwrap();
     }
@@ -1089,10 +1070,13 @@ mod tests {
         assert_eq!((a.sealed.len(), a.open.len()), (1, 9));
         assert!(Arc::ptr_eq(&s.sealed[0], &a.sealed[0]));
         // No seal since the last publish: the list itself is shared.
-        assert!(Arc::ptr_eq(&a.sealed, &ix.partitions[0].staged.sealed));
+        assert!(Arc::ptr_eq(
+            &a.sealed,
+            &ix.partitions[0].state.staged.sealed
+        ));
         assert!(Arc::ptr_eq(
             &a.sealed[0],
-            &ix.partitions[0].staged.sealed[0]
+            &ix.partitions[0].state.staged.sealed[0]
         ));
         assert_eq!(ix.staged_entries(), STAGED_CHUNK + 9);
         std::fs::remove_dir_all(&dir).unwrap();
@@ -1113,12 +1097,13 @@ mod tests {
         entries[third as usize - 1].id = id;
         ix.append(entries.clone()).unwrap();
         ix.publish();
-        assert_eq!(ix.partitions[0].staged.sealed.len(), 2);
+        assert_eq!(ix.partitions[0].state.staged.sealed.len(), 2);
         let at = |h: u64| {
             let e = &entries[h as usize - 1];
             Some((e.block, e.pos))
         };
-        assert_eq!(ix.lookup(&id).unwrap(), at(third));
+        assert_eq!(ix.lookup(&id, u64::MAX).unwrap(), at(third));
+        assert_eq!(ix.lookup(&id, second - 1).unwrap(), at(first));
         assert_eq!(reader.lookup(&id, u64::MAX).unwrap(), at(third));
         assert_eq!(reader.lookup(&id, third - 1).unwrap(), at(second));
         assert_eq!(reader.lookup(&id, second - 1).unwrap(), at(first));
@@ -1136,7 +1121,7 @@ mod tests {
             .collect();
         ix.append(entries.clone()).unwrap();
         ix.publish();
-        assert_eq!(ix.partitions[0].staged.sealed.len(), 3);
+        assert_eq!(ix.partitions[0].state.staged.sealed.len(), 3);
         let ceiling = 2 * STAGED_CHUNK as u64 + 7;
         let expect: Vec<IndexEntry> = entries
             .iter()
@@ -1149,7 +1134,7 @@ mod tests {
             .filter(|e| e.kind == 1)
             .map(|e| e.id)
             .collect();
-        assert_eq!(ix.txs_by_kind(1).unwrap(), all);
+        assert_eq!(kind_ids(&ix, 1), all);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

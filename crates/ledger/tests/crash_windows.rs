@@ -171,14 +171,14 @@ fn build_forky_segments(dir: &Path) -> (BlockHash, u64) {
 /// nonce of the canonical author.
 type Observed = (BlockHash, u64, Vec<BlockHash>, bool, Vec<TxId>, u64);
 
-fn observe(chain: &Chain) -> Observed {
+fn observe(chain: &mut Chain) -> Observed {
     chain.verify_integrity().unwrap();
     (
         chain.tip(),
         chain.height(),
         chain.canonical_hashes().collect(),
         chain.index_consistent(),
-        chain.txs_by_kind(1),
+        chain.reader().view().txs_by_kind(1),
         chain.next_nonce_for(&AccountId::from_name("a")),
     )
 }
@@ -210,26 +210,34 @@ fn replay_over_fork_residue_reproduces_tip_and_indexes() {
             rivals.iter().all(|h| chain.block(h).is_some()),
             "finalized-away forks stay in the store"
         );
-        observe(&chain)
+        observe(&mut chain)
     };
     assert!(expected.3, "live chain indexes consistent");
-    let replayed = Chain::replay_with_tiers(
+    let mut replayed = Chain::replay_with_tiers(
         tiered(&blocks),
         None,
         fresh_meta(&dir.join("meta-store")),
         forky_config(),
     )
     .unwrap();
-    assert_eq!(observe(&replayed), expected, "replay over the store alone");
+    assert_eq!(
+        observe(&mut replayed),
+        expected,
+        "replay over the store alone"
+    );
     drop(replayed);
-    let replayed = Chain::replay_with_tiers(
+    let mut replayed = Chain::replay_with_tiers(
         tiered(&blocks),
         Some(small_index(&txindex)),
         fresh_meta(&dir.join("meta-index")),
         forky_config(),
     )
     .unwrap();
-    assert_eq!(observe(&replayed), expected, "replay over store and index");
+    assert_eq!(
+        observe(&mut replayed),
+        expected,
+        "replay over store and index"
+    );
     drop(replayed);
     std::fs::remove_dir_all(&dir).unwrap();
 }

@@ -3,7 +3,7 @@
 //! Appending 100k single-transaction blocks through a tiered store plus a
 //! durable [`TxIndex`] with a small finality depth must keep the mutable
 //! in-memory index sized O(non-finalized suffix) — not O(history) — while
-//! `tx_by_id` / `txs_by_kind` return exactly what a
+//! `ChainView::{tx_by_id, txs_by_kind}` return exactly what a
 //! from-scratch in-memory rebuild over the canonical chain would.
 
 use blockprov_ledger::block::BlockHash;
@@ -74,6 +74,7 @@ fn spilled_index_stays_bounded_and_matches_full_rebuild() {
         "every finalized tx spilled exactly once"
     );
     assert!(ix.page_count() > 0, "pages must have been cut");
+    let view = chain.reader().view();
 
     // From-scratch in-memory rebuild over the canonical chain.
     let mut tx_loc: HashMap<TxId, (BlockHash, u32)> = HashMap::new();
@@ -94,23 +95,20 @@ fn spilled_index_stays_bounded_and_matches_full_rebuild() {
     // tx_by_id: sampled across the whole history (hot suffix, cold pages).
     for id in all_ids.iter().step_by(97) {
         assert_eq!(
-            chain.tx_by_id(id),
+            view.tx_by_id(id),
             tx_loc.get(id).copied(),
             "two-tier lookup diverged from rebuild"
         );
     }
     // The genesis-adjacent oldest and the newest resolve too.
-    assert_eq!(
-        chain.tx_by_id(&all_ids[0]),
-        tx_loc.get(&all_ids[0]).copied()
-    );
+    assert_eq!(view.tx_by_id(&all_ids[0]), tx_loc.get(&all_ids[0]).copied());
     let last = *all_ids.last().unwrap();
-    assert_eq!(chain.tx_by_id(&last), tx_loc.get(&last).copied());
+    assert_eq!(view.tx_by_id(&last), tx_loc.get(&last).copied());
 
     // Kind queries: full equality, order included.
     for kind in 0..KINDS {
         assert_eq!(
-            chain.txs_by_kind(kind),
+            view.txs_by_kind(kind),
             by_kind[&kind],
             "merged by-kind query diverged for kind {kind}"
         );

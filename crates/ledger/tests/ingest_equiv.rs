@@ -124,7 +124,7 @@ fn replay_batched(
 
 /// Tip, canonical hashes, per-kind indexes and per-author nonces must all
 /// agree between the sequential reference and the batched chain.
-fn assert_same_state(seq: &Chain, batched: &Chain) -> Result<(), TestCaseError> {
+fn assert_same_state(seq: &mut Chain, batched: &mut Chain) -> Result<(), TestCaseError> {
     prop_assert_eq!(batched.tip(), seq.tip(), "tip diverged");
     prop_assert_eq!(batched.height(), seq.height(), "height diverged");
     let seq_canonical: Vec<BlockHash> = seq.canonical_hashes().collect();
@@ -143,10 +143,11 @@ fn assert_same_state(seq: &Chain, batched: &Chain) -> Result<(), TestCaseError> 
             name
         );
     }
+    let (seq_view, batched_view) = (seq.reader().view(), batched.reader().view());
     for kind in 0..2u16 {
         prop_assert_eq!(
-            batched.txs_by_kind(kind),
-            seq.txs_by_kind(kind),
+            batched_view.txs_by_kind(kind),
+            seq_view.txs_by_kind(kind),
             "txs_by_kind({}) diverged",
             kind
         );
@@ -156,10 +157,10 @@ fn assert_same_state(seq: &Chain, batched: &Chain) -> Result<(), TestCaseError> 
 }
 
 fn run_case(config: ChainConfig, ops: &[Op], sizes: &[usize]) -> Result<(), TestCaseError> {
-    let (seq, stream) = build_stream(config.clone(), ops)?;
+    let (mut seq, stream) = build_stream(config.clone(), ops)?;
     let mut batched = Chain::new(config);
     replay_batched(&mut batched, &stream, sizes)?;
-    assert_same_state(&seq, &batched)
+    assert_same_state(&mut seq, &mut batched)
 }
 
 proptest! {
@@ -295,7 +296,7 @@ fn batched_ingest_equals_sequential_at_fixed_batch_sizes() {
         finality_depth: Some(8),
         ..ChainConfig::default()
     };
-    let (seq, stream) = build_long_stream(config.clone(), 600);
+    let (mut seq, stream) = build_long_stream(config.clone(), 600);
     assert!(stream.len() >= 600, "stream too short for a full 256 batch");
     for &size in &[1usize, 7, 256] {
         let dir = std::env::temp_dir().join(format!(
@@ -307,7 +308,7 @@ fn batched_ingest_equals_sequential_at_fixed_batch_sizes() {
         let result = (|| -> Result<(), TestCaseError> {
             let mut batched = open_tiny_tiers(&dir, config.clone());
             replay_batched(&mut batched, &stream, &[size])?;
-            assert_same_state(&seq, &batched)?;
+            assert_same_state(&mut seq, &mut batched)?;
             Ok(())
         })();
         let _ = std::fs::remove_dir_all(&dir);
@@ -328,7 +329,7 @@ proptest! {
     ) {
         static CASE: AtomicU64 = AtomicU64::new(0);
         let config = ChainConfig { finality_depth: Some(depth), ..ChainConfig::default() };
-        let (seq, stream) = build_stream(config.clone(), &ops)?;
+        let (mut seq, stream) = build_stream(config.clone(), &ops)?;
         let dir = std::env::temp_dir().join(format!(
             "blockprov-ingest-equiv-{}-{}",
             std::process::id(),
@@ -338,7 +339,7 @@ proptest! {
         let result = (|| -> Result<(), TestCaseError> {
             let mut batched = open_tiny_tiers(&dir, config);
             replay_batched(&mut batched, &stream, &sizes)?;
-            assert_same_state(&seq, &batched)?;
+            assert_same_state(&mut seq, &mut batched)?;
             Ok(())
         })();
         let _ = std::fs::remove_dir_all(&dir);

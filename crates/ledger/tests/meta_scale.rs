@@ -195,18 +195,19 @@ fn run(case: &Case) {
         );
     }
     // Tx queries (sampled point lookups + full kind scans).
+    let view = chain.reader().view();
     for id in all_ids.iter().step_by(97) {
-        assert_eq!(chain.tx_by_id(id), tx_loc.get(id).copied());
+        assert_eq!(view.tx_by_id(id), tx_loc.get(id).copied());
     }
     for kind in 0..KINDS {
-        assert_eq!(chain.txs_by_kind(kind), by_kind[&kind], "kind {kind}");
+        assert_eq!(view.txs_by_kind(kind), by_kind[&kind], "kind {kind}");
     }
 
     // Restart via snapshot: identical tip, O(suffix) re-absorption.
     let tip = chain.tip();
     chain.sync_meta().unwrap();
     drop(chain);
-    let chain =
+    let mut chain =
         Chain::replay_with_tiers(store(&dir), Some(index(&dir)), meta(&dir, case), config())
             .expect("fast start");
     assert_eq!(chain.tip(), tip);
@@ -224,11 +225,12 @@ fn run(case: &Case) {
         assert_eq!(chain.next_nonce_for(&author), expected_nonce[&author]);
     }
 
+    let view = chain.reader().view();
     for id in all_ids.iter().step_by(97) {
-        assert_eq!(chain.tx_by_id(id), tx_loc.get(id).copied());
+        assert_eq!(view.tx_by_id(id), tx_loc.get(id).copied());
     }
     for kind in 0..KINDS {
-        assert_eq!(chain.txs_by_kind(kind), by_kind[&kind]);
+        assert_eq!(view.txs_by_kind(kind), by_kind[&kind]);
     }
 
     std::fs::remove_dir_all(&dir).unwrap();

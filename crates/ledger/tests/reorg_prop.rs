@@ -310,19 +310,21 @@ proptest! {
             // unchanged across it.
             let authors = ["alice", "bob", "carol"].map(Acct::from_name);
             let nonces_before: Vec<_> = authors.iter().map(|a| chain.next_nonce_for(a)).collect();
-            let by_kind_before: Vec<_> = (0..2u16).map(|k| chain.txs_by_kind(k)).collect();
+            let view = chain.reader().view();
+            let by_kind_before: Vec<_> = (0..2u16).map(|k| view.txs_by_kind(k)).collect();
             assert_two_tier_matches(&chain)?;
             let tip = chain.tip();
             let height = chain.height();
             drop(chain);
-            let chain = tiers(&dir, case);
+            let mut chain = tiers(&dir, case);
             prop_assert_eq!(chain.tip(), tip);
             prop_assert_eq!(chain.height(), height);
             for (a, before) in authors.iter().zip(&nonces_before) {
                 prop_assert_eq!(&chain.next_nonce_for(a), before, "next nonce changed over restart");
             }
+            let view = chain.reader().view();
             for (k, before) in (0..2u16).zip(&by_kind_before) {
-                prop_assert_eq!(&chain.txs_by_kind(k), before, "by_kind changed over restart");
+                prop_assert_eq!(&view.txs_by_kind(k), before, "by_kind changed over restart");
             }
             assert_two_tier_matches(&chain)?;
             prop_assert!(chain.verify_integrity().is_ok());

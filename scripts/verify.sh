@@ -3,8 +3,9 @@
 #
 # Runs the tier-1 command from ROADMAP.md (release build + every suite in
 # the workspace: the root manifest's `default-members` covers it), gates the
-# whole workspace on clippy (warnings are errors) and the ledger, wire,
-# crypto, provenance, node and core crates on rustfmt, smoke-runs the repo benchmark (benchmarks/run.sh
+# whole workspace on clippy (warnings are errors) and ten crates on rustfmt
+# (ledger, wire, crypto, provenance, node, core, access, consensus,
+# contracts, simnet), smoke-runs the repo benchmark (benchmarks/run.sh
 # --smoke: the real node on every BENCHMARK.json workload, every answer
 # oracle-checked), builds the API docs with warnings as errors, re-runs the
 # crypto crate's tests under --release, and compiles every criterion bench
@@ -43,11 +44,16 @@ echo "== workspace lint: cargo clippy --workspace (warnings are errors) =="
 # deny-level lint in proptest's own tests.
 cargo clippy --workspace --exclude proptest --exclude criterion --all-targets --no-deps -- -D warnings
 
-echo "== format: cargo fmt -p blockprov-ledger -p blockprov-node -p blockprov-core -p blockprov-wire -p blockprov-crypto -p blockprov-provenance -- --check =="
-# The storage crate, its wire format and hashing, the provenance log over it, the node
-# that serves it and the framework crate between them are gated so drift
-# cannot pile up there. The other crates' rustfmt drift is not gated yet.
-cargo fmt -p blockprov-ledger -p blockprov-node -p blockprov-core -p blockprov-wire -p blockprov-crypto -p blockprov-provenance -- --check
+FMT_CRATES=(-p blockprov-ledger -p blockprov-node -p blockprov-core -p blockprov-wire
+    -p blockprov-crypto -p blockprov-provenance -p blockprov-access
+    -p blockprov-consensus -p blockprov-contracts -p blockprov-simnet)
+echo "== format: cargo fmt ${FMT_CRATES[*]} -- --check =="
+# The storage crate, its wire format and hashing, the provenance log over it,
+# the node that serves it, the framework crate between them, and the access,
+# consensus, contracts and simnet crates (already rustfmt-clean) are gated so
+# drift cannot pile up there. The other crates' rustfmt drift is not gated
+# yet.
+cargo fmt "${FMT_CRATES[@]}" -- --check
 
 echo "== repo benchmark smoke: bash benchmarks/run.sh --smoke =="
 # Builds the release node and the benchmark harness, runs all four

@@ -171,7 +171,7 @@ proptest! {
             let id = tx.id();
             let block = chain.assemble_next(1000 * (i as u64 + 1), AccountId::from_name("s"), 0, vec![tx]);
             chain.append(block).unwrap();
-            let fetched = chain.get_tx(&id).unwrap();
+            let fetched = chain.reader().view().get_tx(&id).unwrap();
             prop_assert_eq!(&fetched.payload, payload);
             let proof = chain.prove_tx(&id).unwrap();
             prop_assert!(proof.verify());
